@@ -165,6 +165,13 @@ struct DirState {
     coalesced: registry::Counter,
     evicted_entries: registry::Counter,
     evicted_bytes: registry::Counter,
+    /// Serializes this process's `cache.stats` read-merge-writes with
+    /// each other and with readers of persisted-plus-live totals. A
+    /// persist moves its deltas from the live counters into the file;
+    /// without the lock two persists can each merge onto the same old
+    /// file, so the later write drops the earlier one's deltas, and a
+    /// reader between the take and the write sees neither.
+    persist: Mutex<()>,
 }
 
 fn dir_registry() -> &'static Mutex<HashMap<PathBuf, Arc<DirState>>> {
@@ -225,11 +232,7 @@ fn dir_state(dir: &Path) -> Arc<DirState> {
         ];
         let stats: Vec<(String, CacheStats)> = dirs
             .iter()
-            .map(|(path, state)| {
-                let mut s = read_persisted(path);
-                state.add_live(&mut s);
-                (path.display().to_string(), s)
-            })
+            .map(|(path, state)| (path.display().to_string(), state.totals(path)))
             .collect();
         for (name, help, field) in families {
             let samples: Vec<(&str, &str, u64)> = stats
@@ -244,6 +247,15 @@ fn dir_state(dir: &Path) -> Arc<DirState> {
 }
 
 impl DirState {
+    /// The lifetime counters of `dir`: its persisted totals plus this
+    /// process's unpersisted deltas, read as one consistent state.
+    fn totals(&self, dir: &Path) -> CacheStats {
+        let _persist = self.persist.lock().unwrap_or_else(|e| e.into_inner());
+        let mut stats = read_persisted(dir);
+        self.add_live(&mut stats);
+        stats
+    }
+
     /// Adds this process's unpersisted counter deltas onto `stats`.
     fn add_live(&self, stats: &mut CacheStats) {
         stats.hits += self.hits.get();
@@ -813,9 +825,7 @@ impl DiskCache {
     /// not-yet-persisted activity.
     pub fn stats(&self) -> CacheStats {
         let (live, corrupt) = self.scan();
-        let persisted = read_persisted(&self.dir);
-        let mut stats = persisted;
-        self.state.add_live(&mut stats);
+        let mut stats = self.state.totals(&self.dir);
         stats.entries = live.len() as u64;
         stats.bytes = live.iter().map(|(_, len, _)| len).sum();
         stats.corrupt = corrupt;
@@ -825,8 +835,10 @@ impl DiskCache {
     /// Folds this process's counter deltas into `cache.stats`
     /// (best-effort; the campaign calls this at the end of each run).
     /// Deltas are swapped out atomically, so concurrent persists from
-    /// several caches on one directory never double-count.
+    /// several caches on one directory never double-count, and persists
+    /// within one process are serialized, so none overwrites another.
     pub fn persist_counters(&self) {
+        let _persist = self.state.persist.lock().unwrap_or_else(|e| e.into_inner());
         let deltas = [
             ("hits", self.state.hits.take()),
             ("hot_hits", self.state.hot_hits.take()),

@@ -32,6 +32,27 @@ fn seeded_grid(seeds: std::ops::Range<u64>) -> Vec<CampaignPoint> {
         .collect()
 }
 
+/// Waits, up to ten seconds, until no engine worker thread (named
+/// `mn-engine-<i>`) is left in this process. Reads Linux's per-thread
+/// `comm` names; elsewhere it returns at once.
+fn wait_for_engine_workers_to_exit() {
+    let live = || {
+        std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+            tasks
+                .flatten()
+                .filter(|task| {
+                    std::fs::read_to_string(task.path().join("comm"))
+                        .is_ok_and(|name| name.starts_with("mn-engine"))
+                })
+                .count()
+        })
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while live() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn metrics_are_job_invariant_deterministic_and_nonzero_under_concurrency() {
     registry::set_metrics_enabled(true);
@@ -68,6 +89,10 @@ fn metrics_are_job_invariant_deterministic_and_nonzero_under_concurrency() {
     );
 
     // --- 2. Rendering determinism ------------------------------------
+    // The engines above are dropped, but their workers wake, see the
+    // closed queue and exit on their own threads, counting an unpark on
+    // the way out. Let them finish so both renders read one state.
+    wait_for_engine_workers_to_exit();
     let a = registry::render_prometheus();
     let b = registry::render_prometheus();
     assert_eq!(a, b, "same state must render byte-identically");

@@ -59,6 +59,14 @@ pub enum SimError {
         /// conservative-PDES execution wedged without rerunning serial.
         shard_progress: Vec<u64>,
     },
+    /// A router node has more ports than the network model supports (see
+    /// [`mn_noc::MAX_NODE_PORTS`]); reported at construction.
+    TooManyPorts {
+        /// The first node over the bound.
+        node: NodeId,
+        /// Its link ports plus local injection ports.
+        ports: usize,
+    },
 }
 
 impl SimError {
@@ -72,7 +80,7 @@ impl SimError {
     /// retrying it only burns cycles.
     pub fn is_retryable(&self) -> bool {
         match self {
-            SimError::Partitioned { .. } => false,
+            SimError::Partitioned { .. } | SimError::TooManyPorts { .. } => false,
             SimError::Stalled { .. } => true,
         }
     }
@@ -139,6 +147,11 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
+            SimError::TooManyPorts { node, ports } => write!(
+                f,
+                "node {node} has {ports} ports; the network model supports at most {}",
+                mn_noc::MAX_NODE_PORTS
+            ),
         }
     }
 }
@@ -149,6 +162,7 @@ impl From<NetworkError> for SimError {
     fn from(e: NetworkError) -> Self {
         match e {
             NetworkError::Partitioned { unreachable } => SimError::Partitioned { unreachable },
+            NetworkError::TooManyPorts { node, ports } => SimError::TooManyPorts { node, ports },
         }
     }
 }

@@ -1209,6 +1209,23 @@ mod tests {
         assert!(r.breakdown.from_memory.count() == 500);
     }
 
+    /// Pins the kernel's event stream: the number of events a run
+    /// dispatches and the event queue's high-water mark. Kernel
+    /// optimizations must leave both exactly where they are — a changed
+    /// count means the event stream itself moved, and with it, possibly,
+    /// every result byte.
+    #[test]
+    fn event_stream_is_pinned() {
+        for (topology, workload, events, peak) in [
+            (TopologyKind::Chain, Workload::Dct, 50_292, 47),
+            (TopologyKind::SkipList, Workload::Kmeans, 29_148, 44),
+        ] {
+            let r = run(&quick_config(topology, 1.0), workload);
+            assert_eq!(r.kernel_events(), events, "{topology:?} events");
+            assert_eq!(r.event_queue_peak(), peak, "{topology:?} queue peak");
+        }
+    }
+
     #[test]
     fn tree_beats_chain() {
         let chain = run(&quick_config(TopologyKind::Chain, 1.0), Workload::Bit);

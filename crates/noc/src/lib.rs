@@ -89,7 +89,7 @@ pub use fault::{FaultConfig, FaultModel, FaultStats};
 pub use mn_telemetry::TraceConfig;
 pub use network::{
     Delivery, InBinding, IntoSharedTopology, Network, NetworkError, NetworkFull, OutBinding,
-    ShardBinding,
+    ShardBinding, MAX_NODE_PORTS,
 };
 pub use packet::{Packet, PacketId, PacketKind, ShardMeta, VirtualChannel};
 pub use policy::WriteBurstDetector;

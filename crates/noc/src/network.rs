@@ -46,6 +46,10 @@ use crate::telem::{FlightEntry, NetTelem, NetTelemetry};
 
 const VC: usize = VirtualChannel::COUNT;
 
+/// The most ports (links plus local injection ports) one node may have:
+/// each (output, VC) head mask is one `u64` with a bit per input port.
+pub const MAX_NODE_PORTS: usize = u64::BITS as usize;
+
 /// Conversion into a shared topology handle for [`Network`] construction.
 ///
 /// Campaigns fan thousands of short per-port jobs over the same topology;
@@ -105,6 +109,14 @@ pub enum NetworkError {
         /// Cubes unreachable from the host (ascending id order).
         unreachable: Vec<NodeId>,
     },
+    /// A node has more ports than the router's per-output head masks can
+    /// index (see [`MAX_NODE_PORTS`]).
+    TooManyPorts {
+        /// The first node over the bound (ascending id order).
+        node: NodeId,
+        /// Its link ports plus local injection ports.
+        ports: usize,
+    },
 }
 
 impl fmt::Display for NetworkError {
@@ -124,11 +136,24 @@ impl fmt::Display for NetworkError {
                 }
                 write!(f, ")")
             }
+            NetworkError::TooManyPorts { node, ports } => write!(
+                f,
+                "node {node} has {ports} ports; a router supports at most {MAX_NODE_PORTS}"
+            ),
         }
     }
 }
 
 impl Error for NetworkError {}
+
+/// Fails with [`NetworkError::TooManyPorts`] when `node`'s `ports` exceed
+/// the head masks' [`MAX_NODE_PORTS`] bits.
+fn check_port_bound(node: NodeId, ports: usize) -> Result<(), NetworkError> {
+    if ports > MAX_NODE_PORTS {
+        return Err(NetworkError::TooManyPorts { node, ports });
+    }
+    Ok(())
+}
 
 /// A packet pulled from a node's ejection buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,7 +216,7 @@ struct NodeMeta {
 }
 
 impl NodeMeta {
-    #[inline]
+    #[cfg(debug_assertions)]
     fn total_ports(self) -> usize {
         (self.ext_ports + self.local_ports) as usize
     }
@@ -206,6 +231,19 @@ impl NodeMeta {
     #[inline]
     fn arb_idx(self, out: usize) -> usize {
         self.arb_base as usize + out
+    }
+
+    /// Head-mask index for (output `out`, VC `vc`); masks share the
+    /// arbiters' per-node layout, VC-minor.
+    #[inline]
+    fn mask_idx(self, out: usize, vc: usize) -> usize {
+        self.arb_idx(out) * VC + vc
+    }
+
+    /// The ejection output's index (after every link output).
+    #[inline]
+    fn eject_out(self) -> usize {
+        self.ext_ports as usize
     }
 }
 
@@ -358,7 +396,7 @@ pub struct Network {
     /// `n` has arbitrated at `last_arb[n]` and no state change that could
     /// enable new movement *at that same instant* has happened since. A
     /// `TryArb` firing for a clean node at exactly `last_arb[n]` is a
-    /// provable no-op and its (expensive) port/VC scan is skipped. The
+    /// provable no-op and its arbitration is skipped. The
     /// events themselves are never dropped: which packet wins an output
     /// depends on how same-instant arbitrations interleave with arrivals,
     /// so removing or reordering pushes would perturb results — the skip
@@ -371,12 +409,20 @@ pub struct Network {
     /// structural dedup instead of a sort+dedup pass per call.
     ready_pending: Vec<bool>,
     /// Packets currently sitting in each node's *input* buffers (not
-    /// ejection). A `TryArb` on a node with zero buffered packets cannot
-    /// move anything — neither the ejection nor any link-output scan can
-    /// find a head — so `arbitrate` early-outs on this count. Wake
-    /// cascades re-arm nodes aggressively, making empty-node arbitrations
-    /// the most common event in a steady-state run.
+    /// ejection). A `TryArb` on a node with zero buffered packets has no
+    /// head to move, so `arbitrate` returns after this one load instead
+    /// of checking the node's head masks. Wake cascades re-arm nodes
+    /// aggressively, making empty-node arbitrations the most common event
+    /// in a steady-state run.
     buffered: Vec<u32>,
+    /// Route-indexed head masks, `meta[n].mask_idx(output, vc)`: bit `p`
+    /// is set exactly when input buffer (`p`, `vc`) holds a head packet
+    /// that routes to `output` (ejection when it is addressed to `n`).
+    /// Kept current wherever a buffer's head changes, so arbitration
+    /// visits only outputs with a candidate and reads candidates off the
+    /// set bits instead of scanning every port and looking up each head's
+    /// route.
+    head_mask: Vec<u64>,
     /// Reusable arbitration candidate buffer (cleared before each use).
     scratch: Vec<Candidate>,
     /// Reusable same-instant event batch for [`Network::advance`].
@@ -469,6 +515,7 @@ impl Network {
                 link_ports[id.index()].push((link, port));
             }
             let total_ports = ext_ports + local_ports;
+            check_port_bound(id, total_ports)?;
             let buf_base = u32::try_from(buf_count).expect("buffer count fits u32");
             buf_count += total_ports * VC;
             // One arbiter per external output port plus one for ejection.
@@ -497,6 +544,7 @@ impl Network {
             ejection_packets: config.ejection_packets,
             links: topo.link_count(),
             nodes: topo.node_count(),
+            outputs: arbiters.len(),
         };
         let mut storage = pool::take(shape).unwrap_or_else(|| NetworkStorage {
             shape,
@@ -513,6 +561,7 @@ impl Network {
             last_arb: vec![SimTime::ZERO; shape.nodes],
             ready_pending: vec![false; shape.nodes],
             buffered: vec![0; shape.nodes],
+            head_mask: vec![0; shape.outputs * VC],
             scratch: Vec::with_capacity(16),
             batch: Vec::with_capacity(64),
         });
@@ -543,6 +592,7 @@ impl Network {
             last_arb,
             ready_pending,
             buffered,
+            head_mask,
             scratch,
             batch,
         } = storage;
@@ -586,6 +636,7 @@ impl Network {
             last_arb,
             ready_pending,
             buffered,
+            head_mask,
             scratch,
             batch,
             shard: None,
@@ -610,6 +661,7 @@ impl Network {
             ejection_packets: self.config.ejection_packets,
             links: self.link_free_at.len(),
             nodes: self.buffered.len(),
+            outputs: self.arbiters.len(),
         };
         pool::put(NetworkStorage {
             shape,
@@ -622,6 +674,7 @@ impl Network {
             last_arb: self.last_arb,
             ready_pending: self.ready_pending,
             buffered: self.buffered,
+            head_mask: self.head_mask,
             scratch: self.scratch,
             batch: self.batch,
         });
@@ -821,6 +874,9 @@ impl Network {
         let buf = &mut self.bufs[meta.buf_idx(port, vc)];
         buf.queue.push_back((handle, now));
         let depth = buf.queue.len();
+        if depth == 1 {
+            self.mark_head(node, meta, port, vc);
+        }
         self.buffered[node.index()] += 1;
         self.stats.injected.incr();
         self.telem.on_inject(now, node, id, depth);
@@ -890,14 +946,15 @@ impl Network {
                         self.handle_arrival(node, port, packet, t);
                     }
                     NetEvent::TryArb { node } => {
-                        // Skip the scan when this is provably a no-op: the
+                        // Skip arbitration when it is provably a no-op: the
                         // node already arbitrated at this exact instant and
                         // nothing has changed since. At a *later* instant a
                         // busy link may have freed, so the flag only holds
-                        // within one timestamp. The flag is set before the
-                        // scan: packet movement inside `arbitrate` re-dirties
-                        // the node (via `wake_upstream`), exactly like the
-                        // self-wake events the original kernel relied on.
+                        // within one timestamp. The flag is set before
+                        // arbitrating: packet movement inside `arbitrate`
+                        // re-dirties the node (via `wake_upstream`), exactly
+                        // like the self-wake events the original kernel
+                        // relied on.
                         if !(self.arb_clean[node.index()] && self.last_arb[node.index()] == t) {
                             self.arb_clean[node.index()] = true;
                             self.last_arb[node.index()] = t;
@@ -973,29 +1030,115 @@ impl Network {
         self.stats.hops.incr();
         self.stats.bit_hops += u64::from(self.config.packet_bytes(kind)) * 8;
         let vc = kind.virtual_channel().index();
-        let buf = &mut self.bufs[self.meta[node.index()].buf_idx(port, vc)];
+        let meta = self.meta[node.index()];
+        let buf = &mut self.bufs[meta.buf_idx(port, vc)];
         debug_assert!(buf.reserved > 0, "arrival without reservation");
         buf.reserved -= 1;
         buf.queue.push_back((handle, now));
         let depth = buf.queue.len();
+        if depth == 1 {
+            self.mark_head(node, meta, port, vc);
+        }
         self.buffered[node.index()] += 1;
         self.telem.on_enqueue(now, node, id, depth);
         self.request_arb(node, now);
     }
 
-    /// Runs arbitration for every output of `node` that can act at `now`.
-    fn arbitrate(&mut self, node: NodeId, now: SimTime, ready: &mut Vec<NodeId>) {
-        if self.buffered[node.index()] == 0 {
-            // Nothing in any input buffer: every scan below would come up
-            // empty. Skipping them is observationally identical — no
-            // packet moves, no stats counter fires on an empty candidate
-            // set.
-            return;
+    /// The output the head packet `handle` at `node` routes to: ejection
+    /// when it is addressed to `node`, else its next-hop link port. `None`
+    /// for a head no output can select (the routing table's `NO_PORT`
+    /// sentinel for an unreachable destination).
+    #[inline]
+    fn head_output(&self, node: NodeId, meta: NodeMeta, handle: ArenaRef) -> Option<usize> {
+        let head = self.packets.get(handle).expect("buffered packet is live");
+        if head.dst == node {
+            return Some(meta.eject_out());
         }
-        self.arbitrate_ejection(node, now, ready);
-        let ext_ports = self.meta[node.index()].ext_ports as usize;
-        for out_port in 0..ext_ports {
-            self.arbitrate_link_output(node, out_port, now);
+        let port = usize::from(self.routes.next_port(head.class, node, head.dst));
+        (port < meta.ext_ports as usize).then_some(port)
+    }
+
+    /// Sets `port`'s bit in the head mask of the output that the packet
+    /// now at the front of input buffer (`port`, `vc`) routes to. Called
+    /// when the buffer gains a head: a push into an empty buffer, or a
+    /// pop that exposes the next packet.
+    #[inline]
+    fn mark_head(&mut self, node: NodeId, meta: NodeMeta, port: usize, vc: usize) {
+        if let Some(handle) = self.bufs[meta.buf_idx(port, vc)].head() {
+            if let Some(out) = self.head_output(node, meta, handle) {
+                self.head_mask[meta.mask_idx(out, vc)] |= 1 << port;
+            }
+        }
+    }
+
+    /// Pops the head of input buffer (`port`, `vc`), which routes to
+    /// output `out`, and moves `port`'s mask bit to the next head's output.
+    fn pop_head(&mut self, node: NodeId, out: usize, port: usize, vc: usize) -> ArenaRef {
+        let meta = self.meta[node.index()];
+        let (handle, _) = self.bufs[meta.buf_idx(port, vc)]
+            .queue
+            .pop_front()
+            .expect("selected head exists");
+        self.head_mask[meta.mask_idx(out, vc)] &= !(1 << port);
+        self.mark_head(node, meta, port, vc);
+        self.buffered[node.index()] -= 1;
+        handle
+    }
+
+    /// True when some input head routes to output `out` on any VC.
+    #[inline]
+    fn has_heads(&self, meta: NodeMeta, out: usize) -> bool {
+        let base = meta.mask_idx(out, 0);
+        self.head_mask[base..base + VC].iter().any(|&m| m != 0)
+    }
+
+    /// Runs arbitration for every output of `node` that has a candidate.
+    /// An output whose head masks are all zero has nothing to move: its
+    /// arbitration would end with no candidate, no packet moved and no
+    /// counter touched, so skipping it changes nothing.
+    fn arbitrate(&mut self, node: NodeId, now: SimTime, ready: &mut Vec<NodeId>) {
+        let meta = self.meta[node.index()];
+        if self.buffered[node.index()] > 0 {
+            if self.has_heads(meta, meta.eject_out()) {
+                self.arbitrate_ejection(node, now, ready);
+            }
+            // Masks are read as each output comes up, not up front: a
+            // packet moved by an earlier output can expose a head for a
+            // later one, and that output must still see it.
+            for out_port in 0..meta.ext_ports as usize {
+                if self.has_heads(meta, out_port) {
+                    self.arbitrate_link_output(node, out_port, now);
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.assert_head_masks(node);
+    }
+
+    /// Recomputes `node`'s head masks from its input buffers and checks
+    /// them against the maintained ones. Every mask update is caused by
+    /// a buffer change at `node`, and each such change is followed by an
+    /// arbitration at `node`, so checking after each arbitration covers
+    /// every update site.
+    #[cfg(debug_assertions)]
+    fn assert_head_masks(&self, node: NodeId) {
+        let meta = self.meta[node.index()];
+        for out in 0..=meta.eject_out() {
+            for vc in 0..VC {
+                let want = (0..meta.total_ports())
+                    .filter(|&port| {
+                        self.bufs[meta.buf_idx(port, vc)]
+                            .head()
+                            .and_then(|h| self.head_output(node, meta, h))
+                            == Some(out)
+                    })
+                    .fold(0u64, |mask, port| mask | 1 << port);
+                assert_eq!(
+                    self.head_mask[meta.mask_idx(out, vc)],
+                    want,
+                    "stale head mask at node {node}, output {out}, vc {vc}"
+                );
+            }
         }
     }
 
@@ -1004,41 +1147,38 @@ impl Network {
     fn arbitrate_ejection(&mut self, node: NodeId, now: SimTime, ready: &mut Vec<NodeId>) {
         let n = node.index();
         let meta = self.meta[n];
-        let total_ports = meta.total_ports();
-        let eject_arb = meta.arb_idx(meta.ext_ports as usize);
+        let eject = meta.eject_out();
+        let eject_arb = meta.arb_idx(eject);
         let mut candidates = std::mem::take(&mut self.scratch);
         loop {
             let mut chosen: Option<(usize, usize)> = None; // (port, vc)
             for vc in VirtualChannel::PRIORITY_ORDER {
-                if !self.eject[n * VC + vc.index()].has_space() {
+                let mut mask = self.head_mask[meta.mask_idx(eject, vc.index())];
+                if mask == 0 || !self.eject[n * VC + vc.index()].has_space() {
                     continue;
                 }
+                // Set bits in ascending port order: the candidate order
+                // a scan over every port would produce.
                 candidates.clear();
-                for port in 0..total_ports {
-                    if let Some(handle) = self.bufs[meta.buf_idx(port, vc.index())].head() {
-                        let head = self.packets.get(handle).expect("buffered packet is live");
-                        if head.dst == node {
-                            let weight = self.arbiters[eject_arb].weigh(head);
-                            candidates.push(Candidate {
-                                input_port: port,
-                                weight,
-                            });
-                        }
-                    }
+                while mask != 0 {
+                    let port = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let handle = self.bufs[meta.buf_idx(port, vc.index())]
+                        .head()
+                        .expect("masked buffer has a head");
+                    let head = self.packets.get(handle).expect("buffered packet is live");
+                    candidates.push(Candidate {
+                        input_port: port,
+                        weight: self.arbiters[eject_arb].weigh(head),
+                    });
                 }
-                if !candidates.is_empty() {
-                    self.stats.arbitration_rounds.incr();
-                    let i = self.arbiters[eject_arb].pick(&candidates);
-                    chosen = Some((candidates[i].input_port, vc.index()));
-                    break;
-                }
+                self.stats.arbitration_rounds.incr();
+                let i = self.arbiters[eject_arb].pick(&candidates);
+                chosen = Some((candidates[i].input_port, vc.index()));
+                break;
             }
             let Some((port, vc)) = chosen else { break };
-            let (handle, _) = self.bufs[meta.buf_idx(port, vc)]
-                .queue
-                .pop_front()
-                .expect("head exists");
-            self.buffered[n] -= 1;
+            let handle = self.pop_head(node, eject, port, vc);
             if self.telem.tracing() {
                 let id = self.packets.get(handle).expect("ejected packet is live").id;
                 self.telem.on_eject(now, node, id);
@@ -1059,8 +1199,8 @@ impl Network {
     fn arbitrate_link_output(&mut self, node: NodeId, out_port: usize, now: SimTime) {
         let (neighbor, link) = self.topo.neighbors(node)[out_port];
         // Dead links never carry traffic. Routing already avoids them, so
-        // no candidate can select this output; the guard skips the scan and
-        // keeps that invariant explicit.
+        // no head's mask bit can select this output; the guard keeps that
+        // invariant explicit.
         if self.faults.as_ref().is_some_and(|fm| fm.is_dead(link)) {
             return;
         }
@@ -1081,7 +1221,6 @@ impl Network {
         let neighbor_port = self.neighbor_ports[node.index()][out_port];
         let meta = self.meta[node.index()];
         let neighbor_meta = self.meta[neighbor.index()];
-        let total_ports = meta.total_ports();
         let out_arb = meta.arb_idx(out_port);
         // Sharded runs send across a cut when this output's neighbor is
         // remote; downstream space is then judged from the occupancy
@@ -1094,56 +1233,48 @@ impl Network {
         let mut candidates = std::mem::take(&mut self.scratch);
         let mut selection: Option<(usize, usize)> = None; // (input port, vc)
         for vc in VirtualChannel::PRIORITY_ORDER {
+            // The mask holds exactly the heads routed to this output, in
+            // ascending port order; a head that arrived on this very link
+            // never turns back through it.
+            let mut mask = self.head_mask[meta.mask_idx(out_port, vc.index())] & !(1 << out_port);
             // Candidates need downstream buffer space on their VC. For a
             // local neighbor that is one flag read; for a cut the check
             // can raise the run-wide abort, so it is deferred until a
             // candidate actually wants the space (`weigh` is pure, so the
-            // extra scan is invisible).
-            if cut.is_none()
-                && !self.bufs[neighbor_meta.buf_idx(neighbor_port, vc.index())].has_space()
+            // extra work is invisible).
+            if mask == 0
+                || cut.is_none()
+                    && !self.bufs[neighbor_meta.buf_idx(neighbor_port, vc.index())].has_space()
             {
                 continue;
             }
             candidates.clear();
-            for port in 0..total_ports {
-                if port == out_port {
-                    continue;
-                }
-                let Some(handle) = self.bufs[meta.buf_idx(port, vc.index())].head() else {
-                    continue;
-                };
+            while mask != 0 {
+                let port = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let handle = self.bufs[meta.buf_idx(port, vc.index())]
+                    .head()
+                    .expect("masked buffer has a head");
                 let head = self.packets.get(handle).expect("buffered packet is live");
-                if head.dst == node {
-                    continue; // ejection's job
-                }
-                // One indexed load against the flattened route table;
-                // the NO_PORT sentinel (self/unreachable) never matches
-                // a real output port.
-                if self.routes.next_port(head.class, node, head.dst) != out_port as u16 {
-                    continue;
-                }
-                let weight = self.arbiters[out_arb].weigh(head);
                 candidates.push(Candidate {
                     input_port: port,
-                    weight,
+                    weight: self.arbiters[out_arb].weigh(head),
                 });
             }
-            if !candidates.is_empty() {
-                if let Some(c) = cut {
-                    if !self.cut_has_space(c, vc.index(), now) {
-                        // No space in the mirror. Serial would retry this
-                        // candidate via a cross-boundary wake when the
-                        // remote buffer frees — a wake this shard cannot
-                        // receive — so `cut_has_space` has raised the
-                        // abort flag and the run will be redone serially.
-                        continue;
-                    }
+            if let Some(c) = cut {
+                if !self.cut_has_space(c, vc.index(), now) {
+                    // No space in the mirror. Serial would retry this
+                    // candidate via a cross-boundary wake when the remote
+                    // buffer frees — a wake this shard cannot receive — so
+                    // `cut_has_space` has raised the abort flag and the
+                    // run will be redone serially.
+                    continue;
                 }
-                self.stats.arbitration_rounds.incr();
-                let i = self.arbiters[out_arb].pick(&candidates);
-                selection = Some((candidates[i].input_port, vc.index()));
-                break;
             }
+            self.stats.arbitration_rounds.incr();
+            let i = self.arbiters[out_arb].pick(&candidates);
+            selection = Some((candidates[i].input_port, vc.index()));
+            break;
         }
         candidates.clear();
         self.scratch = candidates;
@@ -1151,12 +1282,8 @@ impl Network {
             return;
         };
 
-        let (handle, _) = self.bufs[meta.buf_idx(in_port, vc)]
-            .queue
-            .pop_front()
-            .expect("selected head exists");
+        let handle = self.pop_head(node, out_port, in_port, vc);
         let departed_depth = self.bufs[meta.buf_idx(in_port, vc)].queue.len() + 1;
-        self.buffered[node.index()] -= 1;
         match cut {
             // The receiving shard materializes the reservation when it
             // drains the boundary channel; the occupancy mirror carries
@@ -1718,7 +1845,9 @@ mod tests {
                 Network::try_new(&topo, cfg).err()
             })
             .expect("some seed kills a chain link");
-        let NetworkError::Partitioned { unreachable } = err;
+        let NetworkError::Partitioned { unreachable } = err else {
+            panic!("expected a partition, got {err}");
+        };
         assert!(!unreachable.is_empty());
         // Everything behind the first dead link is gone: the unreachable
         // set is a suffix of the chain.
@@ -1845,6 +1974,13 @@ mod tests {
         let mut fresh = Network::new(&topo, NocConfig::default());
         let baseline = run(&mut fresh);
         fresh.recycle();
+        // Donate a mid-run storage too: packets still buffered, so its
+        // head masks are set until the pool clears them.
+        let mut busy = Network::new(&topo, NocConfig::default());
+        let pkt = Packet::request(9, PacketKind::ReadRequest, topo.host(), dst);
+        busy.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
+        assert!(busy.head_mask.iter().any(|&m| m != 0));
+        busy.recycle();
         let pooled = crate::pool::pooled_count();
         assert!(pooled > 0, "recycle must donate storage");
         let mut reused = Network::new(&topo, NocConfig::default());
@@ -1852,6 +1988,10 @@ mod tests {
             crate::pool::pooled_count(),
             pooled - 1,
             "a same-shape construction must take the pooled storage"
+        );
+        assert!(
+            reused.head_mask.iter().all(|&m| m == 0),
+            "a pooled network must start with all-zero head masks"
         );
         // A different shape must not match the pooled entry.
         let other = chain(7);
@@ -1861,6 +2001,40 @@ mod tests {
         // delivery stream of a fresh network.
         assert_eq!(run(&mut reused), baseline);
         reused.recycle();
+    }
+
+    #[test]
+    fn every_topology_fits_the_port_bound_at_the_largest_figure_sizes() {
+        // 32 cubes behind one port (Fig. 13's four-port study) is the most
+        // any committed figure builds; 16 is the paper baseline.
+        for kind in TopologyKind::ALL_EXTENDED {
+            for cubes in [16, 32] {
+                let topo =
+                    Topology::build(kind, &Placement::homogeneous(cubes, CubeTech::Dram)).unwrap();
+                let net = Network::try_new(&topo, NocConfig::default())
+                    .unwrap_or_else(|e| panic!("{kind:?} x {cubes}: {e}"));
+                let ports = net.meta.iter().map(|m| m.ext_ports + m.local_ports);
+                let widest = ports.max().unwrap() as usize;
+                assert!(
+                    widest <= MAX_NODE_PORTS,
+                    "{kind:?} x {cubes}: a node has {widest} ports"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn too_many_ports_is_a_structured_error() {
+        assert_eq!(check_port_bound(NodeId(3), MAX_NODE_PORTS), Ok(()));
+        let err = check_port_bound(NodeId(3), MAX_NODE_PORTS + 1).unwrap_err();
+        assert_eq!(
+            err,
+            NetworkError::TooManyPorts {
+                node: NodeId(3),
+                ports: MAX_NODE_PORTS + 1
+            }
+        );
+        assert!(err.to_string().contains("65 ports"), "{err}");
     }
 
     #[test]

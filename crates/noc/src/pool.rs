@@ -39,6 +39,9 @@ pub(crate) struct StorageShape {
     pub(crate) links: usize,
     /// Node count (sizes the per-node vectors).
     pub(crate) nodes: usize,
+    /// Router outputs, links plus one ejection per node (sizes the head
+    /// masks, one per output and VC).
+    pub(crate) outputs: usize,
 }
 
 impl StorageShape {
@@ -65,6 +68,7 @@ pub(crate) struct NetworkStorage {
     pub(crate) last_arb: Vec<SimTime>,
     pub(crate) ready_pending: Vec<bool>,
     pub(crate) buffered: Vec<u32>,
+    pub(crate) head_mask: Vec<u64>,
     pub(crate) scratch: Vec<Candidate>,
     pub(crate) batch: Vec<NetEvent>,
 }
@@ -88,6 +92,7 @@ impl NetworkStorage {
         self.last_arb.fill(SimTime::ZERO);
         self.ready_pending.fill(false);
         self.buffered.fill(0);
+        self.head_mask.fill(0);
         self.scratch.clear();
         self.batch.clear();
     }

@@ -25,7 +25,7 @@
 //! component exists for sharded execution: a shard draining boundary
 //! messages inserts them with [`LadderQueue::push_at`] carrying the
 //! *sender's* causal instant, which slots them exactly where the single
-//! global queue would have held them. Three mechanisms guarantee the
+//! global queue would have held them. Four mechanisms guarantee the
 //! order (see `DESIGN.md` §5.3/§5.4):
 //!
 //! 1. Appends into a pending bucket happen in push order, and activation
@@ -37,6 +37,17 @@
 //! 3. The overflow rung preserves push order, and a rewindow distributes
 //!    it in that order into empty buckets — entries pushed later are
 //!    appended later, so stability composes.
+//! 4. Same-instant pushes — `time == push` with the event due no later
+//!    than the clock, i.e. key `(t, t, seq)` — skip the buckets and go to
+//!    the **lane**, a FIFO deque. The clock is monotone, so appends keep
+//!    the lane sorted by `(time, seq)`. Every bucket entry at `t` has
+//!    `push < t` or was pushed before the clock reached `t`, so at a tied
+//!    time the buckets pop first and the lane second; `pop`,
+//!    `pop_batch_into` and `peek_time` merge the two fronts by that rule.
+//!
+//! In a router-network simulation most pushes are wake-ups for the
+//! instant already being processed, so the lane turns the common push
+//! from a sorted insert into the active bucket into a `push_back`.
 
 use std::collections::VecDeque;
 
@@ -86,7 +97,8 @@ impl<E> Entry<E> {
 /// A time-ordered queue with `(time, push-instant, insertion-seq)` pop
 /// order, O(1) amortized operations, and a zero-allocation steady state.
 /// With the clock left at its [`SimTime::ZERO`] default the order is the
-/// classic `(time, insertion-seq)`.
+/// classic `(time, insertion-seq)`. Same-instant pushes take a FIFO lane
+/// beside the buckets (see the module docs).
 ///
 /// Pops are monotonically non-decreasing in time; pushing earlier than the
 /// last popped instant is a caller logic error caught by a debug
@@ -127,6 +139,10 @@ pub struct LadderQueue<E> {
     overflow: Vec<Entry<E>>,
     /// Reused by `rewindow` to partition `overflow` without allocating.
     scratch: Vec<Entry<E>>,
+    /// The same-instant lane: entries keyed `(t, t, seq)`, sorted by time
+    /// and then push order (ordering mechanism 4 in the module docs).
+    lane: VecDeque<(SimTime, E)>,
+    /// Entries in the buckets and the overflow rung (the lane excluded).
     len: usize,
     /// The causal instant stamped onto [`LadderQueue::push`]es; advanced by
     /// [`LadderQueue::set_clock`]. Stays [`SimTime::ZERO`] for callers that
@@ -151,6 +167,7 @@ impl<E> LadderQueue<E> {
             cur: 0,
             overflow: Vec::new(),
             scratch: Vec::new(),
+            lane: VecDeque::new(),
             len: 0,
             clock: SimTime::ZERO,
             now: SimTime::ZERO,
@@ -163,8 +180,8 @@ impl<E> LadderQueue<E> {
     }
 
     /// Creates an empty queue sized for roughly `capacity` simultaneously
-    /// pending events: the overflow rung, the scratch buffer, and every
-    /// bucket each hold that many before reallocating. Buckets get the
+    /// pending events: the overflow rung, the scratch buffer, the lane,
+    /// and every bucket each hold that many before reallocating. Buckets get the
     /// full hint — not `capacity / N_BUCKETS` — because the pending set
     /// can momentarily cluster in one bucket, and a zero-allocation steady
     /// state requires that no bucket ever grows mid-run (buckets retain
@@ -174,6 +191,7 @@ impl<E> LadderQueue<E> {
         let mut q = LadderQueue::new();
         q.overflow.reserve(capacity);
         q.scratch.reserve(capacity);
+        q.lane.reserve(capacity);
         let per_bucket = capacity.max(4);
         for bucket in &mut q.buckets {
             bucket.reserve(per_bucket);
@@ -262,7 +280,9 @@ impl<E> LadderQueue<E> {
     /// instead of the queue clock. Sharded execution drains boundary
     /// messages with the *sender's* instant so they sort exactly where a
     /// single global queue would have held them; same-key entries keep
-    /// their insertion order.
+    /// their insertion order. An entry with `push == time` due no later
+    /// than the clock takes the same-instant lane; every other entry
+    /// goes to the buckets.
     ///
     /// # Panics
     ///
@@ -280,20 +300,32 @@ impl<E> LadderQueue<E> {
             "push instant {push} is after the firing time {time}"
         );
         self.pushed += 1;
+        if push == time && time <= self.clock {
+            // Key (t, t, seq): the lane. With `time == clock` — every
+            // same-instant `push` — the entry is the newest at the lane's
+            // latest time and appends. The insert below serves only a
+            // `push_at` for an instant the clock has already passed.
+            let pos = if self.lane.back().is_none_or(|&(last, _)| last <= time) {
+                self.lane.len()
+            } else {
+                self.lane.partition_point(|&(lt, _)| lt <= time)
+            };
+            self.lane.insert(pos, (time, event));
+            self.peak = self.peak.max(self.len());
+            return;
+        }
         let entry = Entry { time, push, event };
         let t = time.as_ps();
-        if self.len == 0 {
-            // Empty queue: re-anchor the window at this event.
+        self.len += 1;
+        self.peak = self.peak.max(self.len());
+        if self.len == 1 {
+            // Empty ladder: re-anchor the window at this event.
             self.base_ps = t;
             self.cur = 0;
             self.buckets[0].push_back(entry);
             self.set_occ(0);
-            self.len = 1;
-            self.peak = self.peak.max(1);
             return;
         }
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
         let Some(off) = t.checked_sub(self.base_ps) else {
             // Earlier than the window start: the window was anchored at a
             // later event while this push is still ≥ now. Re-anchor at t;
@@ -434,8 +466,22 @@ impl<E> LadderQueue<E> {
         }
     }
 
+    /// The earliest bucket entry's time, if the ladder holds any.
+    #[inline]
+    fn ladder_front(&self) -> Option<SimTime> {
+        (self.len > 0).then(|| self.buckets[self.cur].front().expect("invariant").time)
+    }
+
     /// Removes and returns the earliest event, advancing the queue clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if let Some(&(lane_t, _)) = self.lane.front() {
+            // At a tied time the buckets go first.
+            if self.ladder_front().is_none_or(|t| lane_t < t) {
+                self.now = lane_t;
+                self.popped += 1;
+                return self.lane.pop_front();
+            }
+        }
         if self.len == 0 {
             return None;
         }
@@ -460,39 +506,45 @@ impl<E> LadderQueue<E> {
     /// unchanged, but it touches the occupancy bitmap and active-bucket
     /// bookkeeping once per *instant* instead of once per event. Same-time
     /// entries always share a bucket (bucket index is a pure function of
-    /// the time), so the run is contiguous at the front of the active
-    /// bucket.
+    /// the time), so the ladder's run is contiguous at the front of the
+    /// active bucket; the lane's run at the same instant follows it.
     pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<(SimTime, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        let bucket = &mut self.buckets[self.cur];
-        let t = bucket.front().expect("invariant").time;
+        let t = self.peek_time()?;
         let mut n = 0usize;
-        while bucket.front().is_some_and(|e| e.time == t) {
-            let entry = bucket.pop_front().expect("checked non-empty");
-            out.push(entry.event);
-            n += 1;
-        }
-        self.len -= n;
-        self.now = t;
-        self.popped += n as u64;
-        if self.buckets[self.cur].is_empty() {
-            self.clear_occ(self.cur);
-            if self.len > 0 {
-                self.advance_cur();
+        if self.ladder_front() == Some(t) {
+            let bucket = &mut self.buckets[self.cur];
+            while bucket.front().is_some_and(|e| e.time == t) {
+                let entry = bucket.pop_front().expect("checked non-empty");
+                out.push(entry.event);
+                n += 1;
+            }
+            self.len -= n;
+            if self.buckets[self.cur].is_empty() {
+                self.clear_occ(self.cur);
+                if self.len > 0 {
+                    self.advance_cur();
+                }
             }
         }
+        while self.lane.front().is_some_and(|&(lt, _)| lt == t) {
+            let (_, event) = self.lane.pop_front().expect("checked non-empty");
+            out.push(event);
+            n += 1;
+        }
+        self.now = t;
+        self.popped += n as u64;
         Some((t, n))
     }
 
     /// The firing time of the earliest pending event, if any. O(1): the
-    /// active-bucket invariant keeps the minimum at the front.
+    /// active-bucket invariant keeps the ladder's minimum at the front,
+    /// and the lane is sorted.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
+        let lane = self.lane.front().map(|&(t, _)| t);
+        match (self.ladder_front(), lane) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        Some(self.buckets[self.cur].front().expect("invariant").time)
     }
 
     /// The time of the most recently popped event ([`SimTime::ZERO`]
@@ -503,12 +555,12 @@ impl<E> LadderQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Total events popped since construction.
@@ -791,6 +843,29 @@ mod tests {
         q.push_at(t, SimTime::from_ps(700), "c");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, ["head", "a", "b", "c"]);
+    }
+
+    #[test]
+    fn lane_entries_follow_bucket_entries_at_the_same_instant() {
+        // At 10 ns: 'early' was caused at 5 ns and sits in a bucket; the
+        // clocked pushes at 10 ns take the lane and pop after it, in
+        // push order, in one batch that also counts both.
+        let t = SimTime::from_ns(10);
+        let mut q = LadderQueue::new();
+        q.set_clock(SimTime::from_ns(5));
+        q.push(t, "early");
+        q.push(SimTime::from_ns(20), "later");
+        q.set_clock(t);
+        q.push(t, "lane-1");
+        q.push(t, "lane-2");
+        assert_eq!((q.len(), q.peak_len()), (4, 4));
+        assert_eq!(q.peek_time(), Some(t));
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch_into(&mut out), Some((t, 3)));
+        assert_eq!(out, ["early", "lane-1", "lane-2"]);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(20), "later")));
+        assert_eq!(q.events_processed(), 4);
+        assert!(q.is_empty());
     }
 
     #[test]
