@@ -10,15 +10,13 @@
 //!   discrete events processed. The event stream is part of the
 //!   bit-reproducible contract, so the denominator is stable across kernel
 //!   changes and the ratio tracks pure dispatch cost.
-//! - **peak queue depth** — the ladder queue's high-water mark.
+//! - **peak queue depth** — the event queue's high-water mark.
 //! - **allocations per 1k events** — counted by a wrapping global
 //!   allocator, both for the whole run and for the *steady state* alone
 //!   (the simulation loop after construction). Arena-backed packets and
 //!   pooled buffers drive the steady-state figure to zero.
-//! - **ladder spills / rewindows and arena high-water** — the kernel v3
-//!   counters ([`mn_sim::KernelCounters`]); spills say how often events
-//!   landed beyond the bucket window, the arena high-water bounds the
-//!   packet working set.
+//! - **arena high-water** — from [`mn_sim::KernelCounters`]; it bounds
+//!   the packet working set.
 //!
 //! Results go to stdout (human-readable) and to `BENCH_kernel.json`
 //! (`MN_BENCH_OUT` to relocate), so CI can archive the perf trajectory
@@ -85,8 +83,6 @@ struct Measurement {
     events_per_sec: f64,
     allocs_per_1k_events: f64,
     steady_allocs_per_1k_events: f64,
-    bucket_spills: u64,
-    rewindows: u64,
     arena_high_water: u64,
     wall_per_iter_ms: f64,
 }
@@ -142,8 +138,6 @@ fn run_case(case: &Case) -> Measurement {
         events_per_sec: total_events as f64 / secs,
         allocs_per_1k_events: allocs as f64 * 1000.0 / total_events as f64,
         steady_allocs_per_1k_events: steady_allocs as f64 * 1000.0 / total_events as f64,
-        bucket_spills: kernel.bucket_spills,
-        rewindows: kernel.rewindows,
         arena_high_water: kernel.arena_high_water,
         wall_per_iter_ms: secs * 1e3 / f64::from(case.iters),
     }
@@ -211,7 +205,7 @@ fn main() {
     let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("available cores: {available_cores}");
     println!(
-        "{:<22} {:>8} {:>12} {:>8} {:>9} {:>13} {:>11} {:>11} {:>7} {:>8} {:>8} {:>10}",
+        "{:<22} {:>8} {:>12} {:>8} {:>9} {:>13} {:>11} {:>11} {:>8} {:>10}",
         "case",
         "threads",
         "events/iter",
@@ -220,8 +214,6 @@ fn main() {
         "events/sec",
         "alloc/1kev",
         "steady/1k",
-        "spills",
-        "rewind",
         "arena",
         "ms/iter"
     );
@@ -229,7 +221,7 @@ fn main() {
     for case in &cases {
         let m = run_case(case);
         println!(
-            "{:<22} {:>8} {:>12} {:>8} {:>9.1} {:>13.0} {:>11.2} {:>11.3} {:>7} {:>8} {:>8} {:>10.3}",
+            "{:<22} {:>8} {:>12} {:>8} {:>9.1} {:>13.0} {:>11.2} {:>11.3} {:>8} {:>10.3}",
             m.name,
             m.threads,
             m.events_per_iter,
@@ -238,8 +230,6 @@ fn main() {
             m.events_per_sec,
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,
-            m.bucket_spills,
-            m.rewindows,
             m.arena_high_water,
             m.wall_per_iter_ms
         );
@@ -255,8 +245,7 @@ fn main() {
             "    {{\"name\":\"{}\",\"threads\":{},\"events_per_iter\":{},\"peak_queue_depth\":{},\
              \"ns_per_event\":{:.3},\"events_per_sec\":{:.0},\
              \"allocs_per_1k_events\":{:.2},\"steady_allocs_per_1k_events\":{:.3},\
-             \"bucket_spills\":{},\"rewindows\":{},\"arena_high_water\":{},\
-             \"wall_per_iter_ms\":{:.3}}}{comma}",
+             \"arena_high_water\":{},\"wall_per_iter_ms\":{:.3}}}{comma}",
             m.name,
             m.threads,
             m.events_per_iter,
@@ -265,8 +254,6 @@ fn main() {
             m.events_per_sec,
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,
-            m.bucket_spills,
-            m.rewindows,
             m.arena_high_water,
             m.wall_per_iter_ms
         );

@@ -161,9 +161,8 @@ impl PortObservation {
     }
 
     /// The full kernel counter snapshot for this port: queue traffic,
-    /// ladder spill/rewindow activity, arena high-water mark, and the
-    /// steady-state heap-allocation tally (non-zero only under a counting
-    /// allocator, e.g. `kernel_bench`).
+    /// arena high-water mark, and the steady-state heap-allocation tally
+    /// (non-zero only under a counting allocator, e.g. `kernel_bench`).
     pub fn kernel_counters(&self) -> KernelCounters {
         self.kernel
     }
@@ -1128,8 +1127,6 @@ impl PortSim {
             events.extend(h.energy);
             kernel.events_scheduled += h.kernel.events_scheduled;
             kernel.events_processed += h.kernel.events_processed;
-            kernel.bucket_spills += h.kernel.bucket_spills;
-            kernel.rewindows += h.kernel.rewindows;
             kernel.queue_peak = kernel.queue_peak.max(h.kernel.queue_peak);
             kernel.arena_high_water = kernel.arena_high_water.max(h.kernel.arena_high_water);
         }

@@ -603,24 +603,6 @@ impl Network {
         // this under heavy transients; the hint only avoids the early
         // doubling reallocations in every simulation's warm-up.
         let event_capacity = 2 * (topo.node_count() + 2 * topo.link_count());
-        // Tune the ladder bucket width to the topology's event horizon:
-        // the minimum single-link traversal (fixed latency + control-
-        // packet serialization) is the shortest interval the simulation
-        // routinely schedules across, so one 256-bucket window then spans
-        // a few hundred of the *fastest* hops regardless of the SerDes
-        // timing swept. Clamped to [128, 65536] ps so degenerate timings
-        // neither collapse the window nor blow up bucket granularity;
-        // linkless topologies keep the kernel default. Pop order — and
-        // hence every result byte — is width-independent (see
-        // `mn_sim::ladder`); only the spill/rewindow counters move.
-        let bucket_ps = topo
-            .link_ids()
-            .map(|l| {
-                let timing = config.link_timing(topo.link(l).class);
-                (timing.fixed_latency + timing.serialize(config.control_bytes)).as_ps()
-            })
-            .min()
-            .map_or(mn_sim::ladder::BUCKET_PS, |ps| ps.clamp(128, 65_536));
         Ok(Network {
             routes,
             config,
@@ -631,7 +613,7 @@ impl Network {
             packets,
             link_free_at,
             neighbor_ports,
-            events: EventQueue::with_capacity_and_bucket(event_capacity, bucket_ps),
+            events: EventQueue::with_capacity(event_capacity),
             arb_clean,
             last_arb,
             ready_pending,
@@ -864,7 +846,7 @@ impl Network {
         // is monotone across a run (drivers inject at their current
         // time), so the refined (time, push, seq) pop order stays
         // identical to the classic (time, seq) order — see
-        // `mn_sim::ladder` — while giving boundary messages from other
+        // `mn_sim::EventQueue` — while giving boundary messages from other
         // shards a causal stamp to sort against.
         self.events.set_clock(now);
         let meta = self.meta[node.index()];
@@ -912,13 +894,14 @@ impl Network {
         ready.clear();
         let mut batch = std::mem::take(&mut self.batch);
         while self.events.peek_time().is_some_and(|t| t <= now) {
-            // Take the entire same-instant run in one call: the ladder's
-            // per-pop bucket bookkeeping is amortized over the run, and
-            // the flattened sequence is identical to popping one at a
-            // time. Events pushed at `t` *while processing the batch*
-            // carry later sequence numbers than every batch member, so
-            // they fire in a follow-up batch at the same `t`, exactly
-            // where repeated `pop` would have delivered them.
+            // Take the entire same-instant run in one call. The
+            // flattened sequence is identical to popping one at a time,
+            // and the run leaves the queue before its handlers push,
+            // which the pinned queue peaks count on. Events pushed at `t`
+            // *while processing the batch* carry later sequence numbers
+            // than every batch member, so they fire in a follow-up batch
+            // at the same `t`, exactly where repeated `pop` would have
+            // delivered them.
             let (t, _) = self
                 .events
                 .pop_batch_into(&mut batch)
@@ -1429,31 +1412,22 @@ impl Network {
     }
 
     /// High-water mark of the internal event queue — how large a working
-    /// set the heap had to sustain (coalescing drives this down).
+    /// set the queue had to sustain (coalescing drives this down).
     pub fn event_queue_peak(&self) -> usize {
         self.events.peak_len()
     }
 
-    /// The ladder bucket width the event queue was tuned to at
-    /// construction: the topology's minimum link traversal time, clamped
-    /// to [128, 65536] ps (kernel default for linkless topologies).
-    pub fn event_bucket_width_ps(&self) -> u64 {
-        self.events.bucket_width_ps()
-    }
-
     /// Snapshot of the kernel-level performance counters: event-queue
-    /// traffic, ladder spill/rewindow activity, and the packet arena's
-    /// high-water mark. `steady_heap_allocs` is left at zero — only the
-    /// driving binary can observe the global allocator.
+    /// traffic and the packet arena's high-water mark. `steady_heap_allocs`
+    /// is left at zero — only the driving binary can observe the global
+    /// allocator.
     pub fn kernel_counters(&self) -> KernelCounters {
         KernelCounters {
             events_scheduled: self.events.events_scheduled(),
             events_processed: self.events.events_processed(),
             queue_peak: self.events.peak_len() as u64,
-            bucket_spills: self.events.bucket_spills(),
-            rewindows: self.events.rewindow_count(),
             arena_high_water: self.packets.high_water() as u64,
-            steady_heap_allocs: 0,
+            ..KernelCounters::default()
         }
     }
 }
@@ -1636,25 +1610,6 @@ mod tests {
             assert_eq!(a.arrived_at, b.arrived_at);
             assert_eq!(a.packet.id, b.packet.id);
         }
-    }
-
-    #[test]
-    fn bucket_width_derives_from_fastest_link() {
-        // Default chain: external links only, min traversal
-        // 16 B x 33 ps/B + 2 ns = 2528 ps.
-        let topo = chain(3);
-        let net = Network::new(&topo, NocConfig::default());
-        assert_eq!(net.event_bucket_width_ps(), 16 * 33 + 2000);
-        // Sub-128 ps traversals clamp up so the window stays useful.
-        let cfg = NocConfig {
-            external_link: crate::config::LinkTiming {
-                ps_per_byte: 1,
-                fixed_latency: mn_sim::SimDuration::ZERO,
-            },
-            ..NocConfig::default()
-        };
-        let net = Network::new(&topo, cfg);
-        assert_eq!(net.event_bucket_width_ps(), 128);
     }
 
     #[test]

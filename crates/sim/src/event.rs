@@ -1,16 +1,55 @@
 //! The event queue at the heart of the discrete-event kernel.
 //!
-//! Since kernel v3 the queue is a thin façade over [`LadderQueue`], a
-//! two-level calendar queue with the exact `(time, insertion-seq)` pop
-//! order the previous `BinaryHeap` implementation had — see
-//! [`crate::ladder`] for the structure and the ordering proof. The
-//! [`Scheduled`] wrapper (with the heap's inverted ordering) remains
+//! [`EventQueue`] is two sorted sequences: `pending`, a `Vec` kept in
+//! descending order so its earliest entry pops from the end, and a FIFO
+//! *same-instant lane* (a `VecDeque`) beside it. The traffic of a
+//! router-network simulation keeps the queue short (tens of events) and
+//! close to the clock. Most pushes are wake-ups for the instant being
+//! processed, which append to the lane. The rest mostly land a few
+//! entries from the latest pending event, so `pending` compares its
+//! latest entries one by one before it binary-searches the rest. The
+//! earliest pending instant is cached, so a peek is one load.
+//!
+//! ## The pop order
+//!
+//! The pop order is **exactly** `(time, push instant, insertion
+//! sequence)`. Each entry is stamped with the queue's
+//! [`EventQueue::set_clock`] value at push time (the simulation instant
+//! that *caused* the push). For a single-queue simulation the clock is
+//! nondecreasing across pushes, so the refined key orders identically to
+//! the classic `(time, insertion sequence)` a binary heap with an
+//! explicit sequence tie-break produces — which is what pins the
+//! workspace's bit-reproducible results. The extra component exists for
+//! sharded execution: a shard draining boundary messages inserts them
+//! with [`EventQueue::push_at`] carrying the *sender's* causal instant,
+//! which slots them exactly where the single global queue would have
+//! held them. Two mechanisms guarantee the order (see `DESIGN.md` §5.3):
+//!
+//! 1. **Stable insertion into `pending`.** `pending` is descending by
+//!    `(time, push instant)`, and a push lands before (at a lower index
+//!    than) every entry whose key is ≤ its own, so it pops after them.
+//!    Its sequence number is the largest yet issued, so among equal keys
+//!    push order — the sequence order — survives.
+//! 2. **The same-instant lane.** A push with `time == push` due no later
+//!    than the clock, key `(t, t, seq)`, goes to the lane instead. The
+//!    clock is monotone, so appends keep the lane sorted by `(time,
+//!    seq)`. Every `pending` entry at `t` has `push < t` or was pushed
+//!    before the clock reached `t`, so at a tied time `pending` pops
+//!    first and the lane second; `pop` and `pop_batch_into` merge the
+//!    two fronts by that rule.
+//!
+//! The [`Scheduled`] wrapper (with the heap's inverted ordering) remains
 //! available for reference implementations and differential tests.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
-use crate::ladder::LadderQueue;
 use crate::time::SimTime;
+
+/// How many of the latest `pending` entries a push compares one by one
+/// before it binary-searches the rest. On Fig. 10, 79% of `pending`
+/// pushes land within eight of the latest entry, and the mean is five.
+const NEAR: usize = 16;
 
 /// An event scheduled for a particular instant.
 ///
@@ -18,9 +57,9 @@ use crate::time::SimTime;
 /// scheduled for the same instant are delivered in FIFO order. Deterministic
 /// tie-breaking is essential for reproducible simulations.
 ///
-/// Kernel v3 replaced the `BinaryHeap<Scheduled<E>>` inside [`EventQueue`]
-/// with a ladder queue; `Scheduled` is retained as the reference ordering
-/// (a max-heap of these pops the same sequence) for differential tests.
+/// [`EventQueue`] no longer stores these; a max-heap of `Scheduled`
+/// pops the same sequence as a queue whose clock never moves, which makes
+/// it the reference ordering for differential tests.
 #[derive(Debug, Clone)]
 pub struct Scheduled<E> {
     /// When the event fires.
@@ -62,7 +101,28 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A time-ordered queue of simulation events.
+#[derive(Debug, Clone)]
+struct Entry<E> {
+    time: SimTime,
+    /// The causal instant of the push (the queue clock, or the sender's
+    /// instant for [`EventQueue::push_at`]); the second ordering key.
+    /// The final tie-break — insertion sequence — is implicit: inserts
+    /// are stable, so push order survives.
+    push: SimTime,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> (SimTime, SimTime) {
+        (self.time, self.push)
+    }
+}
+
+/// A time-ordered queue of simulation events with `(time, push-instant,
+/// insertion-seq)` pop order. With the clock left at its
+/// [`SimTime::ZERO`] default the order is the classic `(time,
+/// insertion-seq)`.
 ///
 /// Events popped from the queue are monotonically non-decreasing in time.
 /// Scheduling an event earlier than the last popped event is a logic error
@@ -83,131 +143,227 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    ladder: LadderQueue<E>,
+    /// Every entry not on the lane, descending by `(time, push)` with
+    /// equal keys in reverse push order, so the next to pop is last
+    /// (ordering mechanism 1 in the module docs).
+    pending: Vec<Entry<E>>,
+    /// The same-instant lane: entries keyed `(t, t, seq)`, sorted by time
+    /// and then push order (ordering mechanism 2 in the module docs).
+    lane: VecDeque<(SimTime, E)>,
+    /// The causal instant stamped onto [`EventQueue::push`]es; advanced by
+    /// [`EventQueue::set_clock`]. Stays [`SimTime::ZERO`] for callers that
+    /// never set it, collapsing the refined key back to `(time, seq)`.
+    clock: SimTime,
+    /// The earliest pending instant: the earlier of the two fronts.
+    head: Option<SimTime>,
+    now: SimTime,
+    popped: u64,
+    pushed: u64,
+    peak: usize,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            ladder: LadderQueue::new(),
+            pending: Vec::new(),
+            lane: VecDeque::new(),
+            clock: SimTime::ZERO,
+            head: None,
+            now: SimTime::ZERO,
+            popped: 0,
+            pushed: 0,
+            peak: 0,
         }
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
+    /// Creates an empty queue in which `pending` and the lane each hold
+    /// `capacity` events before reallocating.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            ladder: LadderQueue::with_capacity(capacity),
-        }
+        let mut q = EventQueue::new();
+        q.pending.reserve(capacity);
+        q.lane.reserve(capacity);
+        q
     }
 
-    /// Creates an empty queue with pre-allocated capacity and a tuned
-    /// ladder bucket width in picoseconds (clamped to ≥ 1). Callers that
-    /// know their scheduling horizon — e.g. the NoC, which derives it
-    /// from the minimum link traversal time — use this to keep
-    /// [`EventQueue::bucket_spills`] near zero across timing sweeps.
-    /// Pop order is width-independent, so results are unchanged.
-    pub fn with_capacity_and_bucket(capacity: usize, bucket_ps: u64) -> Self {
-        EventQueue {
-            ladder: LadderQueue::with_capacity_and_bucket(capacity, bucket_ps),
-        }
+    /// [`EventQueue::with_capacity`]; the bucket width is ignored. Kept
+    /// for the frozen `figbench` package, which still passes one.
+    pub fn with_capacity_and_bucket(capacity: usize, _bucket_ps: u64) -> Self {
+        EventQueue::with_capacity(capacity)
     }
 
-    /// The ladder bucket width in picoseconds this queue was built with.
-    pub fn bucket_width_ps(&self) -> u64 {
-        self.ladder.bucket_width_ps()
+    /// Advances the queue clock: the causal instant stamped onto every
+    /// subsequent [`EventQueue::push`] as the second ordering key.
+    /// Simulation drivers call this with the instant they are currently
+    /// processing; the clock must never move backwards. For callers that
+    /// never do, the clock stays zero and the pop order is the classic
+    /// `(time, seq)`.
+    pub fn set_clock(&mut self, clock: SimTime) {
+        debug_assert!(
+            clock >= self.clock,
+            "queue clock moved backwards ({clock} < {})",
+            self.clock
+        );
+        self.clock = clock;
     }
 
-    /// Schedules `event` to fire at `time`.
+    /// The current queue clock (see [`EventQueue::set_clock`]).
+    pub fn clock(&self) -> SimTime {
+        self.clock
+    }
+
+    /// Schedules `event` to fire at `time`, stamped with the current queue
+    /// clock.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `time` is earlier than the time of the most
     /// recently popped event (scheduling into the past).
     pub fn push(&mut self, time: SimTime, event: E) {
-        self.ladder.push(time, event);
+        let push = self.clock;
+        self.push_at(time, push, event);
     }
 
-    /// Schedules `event` at `time` with an explicit causal instant
-    /// instead of the queue clock — the sharded-execution entry point for
-    /// boundary messages, which carry the sender's instant so they sort
-    /// exactly where a single global queue would have held them. See
-    /// [`LadderQueue::push_at`].
+    /// Schedules `event` at `time` with an explicit causal instant `push`
+    /// instead of the queue clock. Sharded execution drains boundary
+    /// messages with the *sender's* instant so they sort exactly where a
+    /// single global queue would have held them; same-key entries keep
+    /// their insertion order. An entry with `push == time` due no later
+    /// than the clock takes the same-instant lane; every other entry
+    /// goes to `pending`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if `time` is earlier than the most recently
+    /// popped instant, or if `push > time` (an event cannot be caused
+    /// after it fires).
     pub fn push_at(&mut self, time: SimTime, push: SimTime, event: E) {
-        self.ladder.push_at(time, push, event);
+        debug_assert!(
+            time >= self.now,
+            "scheduled event at {time} into the past (now = {})",
+            self.now
+        );
+        debug_assert!(
+            push <= time,
+            "push instant {push} is after the firing time {time}"
+        );
+        self.pushed += 1;
+        if push == time && time <= self.clock {
+            // Key (t, t, seq): the lane. With `time == clock` — every
+            // same-instant `push` — the entry is the newest at the lane's
+            // latest time and appends. The insert serves only a `push_at`
+            // for an instant the clock has already passed.
+            if self.lane.back().is_none_or(|&(last, _)| last <= time) {
+                self.lane.push_back((time, event));
+            } else {
+                let pos = self.lane.partition_point(|&(lt, _)| lt <= time);
+                self.lane.insert(pos, (time, event));
+            }
+        } else {
+            // The newest push pops after every entry with key ≤ its own —
+            // exactly the (time, push, seq) position. It usually lands
+            // among the latest entries, so those are scanned first (see
+            // `NEAR`).
+            let entry = Entry { time, push, event };
+            let key = entry.key();
+            let near = self.pending.len().min(NEAR);
+            let pos = match self.pending[..near].iter().position(|e| e.key() <= key) {
+                Some(pos) => pos,
+                None => near + self.pending[near..].partition_point(|e| e.key() > key),
+            };
+            self.pending.insert(pos, entry);
+        }
+        self.peak = self.peak.max(self.len());
+        if self.head.is_none_or(|head| time < head) {
+            self.head = Some(time);
+        }
     }
 
-    /// Advances the queue clock stamped onto subsequent pushes as the
-    /// second ordering key (see [`LadderQueue::set_clock`]). Drivers call
-    /// this with the instant they are currently processing; for callers
-    /// that never do, the clock stays zero and the pop order is the
-    /// classic `(time, seq)`.
-    pub fn set_clock(&mut self, clock: SimTime) {
-        self.ladder.set_clock(clock);
+    /// Recomputes the cached head after a pop.
+    #[inline]
+    fn refresh_head(&mut self) {
+        let lane = self.lane.front().map(|&(t, _)| t);
+        self.head = match (self.pending.last().map(|e| e.time), lane) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
     }
 
     /// Removes and returns the earliest event, advancing the queue's clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.ladder.pop()
+        let t = self.head?;
+        // At a tied time `pending` goes first.
+        let event = if self.pending.last().is_some_and(|e| e.time == t) {
+            self.pending.pop().expect("checked non-empty").event
+        } else {
+            self.lane.pop_front().expect("the head is on the lane").1
+        };
+        self.now = t;
+        self.popped += 1;
+        self.refresh_head();
+        Some((t, event))
     }
 
     /// Removes the entire same-time run at the head — every event firing
     /// at the earliest pending instant — appending the events to `out` in
-    /// pop order and returning the instant and count. One call amortizes
-    /// the per-pop bucket bookkeeping over the run; the flattened sequence
-    /// is identical to repeated [`EventQueue::pop`].
+    /// pop order and returning the instant and count: `pending`'s run,
+    /// then the lane's. The flattened sequence is identical to repeated
+    /// [`EventQueue::pop`].
     pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<(SimTime, usize)> {
-        self.ladder.pop_batch_into(out)
+        let t = self.head?;
+        let start = out.len();
+        while self.pending.last().is_some_and(|e| e.time == t) {
+            let entry = self.pending.pop().expect("checked non-empty");
+            out.push(entry.event);
+        }
+        while self.lane.front().is_some_and(|&(lt, _)| lt == t) {
+            let (_, event) = self.lane.pop_front().expect("checked non-empty");
+            out.push(event);
+        }
+        let n = out.len() - start;
+        self.now = t;
+        self.popped += n as u64;
+        self.refresh_head();
+        Some((t, n))
     }
 
     /// The firing time of the earliest pending event, if any.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.ladder.peek_time()
+        self.head
     }
 
     /// The time of the most recently popped event ([`SimTime::ZERO`] before
     /// the first pop).
     pub fn now(&self) -> SimTime {
-        self.ladder.now()
+        self.now
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.ladder.len()
+        self.pending.len() + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.ladder.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events popped since construction.
     pub fn events_processed(&self) -> u64 {
-        self.ladder.events_processed()
+        self.popped
     }
 
     /// Total number of events pushed since construction.
     pub fn events_scheduled(&self) -> u64 {
-        self.ladder.events_scheduled()
+        self.pushed
     }
 
     /// The largest number of events simultaneously pending since
-    /// construction — the working-set size the underlying queue had to
-    /// sustain. Event-coalescing optimizations drive this down.
+    /// construction — the working-set size the queue had to sustain.
+    /// Event-coalescing optimizations drive this down.
     pub fn peak_len(&self) -> usize {
-        self.ladder.peak_len()
-    }
-
-    /// Pushes that landed beyond the ladder window and took the overflow
-    /// rung. A high ratio of spills to pushes means the bucket window is a
-    /// poor fit for the workload's scheduling horizon.
-    pub fn bucket_spills(&self) -> u64 {
-        self.ladder.bucket_spills()
-    }
-
-    /// Times the ladder window was re-anchored from the overflow rung.
-    pub fn rewindow_count(&self) -> u64 {
-        self.ladder.rewindow_count()
+        self.peak
     }
 }
 

@@ -3,7 +3,7 @@
 //! a cooperative abort flag.
 //!
 //! The sharded execution mode (see `DESIGN.md` §5.4) partitions a
-//! simulation into logical processes that each own a [`crate::LadderQueue`]
+//! simulation into logical processes that each own a [`crate::EventQueue`]
 //! and advance under a conservative lookahead window: shard `r` may process
 //! instant `t` only while `t < clock(s) + L(s→r)` for every upstream shard
 //! `s`, where `L` is the minimum latency of any boundary link from `s` to

@@ -1,48 +1,55 @@
-//! Differential property test: the ladder queue against a binary-heap
-//! reference, driven with identical randomized push/pop schedules.
+//! Differential property test: the event queue against binary-heap
+//! references, driven with identical randomized push/pop schedules.
 //!
-//! The reference is the exact structure `EventQueue` used before kernel
-//! v3 — a max-heap of [`Scheduled`] entries whose inverted `(time, seq)`
-//! ordering delivers same-instant events in FIFO order. The goldens pin
-//! that pop order bit-for-bit, so the ladder must reproduce it exactly on
-//! every schedule, including same-instant bursts, bucket-boundary times,
-//! window-overflowing far-future pushes, and pushes behind the window
-//! anchor.
+//! The first reference is the exact structure `EventQueue` used before
+//! kernel v3 — a max-heap of [`Scheduled`] entries whose inverted
+//! `(time, seq)` ordering delivers same-instant events in FIFO order. The
+//! goldens pin that pop order bit-for-bit, so the queue must reproduce it
+//! exactly on every schedule, including same-instant bursts, far-future
+//! pushes, and pushes behind the earliest pending event. The offsets keep
+//! the bucket and window boundaries of the ladder queue the kernel used
+//! before, where its corner cases sat.
 //!
 //! A second reference keys the heap `(time, push instant, seq)`, the
 //! order a clocked queue promises. It checks the same-instant lane: a
 //! driver that sets the clock to every popped instant, as the network
-//! does, sends each push at `time == clock` down the lane.
+//! does, sends each push at `time == clock` down the lane. A deep case
+//! holds over a thousand events pushed out of order, so pushes that land
+//! beyond the latest few entries binary-search their slot, and lane
+//! pushes for instants the clock has passed insert mid-lane, as a shard
+//! draining boundary messages does.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mn_sim::ladder::{BUCKET_PS, N_BUCKETS};
-use mn_sim::{LadderQueue, Scheduled, SimRng, SimTime};
+use mn_sim::{EventQueue, Scheduled, SimRng, SimTime};
+
+/// The old ladder's bucket width and bucket count.
+const BUCKET_PS: u64 = 512;
+const N_BUCKETS: u64 = 256;
 
 /// The pre-v3 `EventQueue` core: a `BinaryHeap` with an insertion-seq
 /// tie-break.
+#[derive(Default)]
 struct HeapQueue {
     heap: BinaryHeap<Scheduled<u32>>,
     next_seq: u64,
+    peak: usize,
+    popped: u64,
 }
 
 impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
     fn push(&mut self, time: SimTime, event: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled::new(time, seq, event));
+        self.peak = self.peak.max(self.heap.len());
     }
 
     fn pop(&mut self) -> Option<(SimTime, u32)> {
-        self.heap.pop().map(|s| (s.time, s.event))
+        let s = self.heap.pop()?;
+        self.popped += 1;
+        Some((s.time, s.event))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -50,7 +57,7 @@ impl HeapQueue {
     }
 }
 
-const WINDOW_PS: u64 = N_BUCKETS as u64 * BUCKET_PS;
+const WINDOW_PS: u64 = N_BUCKETS * BUCKET_PS;
 
 /// Draws a schedule-relative firing offset, biased toward the adversarial
 /// cases: same-instant reuse, exact bucket/window boundaries, and
@@ -59,10 +66,10 @@ fn draw_offset(rng: &mut SimRng, recent: &[u64]) -> u64 {
     match rng.below(10) {
         // Same instant as a recent push: exercises every FIFO tie path.
         0..=2 if !recent.is_empty() => recent[rng.below(recent.len() as u64) as usize],
-        // Exact bucket boundaries around the window anchor.
+        // Exact old bucket boundaries.
         3 => rng.below(4) * BUCKET_PS,
-        4 => (rng.below(N_BUCKETS as u64) + 1) * BUCKET_PS - 1,
-        // Beyond the window: overflow rung + rewindow.
+        4 => (rng.below(N_BUCKETS) + 1) * BUCKET_PS - 1,
+        // Far future: beyond the old window.
         5 => WINDOW_PS + rng.below(3 * WINDOW_PS),
         6 => WINDOW_PS * rng.below(8),
         // Short horizon, the common case.
@@ -72,16 +79,17 @@ fn draw_offset(rng: &mut SimRng, recent: &[u64]) -> u64 {
 
 fn run_schedule(seed: u64, ops: usize) {
     let mut rng = SimRng::seed_from(seed);
-    let mut ladder: LadderQueue<u32> = LadderQueue::new();
-    let mut heap = HeapQueue::new();
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    let mut heap = HeapQueue::default();
     let mut recent: Vec<u64> = Vec::new();
     let mut now = 0u64;
     let mut tag = 0u32;
 
     for op in 0..ops {
         // Bias toward pushes so the queues stay populated, with occasional
-        // pop bursts that drain across bucket and window boundaries.
-        let do_push = ladder.is_empty() || rng.below(100) < 55;
+        // pop bursts that drain across the old bucket and window
+        // boundaries.
+        let do_push = queue.is_empty() || rng.below(100) < 55;
         if do_push {
             let burst = 1 + rng.geometric(0.4, 8);
             for _ in 0..burst {
@@ -90,7 +98,7 @@ fn run_schedule(seed: u64, ops: usize) {
                 if recent.len() > 8 {
                     recent.remove(0);
                 }
-                ladder.push(SimTime::from_ps(t), tag);
+                queue.push(SimTime::from_ps(t), tag);
                 heap.push(SimTime::from_ps(t), tag);
                 tag += 1;
             }
@@ -98,11 +106,11 @@ fn run_schedule(seed: u64, ops: usize) {
             let burst = 1 + rng.geometric(0.5, 16) as usize;
             for _ in 0..burst {
                 assert_eq!(
-                    ladder.peek_time(),
+                    queue.peek_time(),
                     heap.peek_time(),
                     "peek diverged (seed {seed}, op {op})"
                 );
-                let l = ladder.pop();
+                let l = queue.pop();
                 let h = heap.pop();
                 assert_eq!(l, h, "pop diverged (seed {seed}, op {op})");
                 match l {
@@ -111,23 +119,30 @@ fn run_schedule(seed: u64, ops: usize) {
                 }
             }
         }
+        assert_eq!(queue.len(), heap.heap.len(), "len (seed {seed}, op {op})");
     }
 
     // Drain both queues to the end.
     loop {
         assert_eq!(
-            ladder.peek_time(),
+            queue.peek_time(),
             heap.peek_time(),
             "drain peek (seed {seed})"
         );
-        let l = ladder.pop();
+        let l = queue.pop();
         let h = heap.pop();
         assert_eq!(l, h, "drain pop diverged (seed {seed})");
         if l.is_none() {
             break;
         }
     }
-    assert!(ladder.is_empty());
+    assert!(queue.is_empty());
+    assert_eq!(queue.peak_len(), heap.peak, "peak_len (seed {seed})");
+    assert_eq!(
+        queue.events_processed(),
+        heap.popped,
+        "events_processed (seed {seed})"
+    );
 }
 
 #[test]
@@ -148,17 +163,17 @@ fn ladder_matches_reference_on_long_schedules() {
 fn ladder_matches_reference_on_pure_same_instant_bursts() {
     // Everything at a handful of instants: the pop order is decided purely
     // by the FIFO tie-break.
-    let mut ladder: LadderQueue<u32> = LadderQueue::new();
-    let mut heap = HeapQueue::new();
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    let mut heap = HeapQueue::default();
     let mut rng = SimRng::seed_from(77);
     let instants = [0u64, 1, BUCKET_PS - 1, BUCKET_PS, WINDOW_PS, WINDOW_PS + 1];
     for tag in 0..3_000u32 {
         let t = SimTime::from_ps(instants[rng.below(instants.len() as u64) as usize]);
-        ladder.push(t, tag);
+        queue.push(t, tag);
         heap.push(t, tag);
     }
     loop {
-        let l = ladder.pop();
+        let l = queue.pop();
         assert_eq!(l, heap.pop());
         if l.is_none() {
             break;
@@ -210,7 +225,7 @@ impl CausalHeap {
 /// at the clock or at an instant the clock has already passed.
 fn run_clocked_schedule(seed: u64, ops: usize) {
     let mut rng = SimRng::seed_from(seed);
-    let mut ladder: LadderQueue<u32> = LadderQueue::with_capacity_and_bucket(16, 97);
+    let mut queue: EventQueue<u32> = EventQueue::with_capacity(16);
     let mut reference = CausalHeap::default();
     let mut clock = 0u64;
     let mut now = 0u64;
@@ -239,16 +254,16 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
                     };
                     let (time, push) = (SimTime::from_ps(time), SimTime::from_ps(push));
                     if push == SimTime::from_ps(clock) {
-                        ladder.push(time, tag);
+                        queue.push(time, tag);
                     } else {
-                        ladder.push_at(time, push, tag);
+                        queue.push_at(time, push, tag);
                     }
                     reference.push_at(time, push, tag);
                     tag += 1;
                 }
             }
             10..=13 => {
-                let l = ladder.pop();
+                let l = queue.pop();
                 assert_eq!(l, reference.pop(), "pop diverged (seed {seed}, op {op})");
                 if let Some((t, _)) = l {
                     now = t.as_ps();
@@ -256,7 +271,7 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
             }
             14..=17 => {
                 batch.clear();
-                let l = ladder.pop_batch_into(&mut batch);
+                let l = queue.pop_batch_into(&mut batch);
                 let r = reference.pop_batch();
                 assert_eq!(
                     l.map(|(t, n)| (t, batch.clone(), n)),
@@ -271,10 +286,10 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
                 // Jump the clock ahead of the queue, as an injection at a
                 // later instant does.
                 clock += rng.below(2 * BUCKET_PS);
-                ladder.set_clock(SimTime::from_ps(clock));
+                queue.set_clock(SimTime::from_ps(clock));
             }
             _ => assert_eq!(
-                ladder.peek_time(),
+                queue.peek_time(),
                 reference.peek_time(),
                 "peek diverged (seed {seed}, op {op})"
             ),
@@ -282,26 +297,26 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
         // Drivers process each popped instant with the clock at it.
         if now > clock {
             clock = now;
-            ladder.set_clock(SimTime::from_ps(clock));
+            queue.set_clock(SimTime::from_ps(clock));
         }
         assert_eq!(
-            ladder.len(),
+            queue.len(),
             reference.heap.len(),
             "len (seed {seed}, op {op})"
         );
     }
-    while let Some(l) = ladder.pop() {
+    while let Some(l) = queue.pop() {
         assert_eq!(Some(l), reference.pop(), "drain diverged (seed {seed})");
     }
     assert_eq!(reference.pop(), None, "drain length (seed {seed})");
-    assert_eq!(ladder.peak_len(), reference.peak, "peak_len (seed {seed})");
+    assert_eq!(queue.peak_len(), reference.peak, "peak_len (seed {seed})");
     assert_eq!(
-        ladder.events_processed(),
+        queue.events_processed(),
         reference.popped,
         "events_processed (seed {seed})"
     );
     assert_eq!(
-        ladder.events_scheduled(),
+        queue.events_scheduled(),
         reference.next_seq,
         "events_scheduled (seed {seed})"
     );
@@ -318,5 +333,103 @@ fn lane_matches_causal_reference() {
 fn lane_matches_causal_reference_on_long_schedules() {
     for seed in 0..4 {
         run_clocked_schedule(0x1A4E_D500_u64.wrapping_add(seed), 40_000);
+    }
+}
+
+/// One push of the deep schedule into both queues, tagged with its
+/// sequence number. A quarter go to the lane at an instant between the
+/// last pop and the clock. The rest go to `pending`, caused at one of
+/// eight instants up to the clock and due on one of 64 bucket-width
+/// steps after the last pop, so many share a `(time, push)` key.
+fn push_deep(
+    queue: &mut EventQueue<u32>,
+    reference: &mut CausalHeap,
+    rng: &mut SimRng,
+    now: u64,
+    clock: u64,
+) {
+    let (time, push) = if rng.below(4) == 0 {
+        let t = now + rng.below(clock - now + 1);
+        (t, t)
+    } else {
+        let push = clock.saturating_sub(rng.below(8) * BUCKET_PS);
+        let due = push.max(now).next_multiple_of(BUCKET_PS);
+        (due + rng.below(64) * BUCKET_PS, push)
+    };
+    let (time, push) = (SimTime::from_ps(time), SimTime::from_ps(push));
+    let tag = reference.next_seq as u32;
+    queue.push_at(time, push, tag);
+    reference.push_at(time, push, tag);
+}
+
+/// Holds over a thousand events pushed out of order, then drains them
+/// while pushing more. Pending pushes carry random times and causal
+/// instants, so most of them binary-search a slot deep in the queue.
+/// Lane pushes `push_at(t, t)` for instants the clock has passed arrive
+/// out of order too, so they insert mid-lane — the shard drain path for
+/// boundary messages.
+fn run_deep_schedule(seed: u64, depth: usize) {
+    let mut rng = SimRng::seed_from(seed);
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    let mut reference = CausalHeap::default();
+    let mut now = 0u64;
+    let mut clock = 4 * WINDOW_PS;
+    queue.set_clock(SimTime::from_ps(clock));
+
+    for _ in 0..depth {
+        push_deep(&mut queue, &mut reference, &mut rng, now, clock);
+        assert_eq!(queue.len(), reference.heap.len(), "len (seed {seed})");
+    }
+    assert!(queue.len() >= depth);
+    let mut batch = Vec::new();
+    let mut step = 0;
+    while !queue.is_empty() {
+        step += 1;
+        if step % 3 == 0 {
+            batch.clear();
+            let l = queue.pop_batch_into(&mut batch);
+            let r = reference.pop_batch();
+            assert_eq!(
+                l.map(|(t, n)| (t, batch.clone(), n)),
+                r.map(|(t, events)| (t, events.clone(), events.len())),
+                "batch diverged (seed {seed}, step {step})"
+            );
+            now = l.expect("non-empty").0.as_ps();
+        } else {
+            let l = queue.pop();
+            assert_eq!(
+                l,
+                reference.pop(),
+                "pop diverged (seed {seed}, step {step})"
+            );
+            now = l.expect("non-empty").0.as_ps();
+        }
+        if now > clock {
+            clock = now;
+            queue.set_clock(SimTime::from_ps(clock));
+        }
+        // Keep refilling for the first half of the drain.
+        if step < depth / 2 {
+            push_deep(&mut queue, &mut reference, &mut rng, now, clock);
+        }
+        assert_eq!(
+            queue.len(),
+            reference.heap.len(),
+            "len (seed {seed}, step {step})"
+        );
+    }
+    assert_eq!(reference.pop(), None, "drain length (seed {seed})");
+    assert_eq!(queue.peak_len(), reference.peak, "peak_len (seed {seed})");
+    assert_eq!(
+        queue.events_processed(),
+        reference.popped,
+        "events_processed (seed {seed})"
+    );
+}
+
+#[test]
+fn deep_out_of_order_queue_matches_causal_reference() {
+    for seed in 0..8 {
+        run_deep_schedule(0xDEE9_0000 + seed, 1_200);
     }
 }
