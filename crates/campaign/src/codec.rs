@@ -91,7 +91,7 @@ pub fn decode_result(text: &str) -> Option<RunResult> {
             "avg_hops" => avg_hops = Some(parse_f64_bits(value)?),
             "hist" => {
                 let counts: Option<Vec<u64>> = value.split(',').map(|c| c.parse().ok()).collect();
-                hist = Some(Histogram::from_bucket_counts(&counts?));
+                hist = Some(Histogram::from_bucket_counts(&counts?)?);
             }
             _ => return None,
         }
@@ -209,5 +209,25 @@ mod tests {
         // Either a parse failure or a missing field: never a panic.
         let _ = decode_result(&truncated);
         assert!(decode_result(&encode_result(&sample()).replace("reads=", "rodas=")).is_none());
+    }
+
+    /// Replaces the encoded `hist=` line of `sample()` with `hist`.
+    fn with_hist(hist: &str) -> String {
+        let text = encode_result(&sample());
+        let start = text.find("hist=").expect("encoding has a histogram");
+        let end = start + text[start..].find('\n').expect("line ends");
+        format!("{}hist={hist}{}", &text[..start], &text[end..])
+    }
+
+    #[test]
+    fn too_many_histogram_buckets_is_none() {
+        assert!(decode_result(&with_hist(&vec!["0"; 64].join(","))).is_some());
+        assert!(decode_result(&with_hist(&vec!["1"; 70].join(","))).is_none());
+    }
+
+    #[test]
+    fn overflowing_histogram_total_is_none() {
+        assert!(decode_result(&with_hist("18446744073709551615,0")).is_some());
+        assert!(decode_result(&with_hist("18446744073709551615,1")).is_none());
     }
 }

@@ -172,9 +172,10 @@ impl RunJournal {
 }
 
 /// Replays a journal: the completed points it can vouch for, keyed by
-/// fingerprint. Torn tails, unparseable lines, and undecodable results
-/// are skipped (the point simply re-runs); a `failed` event retracts an
-/// earlier `done` for the same fingerprint, re-dispatching the point.
+/// fingerprint. Torn tails, lines that are not UTF-8, unparseable lines,
+/// and undecodable results are skipped (the point simply re-runs); a
+/// `failed` event retracts an earlier `done` for the same fingerprint,
+/// re-dispatching the point.
 ///
 /// # Errors
 ///
@@ -182,19 +183,23 @@ impl RunJournal {
 /// read. A missing file is not an error — it replays as empty, so
 /// `--resume` on a fresh path starts a fresh journal.
 pub fn replay(path: &Path) -> std::io::Result<HashMap<String, ReplayedPoint>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(HashMap::new()),
         Err(e) => return Err(e),
     };
     let mut points = HashMap::new();
     // Only newline-terminated lines are trusted: a torn tail (no final
     // newline) is crash debris from an interrupted append.
-    let complete = match text.rfind('\n') {
-        Some(last) => &text[..=last],
-        None => return Ok(points),
+    let Some(last) = bytes.iter().rposition(|&b| b == b'\n') else {
+        return Ok(points);
     };
-    for line in complete.lines() {
+    // Lines are judged one at a time, so a damaged byte costs only the
+    // line that holds it.
+    for line in bytes[..last].split(|&b| b == b'\n') {
+        let Ok(line) = std::str::from_utf8(line) else {
+            continue; // not UTF-8: skip, never fail
+        };
         let Some(event) = json_str_field(line, "event") else {
             continue; // unparseable: skip, never fail
         };
@@ -348,6 +353,30 @@ mod tests {
             "repair must newline-separate the new event: {text:?}"
         );
         assert_eq!(replay(&path).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_line_is_skipped_not_fatal() {
+        let dir = scratch("utf8");
+        let path = dir.join("run.journal");
+        let (point, result) = tiny_result();
+        let fp = point.fingerprint();
+
+        let journal = RunJournal::open(&path).unwrap();
+        journal.done(&fp, 1, &result);
+        drop(journal);
+
+        // A damaged line: complete, but holding a byte that is not UTF-8.
+        use std::io::Write as _;
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"{\"event\":\"done\",\"fp\":\"\xFF\"}\n")
+            .unwrap();
+        drop(file);
+
+        let replayed = replay(&path).unwrap();
+        assert_eq!(replayed.len(), 1);
+        assert_eq!(replayed.get(&fp).unwrap().attempts, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

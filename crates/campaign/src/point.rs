@@ -65,11 +65,6 @@ impl CampaignPoint {
             // vs. hang); it never changes what a completed run computes,
             // so it stays out of the fingerprint (see SystemConfig docs).
             watchdog_limit: _,
-            // Sharded execution is bit-identical to serial by contract
-            // (enforced by the shard_diff suite and a CI cmp), so the
-            // shard count only decides how a run executes, never what it
-            // computes — serial and sharded runs share cache entries.
-            shards: _,
         } = &self.config;
         let NocConfig {
             control_bytes,
@@ -311,19 +306,6 @@ mod tests {
         let mut b = point();
         b.config.watchdog_limit *= 2;
         assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn shards_is_not_fingerprinted() {
-        // Sharded runs are bit-identical to serial (or fall back to it),
-        // so the shard count must not split the cache: an `MN_SHARDS=4`
-        // campaign reuses — and refreshes — the same committed entries
-        // as a serial one.
-        let a = point();
-        let mut b = point();
-        b.config.shards = 4;
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.cache_key(), b.cache_key());
     }
 
     #[test]

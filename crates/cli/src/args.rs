@@ -47,10 +47,6 @@ pub struct RunArgs {
     pub write_burst: bool,
     /// RNG seed override.
     pub seed: Option<u64>,
-    /// Intra-run shard count override (conservative-PDES execution;
-    /// results are bit-identical to serial). `None` defers to `MN_SHARDS`
-    /// or the serial default.
-    pub shards: Option<usize>,
     /// Resume journal path: completed points recorded there are skipped
     /// and this run's progress is appended. `None` defers to `MN_RESUME`
     /// (handled by `Campaign::from_env`).
@@ -198,7 +194,7 @@ mncube — memory-network simulator (ISCA'17 'There and Back Again')
 USAGE:
     mncube run     [--topology T] [--workload W] [--dram PCT] [--placement P]
                    [--arbiter A] [--requests N] [--write-burst] [--seed S]
-                   [--shards N] [--resume FILE]
+                   [--resume FILE]
     mncube compare [--workload W] [--arbiter A] [--requests N]
     mncube topo    [--topology T] [--cubes N] [--dram PCT] [--placement P]
     mncube sweep   [--topology T] [--workload W] [--requests N]
@@ -222,9 +218,6 @@ VALUES:
 --out overrides the destination, else $MN_TRACE_DIR/trace.json is used.
 'closedloop' gates injection on an outstanding-request window and reports
 the steady-state window, RTT, and goodput (ecn also enables link marking).
-'run --shards N' (or MN_SHARDS=N) splits the port simulation across N
-cores via conservative-PDES sharding; results are bit-identical to serial
-and ineligible configurations fall back to serial automatically.
 'run --resume FILE' (or MN_RESUME=FILE) journals progress to FILE and, on
 rerun, skips points the journal already completed — a killed run restarts
 where it died with byte-identical results.
@@ -333,7 +326,6 @@ impl Command {
                     requests: 6_000,
                     write_burst: false,
                     seed: None,
-                    shards: None,
                     resume: None,
                 };
                 while let Some(flag) = cursor.next_flag() {
@@ -346,13 +338,6 @@ impl Command {
                         "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
                         "--write-burst" => parsed.write_burst = true,
                         "--seed" => parsed.seed = Some(parse_u64(flag, cursor.value(flag)?)?),
-                        "--shards" => {
-                            let shards = parse_u64(flag, cursor.value(flag)?)?;
-                            if shards == 0 {
-                                return Err(err("--shards needs at least one shard (1 is serial)"));
-                            }
-                            parsed.shards = Some(shards.min(u64::from(u32::MAX)) as usize);
-                        }
                         "--resume" => parsed.resume = Some(cursor.value(flag)?.into()),
                         other => return Err(err(format!("unknown flag '{other}' for run"))),
                     }
@@ -562,7 +547,6 @@ mod tests {
         assert_eq!(a.workload, Workload::Dct);
         assert_eq!(a.dram_pct, 100);
         assert!(!a.write_burst);
-        assert_eq!(a.shards, None);
         assert_eq!(a.resume, None);
     }
 
@@ -585,8 +569,6 @@ mod tests {
             "--write-burst",
             "--seed",
             "9",
-            "--shards",
-            "4",
             "--resume",
             "/tmp/run.journal",
         ])
@@ -601,7 +583,6 @@ mod tests {
         assert_eq!(a.requests, 1234);
         assert!(a.write_burst);
         assert_eq!(a.seed, Some(9));
-        assert_eq!(a.shards, Some(4));
         assert_eq!(a.resume, Some(std::path::PathBuf::from("/tmp/run.journal")));
     }
 
@@ -610,14 +591,6 @@ mod tests {
         let e = parse(&["run", "--resume"]).unwrap_err();
         assert!(e.to_string().contains("expects a value"));
         assert!(parse(&["sweep", "--resume", "x.journal"]).is_err());
-    }
-
-    #[test]
-    fn run_rejects_zero_shards() {
-        let e = parse(&["run", "--shards", "0"]).unwrap_err();
-        assert!(e.to_string().contains("at least one"));
-        // The knob belongs to run, not the other subcommands.
-        assert!(parse(&["sweep", "--shards", "4"]).is_err());
     }
 
     #[test]

@@ -45,11 +45,6 @@ fn build_config(
         config.host.initial_window = window;
         config.host.window_cap = config.host.window_cap.max(window);
     }
-    // Intra-run sharding. Not fingerprinted: sharded results are
-    // bit-identical to serial, so cached entries stay shared.
-    if let Some(shards) = mn_campaign::shards_from_env() {
-        config.shards = shards;
-    }
     Ok(config)
 }
 
@@ -115,10 +110,6 @@ fn run(campaign: &Campaign, args: &RunArgs) -> Result<String, ArgError> {
     config.write_burst_routing = args.write_burst;
     if let Some(seed) = args.seed {
         config.seed = seed;
-    }
-    // The explicit flag wins over MN_SHARDS (already applied above).
-    if let Some(shards) = args.shards {
-        config.shards = shards;
     }
     // `--resume FILE` wins over MN_RESUME (the env journal, if any, was
     // already wired by `Campaign::from_env`).
@@ -651,7 +642,6 @@ mn_coalesce_settle_latency_us_count 3
                 requests: 300,
                 write_burst: false,
                 seed: Some(1),
-                shards: None,
                 resume: None,
             }),
         )
@@ -659,27 +649,6 @@ mn_coalesce_settle_latency_us_count 3
         assert!(text.contains("configuration   100%-C"));
         assert!(text.contains("workload        NW"));
         assert!(text.contains("row-buffer hits"));
-    }
-
-    #[test]
-    fn sharded_run_reports_identically_to_serial() {
-        let args = |shards| {
-            Command::Run(RunArgs {
-                topology: TopologyKind::Chain,
-                workload: Workload::Dct,
-                dram_pct: 100,
-                placement: NvmPlacement::Last,
-                arbiter: ArbiterKind::RoundRobin,
-                requests: 300,
-                write_burst: false,
-                seed: Some(1),
-                shards,
-                resume: None,
-            })
-        };
-        let serial = execute_with(&bare(), &args(None)).unwrap();
-        let sharded = execute_with(&bare(), &args(Some(4))).unwrap();
-        assert_eq!(serial, sharded);
     }
 
     #[test]
@@ -695,7 +664,6 @@ mn_coalesce_settle_latency_us_count 3
                 requests: 100,
                 write_burst: false,
                 seed: None,
-                shards: None,
                 resume: None,
             }),
         );

@@ -104,15 +104,6 @@ pub struct SystemConfig {
     /// of the result fingerprint: the limit only decides how a broken run
     /// fails (error vs. hang), never what a completed run computes.
     pub watchdog_limit: u64,
-    /// Intra-run parallelism: partition each port's topology into this
-    /// many contiguous-cube-range shards advanced concurrently under a
-    /// conservative lookahead (`DESIGN.md` §5.4). 1 — the default — is
-    /// the serial path, byte-for-byte untouched. Values above 1 must
-    /// produce bit-identical results (ineligible configurations fall
-    /// back to serial automatically), so like `watchdog_limit` this is
-    /// *not* part of the result fingerprint: it only decides how a run
-    /// executes, never what it computes.
-    pub shards: usize,
 }
 
 impl SystemConfig {
@@ -148,7 +139,6 @@ impl SystemConfig {
             // Far above any legitimate completion gap (bursts complete
             // every few hundred iterations), far below "hung in CI".
             watchdog_limit: 2_000_000,
-            shards: 1,
         };
         config.placement()?; // validate the mix early
         Ok(config)

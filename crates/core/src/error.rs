@@ -52,12 +52,6 @@ pub enum SimError {
         /// the network's flight recorder. Empty unless the run traced
         /// with [`mn_noc::TraceConfig::Full`].
         flight: Vec<String>,
-        /// Final per-shard progress counters from a sharded attempt that
-        /// aborted before this (authoritative) serial rerun also stalled.
-        /// Empty for serial runs and for sharded runs that never engaged
-        /// the parallel path — when present, it shows *where* the
-        /// conservative-PDES execution wedged without rerunning serial.
-        shard_progress: Vec<u64>,
     },
     /// A router node has more ports than the network model supports (see
     /// [`mn_noc::MAX_NODE_PORTS`]); reported at construction.
@@ -83,16 +77,6 @@ impl SimError {
             SimError::Partitioned { .. } | SimError::TooManyPorts { .. } => false,
             SimError::Stalled { .. } => true,
         }
-    }
-
-    /// Attaches an aborted sharded attempt's per-shard progress counters
-    /// to a [`SimError::Stalled`] snapshot (identity on other variants).
-    #[must_use]
-    pub fn with_shard_progress(mut self, progress: Vec<u64>) -> SimError {
-        if let SimError::Stalled { shard_progress, .. } = &mut self {
-            *shard_progress = progress;
-        }
-        self
     }
 }
 
@@ -121,7 +105,6 @@ impl fmt::Display for SimError {
                 queued,
                 in_network,
                 flight,
-                shard_progress,
             } => {
                 write!(
                     f,
@@ -129,16 +112,6 @@ impl fmt::Display for SimError {
                      complete, {outstanding} outstanding, {queued} queued, \
                      {in_network} in network"
                 )?;
-                if !shard_progress.is_empty() {
-                    write!(f, "; aborted shard progress [")?;
-                    for (i, p) in shard_progress.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{p}")?;
-                    }
-                    write!(f, "]")?;
-                }
                 if !flight.is_empty() {
                     write!(f, "\nlast kernel events:")?;
                     for line in flight {
@@ -189,7 +162,6 @@ mod tests {
             queued: 7,
             in_network: 3,
             flight: Vec::new(),
-            shard_progress: Vec::new(),
         }
     }
 
@@ -201,7 +173,6 @@ mod tests {
         assert!(msg.contains("7 queued"), "{msg}");
         assert!(msg.contains("3 in network"), "{msg}");
         assert!(!msg.contains("last kernel events"), "{msg}");
-        assert!(!msg.contains("shard progress"), "{msg}");
     }
 
     #[test]
@@ -214,21 +185,10 @@ mod tests {
             queued: 0,
             in_network: 1,
             flight: vec!["2ns arrive p0 at n1 port 0".into(), "2ns try-arb n1".into()],
-            shard_progress: Vec::new(),
         };
         let msg = e.to_string();
         assert!(msg.contains("last kernel events:"), "{msg}");
         assert!(msg.contains("\n  2ns try-arb n1"), "{msg}");
-    }
-
-    #[test]
-    fn stalled_display_includes_aborted_shard_progress() {
-        let e = stalled().with_shard_progress(vec![40, 12, 0, 3]);
-        let msg = e.to_string();
-        assert!(
-            msg.contains("aborted shard progress [40, 12, 0, 3]"),
-            "{msg}"
-        );
     }
 
     #[test]
@@ -240,11 +200,6 @@ mod tests {
             unreachable: vec![NodeId(1)],
         };
         assert!(!partitioned.is_retryable());
-        // Attaching shard progress to a partition is a no-op.
-        assert_eq!(
-            partitioned.clone().with_shard_progress(vec![1]),
-            partitioned
-        );
     }
 
     #[test]

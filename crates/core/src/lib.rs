@@ -46,7 +46,6 @@ mod config;
 mod error;
 mod experiment;
 mod port;
-mod shard;
 mod stats;
 mod system;
 

@@ -38,9 +38,7 @@ use std::sync::Arc;
 
 use mn_host::WindowPolicyImpl;
 use mn_mem::{Completion, EnergyPj, MemAccess, MemTechSpec, QuadrantController};
-use mn_noc::{
-    NetTelemetry, Network, Packet, PacketKind, ShardBinding, ShardMeta, WriteBurstDetector,
-};
+use mn_noc::{NetTelemetry, Network, Packet, PacketKind, WriteBurstDetector};
 use mn_sim::{
     counters, Histogram, KernelCounters, SeqSlab, SimDuration, SimRng, SimTime, Watchdog,
 };
@@ -54,7 +52,6 @@ use mn_workloads::{MemRef, TraceGenerator};
 use crate::address::{AddressMap, DecodedAddress};
 use crate::config::SystemConfig;
 use crate::error::SimError;
-use crate::shard::{EnergyEvent, ShardCtx, WorkerHarvest};
 use crate::stats::{EnergyBreakdown, LatencyBreakdown};
 
 /// Quadrants per cube (Table 2's 256 banks in 4 quadrants).
@@ -250,12 +247,6 @@ pub(crate) struct PortSim {
     read_latency: Histogram,
     read_energy: EnergyPj,
     write_energy: EnergyPj,
-    /// Sharded runs log array-access energies here instead of folding
-    /// them into `read_energy`/`write_energy` directly: the fold order
-    /// (processing instant, controller index) is reconstructed across
-    /// shards at merge time so the f64 sums stay bit-identical to the
-    /// serial run. `None` — the default — is the serial inline fold.
-    energy_log: Option<Vec<EnergyEvent>>,
     last_response_at: SimTime,
 
     /// Telemetry mode for this run (`Off` keeps every hook below to a
@@ -446,7 +437,6 @@ impl PortSim {
             read_latency: Histogram::new(),
             read_energy: EnergyPj::ZERO,
             write_energy: EnergyPj::ZERO,
-            energy_log: None,
             last_response_at: SimTime::ZERO,
             telem_mode: trace_mode,
             decomp,
@@ -579,10 +569,6 @@ impl PortSim {
             // credits nobody will return) only show up here.
             in_network: self.net.in_flight(),
             flight: self.net.flight_dump(),
-            // Serial snapshots carry no shard counters; `system.rs`
-            // splices in an aborted sharded attempt's final progress
-            // when the authoritative serial rerun also stalls.
-            shard_progress: Vec::new(),
         }
     }
 
@@ -688,16 +674,6 @@ impl PortSim {
             if r.is_write && self.write_burst_routing && self.detector.in_burst() {
                 packet = packet.with_class(PathClass::Read);
             }
-            // Side-band bookkeeping a sharded run reads on the cube shard
-            // (serial runs stamp it too — one code path — but only the
-            // sharded driver ever reads it; see `ShardMeta`).
-            packet.meta = ShardMeta {
-                offered_at,
-                mem_done: SimTime::ZERO,
-                quadrant: decoded.quadrant as u8,
-                bank: decoded.bank as u16,
-                row: decoded.row,
-            };
             if !self.net.can_inject(self.topo.host(), 0, &packet) {
                 break;
             }
@@ -855,25 +831,12 @@ impl PortSim {
                         }
                     }
                     let energy = EnergyPj::array_access(&spec.energy, ACCESS_BITS, c.is_write);
-                    match &mut self.energy_log {
-                        // Sharded: defer the f64 fold until every shard's
-                        // ledger can be merged in serial fold order.
-                        Some(log) => log.push(EnergyEvent {
-                            at: now,
-                            ctrl: base + q as u32,
-                            energy,
-                            is_write: c.is_write,
-                        }),
-                        None => {
-                            if c.is_write {
-                                self.write_energy += energy;
-                            } else {
-                                self.read_energy += energy;
-                            }
-                        }
+                    if c.is_write {
+                        self.write_energy += energy;
+                    } else {
+                        self.read_energy += energy;
                     }
-                    let mut response = Packet::response_to(&rec.request, rec.tech == CubeTech::Nvm);
-                    response.meta.mem_done = c.completed_at;
+                    let response = Packet::response_to(&rec.request, rec.tech == CubeTech::Nvm);
                     self.pending_responses.push(PendingResponse {
                         ready_at: c.completed_at,
                         cube: NodeId(idx as u32),
@@ -920,14 +883,7 @@ impl PortSim {
             .inflight
             .remove(response.token)
             .expect("response maps to in-flight request");
-        // The completion instant rides on the response (`ShardMeta`), so
-        // the host can attribute from-memory latency even when a remote
-        // shard ran the controller. Serially both copies exist and agree.
-        let mem_done = response.meta.mem_done;
-        debug_assert!(
-            rec.mem_done == SimTime::ZERO || rec.mem_done == mem_done,
-            "stamped completion disagrees with host bookkeeping"
-        );
+        let mem_done = rec.mem_done;
         self.breakdown
             .from_memory
             .record(at.saturating_since(mem_done));
@@ -1010,165 +966,6 @@ impl PortSim {
             hits += (ctrl.row_hit_rate() * ctrl.accesses() as f64).round() as u64;
         }
         (hits, total)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded execution (conservative PDES, `DESIGN.md` §5.4). The driver
-// lives in `crate::shard`; this is the host-shard half: shard 0 keeps the
-// whole host model (trace, window, inflight table) plus the cubes in its
-// node range, and the merge that reassembles one bit-identical
-// `PortObservation` from every shard's harvest.
-// ---------------------------------------------------------------------
-impl PortSim {
-    /// The topology this port simulates (shared with the network).
-    pub(crate) fn topo(&self) -> &Arc<Topology> {
-        &self.topo
-    }
-
-    /// The routing table the network forwards with (plan input).
-    pub(crate) fn routes(&self) -> &mn_topo::RoutingTable {
-        self.net.routes()
-    }
-
-    /// Attaches shard 0's boundary bindings to the network.
-    pub(crate) fn attach_shard_binding(&mut self, binding: ShardBinding) {
-        self.net.attach_shard(binding);
-    }
-
-    /// Switches array-energy accounting to the deferred ledger (see
-    /// `energy_log`); must be called before the run starts.
-    pub(crate) fn enable_energy_log(&mut self, capacity: usize) {
-        self.energy_log = Some(Vec::with_capacity(capacity));
-    }
-
-    /// Runs shard 0 of a sharded execution: the serial driver loop gated
-    /// by the conservative horizon. Returns `false` when the run aborted
-    /// (the caller reruns serially), `true` once every request completed —
-    /// after publishing `SimTime::MAX` and signalling `ctx.finish`.
-    pub(crate) fn run_sharded(&mut self, ctx: &ShardCtx) -> bool {
-        let mut now = SimTime::ZERO;
-        let mut ready = Vec::with_capacity(self.topo.node_count());
-        let mut watchdog = Watchdog::new(self.watchdog_limit.max(1));
-        self.spawn_threads();
-        // Instant 0 is always processed (the serial loop enters its body
-        // before consulting `next_time`), and the horizon starts positive.
-        let mut instant_pending = true;
-        while self.completed < self.total_requests {
-            if self.net.shard_aborted() {
-                return false;
-            }
-            // Protocol order: read the upstream clocks, *then* drain the
-            // boundary channels. Anything sent after the clock read
-            // arrives at or above the horizon, so one drain per wake-up
-            // admits every event processable below it.
-            let horizon = ctx.horizon();
-            self.net.drain_shard_inputs();
-            if !instant_pending {
-                match self.next_time(now) {
-                    Some(t) if t < horizon => now = t,
-                    next => {
-                        // Blocked at the horizon. Publish the lower bound
-                        // clamped by the horizon — arrivals we have not
-                        // seen yet can create sends the local queue knows
-                        // nothing about — and let the run-wide watchdog
-                        // arbitrate livelock.
-                        ctx.publish(ShardCtx::bound(next, horizon));
-                        if watchdog.observe(self.completed + ctx.progress_total()) {
-                            ctx.raise_abort();
-                            return false;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    }
-                }
-            }
-            self.fixpoint(now, &mut ready);
-            if self.net.shard_aborted() {
-                return false;
-            }
-            instant_pending = false;
-            ctx.note_progress();
-            ctx.publish(ShardCtx::bound(self.next_time(now), horizon));
-            if watchdog.observe(self.completed + ctx.progress_total()) {
-                ctx.raise_abort();
-                return false;
-            }
-        }
-        // Every request completed: all packets are delivered, so no
-        // boundary message can exist anywhere again. Release the cube
-        // shards and signal termination.
-        ctx.publish(SimTime::MAX);
-        ctx.finish(now);
-        true
-    }
-
-    /// Reassembles the serial [`PortObservation`] from shard 0's state
-    /// and the cube shards' harvests. Every merge is either an order-free
-    /// integer sum or replays the serial fold order exactly, so the
-    /// result is bit-identical to [`PortSim::run`].
-    pub(crate) fn finish_sharded(
-        mut self,
-        harvests: Vec<WorkerHarvest>,
-        steady_heap_allocs: u64,
-    ) -> PortObservation {
-        let mut stats = self.net.stats().clone();
-        let mut kernel = self.net.kernel_counters();
-        let mut breakdown = self.breakdown.clone();
-        let (mut hits, mut accesses) = self.row_hit_counts();
-        let mut hop_sum = self.hop_sum;
-        let mut events = self.energy_log.take().unwrap_or_default();
-        for h in harvests {
-            stats.merge(&h.stats);
-            breakdown.merge(&h.breakdown);
-            hits += h.row_hits;
-            accesses += h.row_accesses;
-            hop_sum += h.hop_sum;
-            events.extend(h.energy);
-            kernel.events_scheduled += h.kernel.events_scheduled;
-            kernel.events_processed += h.kernel.events_processed;
-            kernel.queue_peak = kernel.queue_peak.max(h.kernel.queue_peak);
-            kernel.arena_high_water = kernel.arena_high_water.max(h.kernel.arena_high_water);
-        }
-        kernel.steady_heap_allocs = steady_heap_allocs;
-        // Replay the serial energy fold: ascending (instant, controller).
-        // Same-key events are already in controller drain order within
-        // their shard, and each key lives on exactly one shard, so a
-        // stable sort reproduces the serial sequence — and therefore the
-        // serial f64 accumulation — exactly.
-        events.sort_by_key(|e| (e.at, e.ctrl));
-        let mut read_energy = self.read_energy;
-        let mut write_energy = self.write_energy;
-        for e in &events {
-            if e.is_write {
-                write_energy += e.energy;
-            } else {
-                read_energy += e.energy;
-            }
-        }
-        let delivered = stats.delivered.value().max(1);
-        PortObservation {
-            wall: self.last_response_at,
-            breakdown,
-            read_latency: self.read_latency,
-            energy: EnergyBreakdown {
-                network: EnergyPj::from_pj(
-                    stats.transport_energy_pj(self.transport_pj_per_bit_hop),
-                ),
-                read: read_energy,
-                write: write_energy,
-            },
-            reads: self.reads,
-            writes: self.writes,
-            row_hit_rate: if accesses == 0 {
-                0.0
-            } else {
-                hits as f64 / accesses as f64
-            },
-            avg_hops: hop_sum as f64 / delivered as f64,
-            kernel,
-            telemetry: None,
-        }
     }
 }
 

@@ -89,24 +89,6 @@ pub fn try_simulate_port(
         .seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(port) + 1));
     let trace = TraceGenerator::new(workload.profile(), space_bytes, seed);
-    if config.shards > 1 {
-        // Sharded execution is bit-identical or it declines: ineligible
-        // configurations and aborted runs fall back to the serial path,
-        // which is always authoritative. The trace is rebuilt from the
-        // same seed, so the fallback is identical. An aborted attempt's
-        // per-shard progress counters ride along into any stall the
-        // serial rerun then diagnoses, so a wedged sharded run is
-        // attributable without a third execution.
-        let shard_progress = match crate::shard::try_simulate_port_sharded(config, trace)? {
-            crate::shard::ShardAttempt::Done(obs) => return Ok(*obs),
-            crate::shard::ShardAttempt::Declined => Vec::new(),
-            crate::shard::ShardAttempt::Aborted { shard_progress } => shard_progress,
-        };
-        let trace = TraceGenerator::new(workload.profile(), space_bytes, seed);
-        return PortSim::try_new(config, trace)?
-            .run()
-            .map_err(|e| e.with_shard_progress(shard_progress));
-    }
     PortSim::try_new(config, trace)?.run()
 }
 

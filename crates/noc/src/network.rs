@@ -28,10 +28,8 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
-use mn_sim::shard::AbortFlag;
 use mn_sim::{ArenaRef, EventQueue, GenArena, KernelCounters, SimTime};
 use mn_topo::{NodeId, NodeKind, PathClass, RoutingTable, Topology};
 
@@ -40,7 +38,6 @@ use crate::config::{LinkDuplex, NocConfig};
 use crate::fault::{FaultModel, FaultStats};
 use crate::packet::{Packet, PacketId, VirtualChannel};
 use crate::pool::{self, NetworkStorage, StorageShape};
-use crate::shard::{CutMsg, CutReceiver, CutSender, PopLog};
 use crate::stats::NetStats;
 use crate::telem::{FlightEntry, NetTelem, NetTelemetry};
 
@@ -260,105 +257,6 @@ pub(crate) enum NetEvent {
     TryArb { node: NodeId },
 }
 
-/// One outgoing boundary link of a shard, for [`Network::attach_shard`]:
-/// the channel packets leave through and the receiver's pop log that
-/// feeds this side's occupancy mirror.
-#[derive(Debug)]
-pub struct OutBinding {
-    /// Sending node (owned by this shard).
-    pub node: NodeId,
-    /// Output-port index of the cut link at `node`.
-    pub port: usize,
-    /// Channel to the owning shard of the other endpoint.
-    pub tx: CutSender,
-    /// Pop log published by the receiving shard for the remote buffer.
-    pub pops: Arc<PopLog>,
-    /// Capacity of the remote input buffer, packets per VC.
-    pub capacity: usize,
-}
-
-/// One incoming boundary link of a shard, for [`Network::attach_shard`].
-#[derive(Debug)]
-pub struct InBinding {
-    /// Receiving node (owned by this shard).
-    pub node: NodeId,
-    /// Input-port index of the cut link at `node`.
-    pub port: usize,
-    /// Channel from the owning shard of the other endpoint.
-    pub rx: CutReceiver,
-    /// Pop log this shard publishes its consumption through.
-    pub pops: Arc<PopLog>,
-}
-
-/// Everything a [`Network`] needs to act as one shard of a partitioned
-/// run: the node range it owns, its boundary channels, and the shared
-/// abort flag. Built by the sharded driver from a
-/// [`crate::ShardPlan`].
-#[derive(Debug)]
-pub struct ShardBinding {
-    /// Nodes (by index) this shard owns.
-    pub range: Range<u32>,
-    /// Outgoing cuts.
-    pub outs: Vec<OutBinding>,
-    /// Incoming cuts.
-    pub ins: Vec<InBinding>,
-    /// Run-wide abort flag, raised on any protocol anomaly.
-    pub abort: AbortFlag,
-}
-
-/// An outgoing cut with the sender-side occupancy mirror: the remote
-/// buffer holds `sent − pops` packets per VC, where `pops` comes from the
-/// receiver's time-tagged log (so the mirror is evaluated *at this
-/// shard's instant*, never at the receiver's possibly-ahead clock).
-#[derive(Debug)]
-struct OutCut {
-    tx: CutSender,
-    pops: Arc<PopLog>,
-    /// Packets sent into the remote buffer so far, per VC.
-    sent: [u64; VC],
-    /// Pop count at the last log refresh, per VC. Stale values only
-    /// *over*-estimate occupancy (pops monotonically increase), so the
-    /// cached fast path can prove "has space" without touching the log.
-    seen_pops: [u64; VC],
-    /// Remote input-buffer capacity per VC.
-    cap: usize,
-}
-
-/// Sharded-execution state attached to a [`Network`] that owns one shard
-/// of a partitioned topology.
-#[derive(Debug)]
-struct ShardNetCtx {
-    /// Node indices this shard owns; everything outside is remote.
-    range: Range<u32>,
-    /// `(node, out_port) → outs index`, sorted for binary search.
-    out_lookup: Vec<((u32, u32), u32)>,
-    outs: Vec<OutCut>,
-    /// `(node, in_port) → ins index`, sorted for binary search.
-    in_lookup: Vec<((u32, u32), u32)>,
-    ins: Vec<(CutReceiver, Arc<PopLog>)>,
-    abort: AbortFlag,
-    /// Drain scratch for incoming cut messages.
-    msgs: Vec<CutMsg>,
-}
-
-impl ShardNetCtx {
-    fn out_index(&self, node: NodeId, port: usize) -> Option<usize> {
-        let key = (node.index() as u32, port as u32);
-        self.out_lookup
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| self.out_lookup[i].1 as usize)
-    }
-
-    fn in_index(&self, node: NodeId, port: usize) -> Option<usize> {
-        let key = (node.index() as u32, port as u32);
-        self.in_lookup
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| self.in_lookup[i].1 as usize)
-    }
-}
-
 /// The memory-network interconnect behind one host port.
 ///
 /// Drive it like the other components in this workspace: inject packets,
@@ -427,9 +325,6 @@ pub struct Network {
     scratch: Vec<Candidate>,
     /// Reusable same-instant event batch for [`Network::advance`].
     batch: Vec<NetEvent>,
-    /// Sharded-execution context; `None` on the serial path, where every
-    /// shard-aware branch below folds to its original form.
-    shard: Option<Box<ShardNetCtx>>,
     next_packet_id: u64,
     stats: NetStats,
     /// Fault injection state; `None` on the zero-fault path, which then
@@ -621,7 +516,6 @@ impl Network {
             head_mask,
             scratch,
             batch,
-            shard: None,
             next_packet_id: 0,
             stats,
             faults,
@@ -660,129 +554,6 @@ impl Network {
             scratch: self.scratch,
             batch: self.batch,
         });
-    }
-
-    /// Attaches sharded-execution state: after this call the network
-    /// treats the nodes outside `binding.range` as remote — packets
-    /// crossing a cut leave through the binding's channels, downstream
-    /// space on cut links is judged from the receiver-published pop logs,
-    /// and [`Network::drain_shard_inputs`] must be called to admit
-    /// incoming boundary packets before processing each instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a binding names a (node, port) that is not a boundary of
-    /// `range`.
-    pub fn attach_shard(&mut self, binding: ShardBinding) {
-        let ShardBinding {
-            range,
-            outs,
-            ins,
-            abort,
-        } = binding;
-        let mut out_lookup = Vec::with_capacity(outs.len());
-        let mut out_cuts = Vec::with_capacity(outs.len());
-        for (i, out) in outs.into_iter().enumerate() {
-            assert!(
-                range.contains(&(out.node.index() as u32)),
-                "out-cut sender {} is not owned by this shard",
-                out.node
-            );
-            let (neighbor, _) = self.topo.neighbors(out.node)[out.port];
-            assert!(
-                !range.contains(&(neighbor.index() as u32)),
-                "out-cut {}:{} does not cross the shard boundary",
-                out.node,
-                out.port
-            );
-            out_lookup.push(((out.node.index() as u32, out.port as u32), i as u32));
-            out_cuts.push(OutCut {
-                tx: out.tx,
-                pops: out.pops,
-                sent: [0; VC],
-                seen_pops: [0; VC],
-                cap: out.capacity,
-            });
-        }
-        out_lookup.sort_unstable();
-        let mut in_lookup = Vec::with_capacity(ins.len());
-        let mut in_cuts = Vec::with_capacity(ins.len());
-        for (i, cut) in ins.into_iter().enumerate() {
-            assert!(
-                range.contains(&(cut.node.index() as u32)),
-                "in-cut receiver {} is not owned by this shard",
-                cut.node
-            );
-            in_lookup.push(((cut.node.index() as u32, cut.port as u32), i as u32));
-            in_cuts.push((cut.rx, cut.pops));
-        }
-        in_lookup.sort_unstable();
-        self.shard = Some(Box::new(ShardNetCtx {
-            range,
-            out_lookup,
-            outs: out_cuts,
-            in_lookup,
-            ins: in_cuts,
-            abort,
-            msgs: Vec::with_capacity(64),
-        }));
-    }
-
-    /// Admits every queued boundary packet from the incoming cut
-    /// channels: each is placed in the network's packet arena, its
-    /// reservation taken on the destination input buffer, and its arrival
-    /// event scheduled at the instant and causal stamp it carried — i.e.
-    /// exactly where a single global event queue would have held it.
-    /// Returns the number admitted. No-op on serial networks.
-    ///
-    /// The sharded driver calls this after reading its upstream clocks
-    /// and before processing each instant; the conservative horizon
-    /// guarantees every message that could fire below it is already in
-    /// its channel by then.
-    pub fn drain_shard_inputs(&mut self) -> usize {
-        let Some(mut ctx) = self.shard.take() else {
-            return 0;
-        };
-        for (rx, _) in ctx.ins.iter() {
-            rx.drain_into(&mut ctx.msgs);
-        }
-        let n = ctx.msgs.len();
-        for msg in ctx.msgs.drain(..) {
-            debug_assert!(
-                ctx.range.contains(&(msg.node.index() as u32)),
-                "boundary packet addressed to a node this shard does not own"
-            );
-            let meta = self.meta[msg.node.index()];
-            let vc = msg.packet.kind.virtual_channel().index();
-            debug_assert!(
-                msg.arrive > self.events.now() || self.events.now() == SimTime::ZERO,
-                "boundary packet arrives at {} but shard already processed {}",
-                msg.arrive,
-                self.events.now()
-            );
-            let handle = self.packets.insert(msg.packet);
-            // The sender reserved space in this buffer on its own side of
-            // the cut (via the occupancy mirror); materialize that
-            // reservation here so local space accounting matches serial.
-            self.bufs[meta.buf_idx(msg.port, vc)].reserved += 1;
-            self.events.push_at(
-                msg.arrive,
-                msg.sent_at,
-                NetEvent::Arrive {
-                    node: msg.node,
-                    port: msg.port,
-                    packet: handle,
-                },
-            );
-        }
-        self.shard = Some(ctx);
-        n
-    }
-
-    /// True when sharded execution is attached and some shard has raised
-    /// the run-wide abort flag.
-    pub fn shard_aborted(&self) -> bool {
-        self.shard.as_ref().is_some_and(|ctx| ctx.abort.is_raised())
     }
 
     /// The routing table the network forwards with.
@@ -842,12 +613,9 @@ impl Network {
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
         packet.assign_id(id, now);
-        // Stamp subsequent pushes with the injection instant. The clock
-        // is monotone across a run (drivers inject at their current
-        // time), so the refined (time, push, seq) pop order stays
-        // identical to the classic (time, seq) order — see
-        // `mn_sim::EventQueue` — while giving boundary messages from other
-        // shards a causal stamp to sort against.
+        // Callers inject at their current instant, so the queue clock
+        // follows it: the arbitration pushed below takes the queue's
+        // same-instant lane (see `mn_sim::EventQueue`).
         self.events.set_clock(now);
         let meta = self.meta[node.index()];
         let port = meta.ext_ports as usize + local_port;
@@ -906,8 +674,8 @@ impl Network {
                 .events
                 .pop_batch_into(&mut batch)
                 .expect("peeked non-empty");
-            // Pushes from the handlers below are stamped with the instant
-            // being processed (see the ordering note in `inject`).
+            // The handlers below push at `t` or later (see the clock note
+            // in `inject`).
             self.events.set_clock(t);
             for event in batch.drain(..) {
                 if self.telem.tracing() {
@@ -1171,7 +939,7 @@ impl Network {
                 self.ready_pending[n] = true;
                 ready.push(node);
             }
-            self.wake_upstream(node, port, vc, now);
+            self.wake_upstream(node, port, now);
         }
         candidates.clear();
         self.scratch = candidates;
@@ -1205,13 +973,6 @@ impl Network {
         let meta = self.meta[node.index()];
         let neighbor_meta = self.meta[neighbor.index()];
         let out_arb = meta.arb_idx(out_port);
-        // Sharded runs send across a cut when this output's neighbor is
-        // remote; downstream space is then judged from the occupancy
-        // mirror instead of the (unowned) neighbor buffer.
-        let cut = self
-            .shard
-            .as_ref()
-            .and_then(|ctx| ctx.out_index(node, out_port));
 
         let mut candidates = std::mem::take(&mut self.scratch);
         let mut selection: Option<(usize, usize)> = None; // (input port, vc)
@@ -1220,14 +981,8 @@ impl Network {
             // ascending port order; a head that arrived on this very link
             // never turns back through it.
             let mut mask = self.head_mask[meta.mask_idx(out_port, vc.index())] & !(1 << out_port);
-            // Candidates need downstream buffer space on their VC. For a
-            // local neighbor that is one flag read; for a cut the check
-            // can raise the run-wide abort, so it is deferred until a
-            // candidate actually wants the space (`weigh` is pure, so the
-            // extra work is invisible).
-            if mask == 0
-                || cut.is_none()
-                    && !self.bufs[neighbor_meta.buf_idx(neighbor_port, vc.index())].has_space()
+            // Candidates need downstream buffer space on their VC.
+            if mask == 0 || !self.bufs[neighbor_meta.buf_idx(neighbor_port, vc.index())].has_space()
             {
                 continue;
             }
@@ -1244,16 +999,6 @@ impl Network {
                     weight: self.arbiters[out_arb].weigh(head),
                 });
             }
-            if let Some(c) = cut {
-                if !self.cut_has_space(c, vc.index(), now) {
-                    // No space in the mirror. Serial would retry this
-                    // candidate via a cross-boundary wake when the remote
-                    // buffer frees — a wake this shard cannot receive — so
-                    // `cut_has_space` has raised the abort flag and the
-                    // run will be redone serially.
-                    continue;
-                }
-            }
             self.stats.arbitration_rounds.incr();
             let i = self.arbiters[out_arb].pick(&candidates);
             selection = Some((candidates[i].input_port, vc.index()));
@@ -1267,16 +1012,7 @@ impl Network {
 
         let handle = self.pop_head(node, out_port, in_port, vc);
         let departed_depth = self.bufs[meta.buf_idx(in_port, vc)].queue.len() + 1;
-        match cut {
-            // The receiving shard materializes the reservation when it
-            // drains the boundary channel; the occupancy mirror carries
-            // it on this side until then.
-            Some(c) => {
-                let ctx = self.shard.as_mut().expect("cut implies shard ctx");
-                ctx.outs[c].sent[vc] += 1;
-            }
-            None => self.bufs[neighbor_meta.buf_idx(neighbor_port, vc)].reserved += 1,
-        }
+        self.bufs[neighbor_meta.buf_idx(neighbor_port, vc)].reserved += 1;
 
         let moved = self
             .packets
@@ -1309,81 +1045,29 @@ impl Network {
         self.link_free_at[link.index()][dir] = free_at;
         self.stats.link_busy[link.index() * 2 + dir] += ser;
 
-        match cut {
-            Some(c) => {
-                // The packet leaves this shard: hand it (with its arrival
-                // instant and causal stamp) to the owning shard, which
-                // re-creates the Arrive event in its own queue. A full
-                // channel is a protocol anomaly — abort, never block.
-                let packet = self.packets.remove(handle);
-                let ctx = self.shard.as_mut().expect("cut implies shard ctx");
-                let msg = CutMsg {
-                    arrive: free_at + timing.fixed_latency,
-                    sent_at: now,
-                    node: neighbor,
-                    port: neighbor_port,
-                    packet,
-                };
-                if ctx.outs[c].tx.send(msg).is_err() {
-                    ctx.abort.raise();
-                }
-            }
-            None => self.events.push(
-                free_at + timing.fixed_latency,
-                NetEvent::Arrive {
-                    node: neighbor,
-                    port: neighbor_port,
-                    packet: handle,
-                },
-            ),
-        }
+        self.events.push(
+            free_at + timing.fixed_latency,
+            NetEvent::Arrive {
+                node: neighbor,
+                port: neighbor_port,
+                packet: handle,
+            },
+        );
         // Try to use the link again the moment it frees — from both ends
-        // when the channel is shared. (Sharded runs are full-duplex only,
-        // so the neighbor-side wake never needs to cross a cut.)
+        // when the channel is shared.
         self.request_arb(node, free_at);
         if self.config.duplex == LinkDuplex::Half {
             self.request_arb(neighbor, free_at);
         }
-        self.wake_upstream(node, in_port, vc, now);
-    }
-
-    /// Conservative space check for an outgoing cut: the remote buffer's
-    /// occupancy mirror is `sent − pops-through(now)`. The cached pop
-    /// count is refreshed from the receiver's log only when the cached
-    /// mirror looks full — a stale count only over-estimates occupancy,
-    /// so a cached "< capacity" is already definitive. A *fresh* mirror
-    /// at capacity raises the run-wide abort: the wake that would retry
-    /// this send fires on the receiving shard and cannot be delivered
-    /// back at the correct instant.
-    fn cut_has_space(&mut self, cut: usize, vc: usize, now: SimTime) -> bool {
-        let ctx = self.shard.as_mut().expect("cut implies shard ctx");
-        let out = &mut ctx.outs[cut];
-        if ((out.sent[vc] - out.seen_pops[vc]) as usize) < out.cap {
-            return true;
-        }
-        out.seen_pops[vc] = out.pops.through(vc, now);
-        if ((out.sent[vc] - out.seen_pops[vc]) as usize) < out.cap {
-            true
-        } else {
-            ctx.abort.raise();
-            false
-        }
+        self.wake_upstream(node, in_port, now);
     }
 
     /// Freed a slot in `node`'s input buffer at `port`: wake whoever feeds
-    /// that buffer so they can arbitrate for the space. When the feeder is
-    /// a remote shard, the wake becomes a pop-log entry instead: the
-    /// sender's occupancy mirror observes it (time-tagged with this
-    /// instant) and the sender re-arbitrates on its own schedule.
-    fn wake_upstream(&mut self, node: NodeId, port: usize, vc: usize, now: SimTime) {
+    /// that buffer so they can arbitrate for the space.
+    fn wake_upstream(&mut self, node: NodeId, port: usize, now: SimTime) {
         if port < self.meta[node.index()].ext_ports as usize {
-            if let Some(i) = self.shard.as_ref().and_then(|ctx| ctx.in_index(node, port)) {
-                let ctx = self.shard.as_ref().expect("in-cut implies shard ctx");
-                ctx.ins[i].1.record(vc, now);
-            } else {
-                let (upstream, _) = self.topo.neighbors(node)[port];
-                self.request_arb(upstream, now);
-            }
+            let (upstream, _) = self.topo.neighbors(node)[port];
+            self.request_arb(upstream, now);
         }
         // Local ports are fed by the host core / cube logic, which polls
         // `can_inject` — nothing to wake inside the network.

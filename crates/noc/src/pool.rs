@@ -1,6 +1,6 @@
 //! Thread-local construction pooling for [`crate::Network`] storage.
 //!
-//! Campaigns and sharded runs construct thousands of short-lived networks
+//! Campaigns construct thousands of short-lived networks
 //! over a handful of topology shapes. Construction cost is dominated by
 //! the struct-of-arrays router state — hundreds of pre-sized `VecDeque`
 //! input buffers plus the packet arena — so a finished network can donate
@@ -99,7 +99,7 @@ impl NetworkStorage {
 }
 
 /// Storages retained per thread. Small: a campaign thread works one shape
-/// at a time, and a sharded run donates at most one storage per shard.
+/// at a time.
 const POOL_LIMIT: usize = 8;
 
 thread_local! {

@@ -12,31 +12,27 @@
 //!
 //! ## The pop order
 //!
-//! The pop order is **exactly** `(time, push instant, insertion
-//! sequence)`. Each entry is stamped with the queue's
-//! [`EventQueue::set_clock`] value at push time (the simulation instant
-//! that *caused* the push). For a single-queue simulation the clock is
-//! nondecreasing across pushes, so the refined key orders identically to
-//! the classic `(time, insertion sequence)` a binary heap with an
-//! explicit sequence tie-break produces — which is what pins the
-//! workspace's bit-reproducible results. The extra component exists for
-//! sharded execution: a shard draining boundary messages inserts them
-//! with [`EventQueue::push_at`] carrying the *sender's* causal instant,
-//! which slots them exactly where the single global queue would have
-//! held them. Two mechanisms guarantee the order (see `DESIGN.md` §5.3):
+//! The pop order is **exactly** `(time, insertion sequence)`, the order a
+//! binary heap with an explicit sequence tie-break produces — which is
+//! what pins the workspace's bit-reproducible results. The queue never
+//! stores the sequence number. Two mechanisms keep the order instead (see
+//! `DESIGN.md` §5.3), both resting on the queue clock
+//! ([`EventQueue::set_clock`]): the instant the simulation is
+//! processing. The clock never moves backwards, and no push is due
+//! before it.
 //!
 //! 1. **Stable insertion into `pending`.** `pending` is descending by
-//!    `(time, push instant)`, and a push lands before (at a lower index
-//!    than) every entry whose key is ≤ its own, so it pops after them.
-//!    Its sequence number is the largest yet issued, so among equal keys
-//!    push order — the sequence order — survives.
-//! 2. **The same-instant lane.** A push with `time == push` due no later
-//!    than the clock, key `(t, t, seq)`, goes to the lane instead. The
-//!    clock is monotone, so appends keep the lane sorted by `(time,
-//!    seq)`. Every `pending` entry at `t` has `push < t` or was pushed
-//!    before the clock reached `t`, so at a tied time `pending` pops
-//!    first and the lane second; `pop` and `pop_batch_into` merge the
-//!    two fronts by that rule.
+//!    time, and a push lands before (at a lower index than) every entry
+//!    due no later than it, so it pops after them. Its sequence number
+//!    is the largest yet issued, so among equal times push order — the
+//!    sequence order — survives.
+//! 2. **The same-instant lane.** A push due exactly at the clock goes to
+//!    the lane instead. The clock is monotone, so appends keep the lane
+//!    sorted by `(time, seq)`. Every `pending` entry at `t` was pushed
+//!    while the clock was still before `t`, so it precedes every lane
+//!    entry at `t` in sequence order: at a tied time `pending` pops
+//!    first and the lane second; `pop` and `pop_batch_into` merge the two
+//!    fronts by that rule.
 //!
 //! The [`Scheduled`] wrapper (with the heap's inverted ordering) remains
 //! available for reference implementations and differential tests.
@@ -58,8 +54,8 @@ const NEAR: usize = 16;
 /// tie-breaking is essential for reproducible simulations.
 ///
 /// [`EventQueue`] no longer stores these; a max-heap of `Scheduled`
-/// pops the same sequence as a queue whose clock never moves, which makes
-/// it the reference ordering for differential tests.
+/// pops the same sequence, which makes it the reference ordering for
+/// differential tests.
 #[derive(Debug, Clone)]
 pub struct Scheduled<E> {
     /// When the event fires.
@@ -101,32 +97,13 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    time: SimTime,
-    /// The causal instant of the push (the queue clock, or the sender's
-    /// instant for [`EventQueue::push_at`]); the second ordering key.
-    /// The final tie-break — insertion sequence — is implicit: inserts
-    /// are stable, so push order survives.
-    push: SimTime,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, SimTime) {
-        (self.time, self.push)
-    }
-}
-
-/// A time-ordered queue of simulation events with `(time, push-instant,
-/// insertion-seq)` pop order. With the clock left at its
-/// [`SimTime::ZERO`] default the order is the classic `(time,
-/// insertion-seq)`.
+/// A time-ordered queue of simulation events with `(time,
+/// insertion-seq)` pop order.
 ///
 /// Events popped from the queue are monotonically non-decreasing in time.
-/// Scheduling an event earlier than the last popped event is a logic error
-/// in the caller and is caught by a debug assertion in [`EventQueue::push`].
+/// Scheduling an event earlier than the last popped event or the queue
+/// clock is a logic error in the caller and is caught by a debug
+/// assertion in [`EventQueue::push`].
 ///
 /// # Example
 ///
@@ -143,16 +120,16 @@ impl<E> Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Every entry not on the lane, descending by `(time, push)` with
-    /// equal keys in reverse push order, so the next to pop is last
-    /// (ordering mechanism 1 in the module docs).
-    pending: Vec<Entry<E>>,
-    /// The same-instant lane: entries keyed `(t, t, seq)`, sorted by time
-    /// and then push order (ordering mechanism 2 in the module docs).
+    /// Every entry not on the lane, descending by time with equal times
+    /// in reverse push order, so the next to pop is last (ordering
+    /// mechanism 1 in the module docs).
+    pending: Vec<(SimTime, E)>,
+    /// The same-instant lane: entries pushed due at the clock, sorted by
+    /// time and then push order (ordering mechanism 2 in the module docs).
     lane: VecDeque<(SimTime, E)>,
-    /// The causal instant stamped onto [`EventQueue::push`]es; advanced by
+    /// The instant the simulation is processing; advanced by
     /// [`EventQueue::set_clock`]. Stays [`SimTime::ZERO`] for callers that
-    /// never set it, collapsing the refined key back to `(time, seq)`.
+    /// never set it, so only pushes due at zero take the lane.
     clock: SimTime,
     /// The earliest pending instant: the earlier of the two fronts.
     head: Option<SimTime>,
@@ -192,12 +169,10 @@ impl<E> EventQueue<E> {
         EventQueue::with_capacity(capacity)
     }
 
-    /// Advances the queue clock: the causal instant stamped onto every
-    /// subsequent [`EventQueue::push`] as the second ordering key.
-    /// Simulation drivers call this with the instant they are currently
-    /// processing; the clock must never move backwards. For callers that
-    /// never do, the clock stays zero and the pop order is the classic
-    /// `(time, seq)`.
+    /// Advances the queue clock to the instant the simulation is processing.
+    /// A push due exactly at the clock takes the same-instant lane. The
+    /// clock must never move backwards, and no later push may be due
+    /// before it. Callers that never set it leave it at zero.
     pub fn set_clock(&mut self, clock: SimTime) {
         debug_assert!(
             clock >= self.clock,
@@ -212,66 +187,41 @@ impl<E> EventQueue<E> {
         self.clock
     }
 
-    /// Schedules `event` to fire at `time`, stamped with the current queue
-    /// clock.
+    /// Schedules `event` to fire at `time`. A push due at the queue clock
+    /// appends to the same-instant lane; every other push goes to
+    /// `pending`.
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if `time` is earlier than the time of the most
-    /// recently popped event (scheduling into the past).
+    /// In debug builds, panics if `time` is earlier than the time of the
+    /// most recently popped event (scheduling into the past) or than the
+    /// queue clock.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let push = self.clock;
-        self.push_at(time, push, event);
-    }
-
-    /// Schedules `event` at `time` with an explicit causal instant `push`
-    /// instead of the queue clock. Sharded execution drains boundary
-    /// messages with the *sender's* instant so they sort exactly where a
-    /// single global queue would have held them; same-key entries keep
-    /// their insertion order. An entry with `push == time` due no later
-    /// than the clock takes the same-instant lane; every other entry
-    /// goes to `pending`.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `time` is earlier than the most recently
-    /// popped instant, or if `push > time` (an event cannot be caused
-    /// after it fires).
-    pub fn push_at(&mut self, time: SimTime, push: SimTime, event: E) {
         debug_assert!(
             time >= self.now,
             "scheduled event at {time} into the past (now = {})",
             self.now
         );
         debug_assert!(
-            push <= time,
-            "push instant {push} is after the firing time {time}"
+            time >= self.clock,
+            "scheduled event at {time} before the queue clock {}",
+            self.clock
         );
         self.pushed += 1;
-        if push == time && time <= self.clock {
-            // Key (t, t, seq): the lane. With `time == clock` — every
-            // same-instant `push` — the entry is the newest at the lane's
-            // latest time and appends. The insert serves only a `push_at`
-            // for an instant the clock has already passed.
-            if self.lane.back().is_none_or(|&(last, _)| last <= time) {
-                self.lane.push_back((time, event));
-            } else {
-                let pos = self.lane.partition_point(|&(lt, _)| lt <= time);
-                self.lane.insert(pos, (time, event));
-            }
+        if time == self.clock {
+            // The newest entry at the lane's latest time.
+            self.lane.push_back((time, event));
         } else {
-            // The newest push pops after every entry with key ≤ its own —
-            // exactly the (time, push, seq) position. It usually lands
+            // The newest push pops after every entry due no later than
+            // it — exactly the (time, seq) position. It usually lands
             // among the latest entries, so those are scanned first (see
             // `NEAR`).
-            let entry = Entry { time, push, event };
-            let key = entry.key();
             let near = self.pending.len().min(NEAR);
-            let pos = match self.pending[..near].iter().position(|e| e.key() <= key) {
+            let pos = match self.pending[..near].iter().position(|&(t, _)| t <= time) {
                 Some(pos) => pos,
-                None => near + self.pending[near..].partition_point(|e| e.key() > key),
+                None => near + self.pending[near..].partition_point(|&(t, _)| t > time),
             };
-            self.pending.insert(pos, entry);
+            self.pending.insert(pos, (time, event));
         }
         self.peak = self.peak.max(self.len());
         if self.head.is_none_or(|head| time < head) {
@@ -283,7 +233,7 @@ impl<E> EventQueue<E> {
     #[inline]
     fn refresh_head(&mut self) {
         let lane = self.lane.front().map(|&(t, _)| t);
-        self.head = match (self.pending.last().map(|e| e.time), lane) {
+        self.head = match (self.pending.last().map(|&(t, _)| t), lane) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -293,8 +243,8 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let t = self.head?;
         // At a tied time `pending` goes first.
-        let event = if self.pending.last().is_some_and(|e| e.time == t) {
-            self.pending.pop().expect("checked non-empty").event
+        let event = if self.pending.last().is_some_and(|&(pt, _)| pt == t) {
+            self.pending.pop().expect("checked non-empty").1
         } else {
             self.lane.pop_front().expect("the head is on the lane").1
         };
@@ -312,9 +262,9 @@ impl<E> EventQueue<E> {
     pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<(SimTime, usize)> {
         let t = self.head?;
         let start = out.len();
-        while self.pending.last().is_some_and(|e| e.time == t) {
-            let entry = self.pending.pop().expect("checked non-empty");
-            out.push(entry.event);
+        while self.pending.last().is_some_and(|&(pt, _)| pt == t) {
+            let (_, event) = self.pending.pop().expect("checked non-empty");
+            out.push(event);
         }
         while self.lane.front().is_some_and(|&(lt, _)| lt == t) {
             let (_, event) = self.lane.pop_front().expect("checked non-empty");
@@ -432,6 +382,15 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_ns(10), ());
         q.pop();
+        q.push(SimTime::from_ns(5), ());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the queue clock")]
+    fn scheduling_before_clock_panics_in_debug() {
+        let mut q = EventQueue::new();
+        q.set_clock(SimTime::from_ns(10));
         q.push(SimTime::from_ns(5), ());
     }
 

@@ -252,42 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn push_at_orders_by_causal_instant_within_a_tie() {
-        // Local pushes at clock 10 ns; a boundary message caused at 5 ns
-        // arriving at the same instant must pop *before* them — exactly
-        // where the single global queue would have held it.
-        let t = SimTime::from_ns(20);
-        let mut q = LadderQueue::new();
-        q.set_clock(SimTime::from_ns(10));
-        q.push(t, "local-1");
-        q.push(t, "local-2");
-        q.push_at(t, SimTime::from_ns(5), "remote-early");
-        q.push_at(t, SimTime::from_ns(10), "remote-tied");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        // Equal (time, push) keys keep insertion order: the tied remote
-        // lands after both locals pushed at the same clock.
-        assert_eq!(order, ["remote-early", "local-1", "local-2", "remote-tied"]);
-    }
-
-    #[test]
-    fn push_at_ordering_survives_activation_sort() {
-        // Same-key stability through a mid-queue insert: 'a' has the
-        // smaller key and lands before 'b'; 'c' ties 'b' and follows.
-        let mut q = LadderQueue::with_capacity(8);
-        q.push(SimTime::from_ps(1), "head");
-        let t = SimTime::from_ps(1000);
-        q.push_at(t, SimTime::from_ps(700), "b");
-        q.push_at(t, SimTime::from_ps(300), "a");
-        q.push_at(t, SimTime::from_ps(700), "c");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ["head", "a", "b", "c"]);
-    }
-
-    #[test]
     fn lane_entries_follow_bucket_entries_at_the_same_instant() {
-        // At 10 ns: 'early' was caused at 5 ns and sits in `pending`; the
-        // clocked pushes at 10 ns take the lane and pop after it, in
-        // push order, in one batch that also counts both.
+        // At 10 ns: 'early' was pushed with the clock at 5 ns and sits in
+        // `pending`; the pushes due at the 10 ns clock take the lane and
+        // pop after it, in push order, in one batch that also counts both.
         let t = SimTime::from_ns(10);
         let mut q = LadderQueue::new();
         q.set_clock(SimTime::from_ns(5));
@@ -308,8 +276,8 @@ mod tests {
 
     #[test]
     fn clock_defaults_keep_classic_fifo_order() {
-        // Callers that never touch the clock see the old (time, seq)
-        // behavior bit for bit.
+        // Callers that never touch the clock see the same (time, seq)
+        // order.
         let mut q = LadderQueue::new();
         assert_eq!(q.clock(), SimTime::ZERO);
         for i in 0..10 {
@@ -318,13 +286,5 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.pop().unwrap().1, i);
         }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "after the firing time")]
-    fn push_after_fire_time_panics_in_debug() {
-        let mut q = LadderQueue::new();
-        q.push_at(SimTime::from_ns(1), SimTime::from_ns(2), ());
     }
 }

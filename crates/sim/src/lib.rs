@@ -40,7 +40,6 @@ pub mod counters;
 mod event;
 pub mod ladder;
 mod rng;
-pub mod shard;
 mod slab;
 mod stats;
 mod time;

@@ -288,12 +288,16 @@ impl Histogram {
     }
 
     /// Rebuilds a histogram from [`Histogram::bucket_counts`] output;
-    /// shorter slices are zero-padded to 64 buckets.
-    pub fn from_bucket_counts(counts: &[u64]) -> Histogram {
+    /// shorter slices are zero-padded to 64 buckets. `None` when there
+    /// are more than 64 counts or their total overflows a `u64`.
+    pub fn from_bucket_counts(counts: &[u64]) -> Option<Histogram> {
+        if counts.len() > 64 {
+            return None;
+        }
+        let total = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c))?;
         let mut buckets = vec![0; 64];
-        buckets[..counts.len().min(64)].copy_from_slice(&counts[..counts.len().min(64)]);
-        let total = buckets.iter().sum();
-        Histogram { buckets, total }
+        buckets[..counts.len()].copy_from_slice(counts);
+        Some(Histogram { buckets, total })
     }
 
     /// An approximate quantile: the lower bound of the bucket containing the

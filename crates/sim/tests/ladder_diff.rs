@@ -1,5 +1,5 @@
-//! Differential property test: the event queue against binary-heap
-//! references, driven with identical randomized push/pop schedules.
+//! Differential property test: the event queue against a binary-heap
+//! reference, driven with identical randomized push/pop schedules.
 //!
 //! The first reference is the exact structure `EventQueue` used before
 //! kernel v3 — a max-heap of [`Scheduled`] entries whose inverted
@@ -10,16 +10,13 @@
 //! the bucket and window boundaries of the ladder queue the kernel used
 //! before, where its corner cases sat.
 //!
-//! A second reference keys the heap `(time, push instant, seq)`, the
-//! order a clocked queue promises. It checks the same-instant lane: a
-//! driver that sets the clock to every popped instant, as the network
-//! does, sends each push at `time == clock` down the lane. A deep case
-//! holds over a thousand events pushed out of order, so pushes that land
-//! beyond the latest few entries binary-search their slot, and lane
-//! pushes for instants the clock has passed insert mid-lane, as a shard
-//! draining boundary messages does.
+//! Clocked schedules check the same-instant lane against the same
+//! reference: a caller that sets the clock to every popped instant, as
+//! the network does, sends each push at `time == clock` down the lane.
+//! A deep case holds over a thousand events pushed out of order, so
+//! pushes that land beyond the latest few entries binary-search their
+//! slot.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mn_sim::{EventQueue, Scheduled, SimRng, SimTime};
@@ -54,6 +51,16 @@ impl HeapQueue {
 
     fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
+    }
+
+    /// Every event at the earliest instant, in pop order.
+    fn pop_batch(&mut self) -> Option<(SimTime, Vec<u32>)> {
+        let t = self.peek_time()?;
+        let mut events = Vec::new();
+        while self.peek_time() == Some(t) {
+            events.push(self.pop().expect("peeked").1);
+        }
+        Some((t, events))
     }
 }
 
@@ -181,52 +188,14 @@ fn ladder_matches_reference_on_pure_same_instant_bursts() {
     }
 }
 
-/// The `(time, push instant, seq)` reference for a clocked queue.
-#[derive(Default)]
-struct CausalHeap {
-    heap: BinaryHeap<Reverse<(SimTime, SimTime, u64, u32)>>,
-    next_seq: u64,
-    peak: usize,
-    popped: u64,
-}
-
-impl CausalHeap {
-    fn push_at(&mut self, time: SimTime, push: SimTime, event: u32) {
-        self.heap.push(Reverse((time, push, self.next_seq, event)));
-        self.next_seq += 1;
-        self.peak = self.peak.max(self.heap.len());
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u32)> {
-        let Reverse((time, _, _, event)) = self.heap.pop()?;
-        self.popped += 1;
-        Some((time, event))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((time, ..))| *time)
-    }
-
-    /// Every event at the earliest instant, in pop order.
-    fn pop_batch(&mut self) -> Option<(SimTime, Vec<u32>)> {
-        let t = self.peek_time()?;
-        let mut events = Vec::new();
-        while self.peek_time() == Some(t) {
-            events.push(self.pop().expect("peeked").1);
-        }
-        Some((t, events))
-    }
-}
-
 /// Drives both queues with one clocked schedule: the clock follows every
 /// popped instant and sometimes jumps ahead (a driver injecting at a
-/// later instant), pushes mix `time == clock` (the lane), future times,
-/// and `push_at` with an earlier causal instant, some of them due exactly
-/// at the clock or at an instant the clock has already passed.
+/// later instant), and pushes mix `time == clock` (the lane) with future
+/// times.
 fn run_clocked_schedule(seed: u64, ops: usize) {
     let mut rng = SimRng::seed_from(seed);
     let mut queue: EventQueue<u32> = EventQueue::with_capacity(16);
-    let mut reference = CausalHeap::default();
+    let mut reference = HeapQueue::default();
     let mut clock = 0u64;
     let mut now = 0u64;
     let mut tag = 0u32;
@@ -237,28 +206,13 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
             // Push bursts: the lane's share dominates, as in a network.
             0..=9 => {
                 for _ in 0..1 + rng.geometric(0.4, 8) {
-                    let (time, push) = match rng.below(10) {
-                        0..=4 => (clock, clock),
-                        5..=6 => (clock + draw_offset(&mut rng, &[]), clock),
-                        _ => {
-                            // A causal instant at or before the clock; the
-                            // event is never due before the last pop.
-                            let push = rng.below(clock + 1);
-                            let time = match rng.below(4) {
-                                0 if push >= now => push,
-                                1 => clock,
-                                _ => push.max(now) + rng.below(4 * BUCKET_PS),
-                            };
-                            (time, push)
-                        }
-                    };
-                    let (time, push) = (SimTime::from_ps(time), SimTime::from_ps(push));
-                    if push == SimTime::from_ps(clock) {
-                        queue.push(time, tag);
-                    } else {
-                        queue.push_at(time, push, tag);
-                    }
-                    reference.push_at(time, push, tag);
+                    let time = SimTime::from_ps(match rng.below(10) {
+                        0..=4 => clock,
+                        5..=6 => clock + draw_offset(&mut rng, &[]),
+                        _ => clock + rng.below(4 * BUCKET_PS),
+                    });
+                    queue.push(time, tag);
+                    reference.push(time, tag);
                     tag += 1;
                 }
             }
@@ -337,47 +291,33 @@ fn lane_matches_causal_reference_on_long_schedules() {
 }
 
 /// One push of the deep schedule into both queues, tagged with its
-/// sequence number. A quarter go to the lane at an instant between the
-/// last pop and the clock. The rest go to `pending`, caused at one of
-/// eight instants up to the clock and due on one of 64 bucket-width
-/// steps after the last pop, so many share a `(time, push)` key.
-fn push_deep(
-    queue: &mut EventQueue<u32>,
-    reference: &mut CausalHeap,
-    rng: &mut SimRng,
-    now: u64,
-    clock: u64,
-) {
-    let (time, push) = if rng.below(4) == 0 {
-        let t = now + rng.below(clock - now + 1);
-        (t, t)
+/// sequence number. A quarter go to the lane at the clock. The rest go
+/// to `pending`, due on one of 64 bucket-width steps after the clock, so
+/// many share a time.
+fn push_deep(queue: &mut EventQueue<u32>, reference: &mut HeapQueue, rng: &mut SimRng, clock: u64) {
+    let time = if rng.below(4) == 0 {
+        clock
     } else {
-        let push = clock.saturating_sub(rng.below(8) * BUCKET_PS);
-        let due = push.max(now).next_multiple_of(BUCKET_PS);
-        (due + rng.below(64) * BUCKET_PS, push)
+        clock.next_multiple_of(BUCKET_PS) + (1 + rng.below(64)) * BUCKET_PS
     };
-    let (time, push) = (SimTime::from_ps(time), SimTime::from_ps(push));
+    let time = SimTime::from_ps(time);
     let tag = reference.next_seq as u32;
-    queue.push_at(time, push, tag);
-    reference.push_at(time, push, tag);
+    queue.push(time, tag);
+    reference.push(time, tag);
 }
 
 /// Holds over a thousand events pushed out of order, then drains them
-/// while pushing more. Pending pushes carry random times and causal
-/// instants, so most of them binary-search a slot deep in the queue.
-/// Lane pushes `push_at(t, t)` for instants the clock has passed arrive
-/// out of order too, so they insert mid-lane — the shard drain path for
-/// boundary messages.
+/// while pushing more. Pending pushes carry random times, so most of
+/// them binary-search a slot deep in the queue.
 fn run_deep_schedule(seed: u64, depth: usize) {
     let mut rng = SimRng::seed_from(seed);
     let mut queue: EventQueue<u32> = EventQueue::new();
-    let mut reference = CausalHeap::default();
-    let mut now = 0u64;
+    let mut reference = HeapQueue::default();
     let mut clock = 4 * WINDOW_PS;
     queue.set_clock(SimTime::from_ps(clock));
 
     for _ in 0..depth {
-        push_deep(&mut queue, &mut reference, &mut rng, now, clock);
+        push_deep(&mut queue, &mut reference, &mut rng, clock);
         assert_eq!(queue.len(), reference.heap.len(), "len (seed {seed})");
     }
     assert!(queue.len() >= depth);
@@ -385,7 +325,7 @@ fn run_deep_schedule(seed: u64, depth: usize) {
     let mut step = 0;
     while !queue.is_empty() {
         step += 1;
-        if step % 3 == 0 {
+        let now = if step % 3 == 0 {
             batch.clear();
             let l = queue.pop_batch_into(&mut batch);
             let r = reference.pop_batch();
@@ -394,7 +334,7 @@ fn run_deep_schedule(seed: u64, depth: usize) {
                 r.map(|(t, events)| (t, events.clone(), events.len())),
                 "batch diverged (seed {seed}, step {step})"
             );
-            now = l.expect("non-empty").0.as_ps();
+            l.expect("non-empty").0.as_ps()
         } else {
             let l = queue.pop();
             assert_eq!(
@@ -402,15 +342,15 @@ fn run_deep_schedule(seed: u64, depth: usize) {
                 reference.pop(),
                 "pop diverged (seed {seed}, step {step})"
             );
-            now = l.expect("non-empty").0.as_ps();
-        }
+            l.expect("non-empty").0.as_ps()
+        };
         if now > clock {
             clock = now;
             queue.set_clock(SimTime::from_ps(clock));
         }
         // Keep refilling for the first half of the drain.
         if step < depth / 2 {
-            push_deep(&mut queue, &mut reference, &mut rng, now, clock);
+            push_deep(&mut queue, &mut reference, &mut rng, clock);
         }
         assert_eq!(
             queue.len(),

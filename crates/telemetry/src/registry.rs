@@ -2,7 +2,7 @@
 //!
 //! PR 5 instrumented the *simulation kernel*; this module instruments the
 //! *service stack around it* (work-stealing engine, two-tier cache,
-//! coalescing, journal, retries, shard coordination). Three primitives:
+//! coalescing, journal, retries). Three primitives:
 //!
 //! - [`Counter`] — a monotonic `AtomicU64`. The default [`Counter::add`]
 //!   is gated on [`metrics_enabled`] (an `#[inline]` early return, the
@@ -354,10 +354,6 @@ global_metrics! {
             "Torn trailing journal lines truncated away on open.";
         journal_replayed_points => "mn_journal_replayed_points_total",
             "Completed points restored from a journal instead of rerun.";
-        shard_horizon_waits => "mn_shard_horizon_waits_total",
-            "Shard driver iterations spent waiting at the conservative horizon.";
-        shard_aborts => "mn_shard_aborts_total",
-            "Sharded attempts aborted back to the serial path.";
         campaign_runs => "mn_campaign_runs_total",
             "Campaign submissions run to completion in this process.";
         campaign_points => "mn_campaign_points_total",
@@ -380,8 +376,6 @@ global_metrics! {
             "Microseconds from owning claim to settle, per owned point.";
         cache_gc_reclaimed_bytes => "mn_cache_gc_reclaimed_bytes",
             "Bytes reclaimed per cache eviction pass.";
-        shard_boundary_occupancy => "mn_shard_boundary_occupancy",
-            "Packets drained per boundary-channel visit between shards.";
         point_resolve_latency_us => "mn_point_resolve_latency_us",
             "Microseconds from point dispatch to resolution (any source).";
     }
