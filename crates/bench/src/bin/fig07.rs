@@ -5,21 +5,10 @@
 //! baseline; the all-NVM point varies most by workload and is weakest for
 //! low-contention workloads (NW).
 
-use mn_bench::{config_for, print_speedup_table, Harness};
-use mn_core::mix_grid;
-use mn_topo::TopologyKind;
-use mn_workloads::Workload;
+use mn_bench::{fig07_report, Harness};
 
 fn main() {
     let mut harness = Harness::new();
-    let configs: Vec<_> = mix_grid()
-        .into_iter()
-        .map(|mix| config_for(TopologyKind::Tree, mix.dram_fraction, mix.placement))
-        .collect();
-    let rows = harness.speedup_table(&configs, &Workload::ALL, None);
-    print_speedup_table(
-        "Fig. 7: tree topology with different DRAM:NVM ratios (vs 100%-Chain)",
-        &rows,
-    );
+    print!("{}", fig07_report(&mut harness));
     harness.finish();
 }

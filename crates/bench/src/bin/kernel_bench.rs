@@ -2,9 +2,10 @@
 //!
 //! Times the canonical *chain-640-requests* microbench (the paper-baseline
 //! chain MN driven to 640 completed requests), two larger reference points,
-//! and a fault-enabled chain variant (CRC retry/replay exercises the
-//! retry-buffer path), and reports the kernel-health metrics the hot-path
-//! work targets:
+//! a fault-enabled chain variant (CRC retry/replay exercises the
+//! retry-buffer path) and a half-NVM tree (idle-time write-back of dirty
+//! NVM rows), and reports the kernel-health metrics the hot-path work
+//! targets:
 //!
 //! - **events/sec** and **ns/event** — wall time divided by the number of
 //!   discrete events processed. The event stream is part of the
@@ -61,6 +62,8 @@ struct Case {
     requests: u64,
     workload: Workload,
     iters: u32,
+    /// Share of the capacity in DRAM cubes (the rest is NVM).
+    dram_fraction: f64,
     /// Transient CRC fault rate (0.0 = healthy links).
     fault_rate: f64,
 }
@@ -78,8 +81,8 @@ struct Measurement {
 }
 
 fn run_case(case: &Case) -> Measurement {
-    let mut config =
-        SystemConfig::paper_baseline(case.topology, 1.0).expect("paper baseline is valid");
+    let mut config = SystemConfig::paper_baseline(case.topology, case.dram_fraction)
+        .expect("paper baseline is valid");
     config.requests_per_port = case.requests;
     if case.fault_rate > 0.0 {
         config.noc.fault.transient_rate = case.fault_rate;
@@ -135,6 +138,7 @@ fn main() {
             requests: 640,
             workload: Workload::Dct,
             iters: 40,
+            dram_fraction: 1.0,
             fault_rate: 0.0,
         },
         Case {
@@ -143,6 +147,7 @@ fn main() {
             requests: 2_000,
             workload: Workload::Nw,
             iters: 10,
+            dram_fraction: 1.0,
             fault_rate: 0.0,
         },
         Case {
@@ -151,6 +156,7 @@ fn main() {
             requests: 2_000,
             workload: Workload::Backprop,
             iters: 10,
+            dram_fraction: 1.0,
             fault_rate: 0.0,
         },
         // Retry/replay path: transient CRC faults stretch link occupancy
@@ -161,7 +167,19 @@ fn main() {
             requests: 640,
             workload: Workload::Dct,
             iters: 40,
+            dram_fraction: 1.0,
             fault_rate: 0.02,
+        },
+        // NVM cubes hold dirty rows until idle time writes them back, so
+        // this case exercises the controllers' flush path.
+        Case {
+            name: "tree-2k-nvm-half",
+            topology: TopologyKind::Tree,
+            requests: 2_000,
+            workload: Workload::Backprop,
+            iters: 10,
+            dram_fraction: 0.5,
+            fault_rate: 0.0,
         },
     ];
 

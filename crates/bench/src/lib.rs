@@ -408,6 +408,20 @@ pub fn fig10_report(harness: &mut Harness) -> String {
     out
 }
 
+/// Renders Fig. 7: the tree under every DRAM:NVM capacity mix, against
+/// the 100%-DRAM chain.
+pub fn fig07_report(harness: &mut Harness) -> String {
+    let configs: Vec<_> = mix_grid()
+        .into_iter()
+        .map(|mix| config_for(TopologyKind::Tree, mix.dram_fraction, mix.placement))
+        .collect();
+    let rows = harness.speedup_table(&configs, &Workload::ALL, None);
+    render_speedup_table(
+        "Fig. 7: tree topology with different DRAM:NVM ratios (vs 100%-Chain)",
+        &rows,
+    )
+}
+
 /// Prints a speedup table with an `average` row, matching the paper's
 /// figure layout (workloads as rows, configurations as columns).
 pub fn print_speedup_table(title: &str, rows: &[SpeedupRow]) {

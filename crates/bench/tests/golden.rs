@@ -15,7 +15,7 @@
 //!    variants re-simulate from scratch (no cache) and prove the kernel
 //!    itself still produces the bytes.
 
-use mn_bench::{fig05_points, fig05_table, fig10_report, Harness};
+use mn_bench::{fig05_points, fig05_table, fig07_report, fig10_report, Harness};
 use mn_campaign::{CampaignPoint, DiskCache};
 use mn_core::SystemConfig;
 use mn_topo::TopologyKind;
@@ -26,6 +26,7 @@ fn committed_cache() -> DiskCache {
 }
 
 const FIG05_GOLDEN: &str = include_str!("../../../results/fig05.txt");
+const FIG07_GOLDEN: &str = include_str!("../../../results/fig07.txt");
 const FIG10_GOLDEN: &str = include_str!("../../../results/fig10.txt");
 
 /// The environment knobs (`MN_REQUESTS`, `MN_SEED`, the fault overrides,
@@ -132,6 +133,20 @@ fn fig05_regenerates_byte_identically_from_scratch() {
     }
     let results = Harness::bare(1).run_grid(fig05_points());
     assert_eq!(fig05_table(&results), FIG05_GOLDEN);
+}
+
+/// From-scratch Fig. 7: the tree at every DRAM:NVM mix, re-simulated with
+/// no cache. Fig. 5's grid is all-DRAM, so this is the from-scratch check
+/// that covers NVM cubes, whose dirty rows are written back to the arrays
+/// in idle time.
+#[test]
+#[ignore = "re-simulates the full Fig. 7 grid; run with --ignored"]
+fn fig07_regenerates_byte_identically_from_scratch() {
+    if !env_is_default() {
+        eprintln!("skipping: MN_REQUESTS/MN_SEED override the golden grid");
+        return;
+    }
+    assert_eq!(fig07_report(&mut Harness::bare(2)), FIG07_GOLDEN);
 }
 
 /// Replays Fig. 10 through the full campaign path (per-port decomposition,

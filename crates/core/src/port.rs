@@ -189,12 +189,17 @@ pub(crate) struct PortSim {
     /// Per-node base index into `ctrl`; `u32::MAX` for host/interface
     /// nodes, which have no memory behind them.
     ctrl_base: Vec<u32>,
-    /// Exact minimum of every controller's `next_event_time` (`None` =
-    /// all idle). `enqueue` only moves a controller's next event earlier,
-    /// so the cache merges cheaply on enqueue and is recomputed only
-    /// after a pass that actually advanced a controller — turning the
-    /// per-timestep poll of every quadrant into one comparison.
-    ctrl_min: Option<SimTime>,
+    /// The cube each controller sits in, indexed like `ctrl`.
+    ctrl_cube: Vec<NodeId>,
+    /// Each controller's `next_event_time`, indexed like `ctrl`
+    /// (`SimTime::MAX` = idle): one dense array the controller pass
+    /// walks instead of asking every controller.
+    ctrl_next: Vec<SimTime>,
+    /// Exact minimum of `ctrl_next`. `enqueue` only moves a controller's
+    /// next event earlier, so it min-merges there, and the pass that
+    /// advances controllers recomputes it from `ctrl_next`; an instant
+    /// with no controller due skips the pass on one comparison.
+    ctrl_min: SimTime,
     cube_tech: Vec<Option<CubeTech>>,
     trace: TraceGenerator,
     detector: WriteBurstDetector,
@@ -238,6 +243,10 @@ pub(crate) struct PortSim {
     /// slab's window stays proportional to the outstanding count.
     inflight: SeqSlab<Inflight>,
     pending_responses: Vec<PendingResponse>,
+    /// Earliest `ready_at` in `pending_responses` (`SimTime::MAX` when
+    /// empty). Pushes min-merge it; it is recomputed only after an
+    /// injection pass removed an entry.
+    responses_min: SimTime,
 
     completed: u64,
     reads: u64,
@@ -316,6 +325,7 @@ impl PortSim {
         );
         let trace_mode = config.noc.trace;
         let mut ctrl = Vec::new();
+        let mut ctrl_cube = Vec::new();
         let mut ctrl_base = Vec::with_capacity(topo.node_count());
         let mut cube_tech = Vec::with_capacity(topo.node_count());
         let mut ctrl_tracer = LifecycleTracer::new(if trace_mode.tracing() {
@@ -341,6 +351,7 @@ impl PortSim {
                             config.banks_per_quadrant,
                             config.controller_queue,
                         ));
+                        ctrl_cube.push(id);
                     }
                     cube_tech.push(Some(tech));
                 }
@@ -395,9 +406,11 @@ impl PortSim {
             topo,
             net,
             addr_map,
+            ctrl_next: vec![SimTime::MAX; ctrl.len()],
             ctrl,
             ctrl_base,
-            ctrl_min: None,
+            ctrl_cube,
+            ctrl_min: SimTime::MAX,
             cube_tech,
             trace,
             detector: WriteBurstDetector::paper_default(),
@@ -429,6 +442,7 @@ impl PortSim {
             host_summary: (config.host.enabled() && trace_mode.enabled()).then(HostSummary::new),
             inflight: SeqSlab::with_capacity(2 * slot_hint * burst_hint),
             pending_responses: Vec::with_capacity(slot_hint * burst_hint),
+            responses_min: SimTime::MAX,
             completed: 0,
             reads: 0,
             writes: 0,
@@ -770,96 +784,115 @@ impl PortSim {
             } else {
                 MemAccess::read(token, rec.decoded.bank, rec.decoded.row)
             };
-            let ctrl = &mut self.ctrl[base + quadrant as usize];
-            ctrl.enqueue(access, now + penalty)
+            let i = base + quadrant as usize;
+            self.ctrl[i]
+                .enqueue(access, now + penalty)
                 .expect("has_space checked");
             // Enqueueing can only move this controller's next event
             // earlier, so a min-merge keeps the cache exact.
-            self.ctrl_min = match (self.ctrl_min, ctrl.next_event_time()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            let next = self.ctrl[i].next_event_time().unwrap_or(SimTime::MAX);
+            self.ctrl_next[i] = next;
+            self.ctrl_min = self.ctrl_min.min(next);
         }
     }
 
     /// Advances every controller that can act at `now`; queues responses.
     fn advance_controllers(&mut self, now: SimTime) -> bool {
-        // No controller is due: the scan below would visit every quadrant
-        // only to skip each one. The cache is the exact minimum, so this
-        // early-out is behavior-preserving.
-        if self.ctrl_min.is_none_or(|t| t > now) {
+        // No controller is due: the pass below would only skip each one.
+        // The cache is the exact minimum, so this early-out is
+        // behavior-preserving.
+        if self.ctrl_min > now {
             return false;
         }
         let mut progress = false;
+        let mut min = SimTime::MAX;
         // One completion buffer for the whole pass (and, via the struct
         // field, for the whole run) — `advance_into` appends in place.
         let mut done = std::mem::take(&mut self.completions);
-        for idx in 0..self.ctrl_base.len() {
-            let base = self.ctrl_base[idx];
-            if base == u32::MAX {
+        // Ascending controller index is node order, then quadrant order.
+        for i in 0..self.ctrl.len() {
+            if self.ctrl_next[i] > now {
+                min = min.min(self.ctrl_next[i]);
                 continue;
             }
-            for q in 0..QUADRANTS as usize {
-                let ctrl = &mut self.ctrl[base as usize + q];
-                if ctrl.next_event_time().is_none_or(|t| t > now) {
-                    continue;
-                }
-                done.clear();
-                ctrl.advance_into(now, &mut done);
-                let spec = *ctrl.spec();
-                for c in done.drain(..) {
-                    progress = true;
-                    let rec = self
-                        .inflight
-                        .get_mut(c.token)
-                        .expect("completion maps to in-flight request");
-                    rec.mem_done = c.completed_at;
-                    self.breakdown
-                        .in_memory
-                        .record(c.completed_at.saturating_since(rec.arrived_at_cube));
-                    if self.telem_mode.enabled() {
-                        let service = c.completed_at.saturating_since(rec.arrived_at_cube);
-                        self.decomp.record_array(service);
-                        if self.telem_mode.tracing() {
-                            self.ctrl_tracer.record(TraceEvent {
-                                ts_ps: rec.arrived_at_cube.as_ps(),
-                                dur_ps: service.as_ps(),
-                                track: self.ctrl_tracks[base as usize + q],
-                                kind: TraceEventKind::BankAccess,
-                                packet: c.token,
-                            });
-                        }
+            let ctrl = &mut self.ctrl[i];
+            done.clear();
+            ctrl.advance_into(now, &mut done);
+            let next = ctrl.next_event_time().unwrap_or(SimTime::MAX);
+            self.ctrl_next[i] = next;
+            min = min.min(next);
+            let spec = *ctrl.spec();
+            for c in done.drain(..) {
+                progress = true;
+                let rec = self
+                    .inflight
+                    .get_mut(c.token)
+                    .expect("completion maps to in-flight request");
+                rec.mem_done = c.completed_at;
+                self.breakdown
+                    .in_memory
+                    .record(c.completed_at.saturating_since(rec.arrived_at_cube));
+                if self.telem_mode.enabled() {
+                    let service = c.completed_at.saturating_since(rec.arrived_at_cube);
+                    self.decomp.record_array(service);
+                    if self.telem_mode.tracing() {
+                        self.ctrl_tracer.record(TraceEvent {
+                            ts_ps: rec.arrived_at_cube.as_ps(),
+                            dur_ps: service.as_ps(),
+                            track: self.ctrl_tracks[i],
+                            kind: TraceEventKind::BankAccess,
+                            packet: c.token,
+                        });
                     }
-                    let energy = EnergyPj::array_access(&spec.energy, ACCESS_BITS, c.is_write);
-                    if c.is_write {
-                        self.write_energy += energy;
-                    } else {
-                        self.read_energy += energy;
-                    }
-                    let response = Packet::response_to(&rec.request, rec.tech == CubeTech::Nvm);
-                    self.pending_responses.push(PendingResponse {
-                        ready_at: c.completed_at,
-                        cube: NodeId(idx as u32),
-                        quadrant: q as u32,
-                        packet: response,
-                    });
                 }
+                let energy = EnergyPj::array_access(&spec.energy, ACCESS_BITS, c.is_write);
+                if c.is_write {
+                    self.write_energy += energy;
+                } else {
+                    self.read_energy += energy;
+                }
+                let response = Packet::response_to(&rec.request, rec.tech == CubeTech::Nvm);
+                self.responses_min = self.responses_min.min(c.completed_at);
+                self.pending_responses.push(PendingResponse {
+                    ready_at: c.completed_at,
+                    cube: self.ctrl_cube[i],
+                    quadrant: i as u32 % QUADRANTS,
+                    packet: response,
+                });
             }
         }
         self.completions = done;
-        // Advancing pushes next-event times later (or to idle); recompute
-        // the cached minimum from the memoized per-controller values.
-        self.ctrl_min = self
-            .ctrl
-            .iter()
-            .filter_map(QuadrantController::next_event_time)
-            .min();
+        // Advancing pushes next-event times later (or to idle); the pass
+        // folded the new minimum from `ctrl_next` as it went.
+        self.ctrl_min = min;
+        #[cfg(debug_assertions)]
+        self.assert_ctrl_next();
         progress
+    }
+
+    /// Checks `ctrl_next` and `ctrl_min` against the controllers' own
+    /// memoized next-event times.
+    #[cfg(debug_assertions)]
+    fn assert_ctrl_next(&self) {
+        for (i, ctrl) in self.ctrl.iter().enumerate() {
+            assert_eq!(
+                self.ctrl_next[i],
+                ctrl.next_event_time().unwrap_or(SimTime::MAX),
+                "stale wake time for controller {i}"
+            );
+        }
+        assert_eq!(
+            self.ctrl_min,
+            self.ctrl_next.iter().copied().min().unwrap_or(SimTime::MAX)
+        );
     }
 
     /// Injects completed responses whose data is ready and whose local
     /// injection buffer has space.
     fn inject_responses(&mut self, now: SimTime) -> bool {
+        if self.responses_min > now {
+            return false;
+        }
         let mut progress = false;
         let mut i = 0;
         while i < self.pending_responses.len() {
@@ -873,6 +906,14 @@ impl PortSim {
             } else {
                 i += 1;
             }
+        }
+        if progress {
+            self.responses_min = self
+                .pending_responses
+                .iter()
+                .map(|p| p.ready_at)
+                .min()
+                .unwrap_or(SimTime::MAX);
         }
         progress
     }
@@ -949,11 +990,10 @@ impl PortSim {
         if let Some(t) = self.net.next_event_time() {
             consider(t.max(now + SimDuration::from_ps(1)));
         }
-        if let Some(t) = self.ctrl_min {
-            consider(t.max(now + SimDuration::from_ps(1)));
-        }
-        for p in &self.pending_responses {
-            consider(p.ready_at.max(now + SimDuration::from_ps(1)));
+        for t in [self.ctrl_min, self.responses_min] {
+            if t != SimTime::MAX {
+                consider(t.max(now + SimDuration::from_ps(1)));
+            }
         }
         next
     }
@@ -963,7 +1003,7 @@ impl PortSim {
         let mut total = 0;
         for ctrl in &self.ctrl {
             total += ctrl.accesses();
-            hits += (ctrl.row_hit_rate() * ctrl.accesses() as f64).round() as u64;
+            hits += ctrl.row_hits();
         }
         (hits, total)
     }

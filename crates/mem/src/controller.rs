@@ -118,11 +118,15 @@ pub struct QuadrantController {
     write_capacity: usize,
     next_seq: u64,
     next_refresh: Option<SimTime>,
-    /// Memoized [`QuadrantController::next_event_time`], refreshed at the
-    /// end of the two public mutators (`enqueue`, `advance`). The system
-    /// simulator polls every quadrant of every cube each timestep; without
-    /// the memo each poll rescans all banks and queues, and that scan —
-    /// not event dispatch — dominates the kernel's wall clock.
+    /// One bit per bank, set while the bank's open row is dirty. Kept in
+    /// step with [`Bank::is_dirty`] at the three places the flag changes
+    /// (an access, a flush, a refresh), so the flush search and the
+    /// next-event computation visit only dirty banks instead of all 64.
+    dirty: Vec<u64>,
+    /// Memoized [`QuadrantController::next_event_time`]: recomputed at the
+    /// end of `advance`, and min-merged with the new entry's wake time on
+    /// `enqueue` (adding an entry can only move the next event earlier).
+    /// The port simulator reads it after every controller pass.
     next_cache: Option<SimTime>,
     stats_row_hits: u64,
     stats_accesses: u64,
@@ -151,6 +155,7 @@ impl QuadrantController {
             write_capacity: capacity * 2,
             next_seq: 0,
             next_refresh: spec.timings.refresh_interval.map(|i| SimTime::ZERO + i),
+            dirty: vec![0; (banks as usize).div_ceil(64)],
             next_cache: None,
             stats_row_hits: 0,
             stats_accesses: 0,
@@ -208,12 +213,16 @@ impl QuadrantController {
             arrival: now,
             seq,
         };
-        if access.is_write {
+        // The new entry's term in `compute_next_event_time`: an unacked
+        // write wakes at its arrival, a read once its bank is also free.
+        let wake = if access.is_write {
             self.writes_unacked.push_back(pending);
+            now
         } else {
             self.reads.push_back(pending);
-        }
-        self.next_cache = self.compute_next_event_time();
+            self.banks[access.bank as usize].free_at().max(now)
+        };
+        self.next_cache = Some(self.next_cache.map_or(wake, |t| t.min(wake)));
         Ok(())
     }
 
@@ -275,25 +284,61 @@ impl QuadrantController {
             }
         }
         self.next_cache = self.compute_next_event_time();
+        #[cfg(debug_assertions)]
+        self.assert_dirty_bits();
+    }
+
+    /// Mirrors bank `b`'s dirty flag into the bitset.
+    fn sync_dirty(&mut self, b: usize) {
+        let bit = 1u64 << (b % 64);
+        if self.banks[b].is_dirty() {
+            self.dirty[b / 64] |= bit;
+        } else {
+            self.dirty[b / 64] &= !bit;
+        }
+    }
+
+    /// The dirty banks, in ascending index order.
+    fn dirty_banks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dirty.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    b
+                })
+            })
+        })
+    }
+
+    /// The lowest-indexed dirty bank that is free at `now` and that no
+    /// arrived read or buffered write wants.
+    fn flush_candidate(&self, now: SimTime) -> Option<usize> {
+        let wanted = |bank: usize, q: &VecDeque<Pending>| {
+            q.iter()
+                .any(|p| p.access.bank as usize == bank && p.arrival <= now)
+        };
+        self.dirty_banks().find(|&b| {
+            self.banks[b].free_at() <= now
+                && !wanted(b, &self.reads)
+                && !wanted(b, &self.writes_buffered)
+        })
     }
 
     /// Flushes one dirty, free, unwanted bank. Returns true if one flushed.
     fn flush_one_dirty(&mut self, now: SimTime) -> bool {
-        let wanted = |bank: u32, q: &VecDeque<Pending>| {
-            q.iter().any(|p| p.access.bank == bank && p.arrival <= now)
+        let candidate = self.flush_candidate(now);
+        // The choice is made inside `advance`, out of a test's sight, so
+        // unit tests check it against the full bank walk here.
+        #[cfg(test)]
+        assert_eq!(candidate, self.flush_candidate_by_scan(now));
+        let Some(b) = candidate else {
+            return false;
         };
-        for (i, bank) in self.banks.iter_mut().enumerate() {
-            let id = i as u32;
-            if bank.is_dirty()
-                && bank.free_at() <= now
-                && !wanted(id, &self.reads)
-                && !wanted(id, &self.writes_buffered)
-            {
-                bank.flush(now, &self.spec.timings);
-                return true;
-            }
-        }
-        false
+        self.banks[b].flush(now, &self.spec.timings);
+        self.sync_dirty(b);
+        true
     }
 
     /// FR-FCFS over the read queue; returns the completion if one issued.
@@ -327,6 +372,7 @@ impl QuadrantController {
             false,
             &self.spec.timings,
         );
+        self.sync_dirty(p.access.bank as usize);
         self.stats_accesses += 1;
         if outcome.row_hit {
             self.stats_row_hits += 1;
@@ -381,6 +427,7 @@ impl QuadrantController {
             true,
             &self.spec.timings,
         );
+        self.sync_dirty(p.access.bank as usize);
         self.stats_accesses += 1;
         if outcome.row_hit {
             self.stats_row_hits += 1;
@@ -400,6 +447,8 @@ impl QuadrantController {
             for bank in &mut self.banks {
                 bank.block_until(until);
             }
+            // Refresh writes every open row back: no bank stays dirty.
+            self.dirty.fill(0);
             due += interval;
         }
         self.next_refresh = Some(due);
@@ -408,8 +457,7 @@ impl QuadrantController {
     /// The next instant at which calling [`QuadrantController::advance`]
     /// could make progress, or `None` when fully idle.
     ///
-    /// O(1): returns the value memoized by the last mutation, so callers
-    /// can poll a large controller population every timestep for free.
+    /// O(1): returns the value memoized by the last mutation.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.next_cache
     }
@@ -427,6 +475,40 @@ impl QuadrantController {
             .map(|p| self.banks[p.access.bank as usize].free_at().max(p.arrival))
             .min();
         // Dirty banks want a flush as soon as they free up.
+        let flush_next = self.dirty_banks().map(|b| self.banks[b].free_at()).min();
+        [read_next, ack_next, drain_next, flush_next]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Checks the dirty bitset against the banks' own flags.
+    #[cfg(debug_assertions)]
+    fn assert_dirty_bits(&self) {
+        for (b, bank) in self.banks.iter().enumerate() {
+            assert_eq!(
+                self.dirty[b / 64] >> (b % 64) & 1 == 1,
+                bank.is_dirty(),
+                "stale dirty bit for bank {b}"
+            );
+        }
+    }
+
+    /// Reference for [`QuadrantController::next_event_time`]: the full
+    /// scan over every bank that the dirty bitset replaced.
+    #[cfg(test)]
+    fn next_event_time_by_scan(&self) -> Option<SimTime> {
+        let read_next = self
+            .reads
+            .iter()
+            .map(|p| self.banks[p.access.bank as usize].free_at().max(p.arrival))
+            .min();
+        let ack_next = self.writes_unacked.iter().map(|p| p.arrival).min();
+        let drain_next = self
+            .writes_buffered
+            .iter()
+            .map(|p| self.banks[p.access.bank as usize].free_at().max(p.arrival))
+            .min();
         let flush_next = self
             .banks
             .iter()
@@ -437,6 +519,22 @@ impl QuadrantController {
             .into_iter()
             .flatten()
             .min()
+    }
+
+    /// Reference for [`QuadrantController::flush_candidate`]: the walk
+    /// over every bank that the dirty bitset replaced.
+    #[cfg(test)]
+    fn flush_candidate_by_scan(&self, now: SimTime) -> Option<usize> {
+        let wanted = |bank: usize, q: &VecDeque<Pending>| {
+            q.iter()
+                .any(|p| p.access.bank as usize == bank && p.arrival <= now)
+        };
+        (0..self.banks.len()).find(|&b| {
+            self.banks[b].is_dirty()
+                && self.banks[b].free_at() <= now
+                && !wanted(b, &self.reads)
+                && !wanted(b, &self.writes_buffered)
+        })
     }
 
     /// Fraction of bank accesses that hit an open row so far.
@@ -453,6 +551,11 @@ impl QuadrantController {
         self.stats_accesses
     }
 
+    /// Bank accesses that hit an open row so far.
+    pub fn row_hits(&self) -> u64 {
+        self.stats_row_hits
+    }
+
     /// Writes written back to the arrays so far.
     pub fn drained_writes(&self) -> u64 {
         self.stats_drained_writes
@@ -462,7 +565,7 @@ impl QuadrantController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_sim::SimDuration;
+    use mn_sim::{SimDuration, SimRng};
 
     fn ctrl() -> QuadrantController {
         QuadrantController::new(MemTechSpec::dram_hbm(), 4, 8)
@@ -640,6 +743,65 @@ mod tests {
         c.advance(SimTime::from_ns(30));
         assert_eq!(c.accesses(), 2);
         assert!((c.row_hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// Drives seeded random traffic through DRAM and NVM controllers and
+    /// checks the incremental indexes against the full scans they replace:
+    /// `next_event_time` after every enqueue and advance, and (inside
+    /// `flush_one_dirty`) every flush choice. Few banks and rows plus a
+    /// write share keep several banks dirty at once, the 70-bank case
+    /// spans two bitset words, and the time jumps cross DRAM refreshes.
+    #[test]
+    fn indexes_match_the_full_scans() {
+        let mut rng = SimRng::seed_from(0xD127_B175);
+        let mut dirty_passes = 0;
+        for case in 0..48 {
+            let spec = if case % 2 == 0 {
+                MemTechSpec::dram_hbm()
+            } else {
+                MemTechSpec::nvm_pcm()
+            };
+            let banks = [1, 3, 8, 70][case / 2 % 4];
+            let mut c = QuadrantController::new(spec, banks, rng.range(1, 9) as usize);
+            let rows = rng.range(1, 4);
+            let write_share = 0.2 + 0.6 * rng.unit();
+            let mut now = SimTime::ZERO;
+            let mut token = 0;
+            for step in 0..400 {
+                for _ in 0..rng.below(4) {
+                    let is_write = rng.chance(write_share);
+                    if !c.has_space(is_write) {
+                        continue;
+                    }
+                    let access = MemAccess {
+                        token,
+                        bank: rng.below(u64::from(banks)) as u32,
+                        row: rng.below(rows),
+                        is_write,
+                    };
+                    token += 1;
+                    let arrival = now + SimDuration::from_ns(rng.below(3));
+                    c.enqueue(access, arrival).unwrap();
+                    assert_eq!(
+                        c.next_event_time(),
+                        c.next_event_time_by_scan(),
+                        "case {case} step {step}: after enqueue"
+                    );
+                }
+                dirty_passes += u32::from(c.dirty.iter().any(|&w| w != 0));
+                c.advance(now);
+                assert_eq!(
+                    c.next_event_time(),
+                    c.next_event_time_by_scan(),
+                    "case {case} step {step}: after advance"
+                );
+                now = match c.next_event_time() {
+                    Some(t) if rng.chance(0.8) => t.max(now),
+                    _ => now + SimDuration::from_ns(rng.range(1, 1500)),
+                };
+            }
+        }
+        assert!(dirty_passes > 1000, "too few dirty passes: {dirty_passes}");
     }
 
     #[test]
