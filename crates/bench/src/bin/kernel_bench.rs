@@ -8,10 +8,11 @@
 //! targets:
 //!
 //! - **events/sec** and **ns/event** — wall time divided by the number of
-//!   discrete events processed. The event stream is part of the
-//!   bit-reproducible contract, so the denominator is stable across kernel
-//!   changes and the ratio tracks pure dispatch cost.
-//! - **peak queue depth** — the event queue's high-water mark.
+//!   discrete events processed. The event count is pinned (CI gates it),
+//!   so the denominator moves only with a kernel change that re-pins it,
+//!   and between such changes the ratio tracks pure dispatch cost.
+//! - **peak queue depth** — the high-water mark of the network's event
+//!   queue and same-instant lane together.
 //! - **allocations per 1k events** — counted by a wrapping global
 //!   allocator, both for the whole run and for the *steady state* alone
 //!   (the simulation loop after construction). Arena-backed packets and

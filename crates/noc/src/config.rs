@@ -134,9 +134,16 @@ impl NocConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any size or capacity is zero.
+    /// Panics if any size, capacity or per-byte link time is zero.
     pub fn validate(&self) {
         assert!(self.control_bytes > 0, "control packets need a size");
+        // A send must occupy its link for a positive time: the network's
+        // same-instant lane relies on every link event falling strictly
+        // after the instant that scheduled it.
+        assert!(
+            self.external_link.ps_per_byte > 0 && self.interposer_link.ps_per_byte > 0,
+            "links need a positive per-byte serialization time"
+        );
         assert!(
             self.data_bytes >= self.control_bytes,
             "data packets cannot be smaller than control packets"
@@ -211,6 +218,14 @@ mod tests {
     fn with_arbiter_builder() {
         let c = NocConfig::default().with_arbiter(ArbiterKind::Distance);
         assert_eq!(c.arbiter, ArbiterKind::Distance);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive per-byte serialization time")]
+    fn validate_rejects_instant_links() {
+        let mut c = NocConfig::default();
+        c.interposer_link.ps_per_byte = 0;
+        c.validate();
     }
 
     #[test]

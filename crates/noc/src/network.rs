@@ -253,8 +253,12 @@ pub(crate) enum NetEvent {
         port: usize,
         packet: ArenaRef,
     },
-    /// Run arbitration at `node`.
-    TryArb { node: NodeId },
+    /// A link send's occupancy ends: arbitrate `node`, then `other` (the
+    /// far end, when the link is half-duplex and both ends share it).
+    /// One event is exact for both ends' wakes: pushed separately they
+    /// would carry consecutive sequence numbers at one instant, so
+    /// nothing could pop between them.
+    LinkFree { node: NodeId, other: Option<NodeId> },
 }
 
 /// The memory-network interconnect behind one host port.
@@ -289,16 +293,45 @@ pub struct Network {
     /// occupies at the neighbor on the other end, precomputed so the send
     /// path never searches the adjacency lists.
     neighbor_ports: Vec<Vec<usize>>,
+    /// Link arrivals and link-free events, all due strictly after
+    /// `clock`: every send occupies its link for a positive time.
     events: EventQueue<NetEvent>,
+    /// The same-instant lane: nodes to arbitrate at `clock`, in wake
+    /// order. Every wake due at the instant being processed lands here,
+    /// never in `events`. [`Network::advance`] runs `events`' run at an
+    /// instant first, then drains the lane in batches (`lane_batch` holds
+    /// the one being drained), which is the `(time, seq)` order a single
+    /// queue gives: every queued event at `t` was pushed before the clock
+    /// reached `t`.
+    lane: Vec<NodeId>,
+    lane_batch: Vec<NodeId>,
+    /// The instant the network is processing, or last injected or
+    /// delivered at; the lane's entries are due at it. Never moves
+    /// backwards.
+    clock: SimTime,
+    /// Per node, the arrivals still unprocessed in the `events` batch
+    /// being handled (zero outside that batch). See [`Network::wake`].
+    inbound: Vec<u32>,
+    /// Lane entries popped so far; with the lane's length and the queue's
+    /// counters this gives the kernel's event counts.
+    lane_popped: u64,
+    /// Most entries ever pending at once in `events` and the lane
+    /// together.
+    peak: usize,
+    /// Test-only reference wake path: every wake is pushed (no no-op
+    /// drop) and a half-duplex send pushes one link-free event per end.
+    #[cfg(test)]
+    every_wake: bool,
     /// Lazy arbitration-coalescing state: `arb_clean[n]` is true when node
     /// `n` has arbitrated at `last_arb[n]` and no state change that could
     /// enable new movement *at that same instant* has happened since. A
-    /// `TryArb` firing for a clean node at exactly `last_arb[n]` is a
-    /// provable no-op and its arbitration is skipped. The
-    /// events themselves are never dropped: which packet wins an output
-    /// depends on how same-instant arbitrations interleave with arrivals,
-    /// so removing or reordering pushes would perturb results — the skip
-    /// happens at fire time, where no-op-ness is certain.
+    /// wake firing for a clean node at exactly `last_arb[n]` is a
+    /// provable no-op and its arbitration is skipped. Wakes are dropped
+    /// at push time only where the node provably stays empty until the
+    /// wake would fire (see [`Network::wake`]); every other wake is
+    /// pushed and this fire-time skip decides, because which packet wins
+    /// an output depends on how same-instant arbitrations interleave with
+    /// arrivals and injections.
     arb_clean: Vec<bool>,
     /// Instant of each node's most recent arbitration (paired with
     /// `arb_clean`; meaningless while the flag is false).
@@ -307,11 +340,10 @@ pub struct Network {
     /// structural dedup instead of a sort+dedup pass per call.
     ready_pending: Vec<bool>,
     /// Packets currently sitting in each node's *input* buffers (not
-    /// ejection). A `TryArb` on a node with zero buffered packets has no
+    /// ejection). A wake on a node with zero buffered packets has no
     /// head to move, so `arbitrate` returns after this one load instead
-    /// of checking the node's head masks. Wake cascades re-arm nodes
-    /// aggressively, making empty-node arbitrations the most common event
-    /// in a steady-state run.
+    /// of checking the node's head masks, and a same-instant wake pushed
+    /// inside [`Network::advance`] for such a node is not pushed at all.
     buffered: Vec<u32>,
     /// Route-indexed head masks, `meta[n].mask_idx(output, vc)`: bit `p`
     /// is set exactly when input buffer (`p`, `vc`) holds a head packet
@@ -459,6 +491,9 @@ impl Network {
             head_mask: vec![0; shape.outputs * VC],
             scratch: Vec::with_capacity(16),
             batch: Vec::with_capacity(64),
+            lane: Vec::with_capacity(64),
+            lane_batch: Vec::with_capacity(64),
+            inbound: vec![0; shape.nodes],
         });
         // Adjacency wiring can differ between same-shape topologies, so
         // `neighbor_ports[node][out_port]` — the input-port index our link
@@ -490,13 +525,16 @@ impl Network {
             head_mask,
             scratch,
             batch,
+            lane,
+            lane_batch,
+            inbound,
         } = storage;
         let stats = NetStats::new(topo.link_count());
-        // Pre-size the heap for the common working set — order one
-        // arbitration event per node plus one in-flight packet per link
-        // direction, doubled for wake cascades. The heap still grows past
-        // this under heavy transients; the hint only avoids the early
-        // doubling reallocations in every simulation's warm-up.
+        // Pre-size the queue for the common working set — order one
+        // link-free event per node plus one in-flight packet per link
+        // direction, doubled for transients. The queue still grows past
+        // this under heavy load; the hint only avoids the early doubling
+        // reallocations in every simulation's warm-up.
         let event_capacity = 2 * (topo.node_count() + 2 * topo.link_count());
         Ok(Network {
             routes,
@@ -509,6 +547,14 @@ impl Network {
             link_free_at,
             neighbor_ports,
             events: EventQueue::with_capacity(event_capacity),
+            lane,
+            lane_batch,
+            clock: SimTime::ZERO,
+            inbound,
+            lane_popped: 0,
+            peak: 0,
+            #[cfg(test)]
+            every_wake: false,
             arb_clean,
             last_arb,
             ready_pending,
@@ -553,6 +599,9 @@ impl Network {
             head_mask: self.head_mask,
             scratch: self.scratch,
             batch: self.batch,
+            lane: self.lane,
+            lane_batch: self.lane_batch,
+            inbound: self.inbound,
         });
     }
 
@@ -589,7 +638,9 @@ impl Network {
         self.bufs[meta.buf_idx(port, packet.kind.virtual_channel().index())].has_space()
     }
 
-    /// Injects `packet` into `node`'s local port.
+    /// Injects `packet` into `node`'s local port at `now`, the caller's
+    /// current instant. The network must have no work due before `now`:
+    /// advance it to `now` first.
     ///
     /// # Errors
     ///
@@ -613,10 +664,6 @@ impl Network {
         let id = PacketId(self.next_packet_id);
         self.next_packet_id += 1;
         packet.assign_id(id, now);
-        // Callers inject at their current instant, so the queue clock
-        // follows it: the arbitration pushed below takes the queue's
-        // same-instant lane (see `mn_sim::EventQueue`).
-        self.events.set_clock(now);
         let meta = self.meta[node.index()];
         let port = meta.ext_ports as usize + local_port;
         let vc = packet.kind.virtual_channel().index();
@@ -630,24 +677,101 @@ impl Network {
         self.buffered[node.index()] += 1;
         self.stats.injected.incr();
         self.telem.on_inject(now, node, id, depth);
-        self.request_arb(node, now);
+        self.wake_from_outside(node, now);
         Ok(id)
     }
 
     /// The next instant at which [`Network::advance`] can make progress.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        if self.lane.is_empty() {
+            self.events.peek_time()
+        } else {
+            Some(self.clock)
+        }
     }
 
-    /// Schedules an arbitration for `node` at `time` and marks the node
-    /// dirty, so the pending-event skip in [`Network::advance`] cannot
-    /// treat it as a no-op. Every push site goes through here: the pushed
-    /// stream (and hence the FIFO sequence numbering that orders
-    /// same-instant events) is exactly the pre-optimization one, which is
-    /// what keeps results bit-identical.
-    fn request_arb(&mut self, node: NodeId, time: SimTime) {
+    /// Records the combined depth of the queue and the lane after a push.
+    #[inline]
+    fn note_depth(&mut self) {
+        self.peak = self.peak.max(self.events.len() + self.lane.len());
+    }
+
+    /// Appends a wake for `node` to the same-instant lane and marks the
+    /// node dirty, so the fire-time skip in [`Network::fire`] cannot
+    /// treat its arbitration as a no-op.
+    fn push_lane(&mut self, node: NodeId) {
         self.arb_clean[node.index()] = false;
-        self.events.push(time, NetEvent::TryArb { node });
+        self.lane.push(node);
+        self.note_depth();
+    }
+
+    /// A wake for `node` at the instant being processed, requested inside
+    /// [`Network::advance`]. It is dropped when `node` has nothing
+    /// buffered and no arrival for it is left in the `events` batch being
+    /// handled. That is exact: the wake would fire before `advance`
+    /// returns, and until then only those arrivals can add packets to the
+    /// node (arbitration moves packets onto links, which take time, or
+    /// into ejection buffers; injections happen outside `advance`). So
+    /// its arbitration would find the node empty and change nothing, not
+    /// even the coalescing flags that matter: any later change re-dirties
+    /// the node.
+    fn wake(&mut self, node: NodeId) {
+        let n = node.index();
+        if self.buffered[n] > 0 || self.inbound[n] > 0 || self.keeps_every_wake() {
+            self.push_lane(node);
+        }
+    }
+
+    /// A wake for `node` at `now` requested from outside
+    /// [`Network::advance`] (an injection or a delivery). Always pushed: a
+    /// local injection can land before it fires, and then the node's
+    /// arbitration must keep its place among the instant's wakes.
+    fn wake_from_outside(&mut self, node: NodeId, now: SimTime) {
+        debug_assert!(
+            self.next_event_time().is_none_or(|t| t >= now),
+            "woken at {now} with work due at {:?}; advance first",
+            self.next_event_time()
+        );
+        debug_assert!(now >= self.clock, "clock moved backwards");
+        self.clock = now;
+        self.push_lane(node);
+    }
+
+    /// Schedules the wakes at `free_at`, when a send's link frees:
+    /// `node`, then `other` if the link is shared.
+    fn push_link_free(&mut self, free_at: SimTime, node: NodeId, other: Option<NodeId>) {
+        debug_assert!(free_at > self.clock, "a send occupies its link");
+        self.arb_clean[node.index()] = false;
+        if let Some(other) = other {
+            self.arb_clean[other.index()] = false;
+        }
+        if self.keeps_every_wake() {
+            self.events
+                .push(free_at, NetEvent::LinkFree { node, other: None });
+            if let Some(other) = other {
+                self.note_depth();
+                self.events.push(
+                    free_at,
+                    NetEvent::LinkFree {
+                        node: other,
+                        other: None,
+                    },
+                );
+            }
+        } else {
+            self.events
+                .push(free_at, NetEvent::LinkFree { node, other });
+        }
+        self.note_depth();
+    }
+
+    /// True on the test-only reference wake path (see `every_wake`).
+    #[inline]
+    fn keeps_every_wake(&self) -> bool {
+        #[cfg(test)]
+        return self.every_wake;
+        #[cfg(not(test))]
+        false
     }
 
     /// Processes all internal events up to and including `now`, appending
@@ -660,62 +784,26 @@ impl Network {
     /// re-allocating the list per call was a measurable tax.
     pub fn advance(&mut self, now: SimTime, ready: &mut Vec<NodeId>) {
         ready.clear();
-        let mut batch = std::mem::take(&mut self.batch);
-        while self.events.peek_time().is_some_and(|t| t <= now) {
-            // Take the entire same-instant run in one call. The
-            // flattened sequence is identical to popping one at a time,
-            // and the run leaves the queue before its handlers push,
-            // which the pinned queue peaks count on. Events pushed at `t`
-            // *while processing the batch* carry later sequence numbers
-            // than every batch member, so they fire in a follow-up batch
-            // at the same `t`, exactly where repeated `pop` would have
-            // delivered them.
-            let (t, _) = self
-                .events
-                .pop_batch_into(&mut batch)
-                .expect("peeked non-empty");
-            // The handlers below push at `t` or later (see the clock note
-            // in `inject`).
-            self.events.set_clock(t);
-            for event in batch.drain(..) {
-                if self.telem.tracing() {
-                    self.telem.on_kernel_event(match event {
-                        NetEvent::Arrive { node, port, packet } => FlightEntry::Arrive {
-                            at: t,
-                            node,
-                            port,
-                            packet: self
-                                .packets
-                                .get(packet)
-                                .map_or(PacketId(u64::MAX), |p| p.id),
-                        },
-                        NetEvent::TryArb { node } => FlightEntry::TryArb { at: t, node },
-                    });
+        while let Some(t) = self.next_event_time().filter(|&t| t <= now) {
+            debug_assert!(t >= self.clock, "clock moved backwards");
+            self.clock = t;
+            // The queue's run at `t` was pushed before the clock reached
+            // `t`, so it goes before every lane entry.
+            if self.events.peek_time() == Some(t) {
+                self.run_queue_batch(t, ready);
+            }
+            // Wakes pushed while a lane batch drains are due at `t` too;
+            // they form the next batch.
+            while !self.lane.is_empty() {
+                let mut batch =
+                    std::mem::replace(&mut self.lane, std::mem::take(&mut self.lane_batch));
+                self.lane_popped += batch.len() as u64;
+                for node in batch.drain(..) {
+                    self.fire(node, t, ready);
                 }
-                match event {
-                    NetEvent::Arrive { node, port, packet } => {
-                        self.handle_arrival(node, port, packet, t);
-                    }
-                    NetEvent::TryArb { node } => {
-                        // Skip arbitration when it is provably a no-op: the
-                        // node already arbitrated at this exact instant and
-                        // nothing has changed since. At a *later* instant a
-                        // busy link may have freed, so the flag only holds
-                        // within one timestamp. The flag is set before
-                        // arbitrating: packet movement inside `arbitrate`
-                        // re-dirties the node (via `wake_upstream`), exactly
-                        // like the self-wake events the original kernel
-                        // relied on.
-                        if !(self.arb_clean[node.index()] && self.last_arb[node.index()] == t) {
-                            self.arb_clean[node.index()] = true;
-                            self.last_arb[node.index()] = t;
-                            self.arbitrate(node, t, ready);
-                        }
-                    }
-                }
+                self.lane_batch = batch;
             }
         }
-        self.batch = batch;
         // Membership is already unique (structural dedup via
         // `ready_pending`); the sort stays because callers drain nodes in
         // ascending order and the drain order is part of the deterministic,
@@ -726,8 +814,68 @@ impl Network {
         }
     }
 
+    /// Handles the queue's entire run at `t`. The run leaves the queue
+    /// before its handlers push, which the pinned queue peaks count on.
+    fn run_queue_batch(&mut self, t: SimTime, ready: &mut Vec<NodeId>) {
+        let mut batch = std::mem::take(&mut self.batch);
+        self.events.pop_batch_into(&mut batch);
+        for event in &batch {
+            if let NetEvent::Arrive { node, .. } = *event {
+                self.inbound[node.index()] += 1;
+            }
+        }
+        for event in batch.drain(..) {
+            match event {
+                NetEvent::Arrive { node, port, packet } => {
+                    if self.telem.tracing() {
+                        let id = self
+                            .packets
+                            .get(packet)
+                            .map_or(PacketId(u64::MAX), |p| p.id);
+                        self.telem.on_kernel_event(FlightEntry::Arrive {
+                            at: t,
+                            node,
+                            port,
+                            packet: id,
+                        });
+                    }
+                    self.inbound[node.index()] -= 1;
+                    self.handle_arrival(node, port, packet, t);
+                }
+                NetEvent::LinkFree { node, other } => {
+                    self.fire(node, t, ready);
+                    if let Some(other) = other {
+                        self.fire(other, t, ready);
+                    }
+                }
+            }
+        }
+        self.batch = batch;
+    }
+
+    /// Fires one wake: arbitrates `node` at `t` unless that is provably a
+    /// no-op — the node already arbitrated at this exact instant and
+    /// nothing has changed since. At a *later* instant a busy link may
+    /// have freed, so the flag only holds within one timestamp. The flag
+    /// is set before arbitrating: packet movement inside `arbitrate`
+    /// re-dirties the node (via `wake_upstream`).
+    fn fire(&mut self, node: NodeId, t: SimTime, ready: &mut Vec<NodeId>) {
+        if self.telem.tracing() {
+            self.telem
+                .on_kernel_event(FlightEntry::TryArb { at: t, node });
+        }
+        let n = node.index();
+        if !(self.arb_clean[n] && self.last_arb[n] == t) {
+            self.arb_clean[n] = true;
+            self.last_arb[n] = t;
+            self.arbitrate(node, t, ready);
+        }
+    }
+
     /// Pops the oldest deliverable packet at `node` (responses before
     /// requests), freeing ejection space — which may unblock the network.
+    /// As with [`Network::inject`], `now` must have no network work due
+    /// before it.
     pub fn take_delivery(&mut self, node: NodeId, now: SimTime) -> Option<Delivery> {
         for vc in VirtualChannel::PRIORITY_ORDER {
             if let Some((handle, arrived_at)) =
@@ -735,8 +883,7 @@ impl Network {
             {
                 let packet = self.packets.remove(handle);
                 self.stats.delivered.incr();
-                self.events.set_clock(now);
-                self.request_arb(node, now);
+                self.wake_from_outside(node, now);
                 return Some(Delivery {
                     node,
                     packet,
@@ -792,7 +939,7 @@ impl Network {
         }
         self.buffered[node.index()] += 1;
         self.telem.on_enqueue(now, node, id, depth);
-        self.request_arb(node, now);
+        self.push_lane(node);
     }
 
     /// The output the head packet `handle` at `node` routes to: ejection
@@ -939,7 +1086,7 @@ impl Network {
                 self.ready_pending[n] = true;
                 ready.push(node);
             }
-            self.wake_upstream(node, port, now);
+            self.wake_upstream(node, port);
         }
         candidates.clear();
         self.scratch = candidates;
@@ -965,7 +1112,8 @@ impl Network {
             LinkDuplex::Full => self.link_free_at[link.index()][dir],
         };
         if busy > now {
-            // Busy; a TryArb is already scheduled for when it frees.
+            // Busy; a link-free event is already scheduled for when it
+            // frees.
             return;
         }
         // Which port does this link occupy at the neighbor?
@@ -1053,25 +1201,24 @@ impl Network {
                 packet: handle,
             },
         );
+        self.note_depth();
         // Try to use the link again the moment it frees — from both ends
         // when the channel is shared.
-        self.request_arb(node, free_at);
-        if self.config.duplex == LinkDuplex::Half {
-            self.request_arb(neighbor, free_at);
-        }
-        self.wake_upstream(node, in_port, now);
+        let other = (self.config.duplex == LinkDuplex::Half).then_some(neighbor);
+        self.push_link_free(free_at, node, other);
+        self.wake_upstream(node, in_port);
     }
 
     /// Freed a slot in `node`'s input buffer at `port`: wake whoever feeds
     /// that buffer so they can arbitrate for the space.
-    fn wake_upstream(&mut self, node: NodeId, port: usize, now: SimTime) {
+    fn wake_upstream(&mut self, node: NodeId, port: usize) {
         if port < self.meta[node.index()].ext_ports as usize {
             let (upstream, _) = self.topo.neighbors(node)[port];
-            self.request_arb(upstream, now);
+            self.wake(upstream);
         }
         // Local ports are fed by the host core / cube logic, which polls
         // `can_inject` — nothing to wake inside the network.
-        self.request_arb(node, now);
+        self.wake(node);
     }
 
     /// Extracts the telemetry collected so far (lifecycle tracer, link
@@ -1090,15 +1237,18 @@ impl Network {
     }
 
     /// Total internal events processed since construction — the denominator
-    /// of the kernel's events/sec throughput metric.
+    /// of the kernel's events/sec throughput metric: queue pops (an
+    /// arrival, or a link-free event however many ends it wakes) plus
+    /// lane pops.
     pub fn events_processed(&self) -> u64 {
-        self.events.events_processed()
+        self.events.events_processed() + self.lane_popped
     }
 
-    /// High-water mark of the internal event queue — how large a working
-    /// set the queue had to sustain (coalescing drives this down).
+    /// High-water mark of the internal event queue and lane together — how
+    /// large a working set the kernel had to sustain (coalescing drives
+    /// this down).
     pub fn event_queue_peak(&self) -> usize {
-        self.events.peak_len()
+        self.peak
     }
 
     /// Snapshot of the kernel-level performance counters: event-queue
@@ -1107,9 +1257,11 @@ impl Network {
     /// allocator.
     pub fn kernel_counters(&self) -> KernelCounters {
         KernelCounters {
-            events_scheduled: self.events.events_scheduled(),
-            events_processed: self.events.events_processed(),
-            queue_peak: self.events.peak_len() as u64,
+            events_scheduled: self.events.events_scheduled()
+                + self.lane_popped
+                + self.lane.len() as u64,
+            events_processed: self.events_processed(),
+            queue_peak: self.peak as u64,
             arena_high_water: self.packets.high_water() as u64,
             ..KernelCounters::default()
         }
@@ -1149,6 +1301,147 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Drives `net` with `SimRng`-seeded traffic and returns every
+    /// delivery as (node, packet id, arrival time), in take order. Each
+    /// instant alternates host-model passes with advances until nothing
+    /// moves, as a port simulation does. A pass takes every ready
+    /// delivery (cubes answer requests with responses), injects the
+    /// responses in a seeded order, holding some back, and injects the
+    /// host's new requests last. So a node's delivery and a later
+    /// injection at the same node and instant straddle other nodes'
+    /// wakes — the interleaving a wake pushed from outside `advance` must
+    /// keep its place in. Every choice depends only on the seed and on
+    /// what the network returned, so two networks that behave alike see
+    /// the same traffic.
+    fn drive_seeded(net: &mut Network, topo: &Topology, seed: u64) -> Vec<(NodeId, u64, SimTime)> {
+        let mut rng = mn_sim::SimRng::seed_from(seed);
+        let cubes: Vec<NodeId> = topo.cubes().map(|(c, _)| c).collect();
+        let host = topo.host();
+        let total = 300u64;
+        let mut issued = 0u64;
+        let mut responses: Vec<(NodeId, usize, Packet)> = Vec::new();
+        let mut out = Vec::new();
+        let mut ready = Vec::new();
+        let mut now = SimTime::ZERO;
+        loop {
+            net.advance(now, &mut ready);
+            loop {
+                let mut moved = false;
+                for &node in &ready {
+                    while let Some(d) = net.take_delivery(node, now) {
+                        out.push((node, d.packet.id.0, d.arrived_at));
+                        moved = true;
+                        if node != host {
+                            let resp = Packet::response_to(&d.packet, false);
+                            responses.push((node, rng.below(4) as usize, resp));
+                        }
+                    }
+                }
+                let mut i = 0;
+                while i < responses.len() {
+                    let j = i + rng.below((responses.len() - i) as u64) as usize;
+                    responses.swap(i, j);
+                    let (node, port, ref resp) = responses[i];
+                    if rng.chance(0.7) && net.can_inject(node, port, resp) {
+                        let (node, port, resp) = responses.swap_remove(i);
+                        net.inject(node, port, resp, now).unwrap();
+                        moved = true;
+                    } else {
+                        i += 1;
+                    }
+                }
+                for _ in 0..rng.below(4) {
+                    let dst = cubes[rng.below(cubes.len() as u64) as usize];
+                    let kind = if rng.chance(0.3) {
+                        PacketKind::WriteRequest
+                    } else {
+                        PacketKind::ReadRequest
+                    };
+                    let pkt = Packet::request(issued, kind, host, dst);
+                    if issued < total && net.can_inject(host, 0, &pkt) {
+                        net.inject(host, 0, pkt, now).unwrap();
+                        issued += 1;
+                        moved = true;
+                    }
+                }
+                if !moved {
+                    break;
+                }
+                net.advance(now, &mut ready);
+            }
+            let step = SimTime::from_ps(now.as_ps() + 1 + rng.below(600));
+            now = match net.next_event_time() {
+                Some(t) => t.min(step),
+                None if issued < total || !responses.is_empty() => step,
+                None => break,
+            };
+        }
+        assert_eq!(net.in_flight(), 0, "seed {seed}: traffic stranded");
+        out
+    }
+
+    /// The wake path against a reference that pushes every wake — no
+    /// drop of no-op same-instant wakes, and one link-free event per
+    /// woken end of a half-duplex send. Over seeded traffic on chain,
+    /// ring, tree and skip-list networks, in half and full duplex, both
+    /// must deliver the same packets at the same nodes and times in the
+    /// same order, record the same lifecycle trace (which orders every
+    /// injection, link send and ejection) and end with identical
+    /// statistics, while the reference dispatches more events.
+    #[test]
+    fn wake_path_matches_the_every_wake_reference() {
+        let kinds = [
+            TopologyKind::Chain,
+            TopologyKind::Ring,
+            TopologyKind::Tree,
+            TopologyKind::SkipList,
+        ];
+        let arbiters = [
+            ArbiterKind::RoundRobin,
+            ArbiterKind::Distance,
+            ArbiterKind::AdaptiveDistance,
+        ];
+        for (k, kind) in kinds.into_iter().enumerate() {
+            let topo = Topology::build(kind, &Placement::homogeneous(8, CubeTech::Dram)).unwrap();
+            for duplex in [LinkDuplex::Half, LinkDuplex::Full] {
+                for seed in 0..3u64 {
+                    let cfg = NocConfig {
+                        duplex,
+                        buffer_packets: 1 + seed as usize * 2,
+                        ejection_packets: 2,
+                        trace: mn_telemetry::TraceConfig::Full,
+                        ..NocConfig::default().with_arbiter(arbiters[(k + seed as usize) % 3])
+                    };
+                    let seed = 0x3A4E_0000 + 16 * k as u64 + seed;
+                    let mut reference = Network::new(&topo, cfg.clone());
+                    reference.every_wake = true;
+                    let mut net = Network::new(&topo, cfg);
+                    let want = drive_seeded(&mut reference, &topo, seed);
+                    let got = drive_seeded(&mut net, &topo, seed);
+                    let case = format!("{kind:?} {duplex:?} seed {seed:#x}");
+                    assert_eq!(got, want, "{case}: deliveries diverged");
+                    let trace = |net: &mut Network| {
+                        let telemetry = net.take_telemetry().expect("full tracing");
+                        format!("{:?}", telemetry.tracer.events().collect::<Vec<_>>())
+                    };
+                    assert!(
+                        trace(&mut net) == trace(&mut reference),
+                        "{case}: traces diverged"
+                    );
+                    assert_eq!(
+                        format!("{:?}", net.stats()),
+                        format!("{:?}", reference.stats()),
+                        "{case}: statistics diverged"
+                    );
+                    assert!(
+                        net.events_processed() < reference.events_processed(),
+                        "{case}: no wake was saved"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

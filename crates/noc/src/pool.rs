@@ -17,6 +17,7 @@
 use std::cell::RefCell;
 
 use mn_sim::{GenArena, SimTime};
+use mn_topo::NodeId;
 
 use crate::arbiter::Candidate;
 use crate::network::{Buf, NetEvent};
@@ -71,6 +72,9 @@ pub(crate) struct NetworkStorage {
     pub(crate) head_mask: Vec<u64>,
     pub(crate) scratch: Vec<Candidate>,
     pub(crate) batch: Vec<NetEvent>,
+    pub(crate) lane: Vec<NodeId>,
+    pub(crate) lane_batch: Vec<NodeId>,
+    pub(crate) inbound: Vec<u32>,
 }
 
 impl NetworkStorage {
@@ -95,6 +99,9 @@ impl NetworkStorage {
         self.head_mask.fill(0);
         self.scratch.clear();
         self.batch.clear();
+        self.lane.clear();
+        self.lane_batch.clear();
+        self.inbound.fill(0);
     }
 }
 

@@ -1,50 +1,36 @@
 //! The event queue at the heart of the discrete-event kernel.
 //!
-//! [`EventQueue`] is two sorted sequences: `pending`, a `Vec` kept in
-//! descending order so its earliest entry pops from the end, and a FIFO
-//! *same-instant lane* (a `VecDeque`) beside it. The traffic of a
+//! [`EventQueue`] is one sorted `Vec`, `pending`, kept in descending
+//! order so its earliest entry pops from the end. The traffic of a
 //! router-network simulation keeps the queue short (tens of events) and
-//! close to the clock. Most pushes are wake-ups for the instant being
-//! processed, which append to the lane. The rest mostly land a few
-//! entries from the latest pending event, so `pending` compares its
-//! latest entries one by one before it binary-searches the rest. The
-//! earliest pending instant is cached, so a peek is one load.
+//! close to the clock, and most pushes land a few entries from the latest
+//! pending event, so a push compares its latest entries one by one before
+//! it binary-searches the rest.
 //!
 //! ## The pop order
 //!
 //! The pop order is **exactly** `(time, insertion sequence)`, the order a
 //! binary heap with an explicit sequence tie-break produces — which is
 //! what pins the workspace's bit-reproducible results. The queue never
-//! stores the sequence number. Two mechanisms keep the order instead (see
-//! `DESIGN.md` §5.3), both resting on the queue clock
-//! ([`EventQueue::set_clock`]): the instant the simulation is
-//! processing. The clock never moves backwards, and no push is due
-//! before it.
-//!
-//! 1. **Stable insertion into `pending`.** `pending` is descending by
-//!    time, and a push lands before (at a lower index than) every entry
-//!    due no later than it, so it pops after them. Its sequence number
-//!    is the largest yet issued, so among equal times push order — the
-//!    sequence order — survives.
-//! 2. **The same-instant lane.** A push due exactly at the clock goes to
-//!    the lane instead. The clock is monotone, so appends keep the lane
-//!    sorted by `(time, seq)`. Every `pending` entry at `t` was pushed
-//!    while the clock was still before `t`, so it precedes every lane
-//!    entry at `t` in sequence order: at a tied time `pending` pops
-//!    first and the lane second; `pop` and `pop_batch_into` merge the two
-//!    fronts by that rule.
+//! stores the sequence number. Stable insertion keeps the order instead
+//! (see `DESIGN.md` §5.3): `pending` is descending by time, and a push
+//! lands before (at a lower index than) every entry due no later than
+//! it, so it pops after them. Its sequence number is the largest yet
+//! issued, so among equal times push order — the sequence order —
+//! survives.
 //!
 //! The [`Scheduled`] wrapper (with the heap's inverted ordering) remains
 //! available for reference implementations and differential tests.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
 /// How many of the latest `pending` entries a push compares one by one
-/// before it binary-searches the rest. On Fig. 10, 79% of `pending`
-/// pushes land within eight of the latest entry, and the mean is five.
+/// before it binary-searches the rest. On Fig. 10, 79% of the network's
+/// link-arrival and link-free pushes land within eight of the latest
+/// entry, and the mean is five (measured while a half-duplex send still
+/// pushed one link-free wake per end).
 const NEAR: usize = 16;
 
 /// An event scheduled for a particular instant.
@@ -101,9 +87,9 @@ impl<E> Ord for Scheduled<E> {
 /// insertion-seq)` pop order.
 ///
 /// Events popped from the queue are monotonically non-decreasing in time.
-/// Scheduling an event earlier than the last popped event or the queue
-/// clock is a logic error in the caller and is caught by a debug
-/// assertion in [`EventQueue::push`].
+/// Scheduling an event earlier than the last popped event is a logic
+/// error in the caller and is caught by a debug assertion in
+/// [`EventQueue::push`].
 ///
 /// # Example
 ///
@@ -120,19 +106,10 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Every entry not on the lane, descending by time with equal times
-    /// in reverse push order, so the next to pop is last (ordering
-    /// mechanism 1 in the module docs).
+    /// Every pending entry, descending by time with equal times in
+    /// reverse push order, so the next to pop is last (see the module
+    /// docs).
     pending: Vec<(SimTime, E)>,
-    /// The same-instant lane: entries pushed due at the clock, sorted by
-    /// time and then push order (ordering mechanism 2 in the module docs).
-    lane: VecDeque<(SimTime, E)>,
-    /// The instant the simulation is processing; advanced by
-    /// [`EventQueue::set_clock`]. Stays [`SimTime::ZERO`] for callers that
-    /// never set it, so only pushes due at zero take the lane.
-    clock: SimTime,
-    /// The earliest pending instant: the earlier of the two fronts.
-    head: Option<SimTime>,
     now: SimTime,
     popped: u64,
     pushed: u64,
@@ -144,9 +121,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             pending: Vec::new(),
-            lane: VecDeque::new(),
-            clock: SimTime::ZERO,
-            head: None,
             now: SimTime::ZERO,
             popped: 0,
             pushed: 0,
@@ -154,12 +128,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue in which `pending` and the lane each hold
-    /// `capacity` events before reallocating.
+    /// Creates an empty queue that holds `capacity` events before
+    /// reallocating.
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = EventQueue::new();
         q.pending.reserve(capacity);
-        q.lane.reserve(capacity);
         q
     }
 
@@ -169,118 +142,60 @@ impl<E> EventQueue<E> {
         EventQueue::with_capacity(capacity)
     }
 
-    /// Advances the queue clock to the instant the simulation is processing.
-    /// A push due exactly at the clock takes the same-instant lane. The
-    /// clock must never move backwards, and no later push may be due
-    /// before it. Callers that never set it leave it at zero.
-    pub fn set_clock(&mut self, clock: SimTime) {
-        debug_assert!(
-            clock >= self.clock,
-            "queue clock moved backwards ({clock} < {})",
-            self.clock
-        );
-        self.clock = clock;
-    }
-
-    /// The current queue clock (see [`EventQueue::set_clock`]).
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Schedules `event` to fire at `time`. A push due at the queue clock
-    /// appends to the same-instant lane; every other push goes to
-    /// `pending`.
+    /// Schedules `event` to fire at `time`.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `time` is earlier than the time of the
-    /// most recently popped event (scheduling into the past) or than the
-    /// queue clock.
+    /// most recently popped event (scheduling into the past).
     pub fn push(&mut self, time: SimTime, event: E) {
         debug_assert!(
             time >= self.now,
             "scheduled event at {time} into the past (now = {})",
             self.now
         );
-        debug_assert!(
-            time >= self.clock,
-            "scheduled event at {time} before the queue clock {}",
-            self.clock
-        );
         self.pushed += 1;
-        if time == self.clock {
-            // The newest entry at the lane's latest time.
-            self.lane.push_back((time, event));
-        } else {
-            // The newest push pops after every entry due no later than
-            // it — exactly the (time, seq) position. It usually lands
-            // among the latest entries, so those are scanned first (see
-            // `NEAR`).
-            let near = self.pending.len().min(NEAR);
-            let pos = match self.pending[..near].iter().position(|&(t, _)| t <= time) {
-                Some(pos) => pos,
-                None => near + self.pending[near..].partition_point(|&(t, _)| t > time),
-            };
-            self.pending.insert(pos, (time, event));
-        }
-        self.peak = self.peak.max(self.len());
-        if self.head.is_none_or(|head| time < head) {
-            self.head = Some(time);
-        }
-    }
-
-    /// Recomputes the cached head after a pop.
-    #[inline]
-    fn refresh_head(&mut self) {
-        let lane = self.lane.front().map(|&(t, _)| t);
-        self.head = match (self.pending.last().map(|&(t, _)| t), lane) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        // The newest push pops after every entry due no later than it —
+        // exactly the (time, seq) position. It usually lands among the
+        // latest entries, so those are scanned first (see `NEAR`).
+        let near = self.pending.len().min(NEAR);
+        let pos = match self.pending[..near].iter().position(|&(t, _)| t <= time) {
+            Some(pos) => pos,
+            None => near + self.pending[near..].partition_point(|&(t, _)| t > time),
         };
+        self.pending.insert(pos, (time, event));
+        self.peak = self.peak.max(self.pending.len());
     }
 
-    /// Removes and returns the earliest event, advancing the queue's clock.
+    /// Removes and returns the earliest event, advancing [`EventQueue::now`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let t = self.head?;
-        // At a tied time `pending` goes first.
-        let event = if self.pending.last().is_some_and(|&(pt, _)| pt == t) {
-            self.pending.pop().expect("checked non-empty").1
-        } else {
-            self.lane.pop_front().expect("the head is on the lane").1
-        };
+        let (t, event) = self.pending.pop()?;
         self.now = t;
         self.popped += 1;
-        self.refresh_head();
         Some((t, event))
     }
 
     /// Removes the entire same-time run at the head — every event firing
     /// at the earliest pending instant — appending the events to `out` in
-    /// pop order and returning the instant and count: `pending`'s run,
-    /// then the lane's. The flattened sequence is identical to repeated
-    /// [`EventQueue::pop`].
+    /// pop order and returning the instant and count. The flattened
+    /// sequence is identical to repeated [`EventQueue::pop`].
     pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<(SimTime, usize)> {
-        let t = self.head?;
+        let t = self.peek_time()?;
         let start = out.len();
         while self.pending.last().is_some_and(|&(pt, _)| pt == t) {
             let (_, event) = self.pending.pop().expect("checked non-empty");
             out.push(event);
         }
-        while self.lane.front().is_some_and(|&(lt, _)| lt == t) {
-            let (_, event) = self.lane.pop_front().expect("checked non-empty");
-            out.push(event);
-        }
         let n = out.len() - start;
         self.now = t;
         self.popped += n as u64;
-        self.refresh_head();
         Some((t, n))
     }
 
     /// The firing time of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.head
+        self.pending.last().map(|&(t, _)| t)
     }
 
     /// The time of the most recently popped event ([`SimTime::ZERO`] before
@@ -290,13 +205,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of events currently pending.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.pending.len() + self.lane.len()
+        self.pending.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pending.is_empty()
     }
 
     /// Total number of events popped since construction.
@@ -382,15 +298,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_ns(10), ());
         q.pop();
-        q.push(SimTime::from_ns(5), ());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "before the queue clock")]
-    fn scheduling_before_clock_panics_in_debug() {
-        let mut q = EventQueue::new();
-        q.set_clock(SimTime::from_ns(10));
         q.push(SimTime::from_ns(5), ());
     }
 

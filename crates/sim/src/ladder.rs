@@ -253,22 +253,20 @@ mod tests {
 
     #[test]
     fn lane_entries_follow_bucket_entries_at_the_same_instant() {
-        // At 10 ns: 'early' was pushed with the clock at 5 ns and sits in
-        // `pending`; the pushes due at the 10 ns clock take the lane and
-        // pop after it, in push order, in one batch that also counts both.
+        // At 10 ns: 'early' was pushed while the caller was at 5 ns; the
+        // pushes made once the caller reached 10 ns pop after it, in push
+        // order, in one batch that also counts all three.
         let t = SimTime::from_ns(10);
         let mut q = LadderQueue::new();
-        q.set_clock(SimTime::from_ns(5));
         q.push(t, "early");
         q.push(SimTime::from_ns(20), "later");
-        q.set_clock(t);
-        q.push(t, "lane-1");
-        q.push(t, "lane-2");
+        q.push(t, "at-clock-1");
+        q.push(t, "at-clock-2");
         assert_eq!((q.len(), q.peak_len()), (4, 4));
         assert_eq!(q.peek_time(), Some(t));
         let mut out = Vec::new();
         assert_eq!(q.pop_batch_into(&mut out), Some((t, 3)));
-        assert_eq!(out, ["early", "lane-1", "lane-2"]);
+        assert_eq!(out, ["early", "at-clock-1", "at-clock-2"]);
         assert_eq!(q.pop(), Some((SimTime::from_ns(20), "later")));
         assert_eq!(q.events_processed(), 4);
         assert!(q.is_empty());
@@ -276,10 +274,8 @@ mod tests {
 
     #[test]
     fn clock_defaults_keep_classic_fifo_order() {
-        // Callers that never touch the clock see the same (time, seq)
-        // order.
+        // Same-instant pushes pop in (time, seq) order.
         let mut q = LadderQueue::new();
-        assert_eq!(q.clock(), SimTime::ZERO);
         for i in 0..10 {
             q.push(SimTime::from_ns(3), i);
         }

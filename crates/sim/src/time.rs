@@ -42,47 +42,56 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from picoseconds.
+    #[inline]
     pub const fn from_ps(ps: u64) -> Self {
         SimTime(ps)
     }
 
     /// Creates an instant from nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns * 1_000)
     }
 
     /// Creates an instant from microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimTime(us * 1_000_000)
     }
 
     /// This instant as picoseconds since simulation start.
+    #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
 
     /// This instant as (truncated) nanoseconds since simulation start.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0 / 1_000
     }
 
     /// This instant as fractional nanoseconds since simulation start.
+    #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// The duration elapsed since `earlier`, or [`SimDuration::ZERO`] if
     /// `earlier` is in the future (saturating).
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// Returns the earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -93,16 +102,19 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a span from picoseconds.
+    #[inline]
     pub const fn from_ps(ps: u64) -> Self {
         SimDuration(ps)
     }
 
     /// Creates a span from nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimDuration(ns * 1_000)
     }
 
     /// Creates a span from microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimDuration(us * 1_000_000)
     }
@@ -113,6 +125,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `ns` is negative or not finite.
+    #[inline]
     pub fn from_ns_f64(ns: f64) -> Self {
         assert!(
             ns.is_finite() && ns >= 0.0,
@@ -122,36 +135,43 @@ impl SimDuration {
     }
 
     /// This span in picoseconds.
+    #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
 
     /// This span in (truncated) nanoseconds.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0 / 1_000
     }
 
     /// This span in fractional nanoseconds.
+    #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// True if this span is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Returns the larger of two spans.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// Returns the smaller of two spans.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// Saturating subtraction: `self - other`, or zero if `other` is larger.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -159,12 +179,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -172,6 +194,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -183,6 +206,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -194,12 +218,14 @@ impl Sub<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -207,6 +233,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -217,6 +244,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -224,6 +252,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -231,6 +260,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

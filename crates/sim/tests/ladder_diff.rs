@@ -10,12 +10,12 @@
 //! the bucket and window boundaries of the ladder queue the kernel used
 //! before, where its corner cases sat.
 //!
-//! Clocked schedules check the same-instant lane against the same
-//! reference: a caller that sets the clock to every popped instant, as
-//! the network does, sends each push at `time == clock` down the lane.
-//! A deep case holds over a thousand events pushed out of order, so
-//! pushes that land beyond the latest few entries binary-search their
-//! slot.
+//! Clocked schedules check pushes due at the caller's current instant
+//! against the same reference: a caller whose clock follows every popped
+//! instant, as the network's does, pushes many events at `time == clock`
+//! behind entries pushed earlier for that instant. A deep case holds
+//! over a thousand events pushed out of order, so pushes that land
+//! beyond the latest few entries binary-search their slot.
 
 use std::collections::BinaryHeap;
 
@@ -188,10 +188,10 @@ fn ladder_matches_reference_on_pure_same_instant_bursts() {
     }
 }
 
-/// Drives both queues with one clocked schedule: the clock follows every
-/// popped instant and sometimes jumps ahead (a driver injecting at a
-/// later instant), and pushes mix `time == clock` (the lane) with future
-/// times.
+/// Drives both queues with one clocked schedule: the caller's clock
+/// follows every popped instant and sometimes jumps ahead (a caller
+/// injecting at a later instant), and pushes mix `time == clock` with
+/// future times.
 fn run_clocked_schedule(seed: u64, ops: usize) {
     let mut rng = SimRng::seed_from(seed);
     let mut queue: EventQueue<u32> = EventQueue::with_capacity(16);
@@ -203,7 +203,7 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
 
     for op in 0..ops {
         match rng.below(20) {
-            // Push bursts: the lane's share dominates, as in a network.
+            // Push bursts: at-clock pushes dominate, as in a network.
             0..=9 => {
                 for _ in 0..1 + rng.geometric(0.4, 8) {
                     let time = SimTime::from_ps(match rng.below(10) {
@@ -240,7 +240,6 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
                 // Jump the clock ahead of the queue, as an injection at a
                 // later instant does.
                 clock += rng.below(2 * BUCKET_PS);
-                queue.set_clock(SimTime::from_ps(clock));
             }
             _ => assert_eq!(
                 queue.peek_time(),
@@ -249,10 +248,7 @@ fn run_clocked_schedule(seed: u64, ops: usize) {
             ),
         }
         // Drivers process each popped instant with the clock at it.
-        if now > clock {
-            clock = now;
-            queue.set_clock(SimTime::from_ps(clock));
-        }
+        clock = clock.max(now);
         assert_eq!(
             queue.len(),
             reference.heap.len(),
@@ -291,9 +287,8 @@ fn lane_matches_causal_reference_on_long_schedules() {
 }
 
 /// One push of the deep schedule into both queues, tagged with its
-/// sequence number. A quarter go to the lane at the clock. The rest go
-/// to `pending`, due on one of 64 bucket-width steps after the clock, so
-/// many share a time.
+/// sequence number. A quarter are due at the clock. The rest are due on
+/// one of 64 bucket-width steps after the clock, so many share a time.
 fn push_deep(queue: &mut EventQueue<u32>, reference: &mut HeapQueue, rng: &mut SimRng, clock: u64) {
     let time = if rng.below(4) == 0 {
         clock
@@ -314,7 +309,6 @@ fn run_deep_schedule(seed: u64, depth: usize) {
     let mut queue: EventQueue<u32> = EventQueue::new();
     let mut reference = HeapQueue::default();
     let mut clock = 4 * WINDOW_PS;
-    queue.set_clock(SimTime::from_ps(clock));
 
     for _ in 0..depth {
         push_deep(&mut queue, &mut reference, &mut rng, clock);
@@ -344,10 +338,7 @@ fn run_deep_schedule(seed: u64, depth: usize) {
             );
             l.expect("non-empty").0.as_ps()
         };
-        if now > clock {
-            clock = now;
-            queue.set_clock(SimTime::from_ps(clock));
-        }
+        clock = clock.max(now);
         // Keep refilling for the first half of the drain.
         if step < depth / 2 {
             push_deep(&mut queue, &mut reference, &mut rng, clock);

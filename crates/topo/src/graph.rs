@@ -17,6 +17,7 @@ impl NodeId {
     pub const HOST: NodeId = NodeId(0);
 
     /// The raw index, usable for dense per-node arrays.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -34,6 +35,7 @@ pub struct LinkId(pub u32);
 
 impl LinkId {
     /// The raw index, usable for dense per-link arrays.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -296,6 +298,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[inline]
     pub fn link(&self, id: LinkId) -> LinkInfo {
         self.links[id.index()]
     }
@@ -339,6 +342,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[inline]
     pub fn neighbors(&self, id: NodeId) -> &[(NodeId, LinkId)] {
         &self.adj[id.index()]
     }
