@@ -211,7 +211,10 @@ fn main() {
     );
     println!("metrics-on overhead on the warm-hot path: {metrics_overhead_pct:.2}%");
 
-    let out = std::env::var("MN_BENCH_OUT").unwrap_or_else(|_| "BENCH_campaign.json".to_string());
+    let out = mn_campaign::Knobs::get()
+        .bench_out
+        .clone()
+        .unwrap_or_else(|| "BENCH_campaign.json".into());
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"available_cores\": {available_cores},");
     let _ = writeln!(json, "  \"workers\": {jobs},");
@@ -233,8 +236,8 @@ fn main() {
     let _ = writeln!(json, "  \"coalesced_submitters\": {submitters}");
     json.push_str("}\n");
     if let Err(err) = std::fs::write(&out, &json) {
-        eprintln!("warning: could not write {out}: {err}");
+        eprintln!("warning: could not write {}: {err}", out.display());
     } else {
-        eprintln!("wrote {out}");
+        eprintln!("wrote {}", out.display());
     }
 }

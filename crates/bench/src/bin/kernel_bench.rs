@@ -91,7 +91,7 @@ fn run_case(case: &Case) -> Measurement {
     }
     // MN_TRACE lets CI measure telemetry overhead (off/counters/full)
     // with the same binary; the event stream is identical either way.
-    if let Some(mode) = mn_campaign::trace_from_env() {
+    if let Some(mode) = mn_campaign::Knobs::get().trace {
         config.noc.trace = mode;
     }
 
@@ -214,7 +214,10 @@ fn main() {
         measurements.push(m);
     }
 
-    let out = std::env::var("MN_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernel.json".to_string());
+    let out = mn_campaign::Knobs::get()
+        .bench_out
+        .clone()
+        .unwrap_or_else(|| "BENCH_kernel.json".into());
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let comma = if i + 1 < measurements.len() { "," } else { "" };
@@ -237,8 +240,8 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
     if let Err(err) = std::fs::write(&out, &json) {
-        eprintln!("warning: could not write {out}: {err}");
+        eprintln!("warning: could not write {}: {err}", out.display());
     } else {
-        eprintln!("wrote {out}");
+        eprintln!("wrote {}", out.display());
     }
 }

@@ -7,36 +7,22 @@
 //! finished points from the on-disk result cache (`results/cache/`), and
 //! can append machine-readable per-point records after the text tables.
 //!
-//! All experiment binaries honor:
-//!
-//! - `MN_REQUESTS` — requests per simulated port (default 6000; larger
-//!   runs are smoother but slower),
-//! - `MN_SEED` — RNG seed (default the configs' built-in seed),
-//! - `MN_JOBS` — campaign worker threads (default: available parallelism),
-//! - `MN_CACHE_DIR` / `MN_CACHE=off` — result-cache location / disable,
-//! - `MN_FAULT_RATE` — per-traversal transient-CRC probability (default 0:
-//!   fault injection off; enabling it changes the result fingerprints),
-//! - `MN_FAULT_SEED` — fault-schedule seed (default 0),
-//! - `MN_TRACE` — telemetry mode `off|counters|full` (default off; purely
-//!   observational, never changes results or fingerprints — but cached
-//!   points come back without telemetry, so combine with `MN_CACHE=off`),
-//! - `MN_HOST_POLICY` — closed-loop window policy `open|fixed:<n>|aimd|ecn`
-//!   (default open: no injection gate; anything else changes the result
-//!   fingerprints),
-//! - `MN_HOST_WINDOW` — initial closed-loop window in outstanding requests
-//!   (the cap is raised to match; only meaningful with a non-open policy),
-//! - `--format text|json|csv` — append per-point records to the tables.
-//!
-//! Malformed values are reported on stderr and the default applies.
+//! Every binary reads the `MN_*` knobs through [`mn_campaign::Knobs`];
+//! the knob table ([`mn_campaign::KNOBS`], mirrored by the README) lists
+//! each one with its default. [`tune`] applies the ones that shape a
+//! configuration (`MN_REQUESTS`, `MN_SEED`, `MN_FAULT_*`, `MN_TRACE`,
+//! `MN_HOST_*`) and [`Harness`] the ones that shape execution. The binaries
+//! also take `--format text|json|csv` to append per-point records to the
+//! tables. Malformed values are reported on stderr and the default applies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
 
+pub use mn_campaign::CLOSED_LOOP_ECN_THRESHOLD;
 use mn_campaign::{
-    env_parse, fault_rate_from_env, fault_seed_from_env, write_point_records, Campaign,
-    CampaignPoint, OutputFormat, PointOutcome,
+    write_point_records, Campaign, CampaignPoint, Knobs, OutputFormat, PointOutcome,
 };
 use mn_core::{mix_grid, speedup_pct, MixSpec, RunResult, SystemConfig, WindowPolicyKind};
 use mn_noc::{ArbiterKind, FaultConfig};
@@ -46,43 +32,20 @@ use mn_workloads::Workload;
 
 /// Requests per port for experiment runs (`MN_REQUESTS`, default 6000).
 pub fn requests_per_port() -> u64 {
-    env_parse("MN_REQUESTS").unwrap_or(6_000)
+    Knobs::get().requests
 }
 
-/// Optional seed override (`MN_SEED`).
-pub fn seed_override() -> Option<u64> {
-    env_parse("MN_SEED")
-}
-
-/// Applies the harness environment knobs to a config. With `MN_FAULT_RATE`
-/// unset (the default), fault injection stays disabled and results remain
-/// on the committed-golden fingerprints.
+/// Applies the harness knobs to a config: `MN_REQUESTS`, `MN_SEED`, then
+/// [`Knobs::apply`]. With `MN_FAULT_RATE` unset (the default), fault
+/// injection stays disabled and results remain on the committed-golden
+/// fingerprints.
 pub fn tune(mut config: SystemConfig) -> SystemConfig {
-    config.requests_per_port = requests_per_port();
-    if let Some(seed) = seed_override() {
+    let knobs = Knobs::get();
+    config.requests_per_port = knobs.requests;
+    if let Some(seed) = knobs.seed {
         config.seed = seed;
     }
-    if let Some(rate) = fault_rate_from_env() {
-        config.noc.fault.transient_rate = rate;
-    }
-    if let Some(seed) = fault_seed_from_env() {
-        config.noc.fault.seed = seed;
-    }
-    if let Some(mode) = mn_campaign::trace_from_env() {
-        config.noc.trace = mode;
-    }
-    if let Some(policy) = mn_campaign::host_policy_from_env() {
-        config.host.policy = policy;
-        // ECN windows need links that mark: give the env knob a working
-        // threshold when the config leaves marking off.
-        if policy == WindowPolicyKind::Ecn && config.noc.ecn_threshold == 0 {
-            config.noc.ecn_threshold = CLOSED_LOOP_ECN_THRESHOLD;
-        }
-    }
-    if let Some(window) = mn_campaign::host_window_from_env() {
-        config.host.initial_window = window;
-        config.host.window_cap = config.host.window_cap.max(window);
-    }
+    knobs.apply(&mut config);
     config
 }
 
@@ -553,11 +516,6 @@ pub fn fault_sweep_report(harness: &mut Harness) -> String {
 /// slots offer more concurrent bursts, independent of the congestion
 /// window that gates how many may be in flight.
 pub const CLOSED_LOOP_SLOTS: [usize; 3] = [1, 4, 16];
-
-/// ECN mark threshold (in buffered packets at a link output) used by the
-/// sweep's `ecn` rows and by `MN_HOST_POLICY=ecn` when the config leaves
-/// marking off.
-pub const CLOSED_LOOP_ECN_THRESHOLD: u32 = 6;
 
 /// The window policies the closed-loop sweep drives through every
 /// topology: the open-loop reference, tight and generous fixed windows,

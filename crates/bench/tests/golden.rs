@@ -29,24 +29,16 @@ const FIG05_GOLDEN: &str = include_str!("../../../results/fig05.txt");
 const FIG07_GOLDEN: &str = include_str!("../../../results/fig07.txt");
 const FIG10_GOLDEN: &str = include_str!("../../../results/fig10.txt");
 
-/// The environment knobs (`MN_REQUESTS`, `MN_SEED`, the fault overrides,
-/// `MN_TRACE`, and the closed-loop host knobs) reshape every figure grid;
-/// the goldens were produced with the defaults (fault injection off,
-/// telemetry off, open-loop hosts). `MN_TRACE` never changes the numbers,
-/// but the from-scratch replays assert the exact default-mode behavior,
-/// so it is excluded like the rest.
+/// The knobs that change simulated results (the knob table's `results`
+/// rows: requests, seed, the fault overrides and the closed-loop host
+/// knobs) reshape every figure grid; the goldens were produced with their
+/// defaults. Observational knobs such as `MN_TRACE` never change the
+/// numbers, so the goldens must hold under them too.
 fn env_is_default() -> bool {
-    [
-        "MN_REQUESTS",
-        "MN_SEED",
-        "MN_FAULT_RATE",
-        "MN_FAULT_SEED",
-        "MN_TRACE",
-        "MN_HOST_POLICY",
-        "MN_HOST_WINDOW",
-    ]
-    .iter()
-    .all(|knob| std::env::var_os(knob).is_none())
+    mn_campaign::KNOBS
+        .iter()
+        .filter(|knob| knob.results)
+        .all(|knob| std::env::var_os(knob.name).is_none_or(|value| value.is_empty()))
 }
 
 #[test]

@@ -80,22 +80,6 @@ const HOT_CAP: usize = 1024;
 /// A `gc.lock` older than this is a crashed evictor's debris: steal it.
 const LOCK_STALE: Duration = Duration::from_secs(300);
 
-/// The default cache directory, honoring `MN_CACHE_DIR`.
-pub fn default_cache_dir() -> PathBuf {
-    match std::env::var("MN_CACHE_DIR") {
-        Ok(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => PathBuf::from("results/cache"),
-    }
-}
-
-/// True when `MN_CACHE` asks for caching to be disabled entirely.
-pub fn cache_disabled_by_env() -> bool {
-    matches!(
-        std::env::var("MN_CACHE").as_deref(),
-        Ok("0") | Ok("off") | Ok("no") | Ok("false")
-    )
-}
-
 /// A decoded entry resident in the hot tier, revalidated against the
 /// on-disk file before every serve. Carries its own entry path so a hot
 /// hit allocates nothing.
@@ -340,7 +324,7 @@ impl DiskCache {
         let state = dir_state(&dir);
         DiskCache {
             dir,
-            budget: crate::env::cache_budget_from_env(),
+            budget: crate::Knobs::get().cache_budget,
             tmp_counter: AtomicU64::new(0),
             swept: AtomicBool::new(false),
             state,

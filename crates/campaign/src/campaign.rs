@@ -42,15 +42,12 @@ use std::time::{Duration, Instant};
 use mn_core::{merge_port_observations, port_count, PortObservation, RunResult};
 use mn_telemetry::registry;
 
-use crate::cache::{cache_disabled_by_env, default_cache_dir, DiskCache};
+use crate::cache::DiskCache;
 use crate::chaos::ChaosPlan;
 use crate::engine::{Claim, Delivery, Engine, Job};
-use crate::env::{
-    coalesce_from_env, jobs_from_env, metrics_file_from_env, metrics_interval_from_env,
-    resume_from_env, retries_from_env,
-};
 use crate::error::CampaignError;
 use crate::journal::{self, RunJournal};
+use crate::knobs::Knobs;
 use crate::point::{fnv1a64, CampaignPoint};
 use crate::report::{CampaignSummary, Progress};
 
@@ -129,34 +126,30 @@ pub struct Campaign {
     retries: u32,
     journal: Option<PathBuf>,
     chaos: Option<ChaosPlan>,
-    coalesce: bool,
     engine: OnceLock<Arc<Engine>>,
 }
 
 impl Campaign {
-    /// The environment-driven campaign every figure binary uses: the
-    /// process-global [`Engine`] sized by `MN_JOBS` (default: available
-    /// parallelism), the default cache directory (`results/cache/`,
-    /// `MN_CACHE_DIR` to move it, `MN_CACHE=off` to disable, with an
-    /// `MN_CACHE_BUDGET` eviction budget), the `MN_RETRIES` retry budget
-    /// (default 2), cross-campaign coalescing (`MN_COALESCE=off` to
-    /// disable), an `MN_RESUME` journal when set, and — for harness
-    /// testing only — `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection.
+    /// The knob-driven campaign every figure binary uses ([`Knobs::get`]):
+    /// the process-global [`Engine`] sized by `MN_JOBS` (default:
+    /// available parallelism), the cache in `MN_CACHE_DIR` (default
+    /// `results/cache/`; `MN_CACHE=off` detaches it, `MN_CACHE_BUDGET`
+    /// bounds it), the `MN_RETRIES` retry budget (default 2), an
+    /// `MN_RESUME` journal when set, and — for harness testing only —
+    /// `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection. It also sets the
+    /// metrics gate from `MN_METRICS`.
     pub fn from_env() -> Campaign {
-        // Pin the metrics gate through the validating reader so a
-        // malformed MN_METRICS warns once instead of being silently
-        // treated as off by the registry's own lazy parse.
-        registry::set_metrics_enabled(crate::env::metrics_from_env());
-        let mut campaign = Campaign::new(jobs_from_env());
-        campaign.retries = retries_from_env();
-        campaign.journal = resume_from_env();
-        campaign.chaos = ChaosPlan::from_env();
-        campaign.coalesce = coalesce_from_env();
+        let knobs = Knobs::get();
+        registry::set_metrics_enabled(knobs.metrics);
+        let mut campaign = Campaign::new(knobs.jobs());
+        campaign.retries = knobs.retries;
+        campaign.journal = knobs.resume.clone();
+        campaign.chaos = knobs.chaos();
         let _ = campaign.engine.set(Engine::global());
-        if cache_disabled_by_env() {
-            campaign
+        if knobs.cache {
+            campaign.cache_dir(&knobs.cache_dir)
         } else {
-            campaign.cache_dir(default_cache_dir())
+            campaign
         }
     }
 
@@ -173,7 +166,6 @@ impl Campaign {
             retries: 0,
             journal: None,
             chaos: None,
-            coalesce: true,
             engine: OnceLock::new(),
         }
     }
@@ -215,27 +207,6 @@ impl Campaign {
         self
     }
 
-    /// A copy of this campaign with a journal attached — for callers
-    /// that hold the campaign by reference (the CLI's `--resume`). The
-    /// cache is re-opened on the same directory and the engine (if
-    /// already resolved) is shared.
-    pub fn with_journal(&self, path: impl Into<PathBuf>) -> Campaign {
-        let engine = OnceLock::new();
-        if let Some(shared) = self.engine.get() {
-            let _ = engine.set(Arc::clone(shared));
-        }
-        Campaign {
-            jobs: self.jobs,
-            cache: self.cache.as_ref().map(|c| DiskCache::new(c.dir())),
-            quiet: self.quiet,
-            retries: self.retries,
-            journal: Some(path.into()),
-            chaos: self.chaos,
-            coalesce: self.coalesce,
-            engine,
-        }
-    }
-
     /// Arms the deterministic chaos harness (test infrastructure): the
     /// plan injects worker panics, cache damage, and journal tears on a
     /// seeded schedule that the recovery machinery must absorb without
@@ -256,14 +227,6 @@ impl Campaign {
             engine: slot,
             ..self
         }
-    }
-
-    /// Disables cross-campaign coalescing for this campaign: it never
-    /// claims points in the engine's in-flight table and never waits on
-    /// another campaign's simulation.
-    pub fn no_coalesce(mut self) -> Campaign {
-        self.coalesce = false;
-        self
     }
 
     /// The configured worker count.
@@ -295,7 +258,8 @@ impl Campaign {
             let m = registry::metrics();
             m.campaign_runs.inc();
             m.campaign_points.add(total as u64);
-            registry::configure_export(metrics_file_from_env(), metrics_interval_from_env());
+            let knobs = Knobs::get();
+            registry::configure_export(knobs.metrics_file.clone(), knobs.metrics_interval);
             registry::sample_now("campaign-start");
         }
         let mut progress = Progress::new(total, self.quiet);
@@ -445,15 +409,13 @@ impl Campaign {
             if slots[i].is_some() {
                 continue; // already replayed from the journal
             }
-            if self.coalesce {
-                match engine.claim(&fingerprints[i], &tx, i) {
-                    Claim::Owner => {
-                        guard.open.insert(i, fingerprints[i].clone());
-                    }
-                    Claim::Waiter => {
-                        waiting += 1;
-                        continue;
-                    }
+            match engine.claim(&fingerprints[i], &tx, i) {
+                Claim::Owner => {
+                    guard.open.insert(i, fingerprints[i].clone());
+                }
+                Claim::Waiter => {
+                    waiting += 1;
+                    continue;
                 }
             }
             // Probe the cache (cheap, I/O-bound) so only true misses are

@@ -46,16 +46,6 @@ impl ChaosPlan {
         }
     }
 
-    /// Reads `MN_CHAOS_SEED` / `MN_CHAOS_RATE`; engaged only when the
-    /// rate is set and positive.
-    pub fn from_env() -> Option<ChaosPlan> {
-        let rate = crate::env::chaos_rate_from_env()?;
-        if rate <= 0.0 {
-            return None;
-        }
-        Some(ChaosPlan::new(crate::env::chaos_seed_from_env(), rate))
-    }
-
     /// The core decision: does this (domain, salt) site inject? Pure in
     /// (seed, domain, salt); the top 53 bits of a splitmix64 mix become
     /// a uniform draw in `[0, 1)` compared against the rate.
@@ -193,10 +183,6 @@ mod tests {
         assert!(!plan.injects_panic(0xBEEF, 0, 2, 2));
         assert!(!plan.injects_panic(0xBEEF, 0, 0, 0), "no budget, no chaos");
     }
-
-    // `ChaosPlan::from_env` is covered in env.rs's single env test:
-    // environment mutation is process-global, so every env-reading
-    // assertion lives in that one race-free #[test].
 
     #[test]
     fn damage_and_litter_tolerate_missing_paths() {

@@ -185,7 +185,7 @@ impl Engine {
         static GLOBAL: OnceLock<Arc<Engine>> = OnceLock::new();
         GLOBAL
             .get_or_init(|| {
-                let engine = Arc::new(Engine::new(crate::env::jobs_from_env()));
+                let engine = Arc::new(Engine::new(crate::Knobs::get().jobs()));
                 registry::metrics()
                     .engine_workers
                     .set(engine.workers() as u64);

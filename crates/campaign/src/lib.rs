@@ -61,25 +61,20 @@ mod campaign;
 mod chaos;
 pub mod codec;
 mod engine;
-mod env;
 mod error;
 pub mod journal;
+mod knobs;
 mod point;
 mod report;
 pub mod sink;
 
-pub use cache::{cache_disabled_by_env, default_cache_dir, CacheStats, DiskCache, GcReport};
+pub use cache::{CacheStats, DiskCache, GcReport};
 pub use campaign::{Campaign, CampaignOutcome, PointOutcome};
 pub use chaos::ChaosPlan;
 pub use engine::Engine;
-pub use env::{
-    cache_budget_from_env, chaos_rate_from_env, chaos_seed_from_env, coalesce_from_env, env_parse,
-    fault_rate_from_env, fault_seed_from_env, host_policy_from_env, host_window_from_env,
-    jobs_from_env, metrics_file_from_env, metrics_from_env, metrics_interval_from_env, parse_size,
-    resume_from_env, retries_from_env, trace_dir_from_env, trace_from_env,
-};
 pub use error::CampaignError;
 pub use journal::{ReplayedPoint, RunJournal};
+pub use knobs::{parse_size, Knob, Knobs, CLOSED_LOOP_ECN_THRESHOLD, KNOBS};
 pub use point::{CampaignPoint, SIM_VERSION};
 pub use report::CampaignSummary;
 pub use sink::{write_point_records, write_records, OutputFormat, Record, Value};

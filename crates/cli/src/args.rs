@@ -6,7 +6,10 @@
 
 use std::error::Error;
 use std::fmt;
+use std::path::PathBuf;
+use std::time::Duration;
 
+use mn_campaign::Knobs;
 use mn_core::WindowPolicyKind;
 use mn_noc::ArbiterKind;
 use mn_topo::{NvmPlacement, TopologyKind};
@@ -48,9 +51,8 @@ pub struct RunArgs {
     /// RNG seed override.
     pub seed: Option<u64>,
     /// Resume journal path: completed points recorded there are skipped
-    /// and this run's progress is appended. `None` defers to `MN_RESUME`
-    /// (handled by `Campaign::from_env`).
-    pub resume: Option<std::path::PathBuf>,
+    /// and this run's progress is appended.
+    pub resume: Option<PathBuf>,
 }
 
 /// Arguments of `mncube compare`.
@@ -103,9 +105,9 @@ pub struct TraceArgs {
     pub requests: u64,
     /// RNG seed override.
     pub seed: Option<u64>,
-    /// Output path for the Perfetto trace (defaults to
-    /// `$MN_TRACE_DIR/trace.json`, or `./trace.json`).
-    pub out: Option<std::path::PathBuf>,
+    /// Output path for the Perfetto trace (defaults to `trace.json` in
+    /// `MN_TRACE_DIR`, itself defaulting to the current directory).
+    pub out: PathBuf,
 }
 
 /// Arguments of `mncube closedloop`.
@@ -141,24 +143,22 @@ pub enum CacheAction {
 pub struct CacheArgs {
     /// Stats or gc.
     pub action: CacheAction,
-    /// Cache directory override (defaults to `MN_CACHE_DIR` or
-    /// `results/cache`).
-    pub dir: Option<std::path::PathBuf>,
-    /// Eviction budget override for `gc` (defaults to `MN_CACHE_BUDGET`;
-    /// absent both ways, gc only removes quarantined debris).
+    /// Cache directory.
+    pub dir: PathBuf,
+    /// Eviction budget for `gc`; without one, gc only removes
+    /// quarantined debris.
     pub budget: Option<u64>,
 }
 
 /// Arguments of `mncube stats`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsArgs {
-    /// Snapshot file override (defaults to `MN_METRICS_FILE`).
-    pub file: Option<std::path::PathBuf>,
+    /// Snapshot file.
+    pub file: Option<PathBuf>,
     /// Redraw the view once per interval instead of printing once.
     pub watch: bool,
-    /// Redraw interval in milliseconds for `--watch` (defaults to
-    /// `MN_METRICS_INTERVAL`, itself defaulting to 1000).
-    pub interval_ms: Option<u64>,
+    /// Redraw interval for `--watch`.
+    pub interval: Duration,
 }
 
 /// A parsed `mncube` invocation.
@@ -228,6 +228,12 @@ evicts least-recently-used entries until the directory fits --budget
 'stats' renders the Prometheus snapshot a metrics-enabled run writes
 (MN_METRICS=on MN_METRICS_FILE=FILE) as a terminal table; --watch
 redraws it once per --interval milliseconds until interrupted.
+Flags override their MN_* knobs, which fill in for absent flags:
+--requests (MN_REQUESTS), --seed (MN_SEED), --resume (MN_RESUME),
+--policy/--window (MN_HOST_POLICY/MN_HOST_WINDOW), --dir (MN_CACHE_DIR),
+--budget (MN_CACHE_BUDGET), --file (MN_METRICS_FILE) and --interval
+(MN_METRICS_INTERVAL). MN_FAULT_*, MN_TRACE and MN_HOST_* shape every
+simulated configuration, as in the figure binaries.
 ";
 
 fn parse_topology(s: &str) -> Result<TopologyKind, ArgError> {
@@ -272,6 +278,11 @@ fn parse_u64(flag: &str, s: &str) -> Result<u64, ArgError> {
         .map_err(|_| err(format!("{flag} expects a number, got '{s}'")))
 }
 
+fn parse_u32(flag: &str, s: &str) -> Result<u32, ArgError> {
+    u32::try_from(parse_u64(flag, s)?)
+        .map_err(|_| err(format!("{flag} {s} is out of range (at most {})", u32::MAX)))
+}
+
 fn parse_policy(s: &str) -> Result<WindowPolicyKind, ArgError> {
     s.parse().map_err(|e| err(format!("{e}")))
 }
@@ -300,13 +311,17 @@ impl<'a> Cursor<'a> {
 }
 
 impl Command {
-    /// Parses a full argument list (without the program name).
+    /// Parses a full argument list (without the program name). Flags
+    /// that mirror a knob (`--requests`, `--seed`, `--resume`, `--out`,
+    /// `--policy`, `--window`, `--dir`, `--budget`, `--file`,
+    /// `--interval`) default to that knob's value in `knobs`, so a flag
+    /// overrides its knob and an absent flag falls back to it.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError`] with a human-readable message on any unknown
     /// subcommand, flag, or malformed value.
-    pub fn parse(args: &[String]) -> Result<Command, ArgError> {
+    pub fn parse(args: &[String], knobs: &Knobs) -> Result<Command, ArgError> {
         let Some(sub) = args.first() else {
             return Ok(Command::Help);
         };
@@ -323,16 +338,16 @@ impl Command {
                     dram_pct: 100,
                     placement: NvmPlacement::Last,
                     arbiter: ArbiterKind::RoundRobin,
-                    requests: 6_000,
+                    requests: knobs.requests,
                     write_burst: false,
-                    seed: None,
-                    resume: None,
+                    seed: knobs.seed,
+                    resume: knobs.resume.clone(),
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
                         "--topology" => parsed.topology = parse_topology(cursor.value(flag)?)?,
                         "--workload" => parsed.workload = parse_workload(cursor.value(flag)?)?,
-                        "--dram" => parsed.dram_pct = parse_u64(flag, cursor.value(flag)?)? as u32,
+                        "--dram" => parsed.dram_pct = parse_u32(flag, cursor.value(flag)?)?,
                         "--placement" => parsed.placement = parse_placement(cursor.value(flag)?)?,
                         "--arbiter" => parsed.arbiter = parse_arbiter(cursor.value(flag)?)?,
                         "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
@@ -348,7 +363,7 @@ impl Command {
                 let mut parsed = CompareArgs {
                     workload: Workload::Dct,
                     arbiter: ArbiterKind::RoundRobin,
-                    requests: 6_000,
+                    requests: knobs.requests,
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
@@ -372,10 +387,10 @@ impl Command {
                     match flag {
                         "--topology" => parsed.topology = parse_topology(cursor.value(flag)?)?,
                         "--cubes" => {
-                            parsed.cubes = parse_u64(flag, cursor.value(flag)?)? as u32;
+                            parsed.cubes = parse_u32(flag, cursor.value(flag)?)?;
                             explicit_cubes = true;
                         }
-                        "--dram" => parsed.dram_pct = parse_u64(flag, cursor.value(flag)?)? as u32,
+                        "--dram" => parsed.dram_pct = parse_u32(flag, cursor.value(flag)?)?,
                         "--placement" => parsed.placement = parse_placement(cursor.value(flag)?)?,
                         other => return Err(err(format!("unknown flag '{other}' for topo"))),
                     }
@@ -389,7 +404,7 @@ impl Command {
                 let mut parsed = SweepArgs {
                     topology: TopologyKind::Tree,
                     workload: Workload::Dct,
-                    requests: 6_000,
+                    requests: knobs.requests,
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
@@ -407,19 +422,19 @@ impl Command {
                     workload: Workload::Dct,
                     dram_pct: 100,
                     placement: NvmPlacement::Last,
-                    requests: 6_000,
-                    seed: None,
-                    out: None,
+                    requests: knobs.requests,
+                    seed: knobs.seed,
+                    out: knobs.trace_dir.join("trace.json"),
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
                         "--topology" => parsed.topology = parse_topology(cursor.value(flag)?)?,
                         "--workload" => parsed.workload = parse_workload(cursor.value(flag)?)?,
-                        "--dram" => parsed.dram_pct = parse_u64(flag, cursor.value(flag)?)? as u32,
+                        "--dram" => parsed.dram_pct = parse_u32(flag, cursor.value(flag)?)?,
                         "--placement" => parsed.placement = parse_placement(cursor.value(flag)?)?,
                         "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
                         "--seed" => parsed.seed = Some(parse_u64(flag, cursor.value(flag)?)?),
-                        "--out" => parsed.out = Some(cursor.value(flag)?.into()),
+                        "--out" => parsed.out = cursor.value(flag)?.into(),
                         other => return Err(err(format!("unknown flag '{other}' for trace"))),
                     }
                 }
@@ -429,10 +444,10 @@ impl Command {
                 let mut parsed = ClosedLoopArgs {
                     topology: TopologyKind::Tree,
                     workload: Workload::Dct,
-                    policy: WindowPolicyKind::Aimd,
-                    window: None,
-                    requests: 6_000,
-                    seed: None,
+                    policy: knobs.host_policy.unwrap_or(WindowPolicyKind::Aimd),
+                    window: knobs.host_window,
+                    requests: knobs.requests,
+                    seed: knobs.seed,
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
@@ -440,11 +455,11 @@ impl Command {
                         "--workload" => parsed.workload = parse_workload(cursor.value(flag)?)?,
                         "--policy" => parsed.policy = parse_policy(cursor.value(flag)?)?,
                         "--window" => {
-                            let window = parse_u64(flag, cursor.value(flag)?)?;
+                            let window = parse_u32(flag, cursor.value(flag)?)?;
                             if window == 0 {
                                 return Err(err("--window must admit at least one request"));
                             }
-                            parsed.window = Some(window.min(u64::from(u32::MAX)) as u32);
+                            parsed.window = Some(window);
                         }
                         "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
                         "--seed" => parsed.seed = Some(parse_u64(flag, cursor.value(flag)?)?),
@@ -466,12 +481,12 @@ impl Command {
                 };
                 let mut parsed = CacheArgs {
                     action,
-                    dir: None,
-                    budget: None,
+                    dir: knobs.cache_dir.clone(),
+                    budget: knobs.cache_budget,
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
-                        "--dir" => parsed.dir = Some(cursor.value(flag)?.into()),
+                        "--dir" => parsed.dir = cursor.value(flag)?.into(),
                         "--budget" => {
                             let text = cursor.value(flag)?;
                             if action != CacheAction::Gc {
@@ -495,9 +510,9 @@ impl Command {
             }
             "stats" => {
                 let mut parsed = StatsArgs {
-                    file: None,
+                    file: knobs.metrics_file.clone(),
                     watch: false,
-                    interval_ms: None,
+                    interval: knobs.metrics_interval,
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
@@ -508,7 +523,7 @@ impl Command {
                             if ms == 0 {
                                 return Err(err("--interval must be positive"));
                             }
-                            parsed.interval_ms = Some(ms);
+                            parsed.interval = Duration::from_millis(ms);
                         }
                         other => return Err(err(format!("unknown flag '{other}' for stats"))),
                     }
@@ -527,8 +542,12 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Command, ArgError> {
+        parse_with(args, &Knobs::default())
+    }
+
+    fn parse_with(args: &[&str], knobs: &Knobs) -> Result<Command, ArgError> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Command::parse(&owned)
+        Command::parse(&owned, knobs)
     }
 
     #[test]
@@ -583,7 +602,7 @@ mod tests {
         assert_eq!(a.requests, 1234);
         assert!(a.write_burst);
         assert_eq!(a.seed, Some(9));
-        assert_eq!(a.resume, Some(std::path::PathBuf::from("/tmp/run.journal")));
+        assert_eq!(a.resume, Some(PathBuf::from("/tmp/run.journal")));
     }
 
     #[test]
@@ -641,7 +660,7 @@ mod tests {
             panic!("expected trace");
         };
         assert_eq!(a.topology, TopologyKind::Tree);
-        assert_eq!(a.out, None);
+        assert_eq!(a.out, PathBuf::from("trace.json"));
 
         let Command::Trace(a) = parse(&[
             "trace",
@@ -663,7 +682,7 @@ mod tests {
         assert_eq!(a.workload, Workload::Kmeans);
         assert_eq!(a.dram_pct, 50);
         assert_eq!(a.requests, 640);
-        assert_eq!(a.out, Some(std::path::PathBuf::from("/tmp/t.json")));
+        assert_eq!(a.out, PathBuf::from("/tmp/t.json"));
 
         // The arbiter knob belongs to run/compare, not trace.
         assert!(parse(&["trace", "--arbiter", "rr"]).is_err());
@@ -715,7 +734,7 @@ mod tests {
             panic!("expected cache");
         };
         assert_eq!(a.action, CacheAction::Stats);
-        assert_eq!(a.dir, None);
+        assert_eq!(a.dir, PathBuf::from("results/cache"));
         assert_eq!(a.budget, None);
 
         let Command::Cache(a) =
@@ -724,7 +743,7 @@ mod tests {
             panic!("expected cache");
         };
         assert_eq!(a.action, CacheAction::Gc);
-        assert_eq!(a.dir, Some(std::path::PathBuf::from("/tmp/c")));
+        assert_eq!(a.dir, PathBuf::from("/tmp/c"));
         assert_eq!(a.budget, Some(2 << 20));
 
         let e = parse(&["cache"]).unwrap_err();
@@ -746,20 +765,111 @@ mod tests {
         };
         assert_eq!(a.file, None);
         assert!(!a.watch);
-        assert_eq!(a.interval_ms, None);
+        assert_eq!(a.interval, Duration::from_millis(1000));
 
         let Command::Stats(a) =
             parse(&["stats", "--file", "m.prom", "--watch", "--interval", "250"]).unwrap()
         else {
             panic!("expected stats");
         };
-        assert_eq!(a.file, Some(std::path::PathBuf::from("m.prom")));
+        assert_eq!(a.file, Some(PathBuf::from("m.prom")));
         assert!(a.watch);
-        assert_eq!(a.interval_ms, Some(250));
+        assert_eq!(a.interval, Duration::from_millis(250));
 
         let e = parse(&["stats", "--interval", "0"]).unwrap_err();
         assert!(e.to_string().contains("positive"));
         assert!(parse(&["stats", "--refresh"]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors_not_wrapped() {
+        // 4294967396 and 4294967312 wrap to 100 and 16 under `as u32`.
+        let e = parse(&["topo", "--dram", "4294967396"]).unwrap_err();
+        assert!(
+            e.to_string().contains("--dram 4294967396 is out of range"),
+            "{e}"
+        );
+        let e = parse(&["topo", "--cubes", "4294967312"]).unwrap_err();
+        assert!(
+            e.to_string().contains("--cubes 4294967312 is out of range"),
+            "{e}"
+        );
+        let e = parse(&["run", "--dram", "4294967396"]).unwrap_err();
+        assert!(e.to_string().contains("out of range"), "{e}");
+        let e = parse(&["closedloop", "--window", "4294967296"]).unwrap_err();
+        assert!(e.to_string().contains("out of range"), "{e}");
+        let Command::Topo(a) = parse(&["topo", "--cubes", "4294967295"]).unwrap() else {
+            panic!("expected topo");
+        };
+        assert_eq!(a.cubes, u32::MAX);
+    }
+
+    #[test]
+    fn flags_fall_back_to_knobs_and_override_them() {
+        let knobs = Knobs {
+            requests: 300,
+            seed: Some(5),
+            resume: Some(PathBuf::from("env.journal")),
+            trace_dir: PathBuf::from("/tmp/traces"),
+            host_policy: Some(WindowPolicyKind::Ecn),
+            host_window: Some(4),
+            cache_dir: PathBuf::from("/tmp/env-cache"),
+            cache_budget: Some(1 << 20),
+            metrics_file: Some(PathBuf::from("env.prom")),
+            metrics_interval: Duration::from_millis(50),
+            ..Knobs::default()
+        };
+        let Command::Run(a) = parse_with(&["run"], &knobs).unwrap() else {
+            panic!("expected run");
+        };
+        assert_eq!((a.requests, a.seed), (300, Some(5)));
+        assert_eq!(a.resume, Some(PathBuf::from("env.journal")));
+        let Command::Run(a) = parse_with(
+            &[
+                "run",
+                "--requests",
+                "7",
+                "--seed",
+                "8",
+                "--resume",
+                "flag.journal",
+            ],
+            &knobs,
+        )
+        .unwrap() else {
+            panic!("expected run");
+        };
+        assert_eq!((a.requests, a.seed), (7, Some(8)));
+        assert_eq!(a.resume, Some(PathBuf::from("flag.journal")));
+
+        let Command::Trace(a) = parse_with(&["trace"], &knobs).unwrap() else {
+            panic!("expected trace");
+        };
+        assert_eq!(a.out, PathBuf::from("/tmp/traces/trace.json"));
+        assert_eq!(a.requests, 300);
+
+        let Command::ClosedLoop(a) = parse_with(&["closedloop"], &knobs).unwrap() else {
+            panic!("expected closedloop");
+        };
+        assert_eq!((a.policy, a.window), (WindowPolicyKind::Ecn, Some(4)));
+        let Command::ClosedLoop(a) =
+            parse_with(&["closedloop", "--policy", "aimd", "--window", "9"], &knobs).unwrap()
+        else {
+            panic!("expected closedloop");
+        };
+        assert_eq!((a.policy, a.window), (WindowPolicyKind::Aimd, Some(9)));
+
+        let Command::Cache(a) = parse_with(&["cache", "gc"], &knobs).unwrap() else {
+            panic!("expected cache");
+        };
+        assert_eq!(a.dir, PathBuf::from("/tmp/env-cache"));
+        assert_eq!(a.budget, Some(1 << 20));
+
+        let Command::Stats(a) = parse_with(&["stats", "--interval", "75"], &knobs).unwrap() else {
+            panic!("expected stats");
+        };
+        assert_eq!(a.file, Some(PathBuf::from("env.prom")));
+        assert_eq!(a.interval, Duration::from_millis(75));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use mn_campaign::{Campaign, CampaignPoint};
+use mn_campaign::{Campaign, CampaignPoint, Knobs};
 use mn_core::{speedup_pct, RunResult, SystemConfig};
 use mn_topo::{render_ascii, Placement, Topology, TopologyKind, TopologyMetrics};
 use mn_workloads::Workload;
@@ -16,35 +16,25 @@ use crate::args::{
     SweepArgs, TopoArgs, TraceArgs, USAGE,
 };
 
+/// The paper's configuration for one point, shaped by the knobs: the
+/// resolved `requests` and `seed` first, then [`Knobs::apply`] (fault,
+/// telemetry and host knobs).
 fn build_config(
+    knobs: &Knobs,
     topology: TopologyKind,
     dram_pct: u32,
     placement: mn_topo::NvmPlacement,
     requests: u64,
+    seed: Option<u64>,
 ) -> Result<SystemConfig, ArgError> {
     let mut config = SystemConfig::paper_baseline(topology, f64::from(dram_pct) / 100.0)
         .map_err(|e| ArgError(e.to_string()))?
         .with_nvm_placement(placement);
     config.requests_per_port = requests;
-    // MN_TRACE fills the telemetry columns of `--format`-style consumers
-    // downstream; note cached points come back without telemetry, so
-    // combine with MN_CACHE=off for fresh instrumented runs.
-    if let Some(mode) = mn_campaign::trace_from_env() {
-        config.noc.trace = mode;
+    if let Some(seed) = seed {
+        config.seed = seed;
     }
-    // The closed-loop host knobs, like the figure binaries honor. A
-    // non-open policy joins the fingerprint, so cached open-loop results
-    // are never served for these runs.
-    if let Some(policy) = mn_campaign::host_policy_from_env() {
-        config.host.policy = policy;
-        if policy == mn_core::WindowPolicyKind::Ecn && config.noc.ecn_threshold == 0 {
-            config.noc.ecn_threshold = 6;
-        }
-    }
-    if let Some(window) = mn_campaign::host_window_from_env() {
-        config.host.initial_window = window;
-        config.host.window_cap = config.host.window_cap.max(window);
-    }
+    knobs.apply(&mut config);
     Ok(config)
 }
 
@@ -104,26 +94,26 @@ fn report(result: &RunResult) -> String {
     out
 }
 
-fn run(campaign: &Campaign, args: &RunArgs) -> Result<String, ArgError> {
-    let mut config = build_config(args.topology, args.dram_pct, args.placement, args.requests)?;
+fn run(campaign: &Campaign, knobs: &Knobs, args: &RunArgs) -> Result<String, ArgError> {
+    let mut config = build_config(
+        knobs,
+        args.topology,
+        args.dram_pct,
+        args.placement,
+        args.requests,
+        args.seed,
+    )?;
     config.noc.arbiter = args.arbiter;
     config.write_burst_routing = args.write_burst;
-    if let Some(seed) = args.seed {
-        config.seed = seed;
-    }
-    // `--resume FILE` wins over MN_RESUME (the env journal, if any, was
-    // already wired by `Campaign::from_env`).
-    let results = match &args.resume {
-        Some(path) => run_grid(&campaign.with_journal(path), vec![config], args.workload),
-        None => run_grid(campaign, vec![config], args.workload),
-    };
+    let results = run_grid(campaign, vec![config], args.workload);
     Ok(report(&results[0]))
 }
 
-fn compare(campaign: &Campaign, args: &CompareArgs) -> Result<String, ArgError> {
+fn compare(campaign: &Campaign, knobs: &Knobs, args: &CompareArgs) -> Result<String, ArgError> {
     let mut configs = Vec::new();
     for topology in TopologyKind::ALL_EXTENDED {
-        let mut config = build_config(topology, 100, mn_topo::NvmPlacement::Last, args.requests)?;
+        let last = mn_topo::NvmPlacement::Last;
+        let mut config = build_config(knobs, topology, 100, last, args.requests, knobs.seed)?;
         config.noc.arbiter = args.arbiter;
         configs.push(config);
     }
@@ -178,15 +168,17 @@ fn topo(args: &TopoArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn sweep(campaign: &Campaign, args: &SweepArgs) -> Result<String, ArgError> {
+fn sweep(campaign: &Campaign, knobs: &Knobs, args: &SweepArgs) -> Result<String, ArgError> {
     let mut configs = Vec::new();
     let mut cube_counts = Vec::new();
     for dram_pct in [100u32, 75, 50, 25, 0] {
         let config = build_config(
+            knobs,
             args.topology,
             dram_pct,
             mn_topo::NvmPlacement::Last,
             args.requests,
+            knobs.seed,
         )?;
         cube_counts.push(
             config
@@ -225,11 +217,15 @@ fn sweep(campaign: &Campaign, args: &SweepArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn trace(args: &TraceArgs) -> Result<String, ArgError> {
-    let mut config = build_config(args.topology, args.dram_pct, args.placement, args.requests)?;
-    if let Some(seed) = args.seed {
-        config.seed = seed;
-    }
+fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
+    let mut config = build_config(
+        knobs,
+        args.topology,
+        args.dram_pct,
+        args.placement,
+        args.requests,
+        args.seed,
+    )?;
     config.noc.trace = mn_core::TraceConfig::Full;
 
     // Tracing bypasses the campaign engine on purpose: a cache hit
@@ -244,11 +240,8 @@ fn trace(args: &TraceArgs) -> Result<String, ArgError> {
         .take_telemetry()
         .ok_or_else(|| ArgError("tracing produced no telemetry".into()))?;
 
-    let path = args.out.clone().unwrap_or_else(|| {
-        let dir = mn_campaign::trace_dir_from_env().unwrap_or_default();
-        dir.join("trace.json")
-    });
-    let mut file = std::fs::File::create(&path)
+    let path = &args.out;
+    let mut file = std::fs::File::create(path)
         .map_err(|e| ArgError(format!("cannot create {}: {e}", path.display())))?;
     // Engine-lifecycle spans (campaign.run, point.resolve, cache.gc,
     // trace.simulate, …) render as a third process row alongside the
@@ -298,26 +291,22 @@ fn trace(args: &TraceArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn closedloop(args: &ClosedLoopArgs) -> Result<String, ArgError> {
+fn closedloop(knobs: &Knobs, args: &ClosedLoopArgs) -> Result<String, ArgError> {
+    // `--policy`/`--window` already fell back to their knobs; applying
+    // them as knobs gives `ecn` the same marking links as everywhere.
+    let knobs = Knobs {
+        host_policy: Some(args.policy),
+        host_window: args.window,
+        ..knobs.clone()
+    };
     let mut config = build_config(
+        &knobs,
         args.topology,
         100,
         mn_topo::NvmPlacement::Last,
         args.requests,
+        args.seed,
     )?;
-    if let Some(seed) = args.seed {
-        config.seed = seed;
-    }
-    config.host.policy = args.policy;
-    if let Some(window) = args.window {
-        config.host.initial_window = window;
-        config.host.window_cap = config.host.window_cap.max(window);
-    }
-    // ECN windows need links that mark; match the closed_loop_sweep
-    // binary's threshold when the config leaves marking off.
-    if args.policy == mn_core::WindowPolicyKind::Ecn && config.noc.ecn_threshold == 0 {
-        config.noc.ecn_threshold = 6;
-    }
     if !config.noc.trace.enabled() {
         config.noc.trace = mn_core::TraceConfig::Counters;
     }
@@ -345,11 +334,8 @@ fn human_bytes(bytes: u64) -> String {
 }
 
 fn cache(args: &CacheArgs) -> Result<String, ArgError> {
-    let dir = args
-        .dir
-        .clone()
-        .unwrap_or_else(mn_campaign::default_cache_dir);
-    let cache = mn_campaign::DiskCache::new(&dir);
+    let dir = &args.dir;
+    let cache = mn_campaign::DiskCache::new(dir);
     let mut out = String::new();
     match args.action {
         CacheAction::Stats => {
@@ -378,8 +364,7 @@ fn cache(args: &CacheArgs) -> Result<String, ArgError> {
             );
         }
         CacheAction::Gc => {
-            let budget = args.budget.or_else(mn_campaign::cache_budget_from_env);
-            let report = cache.gc(budget);
+            let report = cache.gc(args.budget);
             if !report.ran {
                 return Err(ArgError(format!(
                     "another gc holds {}/gc.lock; retry once it finishes",
@@ -399,7 +384,7 @@ fn cache(args: &CacheArgs) -> Result<String, ArgError> {
                 "remaining       {} ({}){}",
                 report.entries,
                 human_bytes(report.bytes),
-                match budget {
+                match args.budget {
                     Some(b) => format!(" of {} budget", human_bytes(b)),
                     None => " (no budget: debris sweep only)".to_string(),
                 }
@@ -471,15 +456,11 @@ fn render_stats(text: &str) -> String {
 }
 
 fn stats(args: &StatsArgs) -> Result<String, ArgError> {
-    let file = args
-        .file
-        .clone()
-        .or_else(mn_campaign::metrics_file_from_env)
-        .ok_or_else(|| {
-            ArgError("no snapshot file: pass --file FILE or set MN_METRICS_FILE".into())
-        })?;
+    let file = args.file.as_ref().ok_or_else(|| {
+        ArgError("no snapshot file: pass --file FILE or set MN_METRICS_FILE".into())
+    })?;
     if !args.watch {
-        let text = std::fs::read_to_string(&file).map_err(|e| {
+        let text = std::fs::read_to_string(file).map_err(|e| {
             ArgError(format!(
                 "cannot read {}: {e} (produce one with MN_METRICS=on \
                  MN_METRICS_FILE={} mncube run ...)",
@@ -492,10 +473,6 @@ fn stats(args: &StatsArgs) -> Result<String, ArgError> {
         out.push_str(&render_stats(&text));
         return Ok(out);
     }
-    let interval = args
-        .interval_ms
-        .map(std::time::Duration::from_millis)
-        .unwrap_or_else(mn_campaign::metrics_interval_from_env);
     // Redraw until interrupted; a missing snapshot is a waiting state,
     // not an error, so `mncube stats --watch` can be started before the
     // campaign it observes.
@@ -505,9 +482,9 @@ fn stats(args: &StatsArgs) -> Result<String, ArgError> {
             frame,
             "metrics         {} (every {}ms, Ctrl-C to exit)",
             file.display(),
-            interval.as_millis()
+            args.interval.as_millis()
         );
-        match std::fs::read_to_string(&file) {
+        match std::fs::read_to_string(file) {
             Ok(text) => frame.push_str(&render_stats(&text)),
             Err(err) => {
                 let _ = writeln!(frame, "(waiting for snapshot: {err})");
@@ -519,39 +496,52 @@ fn stats(args: &StatsArgs) -> Result<String, ArgError> {
             let _ = stdout.write_all(frame.as_bytes());
             let _ = stdout.flush();
         }
-        std::thread::sleep(interval);
+        std::thread::sleep(args.interval);
     }
 }
 
-/// Executes a parsed command against an explicit campaign engine,
-/// returning the text to print.
+/// Executes a parsed command against an explicit campaign engine and
+/// knobs, returning the text to print. The campaign carries any run
+/// journal; [`execute`] attaches `run --resume`'s.
 ///
 /// # Errors
 ///
 /// Returns [`ArgError`] when the configuration cannot be built (e.g. an
 /// unrealizable DRAM percentage).
-pub fn execute_with(campaign: &Campaign, command: &Command) -> Result<String, ArgError> {
+pub fn execute_with(
+    campaign: &Campaign,
+    knobs: &Knobs,
+    command: &Command,
+) -> Result<String, ArgError> {
     match command {
         Command::Help => Ok(USAGE.to_string()),
-        Command::Run(args) => run(campaign, args),
-        Command::Compare(args) => compare(campaign, args),
+        Command::Run(args) => run(campaign, knobs, args),
+        Command::Compare(args) => compare(campaign, knobs, args),
         Command::Topo(args) => topo(args),
-        Command::Sweep(args) => sweep(campaign, args),
-        Command::Trace(args) => trace(args),
-        Command::ClosedLoop(args) => closedloop(args),
+        Command::Sweep(args) => sweep(campaign, knobs, args),
+        Command::Trace(args) => trace(knobs, args),
+        Command::ClosedLoop(args) => closedloop(knobs, args),
         Command::Cache(args) => cache(args),
         Command::Stats(args) => stats(args),
     }
 }
 
-/// Executes a parsed command with the environment-configured engine
-/// (`MN_JOBS` workers, shared `results/cache/`).
+/// Executes a parsed command with the process's knobs and the
+/// knob-configured campaign (`MN_JOBS` workers, shared `results/cache/`),
+/// journaling to the resolved `run --resume` path when there is one.
 ///
 /// # Errors
 ///
 /// Returns [`ArgError`] when the configuration cannot be built.
 pub fn execute(command: &Command) -> Result<String, ArgError> {
-    execute_with(&Campaign::from_env(), command)
+    let mut campaign = Campaign::from_env();
+    if let Command::Run(RunArgs {
+        resume: Some(path), ..
+    }) = command
+    {
+        campaign = campaign.journal(path);
+    }
+    execute_with(&campaign, Knobs::get(), command)
 }
 
 #[cfg(test)]
@@ -601,10 +591,11 @@ mn_coalesce_settle_latency_us_count 3
         std::fs::write(&file, prom).unwrap();
         let text = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Stats(crate::args::StatsArgs {
                 file: Some(file.clone()),
                 watch: false,
-                interval_ms: None,
+                interval: std::time::Duration::from_secs(1),
             }),
         )
         .unwrap();
@@ -612,10 +603,11 @@ mn_coalesce_settle_latency_us_count 3
         assert!(text.contains("mn_engine_workers"));
         let missing = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Stats(crate::args::StatsArgs {
                 file: Some(dir.join("absent.prom")),
                 watch: false,
-                interval_ms: None,
+                interval: std::time::Duration::from_secs(1),
             }),
         );
         assert!(missing.is_err());
@@ -624,7 +616,7 @@ mn_coalesce_settle_latency_us_count 3
 
     #[test]
     fn help_prints_usage() {
-        let text = execute_with(&bare(), &Command::Help).unwrap();
+        let text = execute_with(&bare(), &Knobs::default(), &Command::Help).unwrap();
         assert!(text.contains("mncube run"));
         assert!(text.contains("skiplist"));
     }
@@ -633,6 +625,7 @@ mn_coalesce_settle_latency_us_count 3
     fn run_produces_report() {
         let text = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Run(RunArgs {
                 topology: TopologyKind::Chain,
                 workload: Workload::Nw,
@@ -655,6 +648,7 @@ mn_coalesce_settle_latency_us_count 3
     fn bad_mix_is_an_error_not_a_panic() {
         let result = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Run(RunArgs {
                 topology: TopologyKind::Chain,
                 workload: Workload::Nw,
@@ -674,6 +668,7 @@ mn_coalesce_settle_latency_us_count 3
     fn compare_runs_as_one_campaign() {
         let text = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Compare(crate::args::CompareArgs {
                 workload: Workload::Nw,
                 arbiter: ArbiterKind::RoundRobin,
@@ -691,6 +686,7 @@ mn_coalesce_settle_latency_us_count 3
             std::env::temp_dir().join(format!("mncube-trace-test-{}.json", std::process::id()));
         let text = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Trace(crate::args::TraceArgs {
                 topology: TopologyKind::Chain,
                 workload: Workload::Kmeans,
@@ -698,7 +694,7 @@ mn_coalesce_settle_latency_us_count 3
                 placement: NvmPlacement::Last,
                 requests: 200,
                 seed: Some(1),
-                out: Some(path.clone()),
+                out: path.clone(),
             }),
         )
         .unwrap();
@@ -719,6 +715,7 @@ mn_coalesce_settle_latency_us_count 3
     fn closedloop_reports_the_window_rollup() {
         let text = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::ClosedLoop(crate::args::ClosedLoopArgs {
                 topology: TopologyKind::Chain,
                 workload: Workload::Nw,
@@ -743,10 +740,10 @@ mn_coalesce_settle_latency_us_count 3
         // An empty (nonexistent) directory reports cleanly.
         let stats_cmd = Command::Cache(CacheArgs {
             action: CacheAction::Stats,
-            dir: Some(dir.clone()),
+            dir: dir.clone(),
             budget: None,
         });
-        let text = execute_with(&bare(), &stats_cmd).unwrap();
+        let text = execute_with(&bare(), &Knobs::default(), &stats_cmd).unwrap();
         assert!(text.contains("entries         0 (0 B)"));
 
         // Populate it through a real campaign, then stats must count the
@@ -755,7 +752,7 @@ mn_coalesce_settle_latency_us_count 3
         config.requests_per_port = 200;
         let campaign = Campaign::new(1).quiet().cache_dir(&dir);
         campaign.run(vec![CampaignPoint::new(config, Workload::Nw)]);
-        let text = execute_with(&bare(), &stats_cmd).unwrap();
+        let text = execute_with(&bare(), &Knobs::default(), &stats_cmd).unwrap();
         assert!(text.contains("entries         1"), "{text}");
         assert!(text.contains("stores          1"), "{text}");
 
@@ -766,9 +763,10 @@ mn_coalesce_settle_latency_us_count 3
         // protected by the store, so it must survive instead).
         let text = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Cache(CacheArgs {
                 action: CacheAction::Gc,
-                dir: Some(dir.clone()),
+                dir: dir.clone(),
                 budget: Some(1),
             }),
         )
@@ -785,6 +783,7 @@ mn_coalesce_settle_latency_us_count 3
     fn topo_renders() {
         let text = execute_with(
             &bare(),
+            &Knobs::default(),
             &Command::Topo(crate::args::TopoArgs {
                 topology: TopologyKind::SkipList,
                 cubes: 16,

@@ -2,11 +2,12 @@
 
 use std::process::ExitCode;
 
+use mn_campaign::Knobs;
 use mn_cli::{execute, Command};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match Command::parse(&args).and_then(|cmd| execute(&cmd)) {
+    match Command::parse(&args, Knobs::get()).and_then(|cmd| execute(&cmd)) {
         Ok(text) => {
             print!("{text}");
             ExitCode::SUCCESS

@@ -25,61 +25,34 @@
 //! ([`crate::write_chrome_trace_with_spans`]) so service-layer spans
 //! render on the same timeline as kernel packet traces.
 //!
-//! **Off is free.** With `MN_METRICS` unset every hook is one relaxed
-//! atomic load and a predictable branch; nothing allocates, nothing
+//! **Off is free.** With the gate off (the default) every hook is one
+//! relaxed atomic load and a predictable branch; nothing allocates, nothing
 //! locks, no thread spawns, and no simulated result, fingerprint, or
 //! cache byte ever depends on a metric value.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 // --- the on/off gate ----------------------------------------------------
 
-const STATE_UNKNOWN: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+/// Off until [`set_metrics_enabled`] turns it on: campaign setup does so
+/// from the `MN_METRICS` knob, and benchmarks toggle it mid-process to
+/// measure the hook overhead.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Tri-state so the first gated hook lazily reads `MN_METRICS` and every
-/// later hook is a plain load; [`set_metrics_enabled`] can override in
-/// either direction (benchmarks toggle it mid-process to measure the
-/// hook overhead).
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
-
-/// True when metrics collection is on (`MN_METRICS=on|1|true|yes`, or a
-/// [`set_metrics_enabled`] override). The hot-path gate: one relaxed
-/// load and a branch once initialized.
+/// True when metrics collection is on. The hot-path gate: one relaxed
+/// load and a branch.
 #[inline]
 pub fn metrics_enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_state_from_env(),
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_state_from_env() -> bool {
-    let on = matches!(
-        std::env::var("MN_METRICS")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "1" | "on" | "true" | "yes"
-    );
-    // Racing initializers agree (the env cannot change under us), so a
-    // plain store is fine.
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Forces the gate on or off, overriding `MN_METRICS`. For benchmarks
-/// and tests; campaign setup also calls this after *validating* the
-/// variable so malformed values warn through the usual env machinery.
+/// Turns the gate on or off.
 pub fn set_metrics_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// The process epoch every span timestamp and uptime is measured from.
