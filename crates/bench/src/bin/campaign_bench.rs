@@ -2,23 +2,21 @@
 //! `BENCH_campaign.json`.
 //!
 //! Where `kernel_bench` times the DES kernel underneath one port,
-//! this times the *engine around it*: the work-stealing scheduler, the
-//! content-addressed cache's two hit paths, and cross-campaign
-//! coalescing. Four measurements, all in points/sec over the same grid:
+//! this times the *engine around it*: the FIFO worker pool and the
+//! content-addressed cache's two hit paths. Three measurements, all in
+//! points/sec over the same grid:
 //!
-//! - **cold** — every point freshly simulated through the shared
-//!   work-stealing pool (an empty cache directory).
+//! - **cold** — every point freshly simulated through the worker pool
+//!   (an empty cache directory).
 //! - **warm-disk** — the read + verify + decode hit path alone
 //!   ([`mn_campaign::DiskCache::load_uncached`]). This is what every warm
 //!   replay paid before the hot tier existed.
 //! - **warm-hot** — the full [`load`](mn_campaign::DiskCache::load) hit
 //!   path with the hot tier resident: one `stat` revalidation, zero
 //!   reads, zero decodes. CI gates on `warm_speedup = warm-hot /
-//!   warm-disk` staying ≥ 5×.
-//! - **coalesced** — four concurrent campaigns submitting the *same*
-//!   grid to one engine against a fresh directory; the in-flight table
-//!   must hand one campaign's simulation to the other three, so the
-//!   aggregate completes ~4× the points with ~1× the simulation work.
+//!   warm-disk` staying ≥ 5×. The two warm paths are timed in
+//!   alternating passes of one loop, so drift on a busy machine lands
+//!   on both sides of the ratio.
 //!
 //! Results go to stdout (human-readable) and `BENCH_campaign.json`
 //! (`MN_BENCH_OUT` to relocate) so CI can archive the throughput
@@ -26,7 +24,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mn_campaign::{Campaign, CampaignPoint, DiskCache, Engine};
 use mn_core::SystemConfig;
@@ -49,19 +47,24 @@ fn grid() -> Vec<CampaignPoint> {
     points
 }
 
-/// Repeats `pass` (one sweep over the grid) until enough wall time has
-/// accumulated for a stable rate, and returns points/sec.
-fn rate_of(points_per_pass: usize, mut pass: impl FnMut()) -> f64 {
-    // One untimed pass to warm whatever the path under test caches.
-    pass();
+/// Repeats `pass` back to back for [`BLOCK`] and returns how many
+/// passes ran and the seconds they took. A block is long enough that
+/// each hit path is timed in its own steady state (a lone hot pass right
+/// after a disk pass runs on CPU caches the decode just churned, which a
+/// warm replay never does) and short enough that blocks of the two paths
+/// alternate dozens of times per run.
+fn block(pass: impl Fn()) -> (u32, f64) {
     let start = Instant::now();
     let mut passes = 0u32;
-    while passes < 3 || start.elapsed().as_secs_f64() < 0.25 {
+    while passes == 0 || start.elapsed() < BLOCK {
         pass();
         passes += 1;
     }
-    f64::from(passes) * points_per_pass as f64 / start.elapsed().as_secs_f64()
+    (passes, start.elapsed().as_secs_f64())
 }
+
+/// One timing block of [`block`].
+const BLOCK: Duration = Duration::from_millis(10);
 
 fn main() {
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -73,7 +76,7 @@ fn main() {
     let points = grid();
     let n = points.len();
 
-    // --- cold: fresh simulation through the work-stealing pool ---------
+    // --- cold: fresh simulation through the worker pool ---------------
     let cold_dir = scratch.join("cold");
     let engine = Arc::new(Engine::new(jobs));
     let campaign = Campaign::new(jobs)
@@ -89,45 +92,28 @@ fn main() {
     );
     let cold_rate = n as f64 / cold_secs;
 
-    // --- warm-disk: the read+decode hit path, no hot tier ---------------
+    // --- warm-disk vs warm-hot: alternating blocks in one loop ----------
     // Fingerprints and cache keys are precomputed once, exactly as the
-    // campaign itself does, so both warm measurements time the hit path
-    // alone and the ratio between them is the hot tier's true win.
+    // campaign itself does, so both paths time the hit path alone and
+    // the ratio between them is the hot tier's true win. Interleaved,
+    // not two separate timing windows: on a busy or frequency-scaling
+    // machine two sequential windows disagree by more than the gate's
+    // margin, while alternating blocks see the same drift. The metrics
+    // gate is pinned off so MN_METRICS cannot reach the ratio.
     let cache = DiskCache::new(&cold_dir);
     let keys: Vec<(String, String)> = points
         .iter()
         .map(|p| (p.fingerprint(), p.cache_key()))
         .collect();
-    let warm_disk_rate = rate_of(n, || {
+    let disk_pass = || {
         for (fingerprint, key) in &keys {
             let result = cache
                 .load_uncached_keyed(fingerprint, key)
                 .expect("entry just stored");
             std::hint::black_box(&result);
         }
-    });
-
-    // --- warm-hot: the full load path with the hot tier resident --------
-    // The gate is pinned off/on around the paired measurements so the
-    // delta is the registry's true hot-path cost, not whatever
-    // MN_METRICS happened to be in the environment.
-    registry::set_metrics_enabled(false);
-    let warm_hot_rate = rate_of(n, || {
-        for (fingerprint, key) in &keys {
-            let result = cache
-                .load_keyed(fingerprint, key)
-                .expect("entry just stored");
-            std::hint::black_box(&result);
-        }
-    });
-    let warm_speedup = warm_hot_rate / warm_disk_rate;
-
-    // --- metrics overhead: the same warm-hot loop, gate off vs on --------
-    // Interleaved pairs, not two separate timing windows: on a busy or
-    // frequency-scaling machine two sequential 0.25 s windows disagree
-    // by far more than the one gated atomic under test costs, while
-    // alternating off/on passes see the same drift and cancel it.
-    let one_pass = || {
+    };
+    let hot_pass = || {
         for (fingerprint, key) in &keys {
             let result = cache
                 .load_keyed(fingerprint, key)
@@ -135,58 +121,45 @@ fn main() {
             std::hint::black_box(&result);
         }
     };
-    one_pass(); // warm
+    registry::set_metrics_enabled(false);
+    disk_pass(); // warm the page cache
+    hot_pass(); // fill the hot tier
+    let (mut disk_passes, mut disk_secs) = (0u32, 0.0f64);
+    let (mut hot_passes, mut hot_secs) = (0u32, 0.0f64);
+    let mut rounds = 0u32;
+    while rounds < 8 || disk_secs + hot_secs < 0.5 {
+        let (passes, secs) = block(disk_pass);
+        disk_passes += passes;
+        disk_secs += secs;
+        let (passes, secs) = block(hot_pass);
+        hot_passes += passes;
+        hot_secs += secs;
+        rounds += 1;
+    }
+    let warm_disk_rate = f64::from(disk_passes) * n as f64 / disk_secs;
+    let warm_hot_rate = f64::from(hot_passes) * n as f64 / hot_secs;
+    let warm_speedup = warm_hot_rate / warm_disk_rate;
+
+    // --- metrics overhead: the same warm-hot loop, gate off vs on --------
+    // Interleaved pairs for the same reason: two sequential windows
+    // disagree by far more than the one gated atomic under test costs.
     let mut off_secs = 0.0f64;
     let mut on_secs = 0.0f64;
     let mut pairs = 0u32;
     while pairs < 8 || off_secs + on_secs < 1.0 {
         registry::set_metrics_enabled(false);
         let t = Instant::now();
-        one_pass();
+        hot_pass();
         off_secs += t.elapsed().as_secs_f64();
         registry::set_metrics_enabled(true);
         let t = Instant::now();
-        one_pass();
+        hot_pass();
         on_secs += t.elapsed().as_secs_f64();
         pairs += 1;
     }
     registry::set_metrics_enabled(false);
     let warm_hot_on_rate = f64::from(pairs) * n as f64 / on_secs;
     let metrics_overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
-
-    // --- coalesced: 4 concurrent campaigns, one engine, one grid --------
-    let coalesce_dir = scratch.join("coalesced");
-    let submitters = 4usize;
-    let start = Instant::now();
-    let (coalesced_served, total_fresh) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..submitters)
-            .map(|_| {
-                let engine = Arc::clone(&engine);
-                let points = points.clone();
-                let dir = coalesce_dir.clone();
-                scope.spawn(move || {
-                    Campaign::new(jobs)
-                        .quiet()
-                        .cache_dir(dir)
-                        .on_engine(engine)
-                        .run(points)
-                        .summary
-                })
-            })
-            .collect();
-        let before = engine.coalesced_served();
-        let mut fresh = 0usize;
-        for handle in handles {
-            fresh += handle.join().expect("submitter panicked").fresh;
-        }
-        (engine.coalesced_served() - before, fresh)
-    });
-    let coalesced_secs = start.elapsed().as_secs_f64();
-    let coalesced_rate = (n * submitters) as f64 / coalesced_secs;
-    assert!(
-        total_fresh <= n,
-        "coalescing must keep distinct simulations at {n}, saw {total_fresh} fresh"
-    );
 
     let _ = std::fs::remove_dir_all(&scratch);
 
@@ -200,15 +173,10 @@ fn main() {
         ("warm-disk", warm_disk_rate),
         ("warm-hot", warm_hot_rate),
         ("warm-hot+mtr", warm_hot_on_rate),
-        ("coalesced", coalesced_rate),
     ] {
         println!("{:<14} {:>14.0} {:>11.1}x", name, rate, rate / cold_rate);
     }
-    println!(
-        "warm speedup (hot vs read+decode): {warm_speedup:.1}x   \
-         coalesced served: {coalesced_served} of {} waiter points",
-        n * (submitters - 1)
-    );
+    println!("warm speedup (hot vs read+decode): {warm_speedup:.1}x");
     println!("metrics-on overhead on the warm-hot path: {metrics_overhead_pct:.2}%");
 
     let out = mn_campaign::Knobs::get()
@@ -230,10 +198,7 @@ fn main() {
         json,
         "  \"metrics_overhead_warm_hot_pct\": {metrics_overhead_pct:.2},"
     );
-    let _ = writeln!(json, "  \"warm_speedup\": {warm_speedup:.2},");
-    let _ = writeln!(json, "  \"coalesced_points_per_sec\": {coalesced_rate:.0},");
-    let _ = writeln!(json, "  \"coalesced_served\": {coalesced_served},");
-    let _ = writeln!(json, "  \"coalesced_submitters\": {submitters}");
+    let _ = writeln!(json, "  \"warm_speedup\": {warm_speedup:.2}");
     json.push_str("}\n");
     if let Err(err) = std::fs::write(&out, &json) {
         eprintln!("warning: could not write {}: {err}", out.display());

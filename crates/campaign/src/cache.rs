@@ -9,7 +9,7 @@
 //! ```text
 //! results/cache/
 //!   1f2e3d4c5b6a7980.mnres
-//!   cache.stats        — persisted hit/miss/store/coalesced counters
+//!   cache.stats        — persisted hit/miss/store/eviction counters
 //!   cache.index        — last gc's entry listing (key, bytes, mtime)
 //!   gc.lock            — present only while an eviction pass runs
 //! ```
@@ -146,7 +146,6 @@ struct DirState {
     hot_hits: registry::Counter,
     misses: registry::Counter,
     stores: registry::Counter,
-    coalesced: registry::Counter,
     evicted_entries: registry::Counter,
     evicted_bytes: registry::Counter,
     /// Serializes this process's `cache.stats` read-merge-writes with
@@ -177,7 +176,7 @@ fn dir_state(dir: &Path) -> Arc<DirState> {
             .collect();
         dirs.sort_by(|a, b| a.0.cmp(&b.0));
         type Family = (&'static str, &'static str, fn(&CacheStats) -> u64);
-        let families: [Family; 7] = [
+        let families: [Family; 6] = [
             (
                 "mn_cache_hits_total",
                 "Cache loads served (disk or hot tier).",
@@ -197,11 +196,6 @@ fn dir_state(dir: &Path) -> Arc<DirState> {
                 "mn_cache_stores_total",
                 "Results written to the cache.",
                 |s| s.stores,
-            ),
-            (
-                "mn_cache_coalesced_total",
-                "Points served across campaigns by in-flight coalescing.",
-                |s| s.coalesced,
             ),
             (
                 "mn_cache_evicted_entries_total",
@@ -246,7 +240,6 @@ impl DirState {
         stats.hot_hits += self.hot_hits.get();
         stats.misses += self.misses.get();
         stats.stores += self.stores.get();
-        stats.coalesced += self.coalesced.get();
         stats.evicted_entries += self.evicted_entries.get();
         stats.evicted_bytes += self.evicted_bytes.get();
     }
@@ -271,8 +264,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Results written.
     pub stores: u64,
-    /// Points served across campaigns by in-flight coalescing.
-    pub coalesced: u64,
     /// Entries removed by LRU eviction.
     pub evicted_entries: u64,
     /// Bytes reclaimed by LRU eviction.
@@ -403,7 +394,7 @@ impl DiskCache {
 
     /// [`DiskCache::load`] with the fingerprint and cache key already in
     /// hand. The campaign precomputes both per point (the journal and the
-    /// coalescing table need them anyway), and the fingerprint string is
+    /// chaos schedule need them anyway), and the fingerprint string is
     /// the single most expensive part of a warm hit — recomputing it here
     /// would cost more than the hot-tier serve itself.
     pub fn load_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
@@ -626,13 +617,6 @@ impl DiskCache {
         Ok(())
     }
 
-    /// Adds externally-served (coalesced) points to this directory's
-    /// counters, so `mncube cache stats` accounts for simulations that
-    /// never touched disk through this campaign.
-    pub fn note_coalesced(&self, points: u64) {
-        self.state.coalesced.add_always(points);
-    }
-
     /// Scans the directory: live `.mnres` entries as `(key, bytes,
     /// mtime)`, plus the quarantined `.corrupt` count.
     #[allow(clippy::type_complexity)]
@@ -828,7 +812,6 @@ impl DiskCache {
             ("hot_hits", self.state.hot_hits.take()),
             ("misses", self.state.misses.take()),
             ("stores", self.state.stores.take()),
-            ("coalesced", self.state.coalesced.take()),
             ("evicted_entries", self.state.evicted_entries.take()),
             ("evicted_bytes", self.state.evicted_bytes.take()),
         ];
@@ -844,19 +827,17 @@ impl DiskCache {
             hot_hits: old.hot_hits + deltas[1].1,
             misses: old.misses + deltas[2].1,
             stores: old.stores + deltas[3].1,
-            coalesced: old.coalesced + deltas[4].1,
-            evicted_entries: old.evicted_entries + deltas[5].1,
-            evicted_bytes: old.evicted_bytes + deltas[6].1,
+            evicted_entries: old.evicted_entries + deltas[4].1,
+            evicted_bytes: old.evicted_bytes + deltas[5].1,
             ..CacheStats::default()
         };
         let line = format!(
             "{{\"version\":1,\"hits\":{},\"hot_hits\":{},\"misses\":{},\"stores\":{},\
-             \"coalesced\":{},\"evicted_entries\":{},\"evicted_bytes\":{}}}\n",
+             \"evicted_entries\":{},\"evicted_bytes\":{}}}\n",
             merged.hits,
             merged.hot_hits,
             merged.misses,
             merged.stores,
-            merged.coalesced,
             merged.evicted_entries,
             merged.evicted_bytes,
         );
@@ -884,6 +865,8 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8], counter: &AtomicU64) -> io
 
 /// Reads the persisted counter totals from `cache.stats` (zeroes when
 /// absent or unparseable — counters are diagnostics, never load-bearing).
+/// Fields are found by name, so a file that still carries the retired
+/// `"coalesced"` counter merges its other counters unchanged.
 fn read_persisted(dir: &Path) -> CacheStats {
     let Ok(text) = fs::read_to_string(dir.join("cache.stats")) else {
         return CacheStats::default();
@@ -905,7 +888,6 @@ fn read_persisted(dir: &Path) -> CacheStats {
         hot_hits: field("hot_hits"),
         misses: field("misses"),
         stores: field("stores"),
-        coalesced: field("coalesced"),
         evicted_entries: field("evicted_entries"),
         evicted_bytes: field("evicted_bytes"),
         ..CacheStats::default()
@@ -1369,7 +1351,6 @@ mod tests {
         assert!(cache.load(&point).is_none()); // miss 1
         cache.store(&point, &result).unwrap(); // store 1
         assert!(cache.load(&point).is_some()); // hit 1 (hot)
-        cache.note_coalesced(3);
         cache.persist_counters();
 
         // A fresh instance reads the persisted totals.
@@ -1380,7 +1361,6 @@ mod tests {
         assert_eq!(stats.stores, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.hot_hits, 1);
-        assert_eq!(stats.coalesced, 3);
 
         // Live (unpersisted) activity joins the persisted totals, and a
         // second persist folds — never double-counts — the deltas.
@@ -1389,6 +1369,35 @@ mod tests {
         fresh.persist_counters();
         fresh.persist_counters(); // all-zero deltas: no-op
         assert_eq!(DiskCache::new(&dir).stats().hits, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_files_with_the_retired_coalesced_counter_still_merge() {
+        // `cache.stats` files written before the coalesced counter was
+        // retired carry a `"coalesced"` key; the other counters still
+        // read, and the next persist merges onto them.
+        let dir = scratch_dir("old-stats");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("cache.stats"),
+            "{\"version\":1,\"hits\":5,\"hot_hits\":2,\"misses\":3,\"stores\":4,\
+             \"coalesced\":7,\"evicted_entries\":1,\"evicted_bytes\":64}\n",
+        )
+        .unwrap();
+        let cache = DiskCache::new(&dir);
+        let point = tiny_point();
+        assert!(cache.load(&point).is_none()); // one more miss
+        cache.persist_counters();
+
+        let stats = DiskCache::new(&dir).stats();
+        assert_eq!(
+            (stats.hits, stats.hot_hits, stats.misses, stats.stores),
+            (5, 2, 4, 4)
+        );
+        assert_eq!((stats.evicted_entries, stats.evicted_bytes), (1, 64));
+        let text = fs::read_to_string(dir.join("cache.stats")).unwrap();
+        assert!(!text.contains("coalesced"), "{text}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -18,8 +18,11 @@
 //! {"event":"retry","fp":"…","attempt":1,"error":"…"}   — attempt failed, re-dispatched
 //! {"event":"done","fp":"…","attempts":1,"result":"…"}  — result (codec-encoded, escaped)
 //! {"event":"failed","fp":"…","attempts":3,"error":"…"} — budget exhausted
-//! {"event":"coalesced","fp":"…"}                       — served by a concurrent campaign
 //! ```
+//!
+//! Journals written before campaigns stopped sharing in-flight results
+//! may also hold `{"event":"coalesced","fp":"…"}` lines; replay skips
+//! them like any other non-terminal event.
 //!
 //! The `result` field embeds the cache codec's lossless rendering
 //! (JSON-string-escaped, since it is multi-line), so replay reconstructs
@@ -129,17 +132,6 @@ impl RunJournal {
         ));
     }
 
-    /// Records a point served by a concurrent campaign through the
-    /// shared engine's in-flight table. Informational, not terminal:
-    /// replay ignores it (the owning campaign journaled the result and
-    /// stored it in the cache, so a resumed run hits the cache instead).
-    pub fn coalesced(&self, fingerprint: &str) {
-        self.append(&format!(
-            r#"{{"event":"coalesced","fp":{}}}"#,
-            json_string(fingerprint),
-        ));
-    }
-
     /// Records a point whose retry budget is exhausted.
     pub fn failed(&self, fingerprint: &str, attempts: u32, error: &str) {
         self.append(&format!(
@@ -222,7 +214,7 @@ pub fn replay(path: &Path) -> std::io::Result<HashMap<String, ReplayedPoint>> {
                     points.remove(&fp);
                 }
             }
-            _ => {} // header, start, retry, coalesced: no terminal state
+            _ => {} // header, start, retry, old coalesced: no terminal state
         }
     }
     Ok(points)
@@ -395,6 +387,35 @@ mod tests {
         assert!(
             replay(&path).unwrap().is_empty(),
             "failed must retract the earlier done"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_coalesced_events_do_not_stop_done_points_replaying() {
+        // Journals from before campaigns stopped sharing in-flight
+        // results carry `coalesced` events; they stay readable.
+        let dir = scratch("coalesced");
+        let path = dir.join("run.journal");
+        let (point, result) = tiny_result();
+        let fp = point.fingerprint();
+        let journal = RunJournal::open(&path).unwrap();
+        journal.start(&fp, &point.cache_key());
+        journal.done(&fp, 2, &result);
+        drop(journal);
+        use std::io::Write as _;
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        writeln!(file, r#"{{"event":"coalesced","fp":{}}}"#, json_string(&fp)).unwrap();
+        writeln!(file, r#"{{"event":"coalesced","fp":"another-point"}}"#).unwrap();
+        drop(file);
+
+        let replayed = replay(&path).unwrap();
+        assert_eq!(replayed.len(), 1, "coalesced lines are not terminal");
+        let got = replayed.get(&fp).expect("done point replays");
+        assert_eq!(got.attempts, 2);
+        assert_eq!(
+            codec::encode_result(&got.result),
+            codec::encode_result(&result)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

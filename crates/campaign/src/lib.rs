@@ -6,14 +6,13 @@
 //! the CLI stay declarative descriptions of *what* to run:
 //!
 //! - **Scheduling** — [`Campaign`] fans independent [`CampaignPoint`]s
-//!   through a shared work-stealing [`Engine`] (plain `std::thread` +
-//!   channels; the build is offline and dependency-free). Any number of
-//!   concurrently submitted campaigns multiplex one `MN_JOBS`-sized
-//!   worker pool; overlapping points are *coalesced* so each distinct
-//!   point simulates exactly once process-wide. Each point carries its
-//!   own seed, so results are bit-identical to a serial run at any
-//!   worker count and any interleaving of submitters, and duplicate
-//!   points (shared baselines) fold into one simulation.
+//!   through a shared FIFO [`Engine`] (plain `std::thread` + a
+//!   `Mutex<VecDeque>` queue + channels; the build is offline and
+//!   dependency-free). Any number of concurrently submitted campaigns
+//!   share one `MN_JOBS`-sized worker pool. Each point carries its own
+//!   seed, so results are bit-identical to a serial run at any worker
+//!   count and any interleaving of submitters, and duplicate points
+//!   within a campaign (shared baselines) fold into one simulation.
 //! - **Caching** — a content-addressed on-disk cache ([`DiskCache`],
 //!   default `results/cache/`) keyed by a stable hash of
 //!   `(config, workload, requests, seed, sim-version)`, with a

@@ -33,9 +33,9 @@ pub struct CampaignSummary {
     /// Unique points that needed at least one re-dispatch (successful
     /// or not) before settling.
     pub retried: usize,
-    /// Unique points served by a concurrent campaign through the shared
-    /// engine's in-flight table (counted apart from `cache_hits`: the
-    /// result never touched this campaign's disk path).
+    /// Always zero: campaigns no longer hand results to each other. Kept
+    /// only because the frozen benchmark package reads it; retire it
+    /// with the next benchmark change.
     pub coalesced: usize,
 }
 
@@ -65,18 +65,13 @@ impl CampaignSummary {
         } else {
             format!(", {} retried", self.retried)
         };
-        let coalesced = if self.coalesced == 0 {
-            String::new()
-        } else {
-            format!(", {} coalesced", self.coalesced)
-        };
         let failed = if self.failed == 0 {
             String::new()
         } else {
             format!(", {} FAILED", self.failed)
         };
         format!(
-            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{coalesced}{resumed}\
+            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{resumed}\
              {retried}{failed}, {} worker{}, {:.0} req/s",
             self.total,
             self.total,

@@ -219,7 +219,6 @@ fn point_record_fields(
         ),
         ("seed", Value::Int(outcome.point.config.seed)),
         ("cached", Value::Bool(outcome.cached)),
-        ("coalesced", Value::Bool(outcome.coalesced)),
         ("attempts", Value::Int(u64::from(outcome.attempts))),
         ("host_ms", Value::Float(outcome.host.as_secs_f64() * 1e3)),
         ("error", Value::Str(error)),

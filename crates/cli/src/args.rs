@@ -131,7 +131,7 @@ pub struct ClosedLoopArgs {
 /// What `mncube cache` should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAction {
-    /// Print entry/byte totals and the lifetime hit/miss/coalesced
+    /// Print entry/byte totals and the lifetime hit/miss/store/eviction
     /// counters.
     Stats,
     /// Remove quarantined debris and evict LRU entries under the budget.
@@ -222,7 +222,7 @@ the steady-state window, RTT, and goodput (ecn also enables link marking).
 rerun, skips points the journal already completed — a killed run restarts
 where it died with byte-identical results.
 'cache stats' prints the result cache's entry/byte totals and lifetime
-hit/miss/coalesced counters; 'cache gc' removes quarantined debris and
+hit/miss/store/eviction counters; 'cache gc' removes quarantined debris and
 evicts least-recently-used entries until the directory fits --budget
 (sizes accept K/M/G suffixes, e.g. 512M; default $MN_CACHE_BUDGET).
 'stats' renders the Prometheus snapshot a metrics-enabled run writes
@@ -279,9 +279,24 @@ fn parse_u64(flag: &str, s: &str) -> Result<u64, ArgError> {
 }
 
 fn parse_u32(flag: &str, s: &str) -> Result<u32, ArgError> {
-    u32::try_from(parse_u64(flag, s)?)
-        .map_err(|_| err(format!("{flag} {s} is out of range (at most {})", u32::MAX)))
+    parse_at_most(flag, s, u32::MAX)
 }
+
+fn parse_at_most(flag: &str, s: &str, max: u32) -> Result<u32, ArgError> {
+    u32::try_from(parse_u64(flag, s)?)
+        .ok()
+        .filter(|&n| n <= max)
+        .ok_or_else(|| err(format!("{flag} {s} is out of range (at most {max})")))
+}
+
+/// The most cubes `mncube topo --cubes` accepts. Routing keeps dense
+/// `n × n` next-hop and distance tables per path class, built by one
+/// BFS per source plus a parent walk per destination, so memory grows
+/// as n² and build time faster still: on a 2-core host 1024 chain cubes
+/// take about 11 s and 66 MB, 2048 about 2 minutes and 254 MB, and
+/// 100000 abort on allocation. The flattened tables also hold hop
+/// counts as `u16`, which a chain of 65535 cubes would overflow.
+const MAX_TOPO_CUBES: u32 = 1024;
 
 fn parse_policy(s: &str) -> Result<WindowPolicyKind, ArgError> {
     s.parse().map_err(|e| err(format!("{e}")))
@@ -387,7 +402,8 @@ impl Command {
                     match flag {
                         "--topology" => parsed.topology = parse_topology(cursor.value(flag)?)?,
                         "--cubes" => {
-                            parsed.cubes = parse_u32(flag, cursor.value(flag)?)?;
+                            parsed.cubes =
+                                parse_at_most(flag, cursor.value(flag)?, MAX_TOPO_CUBES)?;
                             explicit_cubes = true;
                         }
                         "--dram" => parsed.dram_pct = parse_u32(flag, cursor.value(flag)?)?,
@@ -798,10 +814,19 @@ mod tests {
         assert!(e.to_string().contains("out of range"), "{e}");
         let e = parse(&["closedloop", "--window", "4294967296"]).unwrap_err();
         assert!(e.to_string().contains("out of range"), "{e}");
-        let Command::Topo(a) = parse(&["topo", "--cubes", "4294967295"]).unwrap() else {
+        let Command::Topo(a) = parse(&["topo", "--dram", "4294967295"]).unwrap() else {
             panic!("expected topo");
         };
-        assert_eq!(a.cubes, u32::MAX);
+        assert_eq!(a.dram_pct, u32::MAX);
+        // --cubes stops at the route tables' limit: 100000 cubes passed
+        // the u32 check and aborted on allocation.
+        let e = parse(&["topo", "--cubes", "100000"]).unwrap_err();
+        assert!(e.to_string().contains("(at most 1024)"), "{e}");
+        assert!(parse(&["topo", "--cubes", "1025"]).is_err());
+        let Command::Topo(a) = parse(&["topo", "--cubes", "1024"]).unwrap() else {
+            panic!("expected topo");
+        };
+        assert_eq!(a.cubes, MAX_TOPO_CUBES);
     }
 
     #[test]

@@ -355,7 +355,6 @@ fn cache(args: &CacheArgs) -> Result<String, ArgError> {
             );
             let _ = writeln!(out, "misses          {}", s.misses);
             let _ = writeln!(out, "stores          {}", s.stores);
-            let _ = writeln!(out, "coalesced       {}", s.coalesced);
             let _ = writeln!(
                 out,
                 "evicted         {} ({})",
@@ -559,25 +558,25 @@ mod tests {
     #[test]
     fn stats_renders_snapshot_table() {
         let prom = "\
-# HELP mn_engine_steals_total Successful steals.
-# TYPE mn_engine_steals_total counter
-mn_engine_steals_total 7
+# HELP mn_engine_parks_total Worker parks.
+# TYPE mn_engine_parks_total counter
+mn_engine_parks_total 7
 # HELP mn_engine_jobs_executed_total Jobs executed.
 # TYPE mn_engine_jobs_executed_total counter
 mn_engine_jobs_executed_total{pool=\"global\"} 42
 # HELP mn_engine_workers Worker threads.
 # TYPE mn_engine_workers gauge
 mn_engine_workers 8
-# HELP mn_coalesce_settle_latency_us Claim-to-settle latency.
-# TYPE mn_coalesce_settle_latency_us histogram
-mn_coalesce_settle_latency_us_bucket{le=\"1\"} 0
-mn_coalesce_settle_latency_us_bucket{le=\"+Inf\"} 3
-mn_coalesce_settle_latency_us_sum 1500
-mn_coalesce_settle_latency_us_count 3
+# HELP mn_point_resolve_latency_us Dispatch-to-resolution latency.
+# TYPE mn_point_resolve_latency_us histogram
+mn_point_resolve_latency_us_bucket{le=\"1\"} 0
+mn_point_resolve_latency_us_bucket{le=\"+Inf\"} 3
+mn_point_resolve_latency_us_sum 1500
+mn_point_resolve_latency_us_count 3
 ";
         let table = render_stats(prom);
         assert!(table.contains("counters:"), "{table}");
-        assert!(table.contains("mn_engine_steals_total"), "{table}");
+        assert!(table.contains("mn_engine_parks_total"), "{table}");
         assert!(table.contains("mn_engine_jobs_executed_total{pool=\"global\"}"));
         assert!(table.contains("gauges:"));
         assert!(table.contains("histograms:"));

@@ -243,7 +243,7 @@ pub(crate) struct PortSim {
     /// In-flight request state keyed by the sequential token. Tokens are
     /// issued FIFO through `host_queue`, so insertion is monotonic and the
     /// slab's window stays proportional to the outstanding count.
-    inflight: SeqSlab<Inflight>,
+    in_flight: SeqSlab<Inflight>,
     pending_responses: Vec<PendingResponse>,
     /// Earliest `ready_at` in `pending_responses` (`SimTime::MAX` when
     /// empty). Pushes min-merge it; it is recomputed only after an
@@ -442,7 +442,7 @@ impl PortSim {
                 config.host.policy.instantiate(&config.host)
             }),
             host_summary: (config.host.enabled() && trace_mode.enabled()).then(HostSummary::new),
-            inflight: SeqSlab::with_capacity(2 * slot_hint * burst_hint),
+            in_flight: SeqSlab::with_capacity(2 * slot_hint * burst_hint),
             pending_responses: Vec::with_capacity(slot_hint * burst_hint),
             responses_min: SimTime::MAX,
             completed: 0,
@@ -726,7 +726,7 @@ impl PortSim {
             }
             self.detector.observe(r.is_write);
             let tech = self.cube_tech[decoded.cube.index()].expect("request targets a cube");
-            self.inflight.insert(
+            self.in_flight.insert(
                 token,
                 Inflight {
                     offered_at,
@@ -774,7 +774,7 @@ impl PortSim {
         debug_assert!(base != u32::MAX as usize, "deliveries only at cubes");
         while let Some(head) = self.net.peek_delivery(node) {
             let token = head.token;
-            let rec = self.inflight.get(token).expect("request is in flight");
+            let rec = self.in_flight.get(token).expect("request is in flight");
             let quadrant = rec.decoded.quadrant;
             let is_write = head.kind == PacketKind::WriteRequest;
             if !self.ctrl[base + quadrant as usize].has_space(is_write) {
@@ -782,7 +782,7 @@ impl PortSim {
             }
             let d = self.net.take_delivery(node, now).expect("peeked");
             self.hop_sum += u64::from(d.packet.hops());
-            let rec = self.inflight.get_mut(token).expect("in flight");
+            let rec = self.in_flight.get_mut(token).expect("in flight");
             rec.arrived_at_cube = d.arrived_at;
             // Carry any ECN mark picked up en route onto the stored
             // request, so `Packet::response_to` echoes it back to the
@@ -858,7 +858,7 @@ impl PortSim {
             for c in done.drain(..) {
                 progress = true;
                 let rec = self
-                    .inflight
+                    .in_flight
                     .get_mut(c.token)
                     .expect("completion maps to in-flight request");
                 rec.mem_done = c.completed_at;
@@ -954,7 +954,7 @@ impl PortSim {
     fn finish_request(&mut self, response: Packet, at: SimTime) {
         self.hop_sum += u64::from(response.hops());
         let rec = self
-            .inflight
+            .in_flight
             .remove(response.token)
             .expect("response maps to in-flight request");
         let mem_done = rec.mem_done;

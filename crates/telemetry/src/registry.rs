@@ -1,8 +1,8 @@
 //! mn-metrics — the process-wide service-layer metrics registry.
 //!
 //! PR 5 instrumented the *simulation kernel*; this module instruments the
-//! *service stack around it* (work-stealing engine, two-tier cache,
-//! coalescing, journal, retries). Three primitives:
+//! *service stack around it* (worker pool, two-tier cache, journal,
+//! retries). Three primitives:
 //!
 //! - [`Counter`] — a monotonic `AtomicU64`. The default [`Counter::add`]
 //!   is gated on [`metrics_enabled`] (an `#[inline]` early return, the
@@ -293,28 +293,16 @@ macro_rules! global_metrics {
 
 global_metrics! {
     counters {
-        engine_steal_attempts => "mn_engine_steal_attempts_total",
-            "Peer-deque scans by idle workers looking for work to steal.";
-        engine_steals => "mn_engine_steals_total",
-            "Successful steals (half of the longest peer deque taken).";
-        engine_injector_refills => "mn_engine_injector_refills_total",
-            "Chunks moved from the shared injector into a worker deque.";
         engine_parks => "mn_engine_parks_total",
             "Times an idle worker parked on the ready condvar.";
         engine_unparks => "mn_engine_unparks_total",
-            "Times a parked worker woke (submission notify or rescan timeout).";
+            "Times a parked worker woke (submission or pool close).";
         engine_panics_isolated => "mn_engine_panics_isolated_total",
             "Worker panics caught and converted to structured point errors.";
         engine_retry_attempts => "mn_engine_retry_attempts_total",
             "Point re-dispatches after a retryable failure.";
         engine_retry_escalations => "mn_engine_retry_escalations_total",
             "Jobs executed with an escalated watchdog budget (attempt > 0).";
-        coalesce_owner_claims => "mn_coalesce_owner_claims_total",
-            "In-flight claims that made the submission the owning simulator.";
-        coalesce_waiter_claims => "mn_coalesce_waiter_claims_total",
-            "In-flight claims parked behind a live owner.";
-        coalesce_waiters_served => "mn_coalesce_waiters_served_total",
-            "Coalesced results delivered to waiting submissions at settle.";
         cache_hot_revalidations => "mn_cache_hot_revalidations_total",
             "Hot-tier hits revalidated against the backing file's metadata.";
         cache_hot_revalidation_misses => "mn_cache_hot_revalidation_misses_total",
@@ -338,15 +326,11 @@ global_metrics! {
         engine_workers => "mn_engine_workers",
             "Worker threads in the process-wide engine pool.";
         engine_queue_depth => "mn_engine_queue_depth",
-            "Shared injector queue depth at the last refill.";
+            "Shared queue depth when a worker last looked for a job.";
         cache_budget_bytes => "mn_cache_budget_bytes",
             "Configured cache size budget in bytes (0 = unbounded).";
     }
     histograms {
-        engine_refill_chunk => "mn_engine_refill_chunk_jobs",
-            "Jobs moved per injector refill.";
-        coalesce_settle_latency_us => "mn_coalesce_settle_latency_us",
-            "Microseconds from owning claim to settle, per owned point.";
         cache_gc_reclaimed_bytes => "mn_cache_gc_reclaimed_bytes",
             "Bytes reclaimed per cache eviction pass.";
         point_resolve_latency_us => "mn_point_resolve_latency_us",
