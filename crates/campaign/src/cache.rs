@@ -611,7 +611,17 @@ impl DiskCache {
             let pending = self.state.pending_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
             if pending.saturating_mul(8) >= budget {
                 self.state.pending_bytes.store(0, Ordering::Relaxed);
-                let _ = self.evict_under_budget(budget);
+                // A held `gc.lock` means another process is evicting.
+                if let Some(_lock) = GcLock::acquire(&self.dir) {
+                    let (mut live, _) = self.scan();
+                    if let Some((_, reclaimed)) = self.evict_lru(&mut live, budget) {
+                        if registry::metrics_enabled() {
+                            registry::metrics()
+                                .cache_gc_reclaimed_bytes
+                                .observe(reclaimed);
+                        }
+                    }
+                }
             }
         }
         Ok(())
@@ -639,15 +649,20 @@ impl DiskCache {
         (live, corrupt)
     }
 
-    /// Evicts unprotected entries oldest-mtime-first until the live
-    /// bytes fit `budget`, under the single-writer `gc.lock`. Returns
-    /// `None` (no pass ran) when another process holds the lock.
-    fn evict_under_budget(&self, budget: u64) -> Option<(u64, u64)> {
-        let _lock = GcLock::acquire(&self.dir)?;
-        let (mut live, _) = self.scan();
+    /// The LRU eviction loop; callers hold `gc.lock`. Removes unprotected
+    /// entries of `live` oldest-mtime-first until the live bytes fit
+    /// `budget`, drops each from the hot tier, and adds them to the
+    /// eviction counters. `live` keeps the survivors. Returns the evicted
+    /// entry count and the bytes reclaimed, or `None` (no pass) when
+    /// `live` already fits.
+    fn evict_lru(
+        &self,
+        live: &mut Vec<(String, u64, Option<SystemTime>)>,
+        budget: u64,
+    ) -> Option<(u64, u64)> {
         let mut total: u64 = live.iter().map(|(_, len, _)| len).sum();
         if total <= budget {
-            return Some((0, 0));
+            return None;
         }
         // Oldest first; name breaks mtime ties so the order is stable
         // across runs on coarse-mtime filesystems.
@@ -660,31 +675,26 @@ impl DiskCache {
             .clone();
         let mut evicted = 0u64;
         let mut reclaimed = 0u64;
-        for (key, len, _) in live {
-            if total <= budget {
-                break;
+        live.retain(|(key, len, _)| {
+            // Protected keys are in flight or just written: never evicted.
+            if total <= budget
+                || protected.contains(key)
+                || fs::remove_file(self.key_path(key)).is_err()
+            {
+                return true;
             }
-            if protected.contains(&key) {
-                continue; // in-flight or just-written: never evicted
-            }
-            if fs::remove_file(self.key_path(&key)).is_ok() {
-                self.state
-                    .hot
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&key_word(&key));
-                total -= len;
-                evicted += 1;
-                reclaimed += len;
-            }
-        }
+            self.state
+                .hot
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .remove(&key_word(key));
+            total -= len;
+            evicted += 1;
+            reclaimed += len;
+            false
+        });
         self.state.evicted_entries.add_always(evicted);
         self.state.evicted_bytes.add_always(reclaimed);
-        if registry::metrics_enabled() {
-            registry::metrics()
-                .cache_gc_reclaimed_bytes
-                .observe(reclaimed);
-        }
         Some((evicted, reclaimed))
     }
 
@@ -718,43 +728,12 @@ impl DiskCache {
         }
 
         let (mut live, _) = self.scan();
-        let mut total: u64 = live.iter().map(|(_, len, _)| len).sum();
-        if let Some(budget) = budget {
-            if total > budget {
-                live.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
-                let protected = self
-                    .state
-                    .protected
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone();
-                let mut keep = Vec::with_capacity(live.len());
-                for (key, len, mtime) in live {
-                    if total > budget
-                        && !protected.contains(&key)
-                        && fs::remove_file(self.key_path(&key)).is_ok()
-                    {
-                        self.state
-                            .hot
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .remove(&key_word(&key));
-                        total -= len;
-                        report.evicted_entries += 1;
-                        report.evicted_bytes += len;
-                        continue;
-                    }
-                    keep.push((key, len, mtime));
-                }
-                live = keep;
-                self.state
-                    .evicted_entries
-                    .add_always(report.evicted_entries);
-                self.state.evicted_bytes.add_always(report.evicted_bytes);
-            }
+        if let Some((evicted, reclaimed)) = budget.and_then(|b| self.evict_lru(&mut live, b)) {
+            report.evicted_entries = evicted;
+            report.evicted_bytes = reclaimed;
         }
         report.entries = live.len() as u64;
-        report.bytes = total;
+        report.bytes = live.iter().map(|(_, len, _)| len).sum();
         report.ran = true;
         registry::span_end(gc_span, "cache", "cache.gc");
         if registry::metrics_enabled() {

@@ -278,10 +278,7 @@ impl Campaign {
             canonical.push(slot);
         }
         let fingerprints: Vec<String> = unique.iter().map(|p| p.fingerprint()).collect();
-        // Chaos panic decisions key on a scheduling-independent identity
-        // of the point, never on dispatch order.
         let cache_keys: Vec<String> = unique.iter().map(|p| p.cache_key()).collect();
-        let key_hashes: Vec<u64> = cache_keys.iter().map(|k| fnv1a64(k.as_bytes())).collect();
 
         // Cache hits return results without telemetry (the codec stores
         // only simulated quantities), so an instrumented campaign served
@@ -429,9 +426,11 @@ impl Campaign {
             port,
             attempt,
             point: Arc::clone(arcs[slot].as_ref().expect("miss has an arc")),
-            key_hash: key_hashes[slot],
-            retries,
-            chaos,
+            // Chaos panic decisions key on a scheduling-independent
+            // identity of the point, never on dispatch order.
+            chaos_panic: chaos.is_some_and(|c| {
+                c.injects_panic(fnv1a64(cache_keys[slot].as_bytes()), port, attempt, retries)
+            }),
             reply: tx.clone(),
         };
         let initial: Vec<Job> = misses

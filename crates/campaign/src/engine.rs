@@ -12,8 +12,9 @@
 //!    observations in ascending port order — and every job is a
 //!    millisecond-scale port simulation, so one lock per job costs
 //!    nothing measurable.
-//! 2. **Per-job policy.** A [`Job`] carries its submission's retry
-//!    budget, chaos plan, and reply channel, so campaigns with different
+//! 2. **Per-job policy.** A [`Job`] carries its attempt number (a retry
+//!    widens the watchdog), whether to panic in place of simulating, and
+//!    its submission's reply channel, so campaigns with different
 //!    configurations coexist on one pool. The queue is refillable: a
 //!    gatherer appends fresh attempts for retried points to the same
 //!    FIFO.
@@ -31,7 +32,6 @@ use std::time::{Duration, Instant};
 use mn_core::{try_simulate_port, PortObservation};
 use mn_telemetry::registry::{self, Counter};
 
-use crate::chaos::ChaosPlan;
 use crate::error::CampaignError;
 use crate::point::CampaignPoint;
 
@@ -49,17 +49,15 @@ pub(crate) struct Delivery {
 }
 
 /// One schedulable unit: a single port of a single point attempt,
-/// carrying its submission's execution policy and reply channel.
+/// carrying its submission's reply channel.
 pub(crate) struct Job {
     pub(crate) slot: usize,
     pub(crate) port: u32,
     pub(crate) attempt: u32,
     pub(crate) point: Arc<CampaignPoint>,
-    /// Scheduling-independent hash of the point's cache key, the chaos
-    /// schedule's injection-site coordinate.
-    pub(crate) key_hash: u64,
-    pub(crate) retries: u32,
-    pub(crate) chaos: Option<ChaosPlan>,
+    /// The worker panics instead of simulating, inside its panic
+    /// isolation (the chaos harness's injected fault).
+    pub(crate) chaos_panic: bool,
     pub(crate) reply: mpsc::Sender<Delivery>,
 }
 
@@ -244,12 +242,7 @@ fn execute(core: &Core, job: Job) {
         registry::metrics().engine_retry_escalations.inc();
     }
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(chaos) = job.chaos {
-            assert!(
-                !chaos.injects_panic(job.key_hash, job.port, job.attempt, job.retries),
-                "chaos: injected worker panic"
-            );
-        }
+        assert!(!job.chaos_panic, "chaos: injected worker panic");
         if job.attempt == 0 {
             try_simulate_port(&job.point.config, job.point.workload, job.port)
         } else {
@@ -325,9 +318,7 @@ mod tests {
             port,
             attempt,
             point: Arc::clone(point),
-            key_hash: 0,
-            retries: 0,
-            chaos: None,
+            chaos_panic: false,
             reply: reply.clone(),
         }
     }

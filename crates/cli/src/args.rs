@@ -289,14 +289,17 @@ fn parse_at_most(flag: &str, s: &str, max: u32) -> Result<u32, ArgError> {
         .ok_or_else(|| err(format!("{flag} {s} is out of range (at most {max})")))
 }
 
-/// The most cubes `mncube topo --cubes` accepts. Routing keeps dense
-/// `n × n` next-hop and distance tables per path class, built by one
-/// BFS per source plus a parent walk per destination, so memory grows
-/// as n² and build time faster still: on a 2-core host 1024 chain cubes
-/// take about 11 s and 66 MB, 2048 about 2 minutes and 254 MB, and
-/// 100000 abort on allocation. The flattened tables also hold hop
-/// counts as `u16`, which a chain of 65535 cubes would overflow.
-const MAX_TOPO_CUBES: u32 = 1024;
+/// The most cubes `mncube topo --cubes` accepts. Routing keeps one
+/// dense `(port, dist)` table per path class, 4 bytes per node pair
+/// each, so two classes cost 8·n² bytes for n nodes and the build is
+/// one BFS per source, O(n·(n + links)). Memory binds long before the
+/// `u16` entries do (they cap a topology below 65535 nodes, which
+/// would need 34 GB): at 4096 cubes the tables take 134 MB, or 210 MB
+/// for MetaCube's extra interface chips. Measured on a 2-core host,
+/// `mncube topo --cubes 4096` takes 1.1 s and 131 MB peak RSS on a
+/// chain, 0.6 s and 132 MB on a skip list, and 0.8 s and 204 MB on
+/// MetaCube.
+const MAX_TOPO_CUBES: u32 = 4096;
 
 fn parse_policy(s: &str) -> Result<WindowPolicyKind, ArgError> {
     s.parse().map_err(|e| err(format!("{e}")))
@@ -821,9 +824,9 @@ mod tests {
         // --cubes stops at the route tables' limit: 100000 cubes passed
         // the u32 check and aborted on allocation.
         let e = parse(&["topo", "--cubes", "100000"]).unwrap_err();
-        assert!(e.to_string().contains("(at most 1024)"), "{e}");
-        assert!(parse(&["topo", "--cubes", "1025"]).is_err());
-        let Command::Topo(a) = parse(&["topo", "--cubes", "1024"]).unwrap() else {
+        assert!(e.to_string().contains("(at most 4096)"), "{e}");
+        assert!(parse(&["topo", "--cubes", "4097"]).is_err());
+        let Command::Topo(a) = parse(&["topo", "--cubes", "4096"]).unwrap() else {
             panic!("expected topo");
         };
         assert_eq!(a.cubes, MAX_TOPO_CUBES);

@@ -154,8 +154,9 @@ fn topo(args: &TopoArgs) -> Result<String, ArgError> {
     };
     let topology =
         Topology::build(args.topology, &placement).map_err(|e| ArgError(e.to_string()))?;
-    let metrics = TopologyMetrics::compute(&topology);
-    let mut out = render_ascii(&topology);
+    let routes = topology.routing();
+    let metrics = TopologyMetrics::with_routing(&topology, &routes);
+    let mut out = render_ascii(&topology, &routes);
     let _ = writeln!(
         out,
         "\navg read hops {:.2} | max read {} | max write {} | {} links ({} unused by reads)",
@@ -243,9 +244,9 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
     let path = &args.out;
     let mut file = std::fs::File::create(path)
         .map_err(|e| ArgError(format!("cannot create {}: {e}", path.display())))?;
-    // Engine-lifecycle spans (campaign.run, point.resolve, cache.gc,
-    // trace.simulate, …) render as a third process row alongside the
-    // kernel events whenever metrics recorded any this process.
+    // Service spans render as a third process row alongside the kernel
+    // events whenever metrics recorded any this process; with no
+    // campaign run here, that is the `trace.simulate` span above.
     let (tracks, spans) = mn_telemetry::registry::spans_for_export();
     let span_processes = if spans.is_empty() {
         Vec::new()

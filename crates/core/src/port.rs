@@ -380,8 +380,8 @@ impl PortSim {
                         continue;
                     }
                     let slot = class_idx(class) * n + id.index();
-                    let to = net.routes().path_links(class, host, id);
-                    let from = net.routes().path_links(class, id, host);
+                    let to = net.routes().path_links(&topo, class, host, id);
+                    let from = net.routes().path_links(&topo, class, id, host);
                     wire_to[slot] = path_cost(&topo, &config.noc, &to);
                     wire_from[slot] = path_cost(&topo, &config.noc, &from);
                 }

@@ -488,7 +488,7 @@ const SPAN_LOG_CAPACITY: usize = 4096;
 /// One completed service-layer span: wall-clock microseconds since
 /// [`epoch`], a static track (the Perfetto thread it renders on), and a
 /// static name from the span taxonomy (`campaign.run`, `point.resolve`,
-/// `cache.gc`, `journal.replay`, `trace.export`).
+/// `cache.gc`, `trace.simulate`).
 #[derive(Debug, Clone, Copy)]
 pub struct SpanEvent {
     /// Perfetto track this span renders on.

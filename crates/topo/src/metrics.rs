@@ -69,9 +69,10 @@ impl TopologyMetrics {
             max_write = max_write.max(wh);
             count += 1;
         }
-        let read_unused_links = topo
-            .link_ids()
-            .filter(|&l| !routes.link_carries_class(topo, PathClass::Read, l))
+        let read_unused_links = routes
+            .host_route_links(topo, PathClass::Read)
+            .iter()
+            .filter(|&&used| !used)
             .count();
         TopologyMetrics {
             avg_read_hops: sum as f64 / count.max(1) as f64,
@@ -87,9 +88,10 @@ impl TopologyMetrics {
 /// Renders a topology as a human-readable adjacency listing, one node per
 /// line, marking cube technologies and skip links. Used by the
 /// `topology_tour` example to stand in for the paper's schematic figures.
-pub fn render_ascii(topo: &Topology) -> String {
+/// `routes` must be `topo`'s routing table; each cube's line shows its
+/// read hop count from the host.
+pub fn render_ascii(topo: &Topology, routes: &RoutingTable) -> String {
     use std::fmt::Write as _;
-    let routes = topo.routing();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -193,7 +195,7 @@ mod tests {
             &Placement::mixed_by_capacity(0.5, NvmPlacement::Last).unwrap(),
         )
         .unwrap();
-        let s = render_ascii(&t);
+        let s = render_ascii(&t, &t.routing());
         assert!(s.contains("HOST"));
         assert!(s.contains("NVM"));
         assert!(s.contains('~'), "skip links are marked with ~");

@@ -104,7 +104,7 @@ fn write_paths_avoid_skip_links_entirely() {
     .unwrap();
     let routes = topo.routing();
     for (cube, _) in topo.cubes() {
-        for link in routes.path_links(PathClass::Write, topo.host(), cube) {
+        for link in routes.path_links(&topo, PathClass::Write, topo.host(), cube) {
             assert!(!topo.link(link).skip);
         }
     }
@@ -114,7 +114,7 @@ fn write_paths_avoid_skip_links_entirely() {
 fn renders_every_topology() {
     for kind in TopologyKind::ALL {
         let topo = Topology::build(kind, &Placement::homogeneous(10, CubeTech::Dram)).unwrap();
-        let ascii = render_ascii(&topo);
+        let ascii = render_ascii(&topo, &topo.routing());
         assert!(ascii.contains("HOST"), "{kind}");
         assert!(ascii.lines().count() >= topo.node_count(), "{kind}");
     }

@@ -15,8 +15,9 @@ fn main() {
     let all_dram = Placement::homogeneous(16, CubeTech::Dram);
     for kind in TopologyKind::ALL {
         let topo = Topology::build(kind, &all_dram).expect("valid placement");
-        let m = TopologyMetrics::compute(&topo);
-        println!("{}", render_ascii(&topo));
+        let routes = topo.routing();
+        let m = TopologyMetrics::with_routing(&topo, &routes);
+        println!("{}", render_ascii(&topo, &routes));
         println!(
             "  avg read hops {:.2} | max read {} | max write {} | links {} ({} unused by reads)\n",
             m.avg_read_hops, m.max_read_hops, m.max_write_hops, m.total_links, m.read_unused_links,
@@ -30,9 +31,10 @@ fn main() {
     ] {
         let mix = Placement::mixed_by_capacity(0.5, placement).expect("realizable");
         let topo = Topology::build(TopologyKind::Chain, &mix).expect("valid");
-        let m = TopologyMetrics::compute(&topo);
+        let routes = topo.routing();
+        let m = TopologyMetrics::with_routing(&topo, &routes);
         println!("--- {name} ---");
-        println!("{}", render_ascii(&topo));
+        println!("{}", render_ascii(&topo, &routes));
         println!(
             "  capacity-weighted read hops: {:.2} (uniform-address traffic)\n",
             m.capacity_weighted_read_hops

@@ -91,7 +91,7 @@ fn routing_paths_are_loop_free() {
         let routes = topo.routing();
         for (cube, _) in topo.cubes() {
             for class in PathClass::ALL {
-                let path = routes.path(class, topo.host(), cube);
+                let path = routes.path(&topo, class, topo.host(), cube);
                 let mut seen = path.clone();
                 seen.sort_unstable();
                 seen.dedup();
