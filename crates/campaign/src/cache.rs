@@ -9,7 +9,7 @@
 //! ```text
 //! results/cache/
 //!   1f2e3d4c5b6a7980.mnres
-//!   cache.stats        — persisted hit/miss/store/eviction counters
+//!   cache.stats        — append-only log of hit/miss/store/eviction deltas
 //!   cache.index        — last gc's entry listing (key, bytes, mtime)
 //!   gc.lock            — present only while an eviction pass runs
 //! ```
@@ -34,6 +34,24 @@
 //! and a contended pass simply skips eviction — the budget is a target,
 //! not an invariant, and the next pass converges.
 //!
+//! Stores also leave `.*.tmp` debris when a process dies between write
+//! and rename. The first load or store on a directory sweeps it, once per
+//! directory per process: every `DiskCache` on that path shares the
+//! sweep, so a second cache (or a second campaign) never lists the
+//! directory again.
+//!
+//! # The counter log
+//!
+//! `cache.stats` is an append-only log: each
+//! [`persist_counters`](DiskCache::persist_counters) appends one JSON
+//! line holding this process's deltas since the last persist, in one
+//! `O_APPEND` write — no re-read, no temp file, no rename. Readers sum
+//! the complete lines and skip a torn last one, so the old one-line
+//! totals file is simply a log of one line. A [`gc`](DiskCache::gc) and
+//! a budget eviction pass, while they hold `gc.lock`, fold the log back
+//! into a single totals line (temp + rename); between folds the log
+//! grows by one line per persisting campaign.
+//!
 //! # The warm-replay hot tier
 //!
 //! Repeated grid replays used to pay a full read + decode per hit. Every
@@ -46,6 +64,16 @@
 //! actually pay for is decode, which a mapped file would still do per
 //! hit. See DESIGN.md §11.) Disk hits touch the entry's mtime so the
 //! on-disk LRU order tracks use, not just creation.
+//!
+//! The syscalls of each path:
+//!
+//! - *hot hit*: one `statx` of the entry path;
+//! - *disk hit*: `openat` (read + append), `read` until end of file,
+//!   `utimensat` on the descriptor (the LRU touch), `statx` of that same
+//!   descriptor (the identity the hot tier records), `close`. When the
+//!   read + append open fails (a read-only entry), the entry is opened
+//!   read-only instead and the touch is best-effort;
+//! - *miss*: one failed `openat`.
 //!
 //! # LRU eviction under a budget
 //!
@@ -70,7 +98,7 @@ use mn_core::RunResult;
 use mn_telemetry::registry;
 
 use crate::codec::{decode_result, encode_result};
-use crate::point::CampaignPoint;
+use crate::point::{key_of, CampaignPoint};
 
 const HEADER: &str = "mncampaign-cache v1";
 
@@ -142,18 +170,19 @@ struct DirState {
     protected: Mutex<HashSet<String>>,
     /// Bytes stored since the last budget check (amortizes eviction).
     pending_bytes: AtomicU64,
+    /// Set once this process has swept the directory's stale temps.
+    swept: OnceLock<()>,
     hits: registry::Counter,
     hot_hits: registry::Counter,
     misses: registry::Counter,
     stores: registry::Counter,
     evicted_entries: registry::Counter,
     evicted_bytes: registry::Counter,
-    /// Serializes this process's `cache.stats` read-merge-writes with
+    /// Serializes this process's `cache.stats` appends and folds with
     /// each other and with readers of persisted-plus-live totals. A
     /// persist moves its deltas from the live counters into the file;
-    /// without the lock two persists can each merge onto the same old
-    /// file, so the later write drops the earlier one's deltas, and a
-    /// reader between the take and the write sees neither.
+    /// without the lock a reader between the take and the append sees
+    /// neither, and a fold between them rewrites the log without them.
     persist: Mutex<()>,
 }
 
@@ -243,6 +272,19 @@ impl DirState {
         stats.evicted_entries += self.evicted_entries.get();
         stats.evicted_bytes += self.evicted_bytes.get();
     }
+
+    /// Swaps this process's unpersisted counter deltas out, leaving zero.
+    fn take_live(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.take(),
+            hot_hits: self.hot_hits.take(),
+            misses: self.misses.take(),
+            stores: self.stores.take(),
+            evicted_entries: self.evicted_entries.take(),
+            evicted_bytes: self.evicted_bytes.take(),
+            ..CacheStats::default()
+        }
+    }
 }
 
 /// A point-in-time view of a cache directory and its lifetime counters
@@ -270,6 +312,19 @@ pub struct CacheStats {
     pub evicted_bytes: u64,
 }
 
+impl CacheStats {
+    /// Adds `other`'s lifetime counters onto these (the directory scan
+    /// fields are left alone).
+    fn add(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.hot_hits += other.hot_hits;
+        self.misses += other.misses;
+        self.stores += other.stores;
+        self.evicted_entries += other.evicted_entries;
+        self.evicted_bytes += other.evicted_bytes;
+    }
+}
+
 /// What one eviction pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
@@ -293,7 +348,6 @@ pub struct DiskCache {
     dir: PathBuf,
     budget: Option<u64>,
     tmp_counter: AtomicU64,
-    swept: AtomicBool,
     state: Arc<DirState>,
 }
 
@@ -317,7 +371,6 @@ impl DiskCache {
             dir,
             budget: crate::Knobs::get().cache_budget,
             tmp_counter: AtomicU64::new(0),
-            swept: AtomicBool::new(false),
             state,
         }
     }
@@ -357,27 +410,28 @@ impl DiskCache {
 
     /// Removes stale `.*.tmp` files leaked by a killed run (a process
     /// that died between `fs::write` and `fs::rename` in [`store`]).
-    /// Runs once per opened cache, on first use of the directory. Safe
-    /// against live writers: a temp name embeds its writer's pid and a
-    /// per-process counter, and *this* process has written nothing yet;
-    /// another live process's window between write and rename is
-    /// nanoseconds wide, and losing a store is just "uncached".
+    /// Runs once per directory per process, on the first load or store
+    /// of any `DiskCache` on it; the others wait for that sweep to end.
+    /// Safe against live writers: a temp name embeds its writer's pid
+    /// and a per-process counter, and *this* process has written nothing
+    /// to the directory yet; another live process's window between write
+    /// and rename is nanoseconds wide, and losing a store is just
+    /// "uncached".
     ///
     /// [`store`]: DiskCache::store
     fn sweep_stale_tmp(&self) {
-        if self.swept.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return; // nothing to sweep (directory not created yet)
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with('.') && name.ends_with(".tmp") {
-                let _ = fs::remove_file(entry.path());
+        self.state.swept.get_or_init(|| {
+            let Ok(entries) = fs::read_dir(&self.dir) else {
+                return; // nothing to sweep (directory not created yet)
+            };
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                let Some(name) = name.to_str() else { continue };
+                if name.starts_with('.') && name.ends_with(".tmp") {
+                    let _ = fs::remove_file(entry.path());
+                }
             }
-        }
+        });
     }
 
     /// Loads the finished result for `point`, or `None` on a miss (absent,
@@ -385,9 +439,9 @@ impl DiskCache {
     /// entries are quarantined to `<key>.corrupt` on the way out.
     ///
     /// Warm path: a hot-tier entry revalidated by one `stat` serves the
-    /// decoded result with no read and no decode. Cold path: read,
-    /// verify, decode, touch the entry's mtime (LRU recency), and
-    /// promote into the hot tier.
+    /// decoded result with no read and no decode. Cold path, through one
+    /// descriptor: read, verify, decode, touch the entry's mtime (LRU
+    /// recency), and promote into the hot tier.
     pub fn load(&self, point: &CampaignPoint) -> Option<RunResult> {
         self.load_keyed(&point.fingerprint(), &point.cache_key())
     }
@@ -433,22 +487,24 @@ impl DiskCache {
         }
 
         let path = self.key_path(key);
-        let result = self.load_from_disk(fingerprint, &path);
-        match result {
-            Some(result) => {
-                // Touch the mtime so on-disk LRU order tracks use, then
-                // promote with the *post-touch* identity (otherwise the
-                // touch would invalidate our own resident copy).
-                let _ = touch(&path);
-                let identity = fs::metadata(&path)
-                    .ok()
-                    .map(|m| (m.len(), m.modified().ok()));
+        let loaded = open_entry(&path).ok().and_then(|file| {
+            let text = read_all(&file).ok()?;
+            let result = self.verify_entry(fingerprint, &path, &text)?;
+            // Touch the mtime so on-disk LRU order tracks use, then
+            // promote with the *post-touch* identity (otherwise the
+            // touch would invalidate our own resident copy), taken from
+            // the descriptor just decoded, not from whatever the path
+            // names by now.
+            Some((result, touch_and_identify(&file)))
+        });
+        match loaded {
+            Some((result, identity)) => {
                 let result = Arc::new(result);
                 if let Some((len, mtime)) = identity {
                     self.hot_insert(
                         key,
                         fingerprint.to_string(),
-                        path.clone(),
+                        path,
                         len,
                         mtime,
                         Arc::clone(&result),
@@ -476,11 +532,19 @@ impl DiskCache {
     /// already in hand (the benchmark's apples-to-apples counterpart of
     /// [`DiskCache::load_keyed`]).
     pub fn load_uncached_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
-        self.load_from_disk(fingerprint, &self.key_path(key))
+        let path = self.key_path(key);
+        let text = fs::read_to_string(&path).ok()?;
+        self.verify_entry(fingerprint, &path, &text)
     }
 
-    fn load_from_disk(&self, expected_fingerprint: &str, path: &Path) -> Option<RunResult> {
-        let text = fs::read_to_string(path).ok()?;
+    /// Checks an entry's header and fingerprint and decodes its body;
+    /// quarantines the entry at `path` when it is corrupt.
+    fn verify_entry(
+        &self,
+        expected_fingerprint: &str,
+        path: &Path,
+        text: &str,
+    ) -> Option<RunResult> {
         let mut lines = text.splitn(3, '\n');
         if lines.next() != Some(HEADER) {
             self.quarantine(path, "unrecognized header");
@@ -568,14 +632,20 @@ impl DiskCache {
     /// Propagates filesystem errors; callers treat a failed store as
     /// "uncached" rather than fatal.
     pub fn store(&self, point: &CampaignPoint, result: &RunResult) -> io::Result<()> {
+        let fingerprint = point.fingerprint();
+        self.store_keyed(&fingerprint, &key_of(&fingerprint), result)
+    }
+
+    /// [`DiskCache::store`] with the fingerprint and cache key already in
+    /// hand, as [`DiskCache::load_keyed`] takes them.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiskCache::store`].
+    pub fn store_keyed(&self, fingerprint: &str, key: &str, result: &RunResult) -> io::Result<()> {
         self.sweep_stale_tmp();
         fs::create_dir_all(&self.dir)?;
-        let key = point.cache_key();
-        let body = format!(
-            "{HEADER}\nkey={}\n{}",
-            point.fingerprint(),
-            encode_result(result)
-        );
+        let body = format!("{HEADER}\nkey={fingerprint}\n{}", encode_result(result));
         let bytes = body.len() as u64;
         // Unique per process *and* per call, so parallel workers never
         // share a temp file.
@@ -585,18 +655,18 @@ impl DiskCache {
             self.tmp_counter.fetch_add(1, Ordering::Relaxed),
         ));
         fs::write(&tmp, &body)?;
-        let path = self.key_path(&key);
+        let path = self.key_path(key);
         fs::rename(&tmp, &path)?;
 
-        self.protect(&key);
+        self.protect(key);
         self.state.stores.inc_always();
         if let Some(identity) = fs::metadata(&path)
             .ok()
             .map(|m| (m.len(), m.modified().ok()))
         {
             self.hot_insert(
-                &key,
-                point.fingerprint(),
+                key,
+                fingerprint.to_string(),
                 path.clone(),
                 identity.0,
                 identity.1,
@@ -621,6 +691,7 @@ impl DiskCache {
                                 .observe(reclaimed);
                         }
                     }
+                    self.fold_counters();
                 }
             }
         }
@@ -701,7 +772,8 @@ impl DiskCache {
     /// A full garbage-collection pass: removes quarantined `.corrupt`
     /// files, evicts LRU entries until the directory fits `budget` (or
     /// this cache's configured budget; `None` evicts nothing), rewrites
-    /// `cache.index`, and persists the counters. Keys protected by
+    /// `cache.index`, and folds the counter log, with this process's
+    /// deltas, into one totals line. Keys protected by
     /// *this* process survive; a fresh `mncube cache gc` process has an
     /// empty protected set, so it always converges under budget.
     pub fn gc(&self, budget: Option<u64>) -> GcReport {
@@ -763,7 +835,7 @@ impl DiskCache {
             &self.tmp_counter,
         );
 
-        self.persist_counters();
+        self.fold_counters();
         report
     }
 
@@ -779,56 +851,108 @@ impl DiskCache {
         stats
     }
 
-    /// Folds this process's counter deltas into `cache.stats`
-    /// (best-effort; the campaign calls this at the end of each run).
-    /// Deltas are swapped out atomically, so concurrent persists from
-    /// several caches on one directory never double-count, and persists
-    /// within one process are serialized, so none overwrites another.
+    /// Appends this process's counter deltas to the `cache.stats` log
+    /// as one line (best-effort; the campaign calls this at the end of
+    /// each run). Deltas are swapped out atomically, so concurrent
+    /// persists from several caches on one directory never double-count;
+    /// the single `O_APPEND` write keeps other processes' lines whole;
+    /// and persists within one process are serialized with folds and
+    /// total reads, so every delta is counted exactly once.
     pub fn persist_counters(&self) {
         let _persist = self.state.persist.lock().unwrap_or_else(|e| e.into_inner());
-        let deltas = [
-            ("hits", self.state.hits.take()),
-            ("hot_hits", self.state.hot_hits.take()),
-            ("misses", self.state.misses.take()),
-            ("stores", self.state.stores.take()),
-            ("evicted_entries", self.state.evicted_entries.take()),
-            ("evicted_bytes", self.state.evicted_bytes.take()),
-        ];
-        if deltas.iter().all(|(_, v)| *v == 0) {
+        let deltas = self.state.take_live();
+        if deltas == CacheStats::default() {
             return;
         }
-        if fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
-        let old = read_persisted(&self.dir);
-        let merged = CacheStats {
-            hits: old.hits + deltas[0].1,
-            hot_hits: old.hot_hits + deltas[1].1,
-            misses: old.misses + deltas[2].1,
-            stores: old.stores + deltas[3].1,
-            evicted_entries: old.evicted_entries + deltas[4].1,
-            evicted_bytes: old.evicted_bytes + deltas[5].1,
-            ..CacheStats::default()
+        let append = || {
+            fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join("cache.stats"))
         };
-        let line = format!(
-            "{{\"version\":1,\"hits\":{},\"hot_hits\":{},\"misses\":{},\"stores\":{},\
-             \"evicted_entries\":{},\"evicted_bytes\":{}}}\n",
-            merged.hits,
-            merged.hot_hits,
-            merged.misses,
-            merged.stores,
-            merged.evicted_entries,
-            merged.evicted_bytes,
+        let file = append().or_else(|err| {
+            // The directory is created lazily: a run that only missed
+            // has not made it yet.
+            if err.kind() != io::ErrorKind::NotFound {
+                return Err(err);
+            }
+            fs::create_dir_all(&self.dir)?;
+            append()
+        });
+        if let Ok(mut file) = file {
+            use io::Write as _;
+            let _ = file.write_all(counter_line(&deltas).as_bytes());
+        }
+    }
+
+    /// Folds the `cache.stats` log and this process's deltas into one
+    /// totals line, written by temp + rename. Callers hold `gc.lock`, so
+    /// folds never race each other; another process's append that lands
+    /// between the read and the rename is lost (counters are
+    /// diagnostics, never load-bearing).
+    fn fold_counters(&self) {
+        let _persist = self.state.persist.lock().unwrap_or_else(|e| e.into_inner());
+        let mut totals = read_persisted(&self.dir);
+        let deltas = self.state.take_live();
+        if totals == CacheStats::default()
+            && deltas == CacheStats::default()
+            && !self.dir.join("cache.stats").exists()
+        {
+            return;
+        }
+        totals.add(&deltas);
+        let _ = write_atomic(
+            &self.dir,
+            "cache.stats",
+            counter_line(&totals).as_bytes(),
+            &self.tmp_counter,
         );
-        let _ = write_atomic(&self.dir, "cache.stats", line.as_bytes(), &self.tmp_counter);
     }
 }
 
-/// Best-effort mtime touch (append-mode open grants the write access
-/// `set_times` needs).
-fn touch(path: &Path) -> io::Result<()> {
-    let file = fs::OpenOptions::new().append(true).open(path)?;
-    file.set_times(fs::FileTimes::new().set_modified(SystemTime::now()))
+/// One `cache.stats` line: the six persisted counters as a JSON object.
+fn counter_line(c: &CacheStats) -> String {
+    format!(
+        "{{\"version\":1,\"hits\":{},\"hot_hits\":{},\"misses\":{},\"stores\":{},\
+         \"evicted_entries\":{},\"evicted_bytes\":{}}}\n",
+        c.hits, c.hot_hits, c.misses, c.stores, c.evicted_entries, c.evicted_bytes,
+    )
+}
+
+/// Opens a cache entry for a disk hit: read + append, which grants the
+/// write access the mtime touch needs, or read-only when that open fails
+/// for any reason but absence (a read-only entry or filesystem).
+fn open_entry(path: &Path) -> io::Result<fs::File> {
+    match fs::OpenOptions::new().read(true).append(true).open(path) {
+        Err(err) if err.kind() != io::ErrorKind::NotFound => fs::File::open(path),
+        opened => opened,
+    }
+}
+
+/// Reads an open entry to its end. A plain `read` loop: `File`'s own
+/// `read_to_string` first `statx`es and seeks the descriptor for a size
+/// hint, two syscalls an entry of under a page does not need.
+fn read_all(mut file: &fs::File) -> io::Result<String> {
+    use io::Read as _;
+    let mut bytes = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match file.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => bytes.extend_from_slice(&chunk[..n]),
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
+    String::from_utf8(bytes).map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))
+}
+
+/// Touches an open entry's mtime (best-effort) and returns the
+/// descriptor's post-touch `(len, mtime)`: the identity the hot tier
+/// revalidates a resident copy against.
+fn touch_and_identify(file: &fs::File) -> Option<(u64, Option<SystemTime>)> {
+    let _ = file.set_times(fs::FileTimes::new().set_modified(SystemTime::now()));
+    file.metadata().ok().map(|m| (m.len(), m.modified().ok()))
 }
 
 /// Atomic sibling-file write (same temp + rename protocol as entries).
@@ -842,35 +966,46 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8], counter: &AtomicU64) -> io
     fs::rename(&tmp, dir.join(name))
 }
 
-/// Reads the persisted counter totals from `cache.stats` (zeroes when
-/// absent or unparseable — counters are diagnostics, never load-bearing).
-/// Fields are found by name, so a file that still carries the retired
-/// `"coalesced"` counter merges its other counters unchanged.
+/// Reads the persisted counter totals: the sum of the `cache.stats`
+/// log's lines (zeroes when absent — counters are diagnostics, never
+/// load-bearing). Only newline-terminated lines count, so a torn last
+/// line is skipped; within a line only the text from its last `{` is
+/// read, so a torn line that a later append completed still yields that
+/// append's record. Fields are found by name, so a line that still
+/// carries the retired `"coalesced"` counter reads its other counters
+/// unchanged.
 fn read_persisted(dir: &Path) -> CacheStats {
+    let mut totals = CacheStats::default();
     let Ok(text) = fs::read_to_string(dir.join("cache.stats")) else {
-        return CacheStats::default();
+        return totals;
     };
-    let field = |name: &str| -> u64 {
-        let needle = format!("\"{name}\":");
-        let Some(start) = text.find(&needle) else {
-            return 0;
+    let Some(complete) = text.rfind('\n') else {
+        return totals;
+    };
+    for line in text[..complete].split('\n') {
+        let record = line.rfind('{').map_or(line, |start| &line[start..]);
+        let field = |name: &str| -> u64 {
+            let needle = format!("\"{name}\":");
+            let Some(start) = record.find(&needle) else {
+                return 0;
+            };
+            let digits = &record[start + needle.len()..];
+            let end = digits
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(digits.len());
+            digits[..end].parse().unwrap_or(0)
         };
-        text[start + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap_or(0)
-    };
-    CacheStats {
-        hits: field("hits"),
-        hot_hits: field("hot_hits"),
-        misses: field("misses"),
-        stores: field("stores"),
-        evicted_entries: field("evicted_entries"),
-        evicted_bytes: field("evicted_bytes"),
-        ..CacheStats::default()
+        totals.add(&CacheStats {
+            hits: field("hits"),
+            hot_hits: field("hot_hits"),
+            misses: field("misses"),
+            stores: field("stores"),
+            evicted_entries: field("evicted_entries"),
+            evicted_bytes: field("evicted_bytes"),
+            ..CacheStats::default()
+        });
     }
+    totals
 }
 
 /// The single-writer eviction lock: `gc.lock` created with `create_new`,
@@ -1355,7 +1490,8 @@ mod tests {
     fn stats_files_with_the_retired_coalesced_counter_still_merge() {
         // `cache.stats` files written before the coalesced counter was
         // retired carry a `"coalesced"` key; the other counters still
-        // read, and the next persist merges onto them.
+        // read, the next persist appends onto them, and the next gc
+        // folds the log into one line without the retired key.
         let dir = scratch_dir("old-stats");
         fs::create_dir_all(&dir).unwrap();
         fs::write(
@@ -1369,14 +1505,203 @@ mod tests {
         assert!(cache.load(&point).is_none()); // one more miss
         cache.persist_counters();
 
+        let merged = |dir: &Path| {
+            let stats = DiskCache::new(dir).stats();
+            assert_eq!(
+                (stats.hits, stats.hot_hits, stats.misses, stats.stores),
+                (5, 2, 4, 4)
+            );
+            assert_eq!((stats.evicted_entries, stats.evicted_bytes), (1, 64));
+        };
+        merged(&dir);
+        assert_eq!(stats_lines(&dir).len(), 2, "a persist appends");
+
+        assert!(cache.gc(None).ran);
+        merged(&dir);
+        let lines = stats_lines(&dir);
+        assert_eq!(lines.len(), 1, "gc folds the log: {lines:?}");
+        assert!(!lines[0].contains("coalesced"), "{lines:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn stats_lines(dir: &Path) -> Vec<String> {
+        fs::read_to_string(dir.join("cache.stats"))
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_persists_through_two_caches_sum_exactly() {
+        // Eight threads, split over two `DiskCache`s on one directory,
+        // each count misses and persist them while the others do: every
+        // delta lands in the log exactly once.
+        let dir = scratch_dir("stats-threads");
+        fs::create_dir_all(&dir).unwrap();
+        let caches = [DiskCache::new(&dir), DiskCache::new(&dir)];
+        let point = tiny_point();
+        const ROUNDS: u64 = 40;
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (cache, point) = (&caches[t % 2], &point);
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        assert!(cache.load(point).is_none());
+                        cache.persist_counters();
+                    }
+                });
+            }
+        });
         let stats = DiskCache::new(&dir).stats();
-        assert_eq!(
-            (stats.hits, stats.hot_hits, stats.misses, stats.stores),
-            (5, 2, 4, 4)
+        assert_eq!(stats.misses, 8 * ROUNDS);
+        assert_eq!(stats.hits, 0);
+        let lines = stats_lines(&dir);
+        assert!(
+            !lines.is_empty() && lines.len() as u64 <= 8 * ROUNDS,
+            "{} lines",
+            lines.len()
         );
-        assert_eq!((stats.evicted_entries, stats.evicted_bytes), (1, 64));
-        let text = fs::read_to_string(dir.join("cache.stats")).unwrap();
-        assert!(!text.contains("coalesced"), "{text}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_last_line_is_skipped() {
+        let dir = scratch_dir("stats-torn");
+        fs::create_dir_all(&dir).unwrap();
+        let mut log = counter_line(&CacheStats {
+            hits: 3,
+            misses: 1,
+            ..CacheStats::default()
+        });
+        log.push_str(&counter_line(&CacheStats {
+            stores: 2,
+            ..CacheStats::default()
+        }));
+        // A crash mid-append: the last line has no newline.
+        log.push_str("{\"version\":1,\"hits\":1000");
+        fs::write(dir.join("cache.stats"), &log).unwrap();
+
+        let stats = DiskCache::new(&dir).stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (3, 1, 2));
+
+        // The next append completes the torn line; only its own record
+        // counts, not the torn prefix.
+        let cache = DiskCache::new(&dir);
+        assert!(cache.load(&tiny_point()).is_none());
+        cache.persist_counters();
+        let stats = DiskCache::new(&dir).stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (3, 2, 2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_folds_the_counter_log_into_one_totals_line() {
+        let dir = scratch_dir("stats-fold");
+        let cache = DiskCache::new(&dir);
+        let point = tiny_point();
+        let result = mn_core::simulate(&point.config, point.workload);
+        assert!(cache.load(&point).is_none());
+        cache.persist_counters();
+        cache.store(&point, &result).unwrap();
+        cache.persist_counters();
+        assert!(cache.load(&point).is_some());
+        cache.persist_counters();
+        assert_eq!(stats_lines(&dir).len(), 3);
+        // Live deltas fold in as well.
+        assert!(cache.load(&point).is_some());
+        let before = cache.stats();
+
+        assert!(cache.gc(None).ran);
+        assert_eq!(stats_lines(&dir).len(), 1);
+        assert_eq!(DiskCache::new(&dir).stats(), before);
+        assert_eq!((before.misses, before.stores, before.hits), (1, 1, 2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn read_only_entries_serve_through_the_fallback() {
+        use std::os::unix::fs::PermissionsExt as _;
+        let dir = scratch_dir("read-only");
+        let cache = DiskCache::new(&dir);
+        let point = tiny_point();
+        let result = mn_core::simulate(&point.config, point.workload);
+        // Planted, not stored, so the first load is a disk hit.
+        plant_cold_entry(&cache, &point, &result, Duration::from_secs(60));
+        let path = cache.entry_path(&point);
+        fs::set_permissions(&path, fs::Permissions::from_mode(0o444)).unwrap();
+
+        let loaded = cache.load(&point).expect("disk hit on a 0444 entry");
+        assert_eq!(encode_result(&loaded), encode_result(&result));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.hot_hits), (1, 0));
+        // Whether or not the touch went through, the recorded identity
+        // is the file's: the next load is a hot hit.
+        assert!(cache.load(&point).is_some());
+        assert_eq!(cache.stats().hot_hits, 1);
+
+        // The read-only branch itself, which a 0444 mode cannot force
+        // when the tests run as root: a path the read + append open
+        // refuses for everyone (a directory) opens read-only instead.
+        assert!(fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(&dir)
+            .is_err());
+        let fallback = open_entry(&dir).expect("read-only fallback");
+        assert!(read_all(&fallback).is_err(), "a directory reads as a miss");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_cache_on_a_swept_directory_does_not_list_it_again() {
+        let dir = scratch_dir("sweep-once");
+        fs::create_dir_all(&dir).unwrap();
+        let point = tiny_point();
+        assert!(DiskCache::new(&dir).load(&point).is_none()); // sweeps
+
+        // Debris that appears after this process's sweep stays: no
+        // other cache on the directory lists it again.
+        fs::write(dir.join(".late.1.0.tmp"), "after the sweep").unwrap();
+        let second = DiskCache::new(&dir);
+        assert!(second.load(&point).is_none());
+        let result = mn_core::simulate(&point.config, point.workload);
+        second.store(&point, &result).unwrap();
+        assert!(dir.join(".late.1.0.tmp").exists());
+        assert!(second.load(&point).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_hits_record_the_identity_of_the_descriptor_they_decoded() {
+        let dir = scratch_dir("identity");
+        let cache = DiskCache::new(&dir);
+        let point = tiny_point();
+        let result = mn_core::simulate(&point.config, point.workload);
+        plant_cold_entry(&cache, &point, &result, Duration::from_secs(60));
+        let path = cache.entry_path(&point);
+        let decoded_len = fs::metadata(&path).unwrap().len();
+
+        // The path is replaced between the read and the identity check:
+        // the identity still describes the bytes the descriptor read.
+        let file = open_entry(&path).unwrap();
+        let text = read_all(&file).unwrap();
+        fs::write(dir.join("replacement"), "a different, longer file .....").unwrap();
+        fs::rename(dir.join("replacement"), &path).unwrap();
+        let (len, _) = touch_and_identify(&file).unwrap();
+        assert_eq!(len, decoded_len);
+        assert_eq!(text.len() as u64, decoded_len);
+        assert_ne!(fs::metadata(&path).unwrap().len(), decoded_len);
+        drop(file);
+
+        // Through `load`: a disk hit records the post-touch identity, so
+        // the next load revalidates it and serves hot.
+        plant_cold_entry(&cache, &point, &result, Duration::from_secs(60));
+        assert!(cache.load(&point).is_some());
+        assert_eq!(cache.stats().hot_hits, 0);
+        assert!(cache.load(&point).is_some());
+        assert_eq!(cache.stats().hot_hits, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

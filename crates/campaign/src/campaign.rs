@@ -34,6 +34,7 @@
 //! by tmp+rename. Every caller in the repo runs its campaigns one after
 //! another, so the cache serves any overlap.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,7 +50,7 @@ use crate::engine::{Delivery, Engine, Job};
 use crate::error::CampaignError;
 use crate::journal::{self, RunJournal};
 use crate::knobs::Knobs;
-use crate::point::{fnv1a64, CampaignPoint};
+use crate::point::{fnv1a64, key_of, CampaignPoint};
 use crate::report::{CampaignSummary, Progress};
 
 /// The outcome of one grid point.
@@ -265,20 +266,25 @@ impl Campaign {
         let mut progress = Progress::new(total, self.quiet);
 
         // Fold duplicate fingerprints: `canonical[i]` is the index into
-        // `unique` whose result point `i` will receive.
+        // `unique` whose result point `i` will receive. Each point's
+        // fingerprint is formatted exactly once; the unique points keep
+        // theirs, and their cache keys are hashed from them.
         let mut first_by_print: HashMap<String, usize> = HashMap::new();
         let mut unique: Vec<&CampaignPoint> = Vec::new();
+        let mut fingerprints: Vec<String> = Vec::new();
         let mut canonical = Vec::with_capacity(total);
         for point in &points {
-            let next = unique.len();
-            let slot = *first_by_print.entry(point.fingerprint()).or_insert(next);
-            if slot == next {
-                unique.push(point);
-            }
+            let slot = match first_by_print.entry(point.fingerprint()) {
+                Entry::Occupied(first) => *first.get(),
+                Entry::Vacant(first) => {
+                    fingerprints.push(first.key().clone());
+                    unique.push(point);
+                    *first.insert(unique.len() - 1)
+                }
+            };
             canonical.push(slot);
         }
-        let fingerprints: Vec<String> = unique.iter().map(|p| p.fingerprint()).collect();
-        let cache_keys: Vec<String> = unique.iter().map(|p| p.cache_key()).collect();
+        let cache_keys: Vec<String> = fingerprints.iter().map(|f| key_of(f)).collect();
 
         // Cache hits return results without telemetry (the codec stores
         // only simulated quantities), so an instrumented campaign served
@@ -407,12 +413,9 @@ impl Campaign {
         // concurrently on different workers (of any campaign).
         // Observations are merged in ascending port order, which keeps
         // every aggregate bit-identical to the serial `simulate`.
-        let arcs: Vec<Option<Arc<CampaignPoint>>> = unique
-            .iter()
-            .enumerate()
-            .map(|(i, p)| misses.contains(&i).then(|| Arc::new((*p).clone())))
-            .collect();
+        let mut arcs: Vec<Option<Arc<CampaignPoint>>> = vec![None; unique.len()];
         for &i in &misses {
+            arcs[i] = Some(Arc::new(unique[i].clone()));
             if let Some(journal) = &journal {
                 journal.start(&fingerprints[i], &cache_keys[i]);
             }
@@ -508,7 +511,9 @@ impl Campaign {
                         gather.obs.into_iter().flatten(),
                     );
                     if let Some(cache) = &self.cache {
-                        if let Err(err) = cache.store(point, &result) {
+                        let stored =
+                            cache.store_keyed(&fingerprints[slot], &cache_keys[slot], &result);
+                        if let Err(err) = stored {
                             // Warn once: an unwritable cache dir
                             // would otherwise repeat per point. The
                             // point itself completed — uncached.
@@ -781,6 +786,51 @@ mod tests {
         let second = run(30);
         assert_eq!(second.summary.cache_hits, 1);
         assert_eq!(second.summary.failed, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_warm_rerun_writes_one_counter_line_and_no_file() {
+        // The warm replay's syscall floor, structurally: a fully cached
+        // rerun creates, renames and removes nothing in the cache
+        // directory, and its only write is one appended `cache.stats`
+        // line.
+        let dir = std::env::temp_dir().join(format!(
+            "mn-campaign-warm-floor-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = || {
+            Campaign::new(1).cache_dir(&dir).quiet().run(vec![
+                tiny(TopologyKind::Chain, 41),
+                tiny(TopologyKind::Tree, 42),
+                tiny(TopologyKind::Chain, 41),
+            ])
+        };
+        let listing = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let stats_lines = || {
+            std::fs::read_to_string(dir.join("cache.stats"))
+                .unwrap()
+                .lines()
+                .count()
+        };
+        let cold = run();
+        assert_eq!(cold.summary.fresh, 2);
+        let (files, lines) = (listing(), stats_lines());
+        assert_eq!(files.len(), 3, "two entries and the counter log: {files:?}");
+
+        let warm = run();
+        assert_eq!((warm.summary.cache_hits, warm.summary.fresh), (2, 0));
+        assert_eq!(listing(), files);
+        assert_eq!(stats_lines(), lines + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -153,8 +153,15 @@ impl CampaignPoint {
     /// stored alongside the result and re-checked on load, so a hash
     /// collision degrades to a cache miss, never to a wrong result.
     pub fn cache_key(&self) -> String {
-        format!("{:016x}", fnv1a64(self.fingerprint().as_bytes()))
+        key_of(&self.fingerprint())
     }
+}
+
+/// The cache key of an already-formatted fingerprint — what
+/// [`CampaignPoint::cache_key`] returns, for callers that hold the
+/// fingerprint anyway and should not format it a second time.
+pub(crate) fn key_of(fingerprint: &str) -> String {
+    format!("{:016x}", fnv1a64(fingerprint.as_bytes()))
 }
 
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
