@@ -9,8 +9,8 @@
 //! - **cold** — every point freshly simulated through the worker pool
 //!   (an empty cache directory).
 //! - **warm-disk** — the read + verify + decode hit path alone
-//!   ([`mn_campaign::DiskCache::load_uncached`]). This is what every warm
-//!   replay paid before the hot tier existed.
+//!   ([`mn_campaign::DiskCache::load_uncached_keyed`]). This is what
+//!   every warm replay paid before the hot tier existed.
 //! - **warm-hot** — the full [`load`](mn_campaign::DiskCache::load) hit
 //!   path with the hot tier resident: one `stat` revalidation, zero
 //!   reads, zero decodes. CI gates on `warm_speedup = warm-hot /

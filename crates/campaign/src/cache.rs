@@ -520,17 +520,11 @@ impl DiskCache {
         }
     }
 
-    /// The cold hit path alone: read, verify, decode — no hot tier, no
-    /// mtime touch, no counters. This is what every hit used to cost;
+    /// The cold hit path alone, with the fingerprint and cache key
+    /// already in hand: read, verify, decode — no hot tier, no mtime
+    /// touch, no counters. This is what every hit used to cost;
     /// `campaign_bench` measures it against [`DiskCache::load_keyed`] to
     /// keep the warm-replay speedup honest.
-    pub fn load_uncached(&self, point: &CampaignPoint) -> Option<RunResult> {
-        self.load_uncached_keyed(&point.fingerprint(), &point.cache_key())
-    }
-
-    /// [`DiskCache::load_uncached`] with the fingerprint and cache key
-    /// already in hand (the benchmark's apples-to-apples counterpart of
-    /// [`DiskCache::load_keyed`]).
     pub fn load_uncached_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         let path = self.key_path(key);
         let text = fs::read_to_string(&path).ok()?;
@@ -778,7 +772,6 @@ impl DiskCache {
     /// empty protected set, so it always converges under budget.
     pub fn gc(&self, budget: Option<u64>) -> GcReport {
         let budget = budget.or(self.budget);
-        let gc_span = registry::span_begin();
         let mut report = GcReport::default();
 
         // Corrupt debris first: quarantine preserved it for diagnosis;
@@ -807,7 +800,6 @@ impl DiskCache {
         report.entries = live.len() as u64;
         report.bytes = live.iter().map(|(_, len, _)| len).sum();
         report.ran = true;
-        registry::span_end(gc_span, "cache", "cache.gc");
         if registry::metrics_enabled() {
             let m = registry::metrics();
             m.cache_gc_passes.inc();

@@ -48,7 +48,7 @@ use crate::cache::DiskCache;
 use crate::chaos::ChaosPlan;
 use crate::engine::{Delivery, Engine, Job};
 use crate::error::CampaignError;
-use crate::journal::{self, RunJournal};
+use crate::journal::{self, ReplayedPoint, RunJournal};
 use crate::knobs::Knobs;
 use crate::point::{fnv1a64, key_of, CampaignPoint};
 use crate::report::{CampaignSummary, Progress};
@@ -230,16 +230,12 @@ impl Campaign {
         }
     }
 
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    fn engine_handle(&self) -> Arc<Engine> {
-        Arc::clone(self.engine.get_or_init(|| Arc::new(Engine::new(self.jobs))))
-    }
-
     /// Runs every point and returns outcomes in submission order.
+    ///
+    /// The run is six stages over one record per distinct point: `fold`
+    /// the duplicates, `replay` the journal, `strike` with chaos, `probe`
+    /// the cache, `simulate` the misses and `tally` the summary; then
+    /// every submitted point receives its record's result.
     ///
     /// Simulation failures (a fault schedule that partitions a topology, a
     /// stalled port, a panicking point) are confined to their point: the
@@ -253,38 +249,72 @@ impl Campaign {
     /// Panics if a point's configuration panics the merge itself;
     /// per-point simulation panics are caught and recorded instead.
     pub fn run(&self, points: Vec<CampaignPoint>) -> CampaignOutcome {
-        let total = points.len();
-        let run_span = registry::span_begin();
         if registry::metrics_enabled() {
             let m = registry::metrics();
             m.campaign_runs.inc();
-            m.campaign_points.add(total as u64);
+            m.campaign_points.add(points.len() as u64);
             let knobs = Knobs::get();
             registry::configure_export(knobs.metrics_file.clone(), knobs.metrics_interval);
             registry::sample_now("campaign-start");
         }
-        let mut progress = Progress::new(total, self.quiet);
+        let mut progress = Progress::new(points.len(), self.quiet);
+        let (mut records, canonical) = self.fold(&points);
+        self.replay(&mut records, &mut progress);
+        self.strike(&records);
+        let journal = self.open_journal();
+        self.probe(&mut records, &mut progress);
+        let jobs = self.simulate(&mut records, journal.as_ref(), &mut progress);
+        let filled: Vec<Filled> = records.into_iter().map(Record::into_filled).collect();
+        let summary = tally(&filled, points.len(), jobs, progress.started().elapsed());
+        progress.finish(&summary);
+        if let Some(cache) = &self.cache {
+            // Fold this run's activity into the directory's lifetime
+            // counters (best-effort; `mncube cache stats` reads them).
+            cache.persist_counters();
+        }
+        if registry::metrics_enabled() {
+            registry::sample_now("campaign-end");
+        }
+        let outcomes = points.into_iter().zip(canonical).map(|(point, slot)| {
+            let filled = filled[slot].clone();
+            PointOutcome {
+                point,
+                result: filled.result,
+                cached: filled.source != Source::Simulated,
+                coalesced: false,
+                attempts: filled.attempts,
+                host: filled.host,
+            }
+        });
+        CampaignOutcome {
+            outcomes: outcomes.collect(),
+            summary,
+        }
+    }
 
-        // Fold duplicate fingerprints: `canonical[i]` is the index into
-        // `unique` whose result point `i` will receive. Each point's
-        // fingerprint is formatted exactly once; the unique points keep
-        // theirs, and their cache keys are hashed from them.
+    /// Stage 1: one record per distinct fingerprint (formatted once, the
+    /// cache key hashed from it), and for each submitted point the index
+    /// of the record whose result it receives.
+    fn fold<'p>(&self, points: &'p [CampaignPoint]) -> (Vec<Record<'p>>, Vec<usize>) {
         let mut first_by_print: HashMap<String, usize> = HashMap::new();
-        let mut unique: Vec<&CampaignPoint> = Vec::new();
-        let mut fingerprints: Vec<String> = Vec::new();
-        let mut canonical = Vec::with_capacity(total);
-        for point in &points {
-            let slot = match first_by_print.entry(point.fingerprint()) {
+        let mut records = Vec::with_capacity(points.len());
+        let mut canonical = Vec::with_capacity(points.len());
+        for point in points {
+            canonical.push(match first_by_print.entry(point.fingerprint()) {
                 Entry::Occupied(first) => *first.get(),
                 Entry::Vacant(first) => {
-                    fingerprints.push(first.key().clone());
-                    unique.push(point);
-                    *first.insert(unique.len() - 1)
+                    let (fingerprint, key) = (first.key().clone(), key_of(first.key()));
+                    let state = State::Unresolved;
+                    records.push(Record {
+                        point,
+                        fingerprint,
+                        key,
+                        state,
+                    });
+                    *first.insert(records.len() - 1)
                 }
-            };
-            canonical.push(slot);
+            });
         }
-        let cache_keys: Vec<String> = fingerprints.iter().map(|f| key_of(f)).collect();
 
         // Cache hits return results without telemetry (the codec stores
         // only simulated quantities), so an instrumented campaign served
@@ -292,7 +322,7 @@ impl Campaign {
         // process instead of dropping them quietly.
         if self.cache.is_some()
             && !self.quiet
-            && unique.iter().any(|p| p.config.noc.trace.enabled())
+            && records.iter().any(|r| r.point.config.noc.trace.enabled())
         {
             static WARNED: AtomicBool = AtomicBool::new(false);
             if !WARNED.swap(true, Ordering::Relaxed) {
@@ -302,359 +332,321 @@ impl Campaign {
                 );
             }
         }
+        (records, canonical)
+    }
 
-        // Chaos strikes the durable state first — litter the cache
-        // directory with stale temp files, tear the journal tail — so
-        // the sweep and the torn-tail-tolerant replay below are the code
-        // paths that actually run under test.
-        if let Some(chaos) = self.chaos {
-            if let Some(cache) = &self.cache {
-                chaos.litter_cache_dir(cache.dir());
-            }
-            if let Some(path) = &self.journal {
-                chaos.tear_journal(path);
-            }
-        }
-
-        // Replay the resume journal: points a previous run completed are
-        // served from their journaled (lossless) encodings — even with
-        // the cache detached — and everything else re-dispatches.
-        let replayed = match &self.journal {
-            Some(path) => match journal::replay(path) {
-                Ok(map) => map,
-                Err(err) => {
-                    eprintln!(
-                        "warning: could not replay journal {}: {err}; \
-                         starting from scratch",
-                        path.display()
-                    );
-                    HashMap::new()
-                }
-            },
-            None => HashMap::new(),
-        };
-        let journal = self
-            .journal
-            .as_ref()
-            .and_then(|path| match RunJournal::open(path) {
-                Ok(journal) => Some(journal),
-                Err(err) => {
-                    eprintln!(
-                        "warning: could not open journal {}: {err}; \
-                         this run will not be resumable",
-                        path.display()
-                    );
-                    None
-                }
-            });
-
-        /// Where a unique point's result came from.
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        enum Source {
-            Simulated,
-            Cached,
-            Resumed,
-        }
-        #[derive(Clone)]
-        struct Filled {
-            result: Result<RunResult, CampaignError>,
-            source: Source,
-            attempts: u32,
-            host: Duration,
-        }
-        let mut slots: Vec<Option<Filled>> = vec![None; unique.len()];
-        for (i, fp) in fingerprints.iter().enumerate() {
-            if let Some(done) = replayed.get(fp) {
+    /// Stage 2: points a previous run completed are served from their
+    /// journaled (lossless) encodings, even with the cache detached.
+    fn replay(&self, records: &mut [Record], progress: &mut Progress) {
+        let Some(path) = &self.journal else { return };
+        let mut done = journal::replay(path).unwrap_or_else(|err| {
+            eprintln!(
+                "warning: could not replay journal {}: {err}; starting from scratch",
+                path.display()
+            );
+            HashMap::new()
+        });
+        for record in records {
+            if let Some(ReplayedPoint { result, attempts }) = done.remove(&record.fingerprint) {
                 progress.tick(true);
-                slots[i] = Some(Filled {
-                    result: Ok(done.result.clone()),
-                    source: Source::Resumed,
-                    attempts: done.attempts,
-                    host: Duration::ZERO,
-                });
+                record.fill(Ok(result), Source::Resumed, attempts, Duration::ZERO);
             }
         }
+    }
 
-        // Probe the cache (cheap, I/O-bound) so only true misses are
-        // fanned out to the workers. Chaos may damage an entry first;
-        // the quarantine path must turn that into a clean miss.
-        let mut misses: Vec<usize> = Vec::new();
-        for i in 0..unique.len() {
-            if slots[i].is_some() {
-                continue; // already replayed from the journal
-            }
-            if let Some(cache) = &self.cache {
-                if let Some(chaos) = self.chaos {
-                    chaos.damage_cache_entry(cache.dir(), &cache_keys[i]);
-                }
-                let start = Instant::now();
-                if let Some(result) = cache.load_keyed(&fingerprints[i], &cache_keys[i]) {
+    /// Stage 3: all of the chaos harness's damage to durable state — stale
+    /// cache temp files, a torn journal tail, and damaged entries for
+    /// exactly the points the probe reads, which it knows because it runs
+    /// after replay (replay skips a torn tail either way).
+    fn strike(&self, records: &[Record]) {
+        let Some(chaos) = self.chaos else { return };
+        if let Some(path) = &self.journal {
+            chaos.tear_journal(path);
+        }
+        let Some(cache) = &self.cache else { return };
+        chaos.litter_cache_dir(cache.dir());
+        for record in records
+            .iter()
+            .filter(|r| matches!(r.state, State::Unresolved))
+        {
+            chaos.damage_cache_entry(cache.dir(), &record.key);
+        }
+    }
+
+    /// Opens the journal this run appends to, after the strike, so a torn
+    /// tail is repaired before this run's first event.
+    fn open_journal(&self) -> Option<RunJournal> {
+        let path = self.journal.as_ref()?;
+        let open = RunJournal::open(path);
+        if let Err(err) = &open {
+            eprintln!(
+                "warning: could not open journal {}: {err}; this run will not be resumable",
+                path.display()
+            );
+        }
+        open.ok()
+    }
+
+    /// Stage 4: serves every unresolved point the cache holds, and
+    /// protects each miss, which this run simulates, from LRU eviction
+    /// until the process exits.
+    fn probe(&self, records: &mut [Record], progress: &mut Progress) {
+        let Some(cache) = &self.cache else { return };
+        for record in records
+            .iter_mut()
+            .filter(|r| matches!(r.state, State::Unresolved))
+        {
+            let start = Instant::now();
+            match cache.load_keyed(&record.fingerprint, &record.key) {
+                Some(result) => {
                     progress.tick(true);
-                    slots[i] = Some(Filled {
-                        result: Ok(result),
-                        source: Source::Cached,
-                        attempts: 0,
-                        host: start.elapsed(),
-                    });
-                    continue;
+                    record.fill(Ok(result), Source::Cached, 0, start.elapsed());
                 }
-                // A miss this campaign will simulate: protect its entry
-                // from LRU eviction until the process exits (in-flight
-                // and just-written entries are never evicted).
-                cache.protect(&cache_keys[i]);
+                None => cache.protect(&record.key),
             }
-            misses.push(i);
         }
+    }
 
-        // Decompose each miss into per-port jobs — ports serve disjoint
-        // address slices, so each is an independent simulation — and fan
-        // those out to the engine instead of whole points. A multi-port
-        // grid point no longer bounds the tail: its ports run
-        // concurrently on different workers (of any campaign).
-        // Observations are merged in ascending port order, which keeps
-        // every aggregate bit-identical to the serial `simulate`.
-        let mut arcs: Vec<Option<Arc<CampaignPoint>>> = vec![None; unique.len()];
-        for &i in &misses {
-            arcs[i] = Some(Arc::new(unique[i].clone()));
-            if let Some(journal) = &journal {
-                journal.start(&fingerprints[i], &cache_keys[i]);
+    /// Stage 5: simulates every unresolved point as one job per port (ports
+    /// serve disjoint address slices, so a point's ports run concurrently)
+    /// and returns the worker count the summary reports. A point still
+    /// gathering when the channel closes lost its worker, and is reported
+    /// lost instead of panicking away the rest of the grid.
+    fn simulate(
+        &self,
+        records: &mut [Record],
+        journal: Option<&RunJournal>,
+        progress: &mut Progress,
+    ) -> usize {
+        let (tx, rx) = mpsc::channel::<Delivery>();
+        let mut initial = Vec::new();
+        for (slot, record) in records.iter_mut().enumerate() {
+            if matches!(record.state, State::Unresolved) {
+                if let Some(journal) = journal {
+                    journal.start(&record.fingerprint, &record.key);
+                }
+                let ports = port_count(&record.point.config) as usize;
+                record.state = State::Gathering(Gather {
+                    point: Arc::new(record.point.clone()),
+                    ports: (0..ports).map(|_| None).collect(),
+                    attempt: 0,
+                    host: Duration::ZERO,
+                    dispatched: registry::metrics_enabled().then(Instant::now),
+                });
+                initial.extend(self.port_jobs(slot, record, &tx));
             }
         }
-        let engine = self.engine_handle();
-        let (tx, rx) = mpsc::channel::<Delivery>();
-        let retries = self.retries;
-        let chaos = self.chaos;
-        let job = |slot: usize, port: u32, attempt: u32| Job {
+        let mut outstanding = initial.len();
+        let workers = self.jobs.min(outstanding).max(1);
+        let engine = self.engine.get_or_init(|| Arc::new(Engine::new(self.jobs)));
+        engine.submit(initial);
+        while outstanding > 0 {
+            let Ok(delivery) = rx.recv() else { break };
+            outstanding -= 1;
+            let slot = delivery.slot;
+            if self.land(&mut records[slot], delivery, journal, progress) {
+                let retry = self.port_jobs(slot, &records[slot], &tx);
+                outstanding += retry.len();
+                engine.submit(retry);
+            }
+        }
+        for record in records {
+            if let State::Gathering(gather) = &record.state {
+                let lost = CampaignError::LostWorker {
+                    landed: gather.ports.iter().flatten().filter(|p| p.is_ok()).count(),
+                    expected: gather.ports.len(),
+                };
+                progress.tick(false);
+                let (attempts, host) = (gather.attempt + 1, gather.host);
+                record.fill(Err(lost), Source::Simulated, attempts, host);
+            }
+        }
+        workers
+    }
+
+    /// One job per port for the current attempt of the gathering point at
+    /// `slot`. The chaos panic decision keys on a scheduling-independent
+    /// identity of the point, never on dispatch order.
+    fn port_jobs(&self, slot: usize, record: &Record, reply: &mpsc::Sender<Delivery>) -> Vec<Job> {
+        let State::Gathering(gather) = &record.state else {
+            unreachable!("only gathering points are dispatched")
+        };
+        let (key_hash, attempt) = (fnv1a64(record.key.as_bytes()), gather.attempt);
+        let job = |port| Job {
             slot,
             port,
             attempt,
-            point: Arc::clone(arcs[slot].as_ref().expect("miss has an arc")),
-            // Chaos panic decisions key on a scheduling-independent
-            // identity of the point, never on dispatch order.
-            chaos_panic: chaos.is_some_and(|c| {
-                c.injects_panic(fnv1a64(cache_keys[slot].as_bytes()), port, attempt, retries)
-            }),
-            reply: tx.clone(),
+            point: Arc::clone(&gather.point),
+            chaos_panic: self
+                .chaos
+                .is_some_and(|c| c.injects_panic(key_hash, port, attempt, self.retries)),
+            reply: reply.clone(),
         };
-        let initial: Vec<Job> = misses
-            .iter()
-            .flat_map(|&i| (0..port_count(&unique[i].config)).map(move |port| job(i, port, 0)))
-            .collect();
-        let mut outstanding = initial.len();
-        let jobs = self.jobs.min(outstanding).max(1);
-        engine.submit(initial);
+        (0..gather.ports.len() as u32).map(job).collect()
+    }
 
-        // Gather deliveries; a point settles — merged and cached, or
-        // retried, or recorded failed — the moment the last port of its
-        // current attempt lands. Waiting for *every* port (not bailing
-        // on the first error) is what makes the error attribution
-        // deterministic: the lowest-numbered failing port speaks for the
-        // point at any worker count.
-        struct Gather {
-            obs: Vec<Option<PortObservation>>,
-            errors: Vec<Option<CampaignError>>,
-            pending: usize,
-            attempt: u32,
-            host: Duration,
-            // Dispatch-to-settle span start (None with metrics off):
-            // feeds the `point.resolve` span and the resolve latency
-            // histogram when the point lands.
-            span: Option<Instant>,
+    /// Lands one port. After an attempt's last port the point is merged
+    /// (in ascending port order, as the serial `simulate` merges), cached
+    /// and journaled; or re-armed for a fresh attempt of every port
+    /// (returns true, and the caller dispatches it); or recorded failed.
+    /// Waiting for every port makes the error attribution deterministic:
+    /// the lowest-numbered failing port speaks for the point.
+    fn land(
+        &self,
+        record: &mut Record,
+        delivery: Delivery,
+        journal: Option<&RunJournal>,
+        progress: &mut Progress,
+    ) -> bool {
+        let State::Gathering(gather) = &mut record.state else {
+            unreachable!("only gathering points have jobs in flight")
+        };
+        gather.host += delivery.host;
+        gather.ports[delivery.port as usize] = Some(delivery.outcome);
+        if gather.ports.iter().any(Option::is_none) {
+            return false; // the attempt's other ports are still in flight
         }
-        let mut gathering: HashMap<usize, Gather> = misses
-            .iter()
-            .map(|&i| {
-                let ports = port_count(&unique[i].config) as usize;
-                (
-                    i,
-                    Gather {
-                        obs: (0..ports).map(|_| None).collect(),
-                        errors: (0..ports).map(|_| None).collect(),
-                        pending: ports,
-                        attempt: 0,
-                        host: Duration::ZERO,
-                        span: registry::span_begin(),
-                    },
-                )
-            })
-            .collect();
-        while outstanding > 0 {
-            let Ok(Delivery {
-                slot,
-                port,
-                host,
-                outcome,
-            }) = rx.recv()
-            else {
-                break; // workers died; leftovers become LostWorker
-            };
-            outstanding -= 1;
-            let gather = gathering.get_mut(&slot).expect("point is gathering");
-            gather.host += host;
-            match outcome {
-                Ok(obs) => gather.obs[port as usize] = Some(obs),
-                Err(error) => gather.errors[port as usize] = Some(error),
+        let (attempts, host) = (gather.attempt + 1, gather.host);
+        let fp = &record.fingerprint;
+        let landed: Result<Vec<_>, _> = gather.ports.iter_mut().flat_map(Option::take).collect();
+        let result = match landed {
+            Err(error) if error.is_retryable() && gather.attempt < self.retries => {
+                registry::metrics().engine_retry_attempts.inc();
+                if let Some(journal) = journal {
+                    journal.retry(fp, attempts, &error.to_string());
+                }
+                gather.ports.iter_mut().for_each(|p| *p = None);
+                gather.attempt = attempts;
+                return true;
             }
-            gather.pending -= 1;
-            if gather.pending > 0 {
-                continue;
+            Err(error) => {
+                if let Some(journal) = journal {
+                    journal.failed(fp, attempts, &error.to_string());
+                }
+                Err(error)
             }
-            let point = unique[slot];
-            let error = gather.errors.iter_mut().find_map(Option::take);
-            match error {
-                None => {
-                    let gather = gathering.remove(&slot).expect("present");
-                    let attempts = gather.attempt + 1;
-                    let result = merge_port_observations(
-                        &point.config,
-                        point.workload,
-                        gather.obs.into_iter().flatten(),
-                    );
-                    if let Some(cache) = &self.cache {
-                        let stored =
-                            cache.store_keyed(&fingerprints[slot], &cache_keys[slot], &result);
-                        if let Err(err) = stored {
-                            // Warn once: an unwritable cache dir
-                            // would otherwise repeat per point. The
-                            // point itself completed — uncached.
-                            static STORE_WARNED: AtomicBool = AtomicBool::new(false);
-                            if !STORE_WARNED.swap(true, Ordering::Relaxed) {
-                                eprintln!(
-                                    "warning: could not cache result in {}: {err}",
-                                    cache.dir().display()
-                                );
-                            }
+            Ok(obs) => {
+                let point = record.point;
+                let result = merge_port_observations(&point.config, point.workload, obs);
+                if let Some(cache) = &self.cache {
+                    if let Err(err) = cache.store_keyed(fp, &record.key, &result) {
+                        // Warn once, not per point: the point itself
+                        // completed, uncached.
+                        static STORE_WARNED: AtomicBool = AtomicBool::new(false);
+                        if !STORE_WARNED.swap(true, Ordering::Relaxed) {
+                            let dir = cache.dir().display();
+                            eprintln!("warning: could not cache result in {dir}: {err}");
                         }
                     }
-                    if let Some(journal) = &journal {
-                        journal.done(&fingerprints[slot], attempts, &result);
-                    }
-                    if let Some(start) = gather.span {
-                        registry::metrics()
-                            .point_resolve_latency_us
-                            .observe_since(start);
-                    }
-                    registry::span_end(gather.span, "campaign", "point.resolve");
-                    progress.tick(false);
-                    slots[slot] = Some(Filled {
-                        result: Ok(result),
-                        source: Source::Simulated,
-                        attempts,
-                        host: gather.host,
-                    });
                 }
-                Some(error) if error.is_retryable() && gather.attempt < retries => {
-                    // Re-dispatch the whole point: a fresh attempt
-                    // for every port, so the retried run is the same
-                    // computation a clean run would perform.
-                    let attempt = gather.attempt + 1;
-                    registry::metrics().engine_retry_attempts.inc();
-                    if let Some(journal) = &journal {
-                        journal.retry(&fingerprints[slot], attempt, &error.to_string());
-                    }
-                    let ports = gather.obs.len();
-                    gather.obs.iter_mut().for_each(|o| *o = None);
-                    gather.errors.iter_mut().for_each(|e| *e = None);
-                    gather.pending = ports;
-                    gather.attempt = attempt;
-                    outstanding += ports;
-                    engine.submit((0..ports as u32).map(|port| job(slot, port, attempt)));
+                if let Some(journal) = journal {
+                    journal.done(fp, attempts, &result);
                 }
-                Some(error) => {
-                    let gather = gathering.remove(&slot).expect("present");
-                    let attempts = gather.attempt + 1;
-                    if let Some(journal) = &journal {
-                        journal.failed(&fingerprints[slot], attempts, &error.to_string());
-                    }
-                    registry::span_end(gather.span, "campaign", "point.resolve");
-                    progress.tick(false);
-                    slots[slot] = Some(Filled {
-                        result: Err(error),
-                        source: Source::Simulated,
-                        attempts,
-                        host: gather.host,
-                    });
+                if let Some(start) = gather.dispatched {
+                    registry::metrics()
+                        .point_resolve_latency_us
+                        .observe_since(start);
                 }
+                Ok(result)
             }
-        }
-
-        // The channel closed with points still gathering: a worker
-        // died without delivering its jobs. Report each such point as
-        // lost instead of panicking away the rest of the grid.
-        for (i, gather) in gathering {
-            let landed = gather.obs.iter().filter(|o| o.is_some()).count();
-            let expected = gather.obs.len();
-            progress.tick(false);
-            slots[i] = Some(Filled {
-                result: Err(CampaignError::LostWorker { landed, expected }),
-                source: Source::Simulated,
-                attempts: gather.attempt + 1,
-                host: gather.host,
-            });
-        }
-
-        // Every unique point was replayed, served from the cache, or
-        // gathered above, and every gathered point was filled.
-        let executed: Vec<Filled> = slots
-            .into_iter()
-            .map(|s| s.expect("every unique point is resolved"))
-            .collect();
-
-        let mut summary = CampaignSummary {
-            total,
-            unique: unique.len(),
-            cache_hits: 0,
-            fresh: 0,
-            failed: 0,
-            jobs,
-            host_wall: progress.started().elapsed(),
-            fresh_requests: 0,
-            resumed: 0,
-            retried: 0,
-            coalesced: 0,
         };
-        for filled in &executed {
-            summary.failed += usize::from(filled.result.is_err());
-            match filled.source {
-                Source::Cached => summary.cache_hits += 1,
-                Source::Resumed => summary.resumed += 1,
-                Source::Simulated => {
-                    summary.fresh += 1;
-                    summary.retried += usize::from(filled.attempts > 1);
-                    if let Ok(result) = &filled.result {
-                        summary.fresh_requests += result.reads + result.writes;
-                    }
-                }
-            }
-        }
-        progress.finish(&summary);
-        if let Some(cache) = &self.cache {
-            // Fold this run's activity into the directory's lifetime
-            // counters (best-effort; `mncube cache stats` reads them).
-            cache.persist_counters();
-        }
-        registry::span_end(run_span, "campaign", "campaign.run");
-        if registry::metrics_enabled() {
-            registry::sample_now("campaign-end");
-        }
-
-        let outcomes = points
-            .into_iter()
-            .zip(canonical)
-            .map(|(point, slot)| {
-                let filled = executed[slot].clone();
-                PointOutcome {
-                    point,
-                    result: filled.result,
-                    cached: filled.source != Source::Simulated,
-                    coalesced: false,
-                    attempts: filled.attempts,
-                    host: filled.host,
-                }
-            })
-            .collect();
-        CampaignOutcome { outcomes, summary }
+        progress.tick(false);
+        record.fill(result, Source::Simulated, attempts, host);
+        false
     }
+}
+
+/// Stage 6: the run's summary, from every distinct point's result.
+fn tally(filled: &[Filled], total: usize, jobs: usize, host_wall: Duration) -> CampaignSummary {
+    let count = |source| filled.iter().filter(|f| f.source == source).count();
+    let fresh = || filled.iter().filter(|f| f.source == Source::Simulated);
+    CampaignSummary {
+        total,
+        unique: filled.len(),
+        cache_hits: count(Source::Cached),
+        fresh: count(Source::Simulated),
+        failed: filled.iter().filter(|f| f.result.is_err()).count(),
+        jobs,
+        host_wall,
+        fresh_requests: fresh()
+            .flat_map(|f| &f.result)
+            .map(|r| r.reads + r.writes)
+            .sum(),
+        resumed: count(Source::Resumed),
+        retried: fresh().filter(|f| f.attempts > 1).count(),
+        coalesced: 0,
+    }
+}
+
+/// One distinct point of a run — one per fingerprint — and how far it
+/// has got.
+struct Record<'p> {
+    point: &'p CampaignPoint,
+    fingerprint: String,
+    key: String,
+    state: State,
+}
+
+impl Record<'_> {
+    fn fill(&mut self, result: PointResult, source: Source, attempts: u32, host: Duration) {
+        self.state = State::Filled(Filled {
+            result,
+            source,
+            attempts,
+            host,
+        });
+    }
+
+    fn into_filled(self) -> Filled {
+        match self.state {
+            State::Filled(filled) => filled,
+            _ => unreachable!("every distinct point is resolved"),
+        }
+    }
+}
+
+// Boxing the filled variant would cost an allocation per cache hit on
+// the warm replay path; a run holds only one record per distinct point.
+#[allow(clippy::large_enum_variant)]
+enum State {
+    /// Not replayed, cached or simulated yet.
+    Unresolved,
+    /// Dispatched to the engine; ports are landing.
+    Gathering(Gather),
+    /// Resolved, by any source.
+    Filled(Filled),
+}
+
+/// Where a distinct point's result came from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Simulated,
+    Cached,
+    Resumed,
+}
+
+type PointResult = Result<RunResult, CampaignError>;
+
+/// A resolved point: its result and how it was obtained.
+#[derive(Clone)]
+struct Filled {
+    result: PointResult,
+    source: Source,
+    attempts: u32,
+    host: Duration,
+}
+
+/// The ports of a dispatched point's current attempt, as they land.
+struct Gather {
+    point: Arc<CampaignPoint>,
+    /// Each port's observation or error, once it lands; the attempt is
+    /// pending while any is `None`.
+    ports: Vec<Option<Result<PortObservation, CampaignError>>>,
+    attempt: u32,
+    host: Duration,
+    /// The dispatch instant (None with metrics off), for the
+    /// resolve-latency histogram.
+    dispatched: Option<Instant>,
 }
 
 #[cfg(test)]
@@ -670,6 +662,18 @@ mod tests {
         config.requests_per_port = 150;
         config.seed = seed;
         CampaignPoint::new(config, Workload::Nw)
+    }
+
+    /// A fresh, empty directory for one test.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "mn-campaign-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -765,12 +769,7 @@ mod tests {
 
     #[test]
     fn failed_points_are_not_cached() {
-        let dir = std::env::temp_dir().join(format!(
-            "mn-campaign-fail-cache-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("fail-cache");
         let run = |seed| {
             Campaign::new(1)
                 .cache_dir(&dir)
@@ -795,12 +794,7 @@ mod tests {
         // rerun creates, renames and removes nothing in the cache
         // directory, and its only write is one appended `cache.stats`
         // line.
-        let dir = std::env::temp_dir().join(format!(
-            "mn-campaign-warm-floor-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("warm-floor");
         let run = || {
             Campaign::new(1).cache_dir(&dir).quiet().run(vec![
                 tiny(TopologyKind::Chain, 41),
@@ -897,13 +891,7 @@ mod tests {
 
     #[test]
     fn journal_resume_skips_completed_points_without_a_cache() {
-        let dir = std::env::temp_dir().join(format!(
-            "mn-campaign-resume-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("resume");
         let path = dir.join("run.journal");
         let points = || vec![tiny(TopologyKind::Chain, 71), tiny(TopologyKind::Ring, 72)];
 
@@ -925,6 +913,43 @@ mod tests {
                 codec::encode_result(b.result.as_ref().unwrap()),
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_run_mixes_every_source() {
+        let dir = scratch("mixed");
+        let (journal, cache) = (dir.join("run.journal"), dir.join("cache"));
+        let p1 = tiny(TopologyKind::Chain, 91);
+        let p2 = tiny(TopologyKind::Tree, 92);
+        let p3 = tiny(TopologyKind::Ring, 93);
+        // Run A journals P1 after two chaos panics (three attempts); run B
+        // caches P2.
+        let chaos = ChaosPlan::new(0xC0, 1.0);
+        let a = Campaign::new(1).quiet().retries(2).chaos(chaos);
+        let a = a.journal(&journal).run(vec![p1.clone()]);
+        assert_eq!(a.outcomes[0].attempts, 3);
+        let b = Campaign::new(1).quiet().cache_dir(&cache);
+        assert_eq!(b.run(vec![p2.clone()]).summary.fresh, 1);
+
+        let both = || Campaign::new(2).quiet().journal(&journal).cache_dir(&cache);
+        let c = both().run(vec![p1, p2, p3.clone(), p3.clone(), partitioned(94)]);
+        let seen = |o: &PointOutcome| (o.cached, o.attempts, o.result.is_ok());
+        let seen: Vec<_> = c.outcomes.iter().map(seen).collect();
+        let (resumed, cached, fresh) = ((true, 3, true), (true, 0, true), (false, 1, true));
+        assert_eq!(seen, [resumed, cached, fresh, fresh, (false, 1, false)]);
+        assert_eq!(c.outcomes[0].host, Duration::ZERO);
+        let s = &c.summary;
+        assert_eq!((s.total, s.unique, s.failed), (5, 4, 1));
+        assert_eq!((s.resumed, s.cache_hits, s.fresh), (1, 1, 2));
+        let line = s.line();
+        assert!(line.starts_with("campaign: 5/5 points in "), "{line}");
+        let tail = " — 1 cached, 2 simulated, 1 resumed, 1 FAILED, 2 workers, ";
+        assert!(line.contains(tail), "{line}");
+
+        // P3 is now in both the journal and the cache: the journal wins.
+        let d = both().run(vec![p3]);
+        assert_eq!((d.summary.resumed, d.summary.cache_hits), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -51,67 +51,61 @@ pub fn encode_result(result: &RunResult) -> String {
     )
 }
 
-/// Decodes [`encode_result`] output. Returns `None` on any malformed or
-/// incomplete input (the cache treats that as a miss).
+/// The keys [`encode_result`] writes, one per line, in this order.
+const KEYS: [&str; 12] = [
+    "label",
+    "workload",
+    "wall_ps",
+    "to_mem",
+    "in_mem",
+    "from_mem",
+    "energy",
+    "reads",
+    "writes",
+    "row_hit_rate",
+    "avg_hops",
+    "hist",
+];
+
+/// Decodes [`encode_result`] output. Anything else is `None`, which the
+/// cache treats as a miss: a line that is not the next key it writes, a
+/// missing or extra line, or a value that does not parse whole.
 pub fn decode_result(text: &str) -> Option<RunResult> {
-    let mut label = None;
-    let mut workload = None;
-    let mut wall = None;
-    let mut to_mem = None;
-    let mut in_mem = None;
-    let mut from_mem = None;
-    let mut energy = None;
-    let mut reads = None;
-    let mut writes = None;
-    let mut row_hit_rate = None;
-    let mut avg_hops = None;
-    let mut hist = None;
-
-    for line in text.lines() {
-        let (key, value) = line.split_once('=')?;
-        match key {
-            "label" => label = Some(value.to_string()),
-            "workload" => workload = Some(value.to_string()),
-            "wall_ps" => wall = Some(SimTime::from_ps(value.parse().ok()?)),
-            "to_mem" => to_mem = Some(parse_acc(value)?),
-            "in_mem" => in_mem = Some(parse_acc(value)?),
-            "from_mem" => from_mem = Some(parse_acc(value)?),
-            "energy" => {
-                let mut parts = value.split(',');
-                let mut next = || parse_f64_bits(parts.next()?);
-                energy = Some(EnergyBreakdown {
-                    network: EnergyPj::from_pj(next()?),
-                    read: EnergyPj::from_pj(next()?),
-                    write: EnergyPj::from_pj(next()?),
-                });
-            }
-            "reads" => reads = Some(value.parse().ok()?),
-            "writes" => writes = Some(value.parse().ok()?),
-            "row_hit_rate" => row_hit_rate = Some(parse_f64_bits(value)?),
-            "avg_hops" => avg_hops = Some(parse_f64_bits(value)?),
-            "hist" => {
-                let counts: Option<Vec<u64>> = value.split(',').map(|c| c.parse().ok()).collect();
-                hist = Some(Histogram::from_bucket_counts(&counts?)?);
-            }
-            _ => return None,
-        }
+    let mut lines = text.lines();
+    let mut values = [""; KEYS.len()];
+    for (key, value) in KEYS.iter().zip(&mut values) {
+        *value = lines.next()?.strip_prefix(key)?.strip_prefix('=')?;
     }
-
+    if lines.next().is_some() {
+        return None;
+    }
+    let [label, workload, wall, to_mem, in_mem, from_mem, energy, reads, writes, row_hit_rate, avg_hops, hist] =
+        values;
+    let counts: Option<Vec<u64>> = hist.split(',').map(|c| c.parse().ok()).collect();
+    let mut energy = energy.split(',').map(parse_f64_bits);
+    let (network, read, write) = (energy.next()??, energy.next()??, energy.next()??);
+    if energy.next().is_some() {
+        return None;
+    }
     Some(RunResult {
-        label: label?,
-        workload: workload?,
-        wall: wall?,
+        label: label.to_string(),
+        workload: workload.to_string(),
+        wall: SimTime::from_ps(wall.parse().ok()?),
         breakdown: LatencyBreakdown {
-            to_memory: to_mem?,
-            in_memory: in_mem?,
-            from_memory: from_mem?,
+            to_memory: parse_acc(to_mem)?,
+            in_memory: parse_acc(in_mem)?,
+            from_memory: parse_acc(from_mem)?,
         },
-        energy: energy?,
-        reads: reads?,
-        writes: writes?,
-        row_hit_rate: row_hit_rate?,
-        avg_hops: avg_hops?,
-        read_latency: hist?,
+        energy: EnergyBreakdown {
+            network: EnergyPj::from_pj(network),
+            read: EnergyPj::from_pj(read),
+            write: EnergyPj::from_pj(write),
+        },
+        reads: reads.parse().ok()?,
+        writes: writes.parse().ok()?,
+        row_hit_rate: parse_f64_bits(row_hit_rate)?,
+        avg_hops: parse_f64_bits(avg_hops)?,
+        read_latency: Histogram::from_bucket_counts(&counts?)?,
         // Telemetry is never cached (see encode_result): a cache hit
         // reports the simulated result without the observational rollup.
         telemetry: None,
@@ -209,6 +203,24 @@ mod tests {
         // Either a parse failure or a missing field: never a panic.
         let _ = decode_result(&truncated);
         assert!(decode_result(&encode_result(&sample()).replace("reads=", "rodas=")).is_none());
+        // Extra fields and repeated keys are malformed too, not ignored
+        // or last-one-wins.
+        let text = encode_result(&sample());
+        let energy = text.lines().find(|l| l.starts_with("energy=")).unwrap();
+        let four = text.replace(energy, &format!("{energy},0000000000000000"));
+        assert!(decode_result(&four).is_none(), "a fourth energy value");
+        assert!(
+            decode_result(&format!("{text}reads=7\n")).is_none(),
+            "reads twice"
+        );
+        assert!(
+            decode_result(&format!("reads=7\n{text}")).is_none(),
+            "reads twice"
+        );
+        assert!(
+            decode_result(&format!("{text}{energy}\n")).is_none(),
+            "energy twice"
+        );
     }
 
     /// Replaces the encoded `hist=` line of `sample()` with `hist`.

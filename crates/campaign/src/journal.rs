@@ -100,11 +100,6 @@ impl RunJournal {
         })
     }
 
-    /// The journal's path (for reports and diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Records a point's dispatch.
     pub fn start(&self, fingerprint: &str, key: &str) {
         self.append(&format!(

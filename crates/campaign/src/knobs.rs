@@ -250,8 +250,8 @@ pub const KNOBS: &[Knob] = &[
         default: "`off`",
         results: false,
         doc: "`on`/`1`/`true`/`yes` (any case) enables the engine-layer metrics \
-              registry (counters, gauges, histograms, lifecycle spans); off costs \
-              one relaxed load per hook",
+              registry (counters, gauges, histograms); off costs one relaxed load \
+              per hook",
         set: |k, v| switch(v).map(|on| k.metrics = on),
     },
     Knob {

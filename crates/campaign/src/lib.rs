@@ -27,7 +27,7 @@
 //!   [`CampaignSummary`] line (points done/total, cache hits, aggregate
 //!   sim-throughput) on stderr.
 //! - **Robustness** — panic isolation (`catch_unwind` per point), a
-//!   crash-consistent [`RunJournal`] with `MN_RESUME` replay, bounded
+//!   crash-consistent run journal with `MN_RESUME` replay, bounded
 //!   per-point retry (`MN_RETRIES`) with watchdog escalation, and a
 //!   seeded [`ChaosPlan`] harness proving every recovery path converges
 //!   to byte-identical results (DESIGN.md §"Robustness & recovery").
@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::too_many_lines)]
 
 mod cache;
 mod campaign;
@@ -61,7 +62,7 @@ mod chaos;
 pub mod codec;
 mod engine;
 mod error;
-pub mod journal;
+mod journal;
 mod knobs;
 mod point;
 mod report;
@@ -72,7 +73,6 @@ pub use campaign::{Campaign, CampaignOutcome, PointOutcome};
 pub use chaos::ChaosPlan;
 pub use engine::Engine;
 pub use error::CampaignError;
-pub use journal::{ReplayedPoint, RunJournal};
 pub use knobs::{parse_size, Knob, Knobs, CLOSED_LOOP_ECN_THRESHOLD, KNOBS};
 pub use point::{CampaignPoint, SIM_VERSION};
 pub use report::CampaignSummary;

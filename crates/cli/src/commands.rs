@@ -233,10 +233,21 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
     // returns the simulated result without the telemetry rollup, and a
     // trace run exists precisely for that rollup. One port is simulated
     // directly (ports are independent; port 0 is representative).
-    let sim_span = mn_telemetry::registry::span_begin();
+    let started = mn_telemetry::registry::metrics_enabled().then(std::time::Instant::now);
     let mut observation = mn_core::try_simulate_port(&config, args.workload, 0)
         .map_err(|e| ArgError(e.to_string()))?;
-    mn_telemetry::registry::span_end(sim_span, "service", "trace.simulate");
+    // With metrics on, the simulation renders as the one service span on a
+    // third process row beside the kernel events, starting the timeline.
+    let spans: Vec<mn_telemetry::NamedSpan> = started
+        .iter()
+        .map(|start| mn_telemetry::NamedSpan {
+            name: "trace.simulate".to_string(),
+            track: 0,
+            ts_ps: 0,
+            dur_ps: u64::try_from(start.elapsed().as_nanos())
+                .map_or(u64::MAX, |ns| ns.saturating_mul(1000)),
+        })
+        .collect();
     let telemetry = observation
         .take_telemetry()
         .ok_or_else(|| ArgError("tracing produced no telemetry".into()))?;
@@ -244,10 +255,7 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
     let path = &args.out;
     let mut file = std::fs::File::create(path)
         .map_err(|e| ArgError(format!("cannot create {}: {e}", path.display())))?;
-    // Service spans render as a third process row alongside the kernel
-    // events whenever metrics recorded any this process; with no
-    // campaign run here, that is the `trace.simulate` span above.
-    let (tracks, spans) = mn_telemetry::registry::spans_for_export();
+    let tracks = ["service".to_string()];
     let span_processes = if spans.is_empty() {
         Vec::new()
     } else {

@@ -26,10 +26,10 @@
 //!   errors.
 //! - [`registry`] (mn-metrics) — the *service-layer* counterpart to all
 //!   of the above: a process-wide, lock-free-on-the-hot-path metrics
-//!   registry (counters, gauges, log-scaled histograms) plus an
-//!   engine-lifecycle span log, gated on `MN_METRICS` and exported as a
-//!   Prometheus text snapshot, a JSON-lines sample stream, and Perfetto
-//!   span rows via [`write_chrome_trace_with_spans`].
+//!   registry (counters, gauges, log-scaled histograms), gated on
+//!   `MN_METRICS` and exported as a Prometheus text snapshot and a
+//!   JSON-lines sample stream. Named wall-clock spans join a kernel
+//!   trace as extra Perfetto rows via [`write_chrome_trace_with_spans`].
 //!
 //! The crate depends only on `mn-sim` (for the time base and accumulator
 //! primitives) so every other layer can use it without cycles.

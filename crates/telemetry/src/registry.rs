@@ -16,14 +16,14 @@
 //!   exact event count and exact `u64` sum, so mean and distribution
 //!   shape are both recoverable from a text snapshot.
 //!
-//! The registry is exposed three ways: a Prometheus text-exposition
+//! The registry is exposed two ways: a Prometheus text-exposition
 //! snapshot ([`render_prometheus`], periodically written to
-//! `MN_METRICS_FILE` by the sampler), a JSON-lines stream of periodic
+//! `MN_METRICS_FILE` by the sampler) and a JSON-lines stream of periodic
 //! samples for campaign sinks (the snapshot path with `.jsonl`
-//! appended), and a wall-clock [`SpanEvent`] log of engine-lifecycle
-//! spans exported through the Chrome/Perfetto writer
-//! ([`crate::write_chrome_trace_with_spans`]) so service-layer spans
-//! render on the same timeline as kernel packet traces.
+//! appended). It keeps no span log: the one service span a Perfetto
+//! export carries, `mncube trace`'s `trace.simulate`, is timed by the
+//! command itself and handed to the writer as a
+//! [`SpanProcess`](crate::SpanProcess).
 //!
 //! **Off is free.** With the gate off (the default) every hook is one
 //! relaxed atomic load and a predictable branch; nothing allocates, nothing
@@ -55,10 +55,9 @@ pub fn set_metrics_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// The process epoch every span timestamp and uptime is measured from.
-/// First caller pins it; callers before any span exists see the same
-/// epoch the spans will use.
-pub fn epoch() -> Instant {
+/// The process epoch the JSON-lines samples' `uptime_us` is measured
+/// from. The first caller pins it.
+fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
@@ -319,8 +318,6 @@ global_metrics! {
             "Campaign submissions run to completion in this process.";
         campaign_points => "mn_campaign_points_total",
             "Unique points resolved across all campaigns (any outcome).";
-        spans_dropped => "mn_spans_dropped_total",
-            "Engine-lifecycle spans dropped because the span log was full.";
     }
     gauges {
         engine_workers => "mn_engine_workers",
@@ -476,101 +473,6 @@ pub fn render_prometheus() -> String {
         collector(&mut out);
     }
     out
-}
-
-// --- spans ---------------------------------------------------------------
-
-/// Retained engine-lifecycle spans; beyond this the log counts drops
-/// instead of growing — a long-lived service must not leak memory into
-/// its own observability.
-const SPAN_LOG_CAPACITY: usize = 4096;
-
-/// One completed service-layer span: wall-clock microseconds since
-/// [`epoch`], a static track (the Perfetto thread it renders on), and a
-/// static name from the span taxonomy (`campaign.run`, `point.resolve`,
-/// `cache.gc`, `trace.simulate`).
-#[derive(Debug, Clone, Copy)]
-pub struct SpanEvent {
-    /// Perfetto track this span renders on.
-    pub track: &'static str,
-    /// Span name from the taxonomy.
-    pub name: &'static str,
-    /// Start, microseconds of wall clock since the process epoch.
-    pub start_us: u64,
-    /// Duration in microseconds (0 renders as an instant).
-    pub dur_us: u64,
-}
-
-fn span_log() -> &'static Mutex<Vec<SpanEvent>> {
-    static SPANS: OnceLock<Mutex<Vec<SpanEvent>>> = OnceLock::new();
-    SPANS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Starts a span: returns the instant to hand back to [`span_end`], or
-/// `None` when metrics are off (the whole pair then costs two
-/// `#[inline]` early returns).
-#[inline]
-pub fn span_begin() -> Option<Instant> {
-    if !metrics_enabled() {
-        return None;
-    }
-    // Pin the epoch no later than the first span so start offsets are
-    // non-negative.
-    let _ = epoch();
-    Some(Instant::now())
-}
-
-/// Completes a span started by [`span_begin`]. `start == None` (metrics
-/// off at begin time) records nothing.
-pub fn span_end(start: Option<Instant>, track: &'static str, name: &'static str) {
-    let Some(start) = start else { return };
-    let start_us = u64::try_from(start.duration_since(epoch()).as_micros()).unwrap_or(u64::MAX);
-    let dur_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let mut log = span_log().lock().unwrap_or_else(|p| p.into_inner());
-    if log.len() >= SPAN_LOG_CAPACITY {
-        drop(log);
-        metrics().spans_dropped.inc();
-        return;
-    }
-    log.push(SpanEvent {
-        track,
-        name,
-        start_us,
-        dur_us,
-    });
-}
-
-/// A copy of the retained span log, in completion order.
-pub fn spans_snapshot() -> Vec<SpanEvent> {
-    span_log().lock().unwrap_or_else(|p| p.into_inner()).clone()
-}
-
-/// Converts the current span log into a Perfetto span-process body:
-/// track names (first-appearance order) and [`NamedSpan`]s referencing
-/// them, microseconds widened to the writer's picosecond timebase. Feed
-/// the result to [`crate::write_chrome_trace_with_spans`].
-///
-/// [`NamedSpan`]: crate::tracer::NamedSpan
-pub fn spans_for_export() -> (Vec<String>, Vec<crate::tracer::NamedSpan>) {
-    let spans = spans_snapshot();
-    let mut tracks: Vec<String> = Vec::new();
-    let mut named = Vec::with_capacity(spans.len());
-    for span in spans {
-        let track = match tracks.iter().position(|t| t == span.track) {
-            Some(i) => i,
-            None => {
-                tracks.push(span.track.to_string());
-                tracks.len() - 1
-            }
-        };
-        named.push(crate::tracer::NamedSpan {
-            name: span.name.to_string(),
-            track: u32::try_from(track).unwrap_or(0),
-            ts_ps: span.start_us.saturating_mul(1_000_000),
-            dur_ps: span.dur_us.saturating_mul(1_000_000),
-        });
-    }
-    (tracks, named)
 }
 
 // --- export: snapshot file + JSON-lines stream ---------------------------
@@ -884,23 +786,6 @@ mod tests {
         for (name, _) in metrics().gauge_values() {
             assert!(text.contains(&format!("# TYPE {name} gauge")));
         }
-    }
-
-    #[test]
-    fn spans_record_only_when_enabled() {
-        let gate = Enabled::off();
-        assert!(span_begin().is_none());
-        span_end(None, "service", "noop");
-        let before = spans_snapshot().len();
-        gate.flip(true);
-        let start = span_begin();
-        assert!(start.is_some());
-        span_end(start, "service", "test.span");
-        let spans = spans_snapshot();
-        assert_eq!(spans.len(), before + 1);
-        let last = spans.last().unwrap();
-        assert_eq!(last.track, "service");
-        assert_eq!(last.name, "test.span");
     }
 
     #[test]

@@ -159,8 +159,7 @@ fn push_us(value_ps: u64, out: &mut String) {
 
 /// One freely-named span for a [`SpanProcess`] row: unlike the kernel's
 /// [`TraceEvent`] (whose names are the fixed lifecycle enum), these
-/// carry arbitrary names — the service-layer span taxonomy
-/// (`campaign.run`, `point.resolve`, `cache.gc`, …).
+/// carry arbitrary names, such as `mncube trace`'s `trace.simulate`.
 #[derive(Debug, Clone)]
 pub struct NamedSpan {
     /// Event name rendered in the trace.
@@ -176,8 +175,8 @@ pub struct NamedSpan {
 }
 
 /// A process row whose threads carry [`NamedSpan`]s instead of kernel
-/// lifecycle events — how the mn-metrics engine span log joins a
-/// kernel trace export.
+/// lifecycle events — how wall-clock service spans join a kernel trace
+/// export.
 #[derive(Debug)]
 pub struct SpanProcess<'a> {
     /// Chrome-trace process id (unique across all rows in the export).
@@ -202,9 +201,9 @@ pub fn write_chrome_trace<W: Write>(w: &mut W, processes: &[TraceProcess<'_>]) -
     write_chrome_trace_with_spans(w, processes, &[])
 }
 
-/// [`write_chrome_trace`] plus extra [`SpanProcess`] rows — service-layer
-/// spans (campaign submit→settle, point resolution, cache gc) rendered
-/// alongside kernel packet lifecycles in one timeline.
+/// [`write_chrome_trace`] plus extra [`SpanProcess`] rows — wall-clock
+/// service spans (`mncube trace`'s `trace.simulate`) rendered alongside
+/// kernel packet lifecycles in one timeline.
 ///
 /// # Errors
 ///
