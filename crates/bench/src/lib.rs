@@ -595,7 +595,7 @@ pub fn closed_loop_report(harness: &mut Harness) -> String {
         for (p, policy) in policies.iter().enumerate() {
             for (s, slots) in CLOSED_LOOP_SLOTS.into_iter().enumerate() {
                 let result = &results[(t * policies.len() + p) * CLOSED_LOOP_SLOTS.len() + s];
-                let tele = result.telemetry.as_ref();
+                let tele = result.telemetry.as_deref();
                 let host = tele.and_then(|t| t.host.as_ref());
                 let _ = writeln!(
                     out,

@@ -15,7 +15,9 @@
 //!    variants re-simulate from scratch (no cache) and prove the kernel
 //!    itself still produces the bytes.
 
-use mn_bench::{fig05_points, fig05_table, fig07_report, fig10_report, Harness};
+use mn_bench::{
+    closed_loop_report, fig05_points, fig05_table, fig07_report, fig10_report, Harness,
+};
 use mn_campaign::{CampaignPoint, DiskCache};
 use mn_core::SystemConfig;
 use mn_topo::TopologyKind;
@@ -28,6 +30,7 @@ fn committed_cache() -> DiskCache {
 const FIG05_GOLDEN: &str = include_str!("../../../results/fig05.txt");
 const FIG07_GOLDEN: &str = include_str!("../../../results/fig07.txt");
 const FIG10_GOLDEN: &str = include_str!("../../../results/fig10.txt");
+const CLOSED_LOOP_GOLDEN: &str = include_str!("../../../results/closed_loop.txt");
 
 /// The knobs that change simulated results (the knob table's `results`
 /// rows: requests, seed, the fault overrides and the closed-loop host
@@ -139,6 +142,23 @@ fn fig07_regenerates_byte_identically_from_scratch() {
         return;
     }
     assert_eq!(fig07_report(&mut Harness::bare(2)), FIG07_GOLDEN);
+}
+
+/// From-scratch closed-loop sweep: every window policy on chain, tree
+/// and skip-list, re-simulated with no cache. Its jain, window and marked
+/// columns read the telemetry rollup, which cache hits never carry, so
+/// this is the golden that covers the rollup end to end.
+#[test]
+#[ignore = "re-simulates the full closed-loop sweep; run with --ignored"]
+fn closed_loop_regenerates_byte_identically_from_scratch() {
+    if !env_is_default() {
+        eprintln!("skipping: result-changing knobs override the golden grid");
+        return;
+    }
+    assert_eq!(
+        closed_loop_report(&mut Harness::bare(2)),
+        CLOSED_LOOP_GOLDEN
+    );
 }
 
 /// Replays Fig. 10 through the full campaign path (per-port decomposition,

@@ -98,7 +98,7 @@ use mn_core::RunResult;
 use mn_telemetry::registry;
 
 use crate::codec::{decode_result, encode_result};
-use crate::point::{key_of, CampaignPoint};
+use crate::point::{key_of, CampaignPoint, WordMap};
 
 const HEADER: &str = "mncampaign-cache v1";
 
@@ -120,31 +120,9 @@ struct HotEntry {
     used: u64,
 }
 
-/// The hot tier's hasher: cache keys *are* already FNV-1a hashes (the
-/// 16-hex rendering of one), so hashing them again would be pure
-/// overhead — the parsed `u64` passes through unchanged.
-#[derive(Default)]
-struct IdentityHasher(u64);
-
-impl std::hash::Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reachable via non-u64 keys, which the hot tier never uses;
-        // fold bytes anyway so the hasher stays total.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = value;
-    }
-}
-
-type HotMap = HashMap<u64, HotEntry, std::hash::BuildHasherDefault<IdentityHasher>>;
+/// Resident entries by the FNV word their cache key renders: hashing
+/// that word again would be pure overhead.
+type HotMap = WordMap<HotEntry>;
 
 /// Parses a 16-hex cache key back to the FNV word it renders (falling
 /// back to hashing the text, so an unexpected key shape still indexes).
@@ -447,10 +425,9 @@ impl DiskCache {
     }
 
     /// [`DiskCache::load`] with the fingerprint and cache key already in
-    /// hand. The campaign precomputes both per point (the journal and the
-    /// chaos schedule need them anyway), and the fingerprint string is
-    /// the single most expensive part of a warm hit — recomputing it here
-    /// would cost more than the hot-tier serve itself.
+    /// hand. The campaign formats both once per distinct point while
+    /// folding duplicates (the journal and the chaos schedule need them
+    /// too), so a load never formats either again.
     pub fn load_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         self.sweep_stale_tmp();
         let word = key_word(key);

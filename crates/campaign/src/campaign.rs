@@ -46,11 +46,11 @@ use mn_telemetry::registry;
 
 use crate::cache::DiskCache;
 use crate::chaos::ChaosPlan;
-use crate::engine::{Delivery, Engine, Job};
+use crate::engine::{Delivery, Engine, Job, Reply};
 use crate::error::CampaignError;
 use crate::journal::{self, ReplayedPoint, RunJournal};
 use crate::knobs::Knobs;
-use crate::point::{fnv1a64, key_of, CampaignPoint};
+use crate::point::{fnv1a64, CampaignPoint, WordMap};
 use crate::report::{CampaignSummary, Progress};
 
 /// The outcome of one grid point.
@@ -264,7 +264,8 @@ impl Campaign {
         let journal = self.open_journal();
         self.probe(&mut records, &mut progress);
         let jobs = self.simulate(&mut records, journal.as_ref(), &mut progress);
-        let filled: Vec<Filled> = records.into_iter().map(Record::into_filled).collect();
+        let mut filled: Vec<Option<Filled>> =
+            records.into_iter().map(Record::into_filled).collect();
         let summary = tally(&filled, points.len(), jobs, progress.started().elapsed());
         progress.finish(&summary);
         if let Some(cache) = &self.cache {
@@ -275,8 +276,20 @@ impl Campaign {
         if registry::metrics_enabled() {
             registry::sample_now("campaign-end");
         }
-        let outcomes = points.into_iter().zip(canonical).map(|(point, slot)| {
-            let filled = filled[slot].clone();
+        // Each record's last submitted point takes its result by move;
+        // only the true duplicates before it clone.
+        let mut last = vec![0; filled.len()];
+        for (index, &slot) in canonical.iter().enumerate() {
+            last[slot] = index;
+        }
+        let outcomes = points.into_iter().zip(canonical).enumerate();
+        let outcomes = outcomes.map(|(index, (point, slot))| {
+            let filled = if last[slot] == index {
+                filled[slot].take()
+            } else {
+                filled[slot].clone()
+            };
+            let filled = filled.expect("a record's last point takes its result");
             PointOutcome {
                 point,
                 result: filled.result,
@@ -293,28 +306,20 @@ impl Campaign {
     }
 
     /// Stage 1: one record per distinct fingerprint (formatted once, the
-    /// cache key hashed from it), and for each submitted point the index
-    /// of the record whose result it receives.
+    /// cache key rendered from its FNV-1a word), and for each submitted
+    /// point the index of the record whose result it receives.
     fn fold<'p>(&self, points: &'p [CampaignPoint]) -> (Vec<Record<'p>>, Vec<usize>) {
-        let mut first_by_print: HashMap<String, usize> = HashMap::new();
-        let mut records = Vec::with_capacity(points.len());
-        let mut canonical = Vec::with_capacity(points.len());
-        for point in points {
-            canonical.push(match first_by_print.entry(point.fingerprint()) {
-                Entry::Occupied(first) => *first.get(),
-                Entry::Vacant(first) => {
-                    let (fingerprint, key) = (first.key().clone(), key_of(first.key()));
-                    let state = State::Unresolved;
-                    records.push(Record {
-                        point,
-                        fingerprint,
-                        key,
-                        state,
-                    });
-                    *first.insert(records.len() - 1)
-                }
-            });
-        }
+        let prints = points.iter().map(CampaignPoint::fingerprint);
+        let (distinct, canonical) = dedupe(prints, |print| fnv1a64(print.as_bytes()));
+        let records: Vec<Record> = distinct
+            .into_iter()
+            .map(|d| Record {
+                point: &points[d.first],
+                fingerprint: d.print,
+                key: format!("{:016x}", d.word),
+                state: State::Unresolved,
+            })
+            .collect();
 
         // Cache hits return results without telemetry (the codec stores
         // only simulated quantities), so an instrumented campaign served
@@ -409,9 +414,10 @@ impl Campaign {
 
     /// Stage 5: simulates every unresolved point as one job per port (ports
     /// serve disjoint address slices, so a point's ports run concurrently)
-    /// and returns the worker count the summary reports. A point still
-    /// gathering when the channel closes lost its worker, and is reported
-    /// lost instead of panicking away the rest of the grid.
+    /// and returns the worker count the summary reports. Every job replies
+    /// exactly once: a job its worker lost replies `LostWorker` as it is
+    /// dropped, which is retried like any retryable failure, so the loop
+    /// always ends with every point filled.
     fn simulate(
         &self,
         records: &mut [Record],
@@ -441,24 +447,13 @@ impl Campaign {
         let engine = self.engine.get_or_init(|| Arc::new(Engine::new(self.jobs)));
         engine.submit(initial);
         while outstanding > 0 {
-            let Ok(delivery) = rx.recv() else { break };
+            let delivery = rx.recv().expect("the gatherer holds a sender");
             outstanding -= 1;
             let slot = delivery.slot;
             if self.land(&mut records[slot], delivery, journal, progress) {
                 let retry = self.port_jobs(slot, &records[slot], &tx);
                 outstanding += retry.len();
                 engine.submit(retry);
-            }
-        }
-        for record in records {
-            if let State::Gathering(gather) = &record.state {
-                let lost = CampaignError::LostWorker {
-                    landed: gather.ports.iter().flatten().filter(|p| p.is_ok()).count(),
-                    expected: gather.ports.len(),
-                };
-                progress.tick(false);
-                let (attempts, host) = (gather.attempt + 1, gather.host);
-                record.fill(Err(lost), Source::Simulated, attempts, host);
             }
         }
         workers
@@ -473,14 +468,12 @@ impl Campaign {
         };
         let (key_hash, attempt) = (fnv1a64(record.key.as_bytes()), gather.attempt);
         let job = |port| Job {
-            slot,
-            port,
             attempt,
             point: Arc::clone(&gather.point),
             chaos_panic: self
                 .chaos
                 .is_some_and(|c| c.injects_panic(key_hash, port, attempt, self.retries)),
-            reply: reply.clone(),
+            reply: Reply::new(slot, port, reply),
         };
         (0..gather.ports.len() as u32).map(job).collect()
     }
@@ -508,7 +501,20 @@ impl Campaign {
         }
         let (attempts, host) = (gather.attempt + 1, gather.host);
         let fp = &record.fingerprint;
+        let (ok, expected) = (
+            gather.ports.iter().flatten().filter(|p| p.is_ok()).count(),
+            gather.ports.len(),
+        );
         let landed: Result<Vec<_>, _> = gather.ports.iter_mut().flat_map(Option::take).collect();
+        // A lost job reports only its own port; the point's error counts
+        // every port of the attempt.
+        let landed = landed.map_err(|error| match error {
+            CampaignError::LostWorker { .. } => CampaignError::LostWorker {
+                landed: ok,
+                expected,
+            },
+            error => error,
+        });
         let result = match landed {
             Err(error) if error.is_retryable() && gather.attempt < self.retries => {
                 registry::metrics().engine_retry_attempts.inc();
@@ -557,15 +563,21 @@ impl Campaign {
 }
 
 /// Stage 6: the run's summary, from every distinct point's result.
-fn tally(filled: &[Filled], total: usize, jobs: usize, host_wall: Duration) -> CampaignSummary {
-    let count = |source| filled.iter().filter(|f| f.source == source).count();
-    let fresh = || filled.iter().filter(|f| f.source == Source::Simulated);
+fn tally(
+    filled: &[Option<Filled>],
+    total: usize,
+    jobs: usize,
+    host_wall: Duration,
+) -> CampaignSummary {
+    let filled = || filled.iter().flatten();
+    let count = |source| filled().filter(|f| f.source == source).count();
+    let fresh = || filled().filter(|f| f.source == Source::Simulated);
     CampaignSummary {
         total,
-        unique: filled.len(),
+        unique: filled().count(),
         cache_hits: count(Source::Cached),
         fresh: count(Source::Simulated),
-        failed: filled.iter().filter(|f| f.result.is_err()).count(),
+        failed: filled().filter(|f| f.result.is_err()).count(),
         jobs,
         host_wall,
         fresh_requests: fresh()
@@ -576,6 +588,49 @@ fn tally(filled: &[Filled], total: usize, jobs: usize, host_wall: Duration) -> C
         retried: fresh().filter(|f| f.attempts > 1).count(),
         coalesced: 0,
     }
+}
+
+/// The first submitted point with a distinct fingerprint.
+struct Distinct {
+    /// Its index among the submitted points.
+    first: usize,
+    print: String,
+    /// The fingerprint's 64-bit word, which the cache key renders.
+    word: u64,
+}
+
+/// Folds `prints` into their distinct fingerprints, in first-occurrence
+/// order, and maps each print to the index of its distinct entry.
+///
+/// Prints are looked up by `word`; full fingerprints are compared only
+/// when two words are equal. Distinct fingerprints that share a word (a
+/// 64-bit collision) still get an entry each, found by the full string;
+/// they share a cache key, so the cache serves neither (its entry holds
+/// one fingerprint, and a mismatch is a plain miss).
+fn dedupe(
+    prints: impl IntoIterator<Item = String>,
+    word: impl Fn(&str) -> u64,
+) -> (Vec<Distinct>, Vec<usize>) {
+    let mut by_word: WordMap<usize> = WordMap::default();
+    let mut collided: HashMap<String, usize> = HashMap::new();
+    let (mut distinct, mut canonical) = (Vec::<Distinct>::new(), Vec::new());
+    for (index, print) in prints.into_iter().enumerate() {
+        let (word, next) = (word(&print), distinct.len());
+        let slot = match by_word.entry(word) {
+            Entry::Vacant(first) => *first.insert(next),
+            Entry::Occupied(first) if distinct[*first.get()].print == print => *first.get(),
+            Entry::Occupied(_) => *collided.entry(print.clone()).or_insert(next),
+        };
+        if slot == next {
+            distinct.push(Distinct {
+                first: index,
+                print,
+                word,
+            });
+        }
+        canonical.push(slot);
+    }
+    (distinct, canonical)
 }
 
 /// One distinct point of a run — one per fingerprint — and how far it
@@ -597,16 +652,17 @@ impl Record<'_> {
         });
     }
 
-    fn into_filled(self) -> Filled {
+    fn into_filled(self) -> Option<Filled> {
         match self.state {
-            State::Filled(filled) => filled,
+            State::Filled(filled) => Some(filled),
             _ => unreachable!("every distinct point is resolved"),
         }
     }
 }
 
-// Boxing the filled variant would cost an allocation per cache hit on
-// the warm replay path; a run holds only one record per distinct point.
+// A filled record (336 bytes, the 304-byte result inline) outweighs a
+// gathering one (72 bytes). Boxing it would cost an allocation per cache
+// hit on the warm replay path; a run holds one record per distinct point.
 #[allow(clippy::large_enum_variant)]
 enum State {
     /// Not replayed, cached or simulated yet.
@@ -951,6 +1007,75 @@ mod tests {
         let d = both().run(vec![p3]);
         assert_eq!((d.summary.resumed, d.summary.cache_hits), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprints_sharing_a_word_fold_apart() {
+        // "a" and "b" collide under this word function; "c" does not.
+        // Each distinct fingerprint gets its own record in first-seen
+        // order, and every repeat finds its own record.
+        let word = |print: &str| u64::from(print == "c");
+        let prints = ["a", "b", "a", "c", "b", "b", "a"].map(String::from);
+        let (distinct, canonical) = dedupe(prints, word);
+        let seen: Vec<_> = distinct
+            .iter()
+            .map(|d| (d.first, d.print.as_str()))
+            .collect();
+        assert_eq!(seen, [(0, "a"), (1, "b"), (3, "c")]);
+        assert_eq!(distinct[0].word, distinct[1].word);
+        assert_eq!(canonical, [0, 1, 0, 2, 1, 1, 0]);
+    }
+
+    #[test]
+    fn colliding_points_stay_plain_cache_misses() {
+        // Two distinct points forced onto one word share a cache key:
+        // the cache serves neither, so each simulates on every run,
+        // exactly as a real FNV collision behaves.
+        let dir = scratch("collide");
+        let (p, q) = (
+            tiny(TopologyKind::Chain, 101),
+            tiny(TopologyKind::Tree, 102),
+        );
+        let (distinct, canonical) = dedupe([p.fingerprint(), q.fingerprint()], |_| 7);
+        assert_eq!((distinct.len(), canonical), (2, vec![0, 1]));
+        let cache = DiskCache::new(&dir);
+        let key = format!("{:016x}", distinct[0].word);
+        let result = mn_core::simulate(&p.config, p.workload);
+        cache
+            .store_keyed(&distinct[0].print, &key, &result)
+            .unwrap();
+        assert!(cache.load_keyed(&distinct[1].print, &key).is_none());
+        assert!(cache.load_keyed(&distinct[0].print, &key).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lost_jobs_are_retried_then_reported_lost() {
+        // Every job is dropped unrun, as if its worker died outside the
+        // panic isolation: each attempt fails with `LostWorker`, the
+        // retry budget re-dispatches it, and the point is then reported
+        // lost instead of hanging the run.
+        let point = tiny(TopologyKind::Tree, 111);
+        let ports = port_count(&point.config) as usize;
+        let engine = Arc::new(Engine::losing_jobs(2));
+        let outcome = Campaign::new(2)
+            .quiet()
+            .retries(2)
+            .on_engine(Arc::clone(&engine))
+            .run(vec![point.clone(), point]);
+        assert_eq!(engine.jobs_executed(), 0);
+        let s = &outcome.summary;
+        assert_eq!((s.unique, s.fresh, s.failed, s.retried), (1, 1, 1, 1));
+        for o in &outcome.outcomes {
+            assert_eq!(o.attempts, 3, "budget 2 = three lost attempts");
+            assert_eq!(
+                o.result.as_ref().unwrap_err(),
+                &CampaignError::LostWorker {
+                    landed: 0,
+                    expected: ports,
+                }
+            );
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ mod tests {
         // entry; the observational rollup stays out of the codec.
         let plain = sample();
         let mut traced = sample();
-        traced.telemetry = Some(mn_core::TelemetrySummary::default());
+        traced.telemetry = Some(Box::default());
         assert_eq!(encode_result(&plain), encode_result(&traced));
         let decoded = decode_result(&encode_result(&traced)).expect("decodes");
         assert!(decoded.telemetry.is_none());

@@ -49,16 +49,66 @@ pub(crate) struct Delivery {
 }
 
 /// One schedulable unit: a single port of a single point attempt,
-/// carrying its submission's reply channel.
+/// carrying its submission's reply.
 pub(crate) struct Job {
-    pub(crate) slot: usize,
-    pub(crate) port: u32,
     pub(crate) attempt: u32,
     pub(crate) point: Arc<CampaignPoint>,
     /// The worker panics instead of simulating, inside its panic
     /// isolation (the chaos harness's injected fault).
     pub(crate) chaos_panic: bool,
-    pub(crate) reply: mpsc::Sender<Delivery>,
+    pub(crate) reply: Reply,
+}
+
+/// Where a job's [`Delivery`] goes: its submission's channel, slot and
+/// port. Every job replies exactly once. A reply dropped unsent — the job
+/// was discarded, or its worker died outside the panic isolation —
+/// delivers a retryable [`CampaignError::LostWorker`] for its port, so
+/// the submission never waits on a reply that cannot come.
+pub(crate) struct Reply {
+    slot: usize,
+    port: u32,
+    channel: Option<mpsc::Sender<Delivery>>,
+}
+
+impl Reply {
+    pub(crate) fn new(slot: usize, port: u32, channel: &mpsc::Sender<Delivery>) -> Reply {
+        Reply {
+            slot,
+            port,
+            channel: Some(channel.clone()),
+        }
+    }
+
+    /// The port this job simulates.
+    pub(crate) fn port(&self) -> u32 {
+        self.port
+    }
+
+    /// Sends the delivery unless one has been sent already.
+    fn deliver(&mut self, host: Duration, outcome: Result<PortObservation, CampaignError>) {
+        if let Some(channel) = self.channel.take() {
+            // A dropped receiver means the submission is gone (its
+            // campaign already returned); the result is simply discarded.
+            let _ = channel.send(Delivery {
+                slot: self.slot,
+                port: self.port,
+                host,
+                outcome,
+            });
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        // This job's one observation never landed; the gatherer restates
+        // the count for the whole point.
+        let lost = CampaignError::LostWorker {
+            landed: 0,
+            expected: 1,
+        };
+        self.deliver(Duration::ZERO, Err(lost));
+    }
 }
 
 /// The shared FIFO: submissions append, workers take from the front.
@@ -78,6 +128,10 @@ struct Core {
     /// truth. Per-engine, not global — tests and benches build private
     /// pools and assert on their counts.
     executed: Counter,
+    /// Test only: workers drop every job unrun, as a worker that died
+    /// outside its panic isolation would.
+    #[cfg(test)]
+    lose_jobs: bool,
 }
 
 /// A shared FIFO worker pool. Cheap to create (workers spawn on first
@@ -110,8 +164,20 @@ impl Engine {
                 }),
                 ready: Condvar::new(),
                 executed: Counter::new(),
+                #[cfg(test)]
+                lose_jobs: false,
             }),
         }
+    }
+
+    /// Test only: an engine whose workers drop every job unrun.
+    #[cfg(test)]
+    pub(crate) fn losing_jobs(workers: usize) -> Engine {
+        let mut engine = Engine::new(workers);
+        Arc::get_mut(&mut engine.core)
+            .expect("a new engine is unshared")
+            .lose_jobs = true;
+        engine
     }
 
     /// The process-wide shared engine, sized by `MN_JOBS` (or available
@@ -203,6 +269,11 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 fn worker_loop(core: &Core) {
     while let Some(job) = next_job(core) {
+        #[cfg(test)]
+        if core.lose_jobs {
+            drop(job);
+            continue;
+        }
         execute(core, job);
     }
 }
@@ -236,30 +307,27 @@ fn next_job(core: &Core) -> Option<Job> {
 /// a structured record, not a dead worker. The closure only touches
 /// owned/`Copy` data, so unwinding cannot leave broken invariants behind
 /// (`AssertUnwindSafe` is sound here).
-fn execute(core: &Core, job: Job) {
-    let start = Instant::now();
+fn execute(core: &Core, mut job: Job) {
+    let (start, port) = (Instant::now(), job.reply.port());
     if job.attempt > 0 {
         registry::metrics().engine_retry_escalations.inc();
     }
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         assert!(!job.chaos_panic, "chaos: injected worker panic");
         if job.attempt == 0 {
-            try_simulate_port(&job.point.config, job.point.workload, job.port)
+            try_simulate_port(&job.point.config, job.point.workload, port)
         } else {
             // A stall diagnosis depends on the watchdog budget; retries
             // widen it. The limit is outside the result fingerprint, so
             // a completing rerun is bit-identical.
             let mut config = job.point.config.clone();
             config.escalate_watchdog(job.attempt);
-            try_simulate_port(&config, job.point.workload, job.port)
+            try_simulate_port(&config, job.point.workload, port)
         }
     }));
     let outcome = match caught {
         Ok(Ok(observation)) => Ok(observation),
-        Ok(Err(error)) => Err(CampaignError::Sim {
-            port: job.port,
-            error,
-        }),
+        Ok(Err(error)) => Err(CampaignError::Sim { port, error }),
         Err(payload) => {
             registry::metrics().engine_panics_isolated.inc();
             Err(CampaignError::PointPanicked {
@@ -269,14 +337,7 @@ fn execute(core: &Core, job: Job) {
         }
     };
     core.executed.inc_always();
-    // A dropped receiver means the submission is gone (its campaign
-    // already returned); the result is simply discarded.
-    let _ = job.reply.send(Delivery {
-        slot: job.slot,
-        port: job.port,
-        host: start.elapsed(),
-        outcome,
-    });
+    job.reply.deliver(start.elapsed(), outcome);
 }
 
 /// Renders a caught panic payload for the error record: panics raised
@@ -314,12 +375,10 @@ mod tests {
         reply: &mpsc::Sender<Delivery>,
     ) -> Job {
         Job {
-            slot,
-            port,
             attempt,
             point: Arc::clone(point),
             chaos_panic: false,
-            reply: reply.clone(),
+            reply: Reply::new(slot, port, reply),
         }
     }
 
@@ -355,6 +414,24 @@ mod tests {
         }
         assert_eq!(order, [0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(engine.jobs_executed(), 7);
+    }
+
+    #[test]
+    fn a_job_dropped_unrun_replies_lost_worker() {
+        // Whatever discards a job (a worker dying outside its panic
+        // isolation, a queue torn down) still answers for its port, so
+        // the submission's gatherer cannot wait forever.
+        let (tx, rx) = mpsc::channel();
+        drop(job_for(&tiny_point(3), 4, 2, 0, &tx));
+        let delivery = rx.try_recv().expect("dropping the job replied");
+        assert_eq!((delivery.slot, delivery.port), (4, 2));
+        assert_eq!(delivery.host, Duration::ZERO);
+        let Err(error) = delivery.outcome else {
+            panic!("a dropped job has no observation")
+        };
+        assert!(matches!(error, CampaignError::LostWorker { .. }));
+        assert!(error.is_retryable());
+        assert!(rx.try_recv().is_err(), "exactly one reply per job");
     }
 
     #[test]

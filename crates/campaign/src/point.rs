@@ -8,15 +8,24 @@
 //! results must be bit-identical. The cache and the deduplicating
 //! scheduler both key on that fingerprint.
 
+use std::collections::HashMap;
+use std::fmt::Write;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use mn_core::SystemConfig;
 use mn_host::HostConfig;
-use mn_noc::{FaultConfig, LinkTiming, NocConfig};
+use mn_noc::{FaultConfig, NocConfig};
 use mn_workloads::Workload;
 
 /// Simulator behavior version. Bump whenever any crate changes what
 /// `mn_core::simulate` computes for a given configuration, so stale cache
 /// entries from older binaries can never be served.
 pub const SIM_VERSION: u32 = 1;
+
+/// Room for the longest fingerprint (about 410 bytes with every optional
+/// suffix enabled, about 270 without), so formatting one never regrows
+/// its buffer.
+const FINGERPRINT_CAPACITY: usize = 512;
 
 /// One independent experiment: a configuration and a workload.
 ///
@@ -84,20 +93,27 @@ impl CampaignPoint {
             // cache entry and the committed cache keys stay stable.
             trace: _,
         } = noc;
-        let link = |l: &LinkTiming| format!("{}+{}ps", l.ps_per_byte, l.fixed_latency.as_ps());
-        let base = format!(
+        // One pre-sized buffer, written in place: the warm replay formats
+        // a fingerprint per submitted point, and every intermediate
+        // `format!` would be an allocation of its own. Writing to a
+        // `String` cannot fail.
+        let mut out = String::with_capacity(FINGERPRINT_CAPACITY);
+        let _ = write!(
+            out,
             "mncube-sim-v{SIM_VERSION};pkg={pkg};wl={wl};ports={ports};cap={total_capacity_gb};\
              dram={dram:016x};nvmp={nvm_placement:?};topo={topology:?};wbr={write_burst_routing};\
              bpq={banks_per_quadrant};cq={controller_queue};il={interleave_bytes};win={window};\
              hwb={host_write_buffer};req={requests_per_port};simp={simulated_ports};\
              refp={reference_ports};seed={seed:016x};noc=ctl{control_bytes}/data{data_bytes}/\
-             ext{ext}/int{int}/buf{buffer_packets}/ej{ejection_packets}/arb{arbiter:?}/\
-             dup{duplex:?}/tpj{tpj:016x}",
+             ext{ext_b}+{ext_ps}ps/int{int_b}+{int_ps}ps/buf{buffer_packets}/ej{ejection_packets}/\
+             arb{arbiter:?}/dup{duplex:?}/tpj{tpj:016x}",
             pkg = env!("CARGO_PKG_VERSION"),
             wl = self.workload.label(),
             dram = dram_fraction.to_bits(),
-            ext = link(external_link),
-            int = link(interposer_link),
+            ext_b = external_link.ps_per_byte,
+            ext_ps = external_link.fixed_latency.as_ps(),
+            int_b = interposer_link.ps_per_byte,
+            int_ps = interposer_link.fixed_latency.as_ps(),
             tpj = transport_pj_per_bit_hop.to_bits(),
         );
         // Conditional features extend the fingerprint only when enabled,
@@ -105,7 +121,6 @@ impl CampaignPoint {
         // cache and the pinned golden cache keys — is unchanged. Each
         // suffix below composes in a fixed order: fault, then ECN, then
         // the closed-loop host model.
-        let mut out = base;
         if fault.enabled() {
             let FaultConfig {
                 transient_rate,
@@ -115,8 +130,9 @@ impl CampaignPoint {
                 retry_backoff,
                 seed: fault_seed,
             } = fault;
-            out = format!(
-                "{out};fault=tr{tr:016x}/dr{dr:016x}/kr{kr:016x}/rl{retry_limit}/\
+            let _ = write!(
+                out,
+                ";fault=tr{tr:016x}/dr{dr:016x}/kr{kr:016x}/rl{retry_limit}/\
                  bo{bo}ps/fs{fault_seed:016x}",
                 tr = transient_rate.to_bits(),
                 dr = degrade_rate.to_bits(),
@@ -128,7 +144,7 @@ impl CampaignPoint {
         // behavior) whenever the threshold is nonzero, independent of the
         // host policy — fingerprint it on its own switch.
         if *ecn_threshold != 0 {
-            out = format!("{out};ecn={ecn_threshold}");
+            let _ = write!(out, ";ecn={ecn_threshold}");
         }
         // Host-model parameters join only when the closed loop actually
         // gates injection (the fault-model discipline): the open-loop
@@ -140,8 +156,9 @@ impl CampaignPoint {
                 initial_window,
                 target_rtt,
             } = host;
-            out = format!(
-                "{out};host=po{policy}/cap{window_cap}/iw{initial_window}/rtt{rtt}ps",
+            let _ = write!(
+                out,
+                ";host=po{policy}/cap{window_cap}/iw{initial_window}/rtt{rtt}ps",
                 rtt = target_rtt.as_ps(),
             );
         }
@@ -162,6 +179,33 @@ impl CampaignPoint {
 /// fingerprint anyway and should not format it a second time.
 pub(crate) fn key_of(fingerprint: &str) -> String {
     format!("{:016x}", fnv1a64(fingerprint.as_bytes()))
+}
+
+/// A map keyed by an FNV-1a word (a fingerprint's, or the one a cache
+/// key renders). The word is already a well-mixed hash, so it indexes
+/// the table unchanged.
+pub(crate) type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
+
+/// The [`WordMap`] hasher: the `u64` written passes through unchanged.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reachable via non-u64 keys, which no word map uses; fold
+        // bytes anyway so the hasher stays total.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = value;
+    }
 }
 
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -294,6 +338,23 @@ mod tests {
         let mut c = point();
         c.config.noc.ecn_threshold = 5;
         assert_ne!(b.cache_key(), c.cache_key());
+    }
+
+    #[test]
+    fn every_suffix_keeps_its_bytes_and_fits_the_buffer() {
+        // Fault, ECN and host suffixes together: the key is pinned so a
+        // change to how the fingerprint is written cannot move a cache
+        // entry, and the string must not outgrow its pre-sized buffer.
+        let mut a = point();
+        a.config.noc.fault.transient_rate = 0.01;
+        a.config.noc.fault.degrade_rate = 0.02;
+        a.config.noc.fault.link_kill_rate = 0.03;
+        a.config.noc.ecn_threshold = 4;
+        a.config.host.policy = mn_core::WindowPolicyKind::Fixed(4);
+        let print = a.fingerprint();
+        assert!(print.ends_with(";ecn=4;host=pofixed:4/cap64/iw8/rtt600000ps"));
+        assert!(print.len() <= FINGERPRINT_CAPACITY, "{}", print.len());
+        assert_eq!(a.cache_key(), "d0dae0a98792caf9");
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub fn point_record(outcome: &PointOutcome) -> Record {
             // Telemetry columns are NaN (JSON null) unless the run was
             // traced — the campaign default is Off, and cache hits never
             // carry telemetry.
-            let t = r.telemetry.as_ref();
+            let t = r.telemetry.as_deref();
             let tv = |v: Option<f64>| Value::Float(v.unwrap_or(f64::NAN));
             point_record_fields(
                 outcome,

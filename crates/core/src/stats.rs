@@ -101,8 +101,10 @@ pub struct RunResult {
     /// Cross-port telemetry rollup (latency decomposition, fairness,
     /// queue depth, peak link utilization). `None` when the run's
     /// [`mn_noc::TraceConfig`] was `Off` — the default, and the mode
-    /// every cached or fingerprinted result is produced under.
-    pub telemetry: Option<TelemetrySummary>,
+    /// every cached or fingerprinted result is produced under. Boxed:
+    /// the rollup is about 2 KB, and an inline `None` would make every
+    /// result that large to move.
+    pub telemetry: Option<Box<TelemetrySummary>>,
 }
 
 impl RunResult {
@@ -172,6 +174,19 @@ mod tests {
         assert_eq!(e.total(), EnergyPj::from_pj(30.0));
         e.merge(&e.clone());
         assert_eq!(e.total(), EnergyPj::from_pj(60.0));
+    }
+
+    #[test]
+    fn a_result_stays_small_to_move() {
+        // A warm replay moves each result through every hand-off (decode,
+        // hot tier, campaign record, outcome), so its size is paid per
+        // point per hand-off. Large optional parts (the ~2 KB telemetry
+        // rollup) are boxed; a new field must not inline one again.
+        assert!(
+            std::mem::size_of::<RunResult>() <= 512,
+            "RunResult is {} bytes",
+            std::mem::size_of::<RunResult>()
+        );
     }
 
     #[test]

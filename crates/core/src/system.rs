@@ -110,7 +110,7 @@ pub fn merge_port_observations(
     let mut read_latency = mn_sim::Histogram::new();
     let mut hit_rate_sum = 0.0;
     let mut hops_sum = 0.0;
-    let mut telemetry: Option<mn_telemetry::TelemetrySummary> = None;
+    let mut telemetry: Option<Box<mn_telemetry::TelemetrySummary>> = None;
 
     for mut result in observations {
         wall = wall.max(result.wall);
@@ -124,9 +124,7 @@ pub fn merge_port_observations(
         // Telemetry merges in the same ascending-port order as the
         // float statistics above; the rollup is deterministic too.
         if let Some(t) = result.take_telemetry() {
-            telemetry
-                .get_or_insert_with(mn_telemetry::TelemetrySummary::default)
-                .merge(&t.summary);
+            telemetry.get_or_insert_with(Box::default).merge(&t.summary);
         }
     }
 
