@@ -1,22 +1,6 @@
-//! Closed-loop sweep: offered load x window policy on every baseline
-//! topology — the host-model harness for the `mn-host` subsystem.
-//!
-//! Not a figure from the paper: the paper's hosts are open-loop. Expected
-//! shape: goodput saturates as issue slots grow, and where the knee lands
-//! depends on the policy — `fixed:1` serializes (lowest goodput, earliest
-//! knee), `fixed:32` barely gates, `aimd` converges near the
-//! uncongested window, and `ecn` backs off on marked responses (nonzero
-//! marked fraction, fairest under load). The per-policy Jain index and
-//! steady-state window columns come from telemetry, so the harness runs
-//! uncached (cache hits carry no telemetry).
-//!
-//! Every point is seeded by its config, so the table is deterministic at
-//! any `MN_JOBS`.
-
-use mn_bench::{closed_loop_report, Harness};
+//! Closed-loop sweep: offered load x window policy.
+//! Its grid, table and expected shape: [`mn_bench::figures::closed_loop`].
 
 fn main() {
-    let mut harness = Harness::uncached();
-    print!("{}", closed_loop_report(&mut harness));
-    harness.finish();
+    mn_bench::run(mn_bench::figures::closed_loop());
 }

@@ -1,65 +1,6 @@
-//! Extensions beyond the paper's evaluation:
-//!
-//! 1. **Oracle age arbitration** — §4.1 proposes distance as a proxy for a
-//!    packet's age because true timestamps do not fit in flit headers. The
-//!    simulator can cheat: how much of the ideal does the proxy capture?
-//! 2. **Mesh topology** — §3 excludes meshes ("the average hop count is
-//!    larger than a tree no matter which memory cube is connected to the
-//!    host"). Verify the exclusion was justified end to end.
-
-use mn_bench::{config_for, print_speedup_table, Harness};
-use mn_noc::ArbiterKind;
-use mn_topo::{CubeTech, NvmPlacement, Placement, Topology, TopologyKind, TopologyMetrics};
-use mn_workloads::Workload;
+//! Extensions: oracle age arbitration and the excluded mesh.
+//! Its grid, table and expected shape: [`mn_bench::figures::ext_oracle_mesh`].
 
 fn main() {
-    let mut harness = Harness::new();
-
-    // --- 1. distance-as-age vs the oracle -------------------------------
-    let grid = vec![
-        config_for(TopologyKind::Chain, 1.0, NvmPlacement::Last),
-        config_for(TopologyKind::Ring, 1.0, NvmPlacement::Last),
-        config_for(TopologyKind::Tree, 1.0, NvmPlacement::Last),
-    ];
-    let workloads = [Workload::Backprop, Workload::Dct, Workload::Kmeans];
-    for (arbiter, title) in [
-        (ArbiterKind::Distance, "distance-as-age proxy (§4.1)"),
-        (
-            ArbiterKind::OracleAge,
-            "oracle true-age arbitration (ideal)",
-        ),
-    ] {
-        let rows = harness.speedup_table(&grid, &workloads, Some(arbiter));
-        print_speedup_table(&format!("Extension: {title}, vs 100%-C RR"), &rows);
-    }
-
-    // --- 2. the excluded mesh -------------------------------------------
-    let mesh_topo = Topology::build(
-        TopologyKind::Mesh,
-        &Placement::homogeneous(16, CubeTech::Dram),
-    )
-    .expect("mesh builds");
-    let tree_topo = Topology::build(
-        TopologyKind::Tree,
-        &Placement::homogeneous(16, CubeTech::Dram),
-    )
-    .expect("tree builds");
-    let mesh_m = TopologyMetrics::compute(&mesh_topo);
-    let tree_m = TopologyMetrics::compute(&tree_topo);
-    println!(
-        "\n== Extension: the excluded mesh (§3) ==\n\
-         avg read hops: mesh {:.2} vs tree {:.2}; max: {} vs {}",
-        mesh_m.avg_read_hops, tree_m.avg_read_hops, mesh_m.max_read_hops, tree_m.max_read_hops
-    );
-    let rows = harness.speedup_table(
-        &[
-            config_for(TopologyKind::Mesh, 1.0, NvmPlacement::Last),
-            config_for(TopologyKind::Tree, 1.0, NvmPlacement::Last),
-        ],
-        &workloads,
-        None,
-    );
-    print_speedup_table("mesh vs tree, end to end (vs 100%-C RR)", &rows);
-    println!("\nexpected: the tree wins — the paper was right to exclude the mesh.");
-    harness.finish();
+    mn_bench::run(mn_bench::figures::ext_oracle_mesh());
 }

@@ -1,23 +1,6 @@
-//! Fault sweep: wall-time sensitivity of every topology to injected link
-//! faults — transient CRC errors (replayed from the retry buffer), lane
-//! degradation (links fall to half/quarter width), and hard link kills
-//! (routed around where the topology has path diversity).
-//!
-//! Not a figure from the paper: this is the robustness harness for the
-//! fault-injection subsystem. Expected shape: transient rates up to 1e-3
-//! are nearly free (replays add serialization, not loss); 1e-2 visibly
-//! stretches wall time; degraded lanes hurt bandwidth-bound topologies
-//! (chain) most; killed links are absorbed by ring/skip-list/tree path
-//! diversity but *partition* the chain, which shows up as a structured
-//! `ERROR` row — the rest of the sweep still completes.
-//!
-//! The schedule seed is pinned (`FAULT_SWEEP_SEED`), so the table is
-//! deterministic at any `MN_JOBS`.
-
-use mn_bench::{fault_sweep_report, Harness};
+//! Fault sweep: wall-time sensitivity of every topology to link faults.
+//! Its grid, table and expected shape: [`mn_bench::figures::fault_sweep`].
 
 fn main() {
-    let mut harness = Harness::new();
-    print!("{}", fault_sweep_report(&mut harness));
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fault_sweep());
 }

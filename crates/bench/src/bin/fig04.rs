@@ -1,22 +1,6 @@
 //! Fig. 4: speedup of all-DRAM ring and tree MNs over the chain.
-//!
-//! Expected shape (§3.1): the tree (fewest hops) wins everywhere, the ring
-//! sits between tree and chain, and NW (lowest network load) moves least.
-
-use mn_bench::{config_for, print_speedup_table, Harness};
-use mn_topo::{NvmPlacement, TopologyKind};
-use mn_workloads::Workload;
+//! Its grid, table and expected shape: [`mn_bench::figures::fig04`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let configs = vec![
-        config_for(TopologyKind::Ring, 1.0, NvmPlacement::Last),
-        config_for(TopologyKind::Tree, 1.0, NvmPlacement::Last),
-    ];
-    let rows = harness.speedup_table(&configs, &Workload::ALL, None);
-    print_speedup_table(
-        "Fig. 4: speedup of DRAM memory networks over a chain topology",
-        &rows,
-    );
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig04());
 }

@@ -1,16 +1,6 @@
-//! Fig. 5: breakdown of memory request latency (to memory / in memory /
-//! from memory) for chain, ring, and tree, normalized to the chain's total.
-//!
-//! Expected shape (§3.2): network latency dominates array latency under
-//! load; the request (to-memory) path out-queues the response path because
-//! responses are prioritized on the shared links; NW has the largest
-//! in-memory share.
-
-use mn_bench::{fig05_points, fig05_table, Harness};
+//! Fig. 5: latency breakdown to, in and from memory for chain, ring and tree.
+//! Its grid, table and expected shape: [`mn_bench::figures::fig05`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let results = harness.run_grid(fig05_points());
-    print!("{}", fig05_table(&results));
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig05());
 }

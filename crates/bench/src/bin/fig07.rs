@@ -1,14 +1,6 @@
-//! Fig. 7: the tree topology under different DRAM:NVM capacity ratios,
-//! normalized to the 100%-DRAM chain.
-//!
-//! Expected shape (§3.3): using some NVM remains well above the chain
-//! baseline; the all-NVM point varies most by workload and is weakest for
-//! low-contention workloads (NW).
-
-use mn_bench::{fig07_report, Harness};
+//! Fig. 7: the tree under every DRAM:NVM capacity ratio.
+//! Its grid, table and expected shape: [`mn_bench::figures::fig07`].
 
 fn main() {
-    let mut harness = Harness::new();
-    print!("{}", fig07_report(&mut harness));
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig07());
 }

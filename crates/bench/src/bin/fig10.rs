@@ -1,16 +1,6 @@
-//! Fig. 10: distance-based arbitration alone, on the twelve baseline
-//! configurations (chain/ring/tree x DRAM:NVM mixes), normalized to the
-//! 100%-Chain round-robin baseline. A second table isolates the
-//! arbitration delta (distance vs round-robin per configuration).
-//!
-//! Expected shape (§5.1): "mixed results" — distance-as-age helps most
-//! all-DRAM and NVM-L configurations but can invert on NVM-F, where nearby
-//! slow arrays make young-looking responses actually old.
-
-use mn_bench::{fig10_report, Harness};
+//! Fig. 10: distance-based arbitration on the twelve baseline configurations.
+//! Its grid, table and expected shape: [`mn_bench::figures::fig10`].
 
 fn main() {
-    let mut harness = Harness::new();
-    print!("{}", fig10_report(&mut harness));
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig10());
 }

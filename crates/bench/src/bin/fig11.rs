@@ -1,26 +1,6 @@
-//! Fig. 11: tree vs skip-list vs MetaCube with the default round-robin
-//! arbitration, across the DRAM:NVM mixes, normalized to 100%-Chain.
-//!
-//! Expected shape (§5.2): MetaCube wins essentially everywhere and is the
-//! one topology where 100% DRAM beats every NVM mix; skip-list trails the
-//! tree on write-heavy workloads (its writes ride the long chain) and
-//! shows its best relative results on NVM-L mixes.
-
-use mn_bench::{print_speedup_table, twelve_config_grid, Harness};
-use mn_topo::TopologyKind;
-use mn_workloads::Workload;
+//! Fig. 11: tree vs skip-list vs MetaCube, round-robin arbitration.
+//! Its grid, table and expected shape: [`mn_bench::figures::fig11`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let grid = twelve_config_grid([
-        TopologyKind::Tree,
-        TopologyKind::SkipList,
-        TopologyKind::MetaCube,
-    ]);
-    let rows = harness.speedup_table(&grid, &Workload::ALL, None);
-    print_speedup_table(
-        "Fig. 11: Tree vs SkipList vs MetaCube, round-robin arbitration (vs 100%-C)",
-        &rows,
-    );
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig11());
 }

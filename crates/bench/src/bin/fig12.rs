@@ -1,30 +1,6 @@
-//! Fig. 12: all techniques combined — tree/skip-list/MetaCube with
-//! adaptive (technology- and type-aware) distance arbitration, plus the
-//! write-burst routing policy on skip lists — normalized to 100%-Chain.
-//!
-//! Expected shape (§5.3): every configuration improves on its Fig. 11
-//! counterpart or holds; the skip-list regains the write-heavy losses
-//! (BACKPROP benefits most of all workloads); MetaCube stays on top.
-
-use mn_bench::{print_speedup_table, twelve_config_grid, Harness};
-use mn_noc::ArbiterKind;
-use mn_topo::TopologyKind;
-use mn_workloads::Workload;
+//! Fig. 12: all techniques combined.
+//! Its grid, table and expected shape: [`mn_bench::figures::fig12`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let mut grid = twelve_config_grid([
-        TopologyKind::Tree,
-        TopologyKind::SkipList,
-        TopologyKind::MetaCube,
-    ]);
-    for config in &mut grid {
-        config.write_burst_routing = true; // only skip lists act on this
-    }
-    let rows = harness.speedup_table(&grid, &Workload::ALL, Some(ArbiterKind::AdaptiveDistance));
-    print_speedup_table(
-        "Fig. 12: all techniques combined — adaptive distance arbitration + write-burst routing (vs 100%-C)",
-        &rows,
-    );
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig12());
 }

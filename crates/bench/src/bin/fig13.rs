@@ -1,61 +1,6 @@
-//! Fig. 13: sensitivity to the number of host memory ports — the 2 TB
-//! system served by four ports instead of eight (twice the cubes, and
-//! twice the traffic, per port). Reported as the change in speedup when
-//! moving from eight to four ports, per configuration.
-//!
-//! Expected shape (§6.1): linear topologies (chain, ring) degrade most as
-//! their hop counts double; 50% NVM-L suffers the worst of the mixes;
-//! all-NVM configurations move least (memory-latency-bound); MetaCube is
-//! nearly flat on some workloads.
-
-use mn_bench::{config_for, mix_topology_grid, print_speedup_table, Harness, SpeedupRow};
-use mn_campaign::CampaignPoint;
-use mn_core::speedup_pct;
-use mn_workloads::Workload;
+//! Fig. 13: sensitivity to the number of host memory ports.
+//! Its grid, table and expected shape: [`mn_bench::figures::fig13`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let grid = mix_topology_grid();
-
-    // Two points per (workload, configuration): the eight-port baseline
-    // and the four-port variant, submitted as one campaign.
-    let mut points = Vec::new();
-    for wl in Workload::ALL {
-        for &(mix, topo) in &grid {
-            let eight = config_for(topo, mix.dram_fraction, mix.placement);
-            let mut four = eight.clone();
-            four.ports = 4;
-            // Hold total system work constant: each of the four ports
-            // serves twice the address space and twice the requests.
-            four.requests_per_port = eight.requests_per_port * 2;
-            points.push(CampaignPoint::new(eight, wl));
-            points.push(CampaignPoint::new(four, wl));
-        }
-    }
-    let results = harness.run_grid(points);
-
-    let mut rows = Vec::new();
-    for (w, wl) in Workload::ALL.into_iter().enumerate() {
-        let entries = grid
-            .iter()
-            .enumerate()
-            .map(|(g, _)| {
-                let eight = &results[(w * grid.len() + g) * 2];
-                let four = &results[(w * grid.len() + g) * 2 + 1];
-                // Change in performance when halving the port count: the
-                // four-port system's speedup relative to the same
-                // configuration at eight ports.
-                (eight.label.clone(), speedup_pct(eight.wall, four.wall))
-            })
-            .collect();
-        rows.push(SpeedupRow {
-            workload: wl.label().to_string(),
-            entries,
-        });
-    }
-    print_speedup_table(
-        "Fig. 13: speedup change moving from eight to four host ports (2 TB fixed)",
-        &rows,
-    );
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig13());
 }

@@ -1,46 +1,6 @@
-//! Fig. 14: sensitivity to total capacity — a 1 TB system (half the cubes
-//! behind each port, same footprint pressure) versus the 2 TB baseline.
-//! Reported as the average speedup of 1 TB over 2 TB per configuration,
-//! averaged across workloads, as in the paper's figure.
-//!
-//! Expected shape (§6.2): all-DRAM configurations gain (shorter networks,
-//! memory latency roughly constant); the 50% and especially 0% NVM
-//! configurations lose — fewer cubes means less memory-level parallelism
-//! and more queuing inside the (slower) cubes.
-
-use mn_bench::{config_for, mix_topology_grid, Harness};
-use mn_campaign::CampaignPoint;
-use mn_core::{ratio_label, speedup_pct};
-use mn_workloads::Workload;
+//! Fig. 14: sensitivity to total capacity (1 TB vs 2 TB).
+//! Its grid, table and expected shape: [`mn_bench::figures::fig14`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let grid = mix_topology_grid();
-
-    let mut points = Vec::new();
-    for &(mix, topo) in &grid {
-        let two_tb = config_for(topo, mix.dram_fraction, mix.placement);
-        let mut one_tb = two_tb.clone();
-        one_tb.total_capacity_gb = 1024;
-        for wl in Workload::ALL {
-            points.push(CampaignPoint::new(two_tb.clone(), wl));
-            points.push(CampaignPoint::new(one_tb.clone(), wl));
-        }
-    }
-    let results = harness.run_grid(points);
-
-    println!("== Fig. 14: average speedup of a 1 TB system over the 2 TB baseline ==");
-    println!("{:<14} {:<10} {:>12}", "mix", "topology", "avg speedup");
-    let per_config = Workload::ALL.len() * 2;
-    for (g, &(mix, topo)) in grid.iter().enumerate() {
-        let pairs = results[g * per_config..(g + 1) * per_config].chunks_exact(2);
-        let sum: f64 = pairs.map(|p| speedup_pct(p[0].wall, p[1].wall)).sum();
-        println!(
-            "{:<14} {:<10} {:>+11.2}%",
-            ratio_label(mix),
-            topo.to_string(),
-            sum / Workload::ALL.len() as f64
-        );
-    }
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig14());
 }

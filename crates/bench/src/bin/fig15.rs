@@ -1,63 +1,6 @@
-//! Fig. 15: breakdown of network (transport) energy and read/write
-//! (memory access) energy, averaged across workloads, normalized to the
-//! total energy of the 100%-Chain MN.
-//!
-//! Expected shape (§6.3): network energy dominates all-DRAM MNs and grows
-//! with hop count (chain worst, tree least among cube-only topologies;
-//! skip-list above tree because writes detour); the all-NVM chain cuts
-//! network energy roughly 3x but its write energy pushes the total above
-//! the baseline.
-
-use mn_bench::{config_for, mix_topology_grid, Harness};
-use mn_campaign::CampaignPoint;
-use mn_workloads::Workload;
+//! Fig. 15: network and read/write energy breakdown.
+//! Its grid, table and expected shape: [`mn_bench::figures::fig15`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let grid = mix_topology_grid();
-
-    let mut points = Vec::new();
-    for &(mix, topo) in &grid {
-        let config = config_for(topo, mix.dram_fraction, mix.placement);
-        for wl in Workload::ALL {
-            points.push(CampaignPoint::new(config.clone(), wl));
-        }
-    }
-    let results = harness.run_grid(points);
-
-    // Average energy per configuration across all workloads.
-    let n = Workload::ALL.len();
-    let table: Vec<(String, f64, f64, f64)> = grid
-        .iter()
-        .enumerate()
-        .map(|(g, _)| {
-            let per_wl = &results[g * n..(g + 1) * n];
-            let network: f64 = per_wl.iter().map(|r| r.energy.network.as_pj()).sum();
-            let read: f64 = per_wl.iter().map(|r| r.energy.read.as_pj()).sum();
-            let write: f64 = per_wl.iter().map(|r| r.energy.write.as_pj()).sum();
-            let n = n as f64;
-            (per_wl[0].label.clone(), network / n, read / n, write / n)
-        })
-        .collect();
-    let baseline_total: f64 = table
-        .iter()
-        .find(|(label, ..)| label == "100%-C")
-        .map(|(_, n, r, w)| n + r + w)
-        .expect("baseline present");
-
-    println!("== Fig. 15: energy breakdown relative to 100%-C total ==");
-    println!(
-        "{:<18} {:>9} {:>9} {:>9} {:>9}",
-        "config", "network", "read", "write", "total"
-    );
-    for (label, n, r, w) in table {
-        println!(
-            "{label:<18} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
-            n / baseline_total * 100.0,
-            r / baseline_total * 100.0,
-            w / baseline_total * 100.0,
-            (n + r + w) / baseline_total * 100.0,
-        );
-    }
-    harness.finish();
+    mn_bench::run(mn_bench::figures::fig15());
 }

@@ -55,10 +55,8 @@ mod sampler {
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    use mn_bench::{fig10_report, render_speedup_table, twelve_config_grid, Harness};
-    use mn_noc::ArbiterKind;
-    use mn_topo::TopologyKind;
-    use mn_workloads::Workload;
+    use mn_bench::figures::{fig10, fig11, fig12};
+    use mn_bench::Harness;
 
     /// Samples kept: 256 s of CPU time at one per millisecond.
     const CAP: usize = 1 << 18;
@@ -185,26 +183,12 @@ mod sampler {
         Ok(options)
     }
 
-    /// The grids of Figs. 10–12, run and rendered as their binaries do
-    /// (with short titles).
+    /// Figs. 10–12, run and rendered as their binaries do.
     fn figures(harness: &mut Harness) -> String {
-        let mut out = fig10_report(harness);
-        let tree_skip_meta = [
-            TopologyKind::Tree,
-            TopologyKind::SkipList,
-            TopologyKind::MetaCube,
-        ];
-        let grid = twelve_config_grid(tree_skip_meta);
-        let rows = harness.speedup_table(&grid, &Workload::ALL, None);
-        out.push_str(&render_speedup_table("Fig. 11", &rows));
-        let mut grid = twelve_config_grid(tree_skip_meta);
-        for config in &mut grid {
-            config.write_burst_routing = true;
-        }
-        let rows =
-            harness.speedup_table(&grid, &Workload::ALL, Some(ArbiterKind::AdaptiveDistance));
-        out.push_str(&render_speedup_table("Fig. 12", &rows));
-        out
+        [fig10, fig11, fig12]
+            .into_iter()
+            .map(|figure| harness.render(figure()))
+            .collect()
     }
 
     /// Copies the `.mnres` entries of `source` into a new directory `dir`.

@@ -1,53 +1,6 @@
-//! Reproduces §5's interleave-granularity claim: "addresses are mapped to
-//! ports at a 256 byte granularity... chosen empirically based on a sweep
-//! of various mapping sizes. In the presence of spatial locality, larger
-//! mapping granularities (e.g., 1024 bytes) caused increases in network
-//! latency large enough for performance degradation. The smallest size,
-//! 64 bytes, caused reduction in row-buffer hits within the memory cubes."
-
-use mn_bench::{config_for, Harness};
-use mn_campaign::CampaignPoint;
-use mn_topo::{NvmPlacement, TopologyKind};
-use mn_workloads::Workload;
-
-const WORKLOADS: [Workload; 3] = [Workload::Dct, Workload::Matrixmul, Workload::Backprop];
-const SIZES: [u64; 3] = [64, 256, 1024];
+//! §5's interleave-granularity sweep.
+//! Its grid, table and expected shape: [`mn_bench::figures::sweep_interleave`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let points: Vec<CampaignPoint> = WORKLOADS
-        .into_iter()
-        .flat_map(|wl| {
-            SIZES.into_iter().map(move |bytes| {
-                let mut config = config_for(TopologyKind::Tree, 1.0, NvmPlacement::Last);
-                config.interleave_bytes = bytes;
-                CampaignPoint::new(config, wl)
-            })
-        })
-        .collect();
-    let results = harness.run_grid(points);
-
-    println!("== interleave-granularity sweep (tree, all-DRAM) ==");
-    println!(
-        "{:<10} {:>8} {:>12} {:>12} {:>12}",
-        "workload", "bytes", "wall", "net lat(ns)", "row hits"
-    );
-    for (w, wl) in WORKLOADS.into_iter().enumerate() {
-        for (s, bytes) in SIZES.into_iter().enumerate() {
-            let r = &results[w * SIZES.len() + s];
-            let b = &r.breakdown;
-            println!(
-                "{:<10} {:>8} {:>12} {:>12.1} {:>11.1}%",
-                wl.label(),
-                bytes,
-                format!("{}", r.wall),
-                b.to_memory.mean_ns() + b.from_memory.mean_ns(),
-                r.row_hit_rate * 100.0,
-            );
-        }
-        println!();
-    }
-    println!("expected shape: 64 B loses row-buffer hits; 1024 B concentrates");
-    println!("bursts onto single cubes and raises network latency; 256 B balances.");
-    harness.finish();
+    mn_bench::run(mn_bench::figures::sweep_interleave());
 }

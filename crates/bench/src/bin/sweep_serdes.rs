@@ -1,53 +1,6 @@
-//! Reproduces §5's SerDes-latency claim: "we experimented modifying this
-//! parameter and found that 2 ns made little difference compared to no
-//! latency, however larger values (e.g., 10 ns) have a large impact on
-//! network latency."
-
-use mn_bench::{config_for, Harness};
-use mn_campaign::CampaignPoint;
-use mn_core::speedup_pct;
-use mn_sim::SimDuration;
-use mn_topo::{NvmPlacement, TopologyKind};
-use mn_workloads::Workload;
-
-const WORKLOADS: [Workload; 2] = [Workload::Dct, Workload::Kmeans];
-const LATENCIES_NS: [u64; 3] = [0, 2, 10];
+//! §5's SerDes per-hop latency sweep.
+//! Its grid, table and expected shape: [`mn_bench::figures::sweep_serdes`].
 
 fn main() {
-    let mut harness = Harness::new();
-    let points: Vec<CampaignPoint> = WORKLOADS
-        .into_iter()
-        .flat_map(|wl| {
-            LATENCIES_NS.into_iter().map(move |ns| {
-                let mut config = config_for(TopologyKind::Chain, 1.0, NvmPlacement::Last);
-                config.noc.external_link.fixed_latency = SimDuration::from_ns(ns);
-                CampaignPoint::new(config, wl)
-            })
-        })
-        .collect();
-    let results = harness.run_grid(points);
-
-    println!("== SerDes per-hop latency sweep (chain, all-DRAM) ==");
-    println!(
-        "{:<10} {:>8} {:>12} {:>14} {:>12}",
-        "workload", "serdes", "wall", "net lat(ns)", "vs 2ns"
-    );
-    for (w, wl) in WORKLOADS.into_iter().enumerate() {
-        let per_wl = &results[w * LATENCIES_NS.len()..(w + 1) * LATENCIES_NS.len()];
-        let base = per_wl[1].wall; // the 2 ns row
-        for (r, ns) in per_wl.iter().zip(LATENCIES_NS) {
-            let b = &r.breakdown;
-            println!(
-                "{:<10} {:>6}ns {:>12} {:>14.1} {:>+11.1}%",
-                wl.label(),
-                ns,
-                format!("{}", r.wall),
-                b.to_memory.mean_ns() + b.from_memory.mean_ns(),
-                speedup_pct(r.wall, base),
-            );
-        }
-        println!();
-    }
-    println!("expected shape: 0 ns ≈ 2 ns (small deltas); 10 ns much slower.");
-    harness.finish();
+    mn_bench::run(mn_bench::figures::sweep_serdes());
 }

@@ -7,30 +7,33 @@
 //!
 //! 1. `cache_key` is pinned to a literal — silent fingerprint drift fails
 //!    with a readable diff.
-//! 2. The committed cache must *hit* for the whole Fig. 5 grid — loads are
-//!    re-verified against the stored full fingerprint, so this breaks if
-//!    either the fingerprint or the result encoding changes.
-//! 3. The figure tables re-rendered from those results must be
-//!    byte-identical to the committed text files; the `#[ignore]`d
-//!    variants re-simulate from scratch (no cache) and prove the kernel
-//!    itself still produces the bytes.
+//! 2. The committed cache must *hit* for the whole Fig. 5 grid, and every
+//!    registry figure whose points are all in the committed cache is
+//!    re-rendered from loaded entries alone and must match its committed
+//!    text byte for byte. Loads are re-verified against the stored full
+//!    fingerprint, so this breaks if either the fingerprint or the result
+//!    encoding changes.
+//! 3. The `#[ignore]`d loop re-simulates every registry figure from
+//!    scratch (no cache) and proves the kernel itself still produces the
+//!    bytes.
 
-use mn_bench::{
-    closed_loop_report, fig05_points, fig05_table, fig07_report, fig10_report, Harness,
-};
+use mn_bench::figures::{self, Figure};
+use mn_bench::{fig05_points, fig05_table, Harness};
 use mn_campaign::{CampaignPoint, DiskCache};
 use mn_core::SystemConfig;
 use mn_topo::TopologyKind;
 use mn_workloads::Workload;
 
+const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+
 fn committed_cache() -> DiskCache {
-    DiskCache::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/cache"))
+    DiskCache::new(format!("{RESULTS}/cache"))
 }
 
-const FIG05_GOLDEN: &str = include_str!("../../../results/fig05.txt");
-const FIG07_GOLDEN: &str = include_str!("../../../results/fig07.txt");
-const FIG10_GOLDEN: &str = include_str!("../../../results/fig10.txt");
-const CLOSED_LOOP_GOLDEN: &str = include_str!("../../../results/closed_loop.txt");
+fn golden(figure: &Figure) -> String {
+    let path = format!("{RESULTS}/{}.txt", figure.name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
 
 /// The knobs that change simulated results (the knob table's `results`
 /// rows: requests, seed, the fault overrides and the closed-loop host
@@ -102,6 +105,8 @@ fn committed_cache_serves_the_fig05_grid() {
     }
 }
 
+/// Fig. 5 through its own table renderer rather than the registry's
+/// `render`, so the exported `fig05_table` stays pinned to the golden.
 #[test]
 fn fig05_regenerates_byte_identically_from_cache() {
     if !env_is_default() {
@@ -113,68 +118,101 @@ fn fig05_regenerates_byte_identically_from_cache() {
         .iter()
         .map(|p| cache.load(p).expect("covered by the cache-hit test"))
         .collect();
-    assert_eq!(fig05_table(&results), FIG05_GOLDEN);
+    let want = std::fs::read_to_string(format!("{RESULTS}/fig05.txt")).expect("fig05 golden");
+    assert_eq!(fig05_table(&results), want);
 }
 
-/// From-scratch variant: re-simulates the whole Fig. 5 grid (no cache) and
-/// demands the committed bytes. `#[ignore]`d for local `cargo test` speed;
-/// CI's golden step runs it.
+/// The registry and the committed goldens name the same figures: every
+/// registry figure has a `results/<name>.txt`, and every committed text
+/// but the two non-simulating tables comes from a registry figure.
 #[test]
-#[ignore = "re-simulates the full Fig. 5 grid; run with --ignored"]
-fn fig05_regenerates_byte_identically_from_scratch() {
-    if !env_is_default() {
-        eprintln!("skipping: MN_REQUESTS/MN_SEED override the golden grid");
-        return;
-    }
-    let results = Harness::bare(1).run_grid(fig05_points());
-    assert_eq!(fig05_table(&results), FIG05_GOLDEN);
+fn every_golden_is_a_registry_figure() {
+    let mut registry: Vec<String> = figures::ALL
+        .iter()
+        .map(|build| build().name.to_string())
+        .collect();
+    registry.sort();
+    let mut goldens: Vec<String> = std::fs::read_dir(RESULTS)
+        .expect("results/ is committed")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            Some(name.strip_suffix(".txt")?.to_string())
+        })
+        .filter(|name| name != "table1" && name != "table2")
+        .collect();
+    goldens.sort();
+    assert_eq!(registry, goldens);
 }
 
-/// From-scratch Fig. 7: the tree at every DRAM:NVM mix, re-simulated with
-/// no cache. Fig. 5's grid is all-DRAM, so this is the from-scratch check
-/// that covers NVM cubes, whose dirty rows are written back to the arrays
-/// in idle time.
-#[test]
-#[ignore = "re-simulates the full Fig. 7 grid; run with --ignored"]
-fn fig07_regenerates_byte_identically_from_scratch() {
-    if !env_is_default() {
-        eprintln!("skipping: MN_REQUESTS/MN_SEED override the golden grid");
-        return;
-    }
-    assert_eq!(fig07_report(&mut Harness::bare(2)), FIG07_GOLDEN);
+/// Whether the committed cache can replay `figure`. Two figures cannot:
+/// the closed-loop sweep runs detached, because its render reads
+/// telemetry that cache hits never carry, and the fault sweep's
+/// partitioned points fail, and a failure is never cached.
+fn replayable(figure: &Figure) -> bool {
+    figure.cached() && figure.name != "fault_sweep"
 }
 
-/// From-scratch closed-loop sweep: every window policy on chain, tree
-/// and skip-list, re-simulated with no cache. Its jain, window and marked
-/// columns read the telemetry rollup, which cache hits never carry, so
-/// this is the golden that covers the rollup end to end.
+/// Every replayable registry figure, rendered from the committed cache
+/// alone: a missing entry fails the test instead of simulating, so this
+/// stays cheap in a debug build.
 #[test]
-#[ignore = "re-simulates the full closed-loop sweep; run with --ignored"]
-fn closed_loop_regenerates_byte_identically_from_scratch() {
+fn cached_figures_replay_byte_identically() {
     if !env_is_default() {
-        eprintln!("skipping: result-changing knobs override the golden grid");
+        eprintln!("skipping: result-changing knobs override the golden grids");
         return;
     }
-    assert_eq!(
-        closed_loop_report(&mut Harness::bare(2)),
-        CLOSED_LOOP_GOLDEN
-    );
+    let cache = committed_cache();
+    for figure in figures::ALL.map(|build| build()) {
+        if !replayable(&figure) {
+            continue;
+        }
+        let results: Vec<Vec<figures::PointResult>> = figure
+            .campaigns
+            .iter()
+            .map(|points| {
+                points
+                    .iter()
+                    .map(|point| {
+                        Ok(cache.load(point).unwrap_or_else(|| {
+                            panic!(
+                                "{}: cache miss for {} / {} (key {}): kernel changes \
+                                 altered the fingerprint or the stored results",
+                                figure.name,
+                                point.config.label(),
+                                point.workload.label(),
+                                point.cache_key(),
+                            )
+                        }))
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            (figure.render)(&results),
+            golden(&figure),
+            "{}: the replay differs from results/{}.txt",
+            figure.name,
+            figure.name,
+        );
+    }
 }
 
-/// Replays Fig. 10 through the full campaign path (per-port decomposition,
-/// ordered merge, cache). With intact fingerprints every point is a cache
-/// hit and this finishes in seconds; on drift it re-simulates, so it is
-/// `#[ignore]`d for local runs and exercised by CI's golden step.
+/// From-scratch variant: re-simulates every registry figure with no
+/// cache and demands the committed bytes. `#[ignore]`d for local `cargo
+/// test` speed; CI's golden step runs it.
 #[test]
-#[ignore = "replays the full Fig. 10 campaign; run with --ignored"]
-fn fig10_regenerates_byte_identically() {
+#[ignore = "re-simulates every figure; run with --ignored"]
+fn every_figure_regenerates_from_scratch() {
     if !env_is_default() {
-        eprintln!("skipping: MN_REQUESTS/MN_SEED override the golden grid");
+        eprintln!("skipping: result-changing knobs override the golden grids");
         return;
     }
-    let mut harness = Harness::cached(
-        2,
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/cache"),
-    );
-    assert_eq!(fig10_report(&mut harness), FIG10_GOLDEN);
+    for figure in figures::ALL.map(|build| build()) {
+        let (name, want) = (figure.name, golden(&figure));
+        assert_eq!(
+            Harness::bare(2).render(figure),
+            want,
+            "{name}: the regeneration differs from results/{name}.txt",
+        );
+    }
 }

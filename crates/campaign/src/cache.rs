@@ -134,13 +134,11 @@ fn key_word(key: &str) -> u64 {
 /// protection set, and the live counters. Shared by every `DiskCache`
 /// opened on the same path, so concurrent campaigns pool their warmth.
 ///
-/// The counters are mn-metrics [`registry::Counter`]s driven through
-/// their *always-on* operations — they back `cache.stats` persistence
-/// and `mncube cache stats` whether or not `MN_METRICS` is set, exactly
-/// as the plain atomics they replaced did — and the registry's cache
-/// collector exports the same instances, so the Prometheus snapshot,
-/// the stats subcommand, and the persisted file share one source of
-/// truth.
+/// The counters are plain relaxed atomics, always on: they back
+/// `cache.stats` persistence and `mncube cache stats` whether or not
+/// `MN_METRICS` is set, and the registry's cache collector exports the
+/// same instances, so the Prometheus snapshot, the stats subcommand, and
+/// the persisted file share one source of truth.
 #[derive(Default)]
 struct DirState {
     hot: Mutex<HotMap>,
@@ -150,12 +148,12 @@ struct DirState {
     pending_bytes: AtomicU64,
     /// Set once this process has swept the directory's stale temps.
     swept: OnceLock<()>,
-    hits: registry::Counter,
-    hot_hits: registry::Counter,
-    misses: registry::Counter,
-    stores: registry::Counter,
-    evicted_entries: registry::Counter,
-    evicted_bytes: registry::Counter,
+    hits: AtomicU64,
+    hot_hits: AtomicU64,
+    misses: AtomicU64,
+    stores: AtomicU64,
+    evicted_entries: AtomicU64,
+    evicted_bytes: AtomicU64,
     /// Serializes this process's `cache.stats` appends and folds with
     /// each other and with readers of persisted-plus-live totals. A
     /// persist moves its deltas from the live counters into the file;
@@ -243,23 +241,23 @@ impl DirState {
 
     /// Adds this process's unpersisted counter deltas onto `stats`.
     fn add_live(&self, stats: &mut CacheStats) {
-        stats.hits += self.hits.get();
-        stats.hot_hits += self.hot_hits.get();
-        stats.misses += self.misses.get();
-        stats.stores += self.stores.get();
-        stats.evicted_entries += self.evicted_entries.get();
-        stats.evicted_bytes += self.evicted_bytes.get();
+        stats.hits += self.hits.load(Ordering::Relaxed);
+        stats.hot_hits += self.hot_hits.load(Ordering::Relaxed);
+        stats.misses += self.misses.load(Ordering::Relaxed);
+        stats.stores += self.stores.load(Ordering::Relaxed);
+        stats.evicted_entries += self.evicted_entries.load(Ordering::Relaxed);
+        stats.evicted_bytes += self.evicted_bytes.load(Ordering::Relaxed);
     }
 
     /// Swaps this process's unpersisted counter deltas out, leaving zero.
     fn take_live(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.take(),
-            hot_hits: self.hot_hits.take(),
-            misses: self.misses.take(),
-            stores: self.stores.take(),
-            evicted_entries: self.evicted_entries.take(),
-            evicted_bytes: self.evicted_bytes.take(),
+            hits: self.hits.swap(0, Ordering::Relaxed),
+            hot_hits: self.hot_hits.swap(0, Ordering::Relaxed),
+            misses: self.misses.swap(0, Ordering::Relaxed),
+            stores: self.stores.swap(0, Ordering::Relaxed),
+            evicted_entries: self.evicted_entries.swap(0, Ordering::Relaxed),
+            evicted_bytes: self.evicted_bytes.swap(0, Ordering::Relaxed),
             ..CacheStats::default()
         }
     }
@@ -446,11 +444,11 @@ impl DiskCache {
                         // belong to a different point — a plain miss.
                         if entry.fingerprint == fingerprint {
                             entry.used = self.state.hot_clock.fetch_add(1, Ordering::Relaxed);
-                            self.state.hits.inc_always();
-                            self.state.hot_hits.inc_always();
+                            self.state.hits.fetch_add(1, Ordering::Relaxed);
+                            self.state.hot_hits.fetch_add(1, Ordering::Relaxed);
                             return Some((*entry.result).clone());
                         }
-                        self.state.misses.inc_always();
+                        self.state.misses.fetch_add(1, Ordering::Relaxed);
                         return None;
                     }
                     _ => {
@@ -487,11 +485,11 @@ impl DiskCache {
                         Arc::clone(&result),
                     );
                 }
-                self.state.hits.inc_always();
+                self.state.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::try_unwrap(result).unwrap_or_else(|arc| (*arc).clone()))
             }
             None => {
-                self.state.misses.inc_always();
+                self.state.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -630,7 +628,7 @@ impl DiskCache {
         fs::rename(&tmp, &path)?;
 
         self.protect(key);
-        self.state.stores.inc_always();
+        self.state.stores.fetch_add(1, Ordering::Relaxed);
         if let Some(identity) = fs::metadata(&path)
             .ok()
             .map(|m| (m.len(), m.modified().ok()))
@@ -735,8 +733,12 @@ impl DiskCache {
             reclaimed += len;
             false
         });
-        self.state.evicted_entries.add_always(evicted);
-        self.state.evicted_bytes.add_always(reclaimed);
+        self.state
+            .evicted_entries
+            .fetch_add(evicted, Ordering::Relaxed);
+        self.state
+            .evicted_bytes
+            .fetch_add(reclaimed, Ordering::Relaxed);
         Some((evicted, reclaimed))
     }
 

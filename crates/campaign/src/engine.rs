@@ -26,11 +26,12 @@
 //! style.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mn_core::{try_simulate_port, PortObservation};
-use mn_telemetry::registry::{self, Counter};
+use mn_telemetry::registry;
 
 use crate::error::CampaignError;
 use crate::point::CampaignPoint;
@@ -122,12 +123,11 @@ struct Core {
     workers: usize,
     queue: Mutex<Queue>,
     ready: Condvar,
-    /// Lifetime total, on the mn-metrics [`Counter`] type (always-on:
-    /// the atomic add *is* the pre-registry baseline) so campaign
-    /// tests, benches and the Prometheus export read one source of
-    /// truth. Per-engine, not global — tests and benches build private
-    /// pools and assert on their counts.
-    executed: Counter,
+    /// Lifetime total, always on, so campaign tests, benches and the
+    /// Prometheus export read one source of truth. Per-engine, not
+    /// global — tests and benches build private pools and assert on
+    /// their counts.
+    executed: AtomicU64,
     /// Test only: workers drop every job unrun, as a worker that died
     /// outside its panic isolation would.
     #[cfg(test)]
@@ -145,7 +145,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("workers", &self.core.workers)
-            .field("executed", &self.core.executed.get())
+            .field("executed", &self.core.executed.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -163,7 +163,7 @@ impl Engine {
                     spawned: false,
                 }),
                 ready: Condvar::new(),
-                executed: Counter::new(),
+                executed: AtomicU64::new(0),
                 #[cfg(test)]
                 lose_jobs: false,
             }),
@@ -202,7 +202,7 @@ impl Engine {
                         out,
                         "mn_engine_jobs_executed_total",
                         "Jobs executed by the shared engine since process start.",
-                        &[("pool", "global", core.executed.get())],
+                        &[("pool", "global", core.executed.load(Ordering::Relaxed))],
                     );
                 });
                 engine
@@ -217,7 +217,7 @@ impl Engine {
 
     /// Total jobs executed since the engine was created.
     pub fn jobs_executed(&self) -> u64 {
-        self.core.executed.get()
+        self.core.executed.load(Ordering::Relaxed)
     }
 
     /// Appends jobs to the queue, spawning the worker pool on first
@@ -336,7 +336,7 @@ fn execute(core: &Core, mut job: Job) {
             })
         }
     };
-    core.executed.inc_always();
+    core.executed.fetch_add(1, Ordering::Relaxed);
     job.reply.deliver(start.elapsed(), outcome);
 }
 

@@ -11,6 +11,9 @@
 use std::fmt;
 use std::io::{self, Write};
 
+use mn_core::RunResult;
+use mn_telemetry::{HostSummary, TelemetrySummary};
+
 use crate::campaign::PointOutcome;
 
 /// A record field value.
@@ -94,130 +97,91 @@ fn die_usage(problem: &str) -> ! {
     std::process::exit(2);
 }
 
+/// One measurement column of a point record: its name, and how it reads
+/// a result.
+enum Column {
+    /// A float the result always has.
+    Float(&'static str, fn(&RunResult) -> f64),
+    /// A count the result always has.
+    Count(&'static str, fn(&RunResult) -> u64),
+    /// A float of the telemetry rollup: NaN (JSON null) unless the run was
+    /// traced — the campaign default is Off, and cache hits never carry
+    /// telemetry.
+    Traced(&'static str, fn(&TelemetrySummary) -> f64),
+    /// A float of the host rollup, which rides on telemetry: NaN unless
+    /// the run was a traced closed-loop run.
+    Host(&'static str, fn(&HostSummary) -> f64),
+}
+
+use Column::{Count, Float, Host, Traced};
+
+/// The measurement columns of a point record, in order.
+const MEASUREMENTS: [Column; 27] = [
+    Float("wall_ns", |r| r.wall.as_ns_f64()),
+    Float("throughput_per_us", RunResult::throughput_per_us),
+    Count("reads", |r| r.reads),
+    Count("writes", |r| r.writes),
+    Float("to_mem_ns", |r| r.breakdown.to_memory.mean_ns()),
+    Float("in_mem_ns", |r| r.breakdown.in_memory.mean_ns()),
+    Float("from_mem_ns", |r| r.breakdown.from_memory.mean_ns()),
+    Float("read_p50_ns", |r| r.read_latency_quantile(0.50).as_ns_f64()),
+    Float("read_p95_ns", |r| r.read_latency_quantile(0.95).as_ns_f64()),
+    Float("read_p99_ns", |r| r.read_latency_quantile(0.99).as_ns_f64()),
+    Float("row_hit_rate", |r| r.row_hit_rate),
+    Float("avg_hops", |r| r.avg_hops),
+    Float("energy_network_uj", |r| r.energy.network.as_uj()),
+    Float("energy_read_uj", |r| r.energy.read.as_uj()),
+    Float("energy_write_uj", |r| r.energy.write.as_uj()),
+    Traced("jain_fairness", |t| t.fairness.jain()),
+    Traced("req_queue_ns", |t| t.decomp.req_queue.mean_ns()),
+    Traced("req_wire_ns", |t| t.decomp.req_wire.mean_ns()),
+    Traced("array_ns", |t| t.decomp.array_ns()),
+    Traced("resp_queue_ns", |t| t.decomp.resp_queue.mean_ns()),
+    Traced("resp_wire_ns", |t| t.decomp.resp_wire.mean_ns()),
+    Traced("peak_queue_depth", |t| t.queue_depth.peak() as f64),
+    Traced("p99_queue_depth", |t| t.queue_depth.p99() as f64),
+    Traced("peak_link_util", |t| t.peak_link_utilization),
+    // Goodput is always measurable, open or closed loop.
+    Float("goodput_per_us", RunResult::throughput_per_us),
+    Host("steady_window", HostSummary::steady_window),
+    Host("marked_fraction", HostSummary::marked_fraction),
+];
+
 /// The flat record for one campaign point, shared by both emitters.
 ///
-/// A failed point still yields a full-width record — same columns, so the
-/// CSV header stays consistent — with its measurements nulled (JSON) /
+/// A failed point still yields a full-width record — the same columns, so
+/// the CSV header stays consistent — with its measurements nulled (JSON) /
 /// zeroed and the `error` column carrying the failure message. Healthy
 /// points have an empty `error` column.
 pub fn point_record(outcome: &PointOutcome) -> Record {
-    match &outcome.result {
-        Ok(r) => {
-            let b = &r.breakdown;
-            let quantile_ns = |q| r.read_latency_quantile(q).as_ns_f64();
-            // Telemetry columns are NaN (JSON null) unless the run was
-            // traced — the campaign default is Off, and cache hits never
-            // carry telemetry.
-            let t = r.telemetry.as_deref();
-            let tv = |v: Option<f64>| Value::Float(v.unwrap_or(f64::NAN));
-            point_record_fields(
-                outcome,
-                Value::Str(r.label.clone()),
-                Value::Str(r.workload.clone()),
-                vec![
-                    ("wall_ns", Value::Float(r.wall.as_ns_f64())),
-                    ("throughput_per_us", Value::Float(r.throughput_per_us())),
-                    ("reads", Value::Int(r.reads)),
-                    ("writes", Value::Int(r.writes)),
-                    ("to_mem_ns", Value::Float(b.to_memory.mean_ns())),
-                    ("in_mem_ns", Value::Float(b.in_memory.mean_ns())),
-                    ("from_mem_ns", Value::Float(b.from_memory.mean_ns())),
-                    ("read_p50_ns", Value::Float(quantile_ns(0.50))),
-                    ("read_p95_ns", Value::Float(quantile_ns(0.95))),
-                    ("read_p99_ns", Value::Float(quantile_ns(0.99))),
-                    ("row_hit_rate", Value::Float(r.row_hit_rate)),
-                    ("avg_hops", Value::Float(r.avg_hops)),
-                    ("energy_network_uj", Value::Float(r.energy.network.as_uj())),
-                    ("energy_read_uj", Value::Float(r.energy.read.as_uj())),
-                    ("energy_write_uj", Value::Float(r.energy.write.as_uj())),
-                    ("jain_fairness", tv(t.map(|t| t.fairness.jain()))),
-                    ("req_queue_ns", tv(t.map(|t| t.decomp.req_queue.mean_ns()))),
-                    ("req_wire_ns", tv(t.map(|t| t.decomp.req_wire.mean_ns()))),
-                    ("array_ns", tv(t.map(|t| t.decomp.array_ns()))),
-                    (
-                        "resp_queue_ns",
-                        tv(t.map(|t| t.decomp.resp_queue.mean_ns())),
-                    ),
-                    ("resp_wire_ns", tv(t.map(|t| t.decomp.resp_wire.mean_ns()))),
-                    (
-                        "peak_queue_depth",
-                        tv(t.map(|t| t.queue_depth.peak() as f64)),
-                    ),
-                    ("p99_queue_depth", tv(t.map(|t| t.queue_depth.p99() as f64))),
-                    ("peak_link_util", tv(t.map(|t| t.peak_link_utilization))),
-                    // Closed-loop columns: goodput is always measurable;
-                    // window/mark stats need a traced closed-loop run
-                    // (the host rollup rides on telemetry).
-                    ("goodput_per_us", Value::Float(r.throughput_per_us())),
-                    (
-                        "steady_window",
-                        tv(t.and_then(|t| t.host.as_ref()).map(|h| h.steady_window())),
-                    ),
-                    (
-                        "marked_fraction",
-                        tv(t.and_then(|t| t.host.as_ref()).map(|h| h.marked_fraction())),
-                    ),
-                ],
-                String::new(),
-            )
-        }
-        Err(e) => point_record_fields(
-            outcome,
-            Value::Str(outcome.point.config.label()),
-            Value::Str(outcome.point.workload.label().to_string()),
-            // NaN renders as null in JSON — "no measurement", distinct
-            // from a measured zero — and keeps the CSV row full-width.
-            vec![
-                ("wall_ns", Value::Float(f64::NAN)),
-                ("throughput_per_us", Value::Float(f64::NAN)),
-                ("reads", Value::Int(0)),
-                ("writes", Value::Int(0)),
-                ("to_mem_ns", Value::Float(f64::NAN)),
-                ("in_mem_ns", Value::Float(f64::NAN)),
-                ("from_mem_ns", Value::Float(f64::NAN)),
-                ("read_p50_ns", Value::Float(f64::NAN)),
-                ("read_p95_ns", Value::Float(f64::NAN)),
-                ("read_p99_ns", Value::Float(f64::NAN)),
-                ("row_hit_rate", Value::Float(f64::NAN)),
-                ("avg_hops", Value::Float(f64::NAN)),
-                ("energy_network_uj", Value::Float(f64::NAN)),
-                ("energy_read_uj", Value::Float(f64::NAN)),
-                ("energy_write_uj", Value::Float(f64::NAN)),
-                ("jain_fairness", Value::Float(f64::NAN)),
-                ("req_queue_ns", Value::Float(f64::NAN)),
-                ("req_wire_ns", Value::Float(f64::NAN)),
-                ("array_ns", Value::Float(f64::NAN)),
-                ("resp_queue_ns", Value::Float(f64::NAN)),
-                ("resp_wire_ns", Value::Float(f64::NAN)),
-                ("peak_queue_depth", Value::Float(f64::NAN)),
-                ("p99_queue_depth", Value::Float(f64::NAN)),
-                ("peak_link_util", Value::Float(f64::NAN)),
-                ("goodput_per_us", Value::Float(f64::NAN)),
-                ("steady_window", Value::Float(f64::NAN)),
-                ("marked_fraction", Value::Float(f64::NAN)),
-            ],
+    let config = &outcome.point.config;
+    let (label, workload, error) = match &outcome.result {
+        Ok(r) => (r.label.clone(), r.workload.clone(), String::new()),
+        Err(e) => (
+            config.label(),
+            outcome.point.workload.label().to_string(),
             e.to_string(),
         ),
-    }
-}
-
-/// Assembles the fixed column order shared by the success and error arms,
-/// so the two can never drift apart and split a CSV header.
-fn point_record_fields(
-    outcome: &PointOutcome,
-    label: Value,
-    workload: Value,
-    measurements: Vec<(&'static str, Value)>,
-    error: String,
-) -> Record {
-    let mut record = vec![("label", label), ("workload", workload)];
-    record.extend(measurements);
+    };
+    let result = outcome.result.as_ref().ok();
+    let telemetry = result.and_then(|r| r.telemetry.as_deref());
+    let host = telemetry.and_then(|t| t.host.as_ref());
+    let mut record = vec![
+        ("label", Value::Str(label)),
+        ("workload", Value::Str(workload)),
+    ];
+    // A missing measurement is NaN, which renders as null in JSON — "no
+    // measurement", distinct from a measured zero — or a zero count, and
+    // either keeps the CSV row full-width.
+    record.extend(MEASUREMENTS.iter().map(|column| match *column {
+        Float(name, read) => (name, Value::Float(result.map_or(f64::NAN, read))),
+        Count(name, read) => (name, Value::Int(result.map_or(0, read))),
+        Traced(name, read) => (name, Value::Float(telemetry.map_or(f64::NAN, read))),
+        Host(name, read) => (name, Value::Float(host.map_or(f64::NAN, read))),
+    }));
     record.extend([
-        (
-            "requests_per_port",
-            Value::Int(outcome.point.config.requests_per_port),
-        ),
-        ("seed", Value::Int(outcome.point.config.seed)),
+        ("requests_per_port", Value::Int(config.requests_per_port)),
+        ("seed", Value::Int(config.seed)),
         ("cached", Value::Bool(outcome.cached)),
         ("attempts", Value::Int(u64::from(outcome.attempts))),
         ("host_ms", Value::Float(outcome.host.as_secs_f64() * 1e3)),
@@ -324,6 +288,11 @@ fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CampaignError;
+    use crate::point::CampaignPoint;
+    use mn_core::{SimError, SystemConfig};
+    use mn_topo::TopologyKind;
+    use mn_workloads::Workload;
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -393,47 +362,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn failed_points_keep_the_same_columns() {
-        use crate::error::CampaignError;
-        use crate::point::CampaignPoint;
-        use mn_core::{SimError, SystemConfig};
-        use mn_topo::TopologyKind;
-        use mn_workloads::Workload;
-
-        let mut config = SystemConfig::paper_baseline(TopologyKind::Tree, 1.0).unwrap();
-        config.requests_per_port = 150;
-        let point = CampaignPoint::new(config, Workload::Nw);
-        let result = mn_core::simulate(&point.config, point.workload);
-
-        let ok = PointOutcome {
-            point: point.clone(),
-            result: Ok(result),
-            cached: false,
-            coalesced: false,
-            attempts: 1,
-            host: std::time::Duration::from_millis(1),
-        };
-        let failed = PointOutcome {
+    fn outcome(point: CampaignPoint, result: Result<RunResult, CampaignError>) -> PointOutcome {
+        PointOutcome {
             point,
-            result: Err(CampaignError::Sim {
-                port: 0,
-                error: SimError::Partitioned {
-                    unreachable: vec![mn_topo::NodeId(3)],
-                },
-            }),
+            result,
             cached: false,
             coalesced: false,
             attempts: 1,
             host: std::time::Duration::ZERO,
-        };
+        }
+    }
 
-        let ok_record = point_record(&ok);
-        let err_record = point_record(&failed);
+    /// The record of `config` simulated at 150 requests per port.
+    fn simulated_record(mut config: SystemConfig, workload: Workload) -> Record {
+        config.requests_per_port = 150;
+        let point = CampaignPoint::new(config, workload);
+        let result = mn_core::simulate(&point.config, point.workload);
+        point_record(&outcome(point, Ok(result)))
+    }
+
+    fn field(record: &Record, column: &str) -> Value {
+        let found = record.iter().find(|(key, _)| *key == column);
+        found.unwrap_or_else(|| panic!("column {column}")).1.clone()
+    }
+
+    fn float(record: &Record, column: &str) -> f64 {
+        let Value::Float(x) = field(record, column) else {
+            panic!("{column} should be a float");
+        };
+        x
+    }
+
+    #[test]
+    fn failed_points_keep_the_same_columns() {
+        let config = SystemConfig::paper_baseline(TopologyKind::Tree, 1.0).unwrap();
+        let ok_record = simulated_record(config.clone(), Workload::Nw);
+        let error = CampaignError::Sim {
+            port: 0,
+            error: SimError::Partitioned {
+                unreachable: vec![mn_topo::NodeId(3)],
+            },
+        };
+        let err_record = point_record(&outcome(
+            CampaignPoint::new(config, Workload::Nw),
+            Err(error),
+        ));
         let columns = |r: &Record| r.iter().map(|(k, _)| *k).collect::<Vec<_>>();
         assert_eq!(columns(&ok_record), columns(&err_record));
 
-        let field = |r: &Record, k: &str| r.iter().find(|(key, _)| *key == k).unwrap().1.clone();
         assert_eq!(field(&ok_record, "error"), Value::Str(String::new()));
         let Value::Str(msg) = field(&err_record, "error") else {
             panic!("error column should be a string");
@@ -459,33 +435,9 @@ mod tests {
 
     #[test]
     fn traced_results_fill_telemetry_columns() {
-        use crate::point::CampaignPoint;
-        use mn_core::SystemConfig;
-        use mn_topo::TopologyKind;
-        use mn_workloads::Workload;
-
         let mut config = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
-        config.requests_per_port = 150;
         config.noc.trace = mn_core::TraceConfig::Counters;
-        let point = CampaignPoint::new(config, Workload::Dct);
-        let result = mn_core::simulate(&point.config, point.workload);
-        let outcome = PointOutcome {
-            point,
-            result: Ok(result),
-            cached: false,
-            coalesced: false,
-            attempts: 1,
-            host: std::time::Duration::ZERO,
-        };
-        let record = point_record(&outcome);
-        let field = |k: &str| {
-            record
-                .iter()
-                .find(|(key, _)| *key == k)
-                .unwrap_or_else(|| panic!("column {k}"))
-                .1
-                .clone()
-        };
+        let record = simulated_record(config, Workload::Dct);
         for col in [
             "jain_fairness",
             "req_queue_ns",
@@ -497,85 +449,30 @@ mod tests {
             "p99_queue_depth",
             "peak_link_util",
         ] {
-            let Value::Float(x) = field(col) else {
-                panic!("{col} should be a float");
-            };
+            let x = float(&record, col);
             assert!(x.is_finite(), "{col} = {x}");
         }
-        let Value::Float(jain) = field("jain_fairness") else {
-            unreachable!()
-        };
+        let jain = float(&record, "jain_fairness");
         assert!(jain > 0.0 && jain <= 1.0, "jain {jain}");
     }
 
     #[test]
     fn closed_loop_runs_fill_host_columns() {
-        use crate::point::CampaignPoint;
-        use mn_core::SystemConfig;
-        use mn_topo::TopologyKind;
-        use mn_workloads::Workload;
-
-        let mut config = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
-        config.requests_per_port = 150;
-        config.noc.trace = mn_core::TraceConfig::Counters;
+        let mut open = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
+        open.noc.trace = mn_core::TraceConfig::Counters;
+        let mut config = open.clone();
         config.noc.ecn_threshold = 4;
         config.host.policy = mn_core::WindowPolicyKind::Ecn;
-        let point = CampaignPoint::new(config, Workload::Dct);
-        let result = mn_core::simulate(&point.config, point.workload);
-        let outcome = PointOutcome {
-            point,
-            result: Ok(result),
-            cached: false,
-            coalesced: false,
-            attempts: 1,
-            host: std::time::Duration::ZERO,
-        };
-        let record = point_record(&outcome);
-        let field = |k: &str| {
-            record
-                .iter()
-                .find(|(key, _)| *key == k)
-                .unwrap_or_else(|| panic!("column {k}"))
-                .1
-                .clone()
-        };
-        let Value::Float(goodput) = field("goodput_per_us") else {
-            panic!("goodput should be a float");
-        };
+        let record = simulated_record(config, Workload::Dct);
+        let goodput = float(&record, "goodput_per_us");
         assert!(goodput > 0.0, "goodput {goodput}");
-        let Value::Float(steady) = field("steady_window") else {
-            panic!("steady_window should be a float");
-        };
+        let steady = float(&record, "steady_window");
         assert!(steady >= 1.0, "steady window {steady}");
-        let Value::Float(marked) = field("marked_fraction") else {
-            panic!("marked_fraction should be a float");
-        };
+        let marked = float(&record, "marked_fraction");
         assert!((0.0..=1.0).contains(&marked), "marked {marked}");
 
         // Open-loop traced runs still report goodput but no window stats.
-        let mut open = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
-        open.requests_per_port = 150;
-        open.noc.trace = mn_core::TraceConfig::Counters;
-        let point = CampaignPoint::new(open, Workload::Dct);
-        let result = mn_core::simulate(&point.config, point.workload);
-        let outcome = PointOutcome {
-            point,
-            result: Ok(result),
-            cached: false,
-            coalesced: false,
-            attempts: 1,
-            host: std::time::Duration::ZERO,
-        };
-        let record = point_record(&outcome);
-        let steady = record
-            .iter()
-            .find(|(key, _)| *key == "steady_window")
-            .unwrap()
-            .1
-            .clone();
-        let Value::Float(steady) = steady else {
-            panic!("steady_window should be a float");
-        };
+        let steady = float(&simulated_record(open, Workload::Dct), "steady_window");
         assert!(steady.is_nan(), "open loop has no window series");
     }
 

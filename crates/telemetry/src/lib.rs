@@ -7,7 +7,7 @@
 //!   hot path compiles to a single branch on this enum (never a virtual
 //!   call); with the default `Off` the event stream, results, and
 //!   allocation profile of a run are untouched.
-//! - [`LifecycleTracer`] + [`write_chrome_trace`] — per-packet lifecycle
+//! - [`LifecycleTracer`] + [`write_chrome_trace_with_spans`] — per-packet lifecycle
 //!   events (inject/arbitrate/traverse/enqueue/bank-access/retry/eject)
 //!   retained in pre-sized ring buffers and exported as Chrome/Perfetto
 //!   `trace.json`, one track per link and per memory controller.
@@ -29,7 +29,7 @@
 //!   registry (counters, gauges, log-scaled histograms), gated on
 //!   `MN_METRICS` and exported as a Prometheus text snapshot and a
 //!   JSON-lines sample stream. Named wall-clock spans join a kernel
-//!   trace as extra Perfetto rows via [`write_chrome_trace_with_spans`].
+//!   trace as extra Perfetto rows through the same writer.
 //!
 //! The crate depends only on `mn-sim` (for the time base and accumulator
 //! primitives) so every other layer can use it without cycles.
@@ -54,6 +54,6 @@ pub use host::{HostSummary, WindowSeries};
 pub use metrics::{QueueDepthStats, TimeSeries};
 pub use recorder::FlightRecorder;
 pub use tracer::{
-    write_chrome_trace, write_chrome_trace_with_spans, LifecycleTracer, NamedSpan, SpanProcess,
-    TraceEvent, TraceEventKind, TraceProcess,
+    write_chrome_trace_with_spans, LifecycleTracer, NamedSpan, SpanProcess, TraceEvent,
+    TraceEventKind, TraceProcess,
 };

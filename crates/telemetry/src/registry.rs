@@ -4,12 +4,12 @@
 //! *service stack around it* (worker pool, two-tier cache, journal,
 //! retries). Three primitives:
 //!
-//! - [`Counter`] — a monotonic `AtomicU64`. The default [`Counter::add`]
-//!   is gated on [`metrics_enabled`] (an `#[inline]` early return, the
-//!   same discipline as the kernel's `TraceConfig` hooks); the `_always`
-//!   variants are for counters that pre-date the registry and back
-//!   always-on outputs (campaign summaries, `cache.stats`), where the
-//!   atomic add *is* the baseline cost.
+//! - [`Counter`] — a monotonic `AtomicU64` whose [`Counter::add`] is
+//!   gated on [`metrics_enabled`] (an `#[inline]` early return, the same
+//!   discipline as the kernel's `TraceConfig` hooks). Always-on counts
+//!   that back other outputs (`cache.stats`, the engine's job total) are
+//!   plain atomics owned by their subsystems, exported through their own
+//!   collectors.
 //! - [`Gauge`] — a last-write-wins `AtomicU64` for point-in-time values
 //!   (budget bytes, worker counts).
 //! - [`Histogram`] — log-scaled (power-of-two edges) buckets with an
@@ -64,9 +64,7 @@ fn epoch() -> Instant {
 
 // --- primitives ---------------------------------------------------------
 
-/// A monotonic counter. `add`/`inc` are gated on [`metrics_enabled`];
-/// the `_always` variants are unconditional (for pre-registry counters
-/// whose atomic add is part of the measured baseline).
+/// A monotonic counter. `add`/`inc` are gated on [`metrics_enabled`].
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -95,27 +93,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n` unconditionally — for always-on counters.
-    #[inline]
-    pub fn add_always(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments by one unconditionally — for always-on counters.
-    #[inline]
-    pub fn inc_always(&self) {
-        self.add_always(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Swaps the value to zero and returns what it was — the
-    /// read-and-reset the cache's persisted-counter merge uses.
-    pub fn take(&self) -> u64 {
-        self.value.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -645,14 +625,10 @@ mod tests {
         c.inc();
         c.add(10);
         assert_eq!(c.get(), 0, "gated ops are free when off");
-        c.inc_always();
-        c.add_always(4);
-        assert_eq!(c.get(), 5, "always ops ignore the gate");
         gate.flip(true);
         c.inc();
-        assert_eq!(c.get(), 6);
-        assert_eq!(c.take(), 6);
-        assert_eq!(c.get(), 0);
+        c.add(4);
+        assert_eq!(c.get(), 5);
     }
 
     #[test]

@@ -190,20 +190,11 @@ pub struct SpanProcess<'a> {
 }
 
 /// Writes a Chrome/Perfetto `trace.json` (JSON object format, loadable
-/// in `ui.perfetto.dev` and `chrome://tracing`) covering the given
-/// processes. Spans (`dur_ps > 0`) become `X` complete events; the rest
-/// become thread-scoped instants.
-///
-/// # Errors
-///
-/// Returns any I/O error from the underlying writer.
-pub fn write_chrome_trace<W: Write>(w: &mut W, processes: &[TraceProcess<'_>]) -> io::Result<()> {
-    write_chrome_trace_with_spans(w, processes, &[])
-}
-
-/// [`write_chrome_trace`] plus extra [`SpanProcess`] rows — wall-clock
-/// service spans (`mncube trace`'s `trace.simulate`) rendered alongside
-/// kernel packet lifecycles in one timeline.
+/// in `ui.perfetto.dev` and `chrome://tracing`) covering the given kernel
+/// processes plus extra [`SpanProcess`] rows — wall-clock service spans
+/// (`mncube trace`'s `trace.simulate`) rendered alongside kernel packet
+/// lifecycles in one timeline. Spans (`dur_ps > 0`) become `X` complete
+/// events; the rest become thread-scoped instants.
 ///
 /// # Errors
 ///
@@ -213,91 +204,84 @@ pub fn write_chrome_trace_with_spans<W: Write>(
     processes: &[TraceProcess<'_>],
     span_processes: &[SpanProcess<'_>],
 ) -> io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    let sep = |out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-    };
-    let metadata = |out: &mut String,
-                    first: &mut bool,
-                    pid: u32,
-                    name: &str,
-                    tracks: &mut dyn Iterator<Item = &str>| {
-        sep(out, first);
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\""
-        ));
-        escape_json(name, out);
-        out.push_str("\"}}");
-        for (tid, track) in tracks.enumerate() {
-            sep(out, first);
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"args\":{{\"name\":\"",
-                tid + 1
-            ));
-            escape_json(track, out);
-            out.push_str("\"}}");
-        }
-    };
+    let mut entries = Vec::new();
     for p in processes {
-        let mut tracks =
+        let tracks =
             (0..p.tracer.track_count()).map(|tid| p.tracer.track_name(tid as u32).unwrap_or(""));
-        metadata(&mut out, &mut first, p.pid, p.name, &mut tracks);
+        metadata(&mut entries, p.pid, p.name, tracks);
     }
     for p in span_processes {
-        let mut tracks = p.tracks.iter().map(String::as_str);
-        metadata(&mut out, &mut first, p.pid, p.name, &mut tracks);
+        metadata(
+            &mut entries,
+            p.pid,
+            p.name,
+            p.tracks.iter().map(String::as_str),
+        );
     }
     for p in processes {
         for ev in p.tracer.events() {
-            sep(&mut out, &mut first);
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":",
-                ev.kind.name(),
-                if ev.dur_ps > 0 { "X" } else { "i" },
-                p.pid,
-                ev.track + 1,
-            ));
-            push_us(ev.ts_ps, &mut out);
-            if ev.dur_ps > 0 {
-                out.push_str(",\"dur\":");
-                push_us(ev.dur_ps, &mut out);
-            } else {
-                out.push_str(",\"s\":\"t\"");
-            }
-            if ev.packet != TraceEvent::NO_PACKET {
-                out.push_str(&format!(",\"args\":{{\"packet\":\"p{}\"}}", ev.packet));
-            }
-            out.push('}');
+            let packet = (ev.packet != TraceEvent::NO_PACKET).then_some(ev.packet);
+            let (ts, dur) = (ev.ts_ps, ev.dur_ps);
+            entries.push(event(p.pid, ev.kind.name(), ev.track, ts, dur, packet));
         }
     }
     for p in span_processes {
-        for span in p.spans {
-            sep(&mut out, &mut first);
-            out.push_str("{\"name\":\"");
-            escape_json(&span.name, &mut out);
-            out.push_str(&format!(
-                "\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":",
-                if span.dur_ps > 0 { "X" } else { "i" },
-                p.pid,
-                span.track + 1,
-            ));
-            push_us(span.ts_ps, &mut out);
-            if span.dur_ps > 0 {
-                out.push_str(",\"dur\":");
-                push_us(span.dur_ps, &mut out);
-            } else {
-                out.push_str(",\"s\":\"t\"");
-            }
-            out.push('}');
+        for s in p.spans {
+            entries.push(event(p.pid, &s.name, s.track, s.ts_ps, s.dur_ps, None));
         }
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
-    w.write_all(out.as_bytes())
+    let json = format!(
+        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ns\"}}\n",
+        entries.join(",\n")
+    );
+    w.write_all(json.as_bytes())
+}
+
+/// A process row's name entry, then one entry per thread (track) name.
+fn metadata<'t>(
+    entries: &mut Vec<String>,
+    pid: u32,
+    name: &str,
+    tracks: impl Iterator<Item = &'t str>,
+) {
+    let mut entry =
+        format!("{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"");
+    escape_json(name, &mut entry);
+    entry.push_str("\"}}");
+    entries.push(entry);
+    for (tid, track) in tracks.enumerate() {
+        let mut entry = format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"args\":{{\"name\":\"",
+            tid + 1
+        );
+        escape_json(track, &mut entry);
+        entry.push_str("\"}}");
+        entries.push(entry);
+    }
+}
+
+/// The entry of one kernel event or named span on `track` of process
+/// `pid`.
+fn event(pid: u32, name: &str, track: u32, ts_ps: u64, dur_ps: u64, packet: Option<u64>) -> String {
+    let mut out = String::from("{\"name\":\"");
+    escape_json(name, &mut out);
+    out.push_str(&format!(
+        "\",\"ph\":\"{}\",\"pid\":{pid},\"tid\":{},\"ts\":",
+        if dur_ps > 0 { "X" } else { "i" },
+        track + 1,
+    ));
+    push_us(ts_ps, &mut out);
+    if dur_ps > 0 {
+        out.push_str(",\"dur\":");
+        push_us(dur_ps, &mut out);
+    } else {
+        out.push_str(",\"s\":\"t\"");
+    }
+    if let Some(packet) = packet {
+        out.push_str(&format!(",\"args\":{{\"packet\":\"p{packet}\"}}"));
+    }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -323,6 +307,14 @@ mod tests {
             packet: 7,
         });
         t
+    }
+
+    fn network(tracer: &LifecycleTracer) -> TraceProcess<'_> {
+        TraceProcess {
+            pid: 1,
+            name: "network",
+            tracer,
+        }
     }
 
     #[test]
@@ -358,15 +350,7 @@ mod tests {
     fn chrome_trace_has_metadata_spans_and_instants() {
         let t = sample_tracer();
         let mut buf = Vec::new();
-        write_chrome_trace(
-            &mut buf,
-            &[TraceProcess {
-                pid: 1,
-                name: "network",
-                tracer: &t,
-            }],
-        )
-        .unwrap();
+        write_chrome_trace_with_spans(&mut buf, &[network(&t)], &[]).unwrap();
         let json = String::from_utf8(buf).unwrap();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"process_name\""));
@@ -409,11 +393,7 @@ mod tests {
         let mut buf = Vec::new();
         write_chrome_trace_with_spans(
             &mut buf,
-            &[TraceProcess {
-                pid: 1,
-                name: "network",
-                tracer: &t,
-            }],
+            &[network(&t)],
             &[SpanProcess {
                 pid: 3,
                 name: "mn-engine (service)",
@@ -434,30 +414,40 @@ mod tests {
     }
 
     #[test]
-    fn spanless_export_matches_the_plain_writer() {
+    fn export_bytes_are_pinned() {
         let t = sample_tracer();
-        let mut plain = Vec::new();
-        write_chrome_trace(
-            &mut plain,
-            &[TraceProcess {
-                pid: 1,
-                name: "network",
-                tracer: &t,
-            }],
-        )
-        .unwrap();
-        let mut full = Vec::new();
+        let tracks = vec!["service".to_string()];
+        let spans = vec![NamedSpan {
+            name: "trace.simulate".to_string(),
+            track: 0,
+            ts_ps: 3_000_000,
+            dur_ps: 2_500_000,
+        }];
+        let mut buf = Vec::new();
         write_chrome_trace_with_spans(
-            &mut full,
-            &[TraceProcess {
-                pid: 1,
-                name: "network",
-                tracer: &t,
+            &mut buf,
+            &[network(&t)],
+            &[SpanProcess {
+                pid: 2,
+                name: "mncube (service)",
+                tracks: &tracks,
+                spans: &spans,
             }],
-            &[],
         )
         .unwrap();
-        assert_eq!(plain, full, "no spans => byte-identical export");
+        let want = concat!(
+            "{\"traceEvents\":[\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"network\"}},\n",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"link host-c1\"}},\n",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"node c1 \\\"q\\\"\"}},\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"mncube (service)\"}},\n",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"args\":{\"name\":\"service\"}},\n",
+            "{\"name\":\"Traverse\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1.500000,\"dur\":0.000528,\"args\":{\"packet\":\"p7\"}},\n",
+            "{\"name\":\"Eject\",\"ph\":\"i\",\"pid\":1,\"tid\":2,\"ts\":2.000000,\"s\":\"t\",\"args\":{\"packet\":\"p7\"}},\n",
+            "{\"name\":\"trace.simulate\",\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":3.000000,\"dur\":2.500000}\n",
+            "],\"displayTimeUnit\":\"ns\"}\n",
+        );
+        assert_eq!(String::from_utf8(buf).unwrap(), want);
     }
 
     #[test]
