@@ -152,15 +152,32 @@ fn replayable(figure: &Figure) -> bool {
     figure.cached() && figure.name != "fault_sweep"
 }
 
+/// Every file in the committed cache directory as `(name, len, mtime)`.
+fn cache_listing() -> Vec<(String, u64, std::time::SystemTime)> {
+    let mut files: Vec<_> = std::fs::read_dir(format!("{RESULTS}/cache"))
+        .expect("results/cache is committed")
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, meta.len(), meta.modified().unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// Every replayable registry figure, rendered from the committed cache
 /// alone: a missing entry fails the test instead of simulating, so this
-/// stays cheap in a debug build.
+/// stays cheap in a debug build. The replay only reads: it leaves every
+/// file in `results/cache/` as it found it.
 #[test]
 fn cached_figures_replay_byte_identically() {
     if !env_is_default() {
         eprintln!("skipping: result-changing knobs override the golden grids");
         return;
     }
+    let before = cache_listing();
     let cache = committed_cache();
     for figure in figures::ALL.map(|build| build()) {
         if !replayable(&figure) {
@@ -195,6 +212,10 @@ fn cached_figures_replay_byte_identically() {
             figure.name,
         );
     }
+    assert!(
+        cache_listing() == before,
+        "the replay wrote to results/cache/"
+    );
 }
 
 /// From-scratch variant: re-simulates every registry figure with no

@@ -393,7 +393,7 @@ impl Campaign {
     }
 
     /// Stage 4: serves every unresolved point the cache holds, and
-    /// protects each miss, which this run simulates, from LRU eviction
+    /// protects each miss, which this run simulates, from eviction
     /// until the process exits.
     fn probe(&self, records: &mut [Record], progress: &mut Progress) {
         let Some(cache) = &self.cache else { return };
@@ -847,24 +847,34 @@ mod tests {
     #[test]
     fn a_warm_rerun_writes_one_counter_line_and_no_file() {
         // The warm replay's syscall floor, structurally: a fully cached
-        // rerun creates, renames and removes nothing in the cache
-        // directory, and its only write is one appended `cache.stats`
-        // line.
+        // rerun creates, renames, removes and rewrites nothing in the
+        // cache directory, and its only write is one appended
+        // `cache.stats` line.
         let dir = scratch("warm-floor");
-        let run = || {
-            Campaign::new(1).cache_dir(&dir).quiet().run(vec![
+        let run = |dir: &std::path::Path| {
+            Campaign::new(1).cache_dir(dir).quiet().run(vec![
                 tiny(TopologyKind::Chain, 41),
                 tiny(TopologyKind::Tree, 42),
                 tiny(TopologyKind::Chain, 41),
             ])
         };
+        // Every file's name, and each entry's length and mtime.
         let listing = || {
-            let mut names: Vec<String> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-                .collect();
-            names.sort();
-            names
+            let mut files: Vec<(String, Option<(u64, std::time::SystemTime)>)> =
+                std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| {
+                        let e = e.unwrap();
+                        let name = e.file_name().to_string_lossy().into_owned();
+                        let meta = e.metadata().unwrap();
+                        let identity = name
+                            .ends_with(".mnres")
+                            .then(|| (meta.len(), meta.modified().unwrap()));
+                        (name, identity)
+                    })
+                    .collect();
+            files.sort();
+            files
         };
         let stats_lines = || {
             std::fs::read_to_string(dir.join("cache.stats"))
@@ -872,12 +882,14 @@ mod tests {
                 .lines()
                 .count()
         };
-        let cold = run();
+        let cold = run(&dir);
         assert_eq!(cold.summary.fresh, 2);
         let (files, lines) = (listing(), stats_lines());
         assert_eq!(files.len(), 3, "two entries and the counter log: {files:?}");
 
-        let warm = run();
+        // The same directory under another name has its own, empty hot
+        // tier, so every load is a disk hit, as in a fresh process.
+        let warm = run(&dir.join("..").join(dir.file_name().unwrap()));
         assert_eq!((warm.summary.cache_hits, warm.summary.fresh), (2, 0));
         assert_eq!(listing(), files);
         assert_eq!(stats_lines(), lines + 1);

@@ -69,9 +69,10 @@ const KEYS: [&str; 12] = [
 
 /// Decodes [`encode_result`] output. Anything else is `None`, which the
 /// cache treats as a miss: a line that is not the next key it writes, a
-/// missing or extra line, or a value that does not parse whole.
+/// missing or extra line, a value that does not parse whole, or a text
+/// without the final newline — so a torn entry never decodes.
 pub fn decode_result(text: &str) -> Option<RunResult> {
-    let mut lines = text.lines();
+    let mut lines = text.strip_suffix('\n')?.split('\n');
     let mut values = [""; KEYS.len()];
     for (key, value) in KEYS.iter().zip(&mut values) {
         *value = lines.next()?.strip_prefix(key)?.strip_prefix('=')?;
@@ -198,14 +199,18 @@ mod tests {
     fn malformed_input_is_none() {
         assert!(decode_result("").is_none());
         assert!(decode_result("label=x").is_none());
-        let mut truncated = encode_result(&sample());
-        truncated.truncate(truncated.len() / 2);
-        // Either a parse failure or a missing field: never a panic.
-        let _ = decode_result(&truncated);
-        assert!(decode_result(&encode_result(&sample()).replace("reads=", "rodas=")).is_none());
+        // A torn write never decodes: not even a prefix that ends inside
+        // the `hist=` line, whose missing buckets would read as zeros.
+        let text = encode_result(&sample());
+        for len in 0..text.len() {
+            assert!(
+                decode_result(&text[..len]).is_none(),
+                "prefix of {len} bytes"
+            );
+        }
+        assert!(decode_result(&text.replace("reads=", "rodas=")).is_none());
         // Extra fields and repeated keys are malformed too, not ignored
         // or last-one-wins.
-        let text = encode_result(&sample());
         let energy = text.lines().find(|l| l.starts_with("energy=")).unwrap();
         let four = text.replace(energy, &format!("{energy},0000000000000000"));
         assert!(decode_result(&four).is_none(), "a fourth energy value");

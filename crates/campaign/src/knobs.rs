@@ -163,8 +163,9 @@ pub const KNOBS: &[Knob] = &[
         default: "unset (unbounded)",
         results: false,
         doc: "result-cache size budget in bytes (`K`/`M`/`G` suffixes, e.g. `512M`); \
-              oldest-mtime entries are LRU-evicted past it, never in-flight or \
-              just-written ones (`mncube cache gc` evicts on demand)",
+              the oldest-written entries are evicted past it (loads never reorder \
+              them), never in-flight or just-written ones (`mncube cache gc` evicts \
+              on demand)",
         set: |k, v| {
             let size = parse_size(text(v)?).ok_or("need a byte size, e.g. 512M")?;
             positive(size, "a zero budget would evict everything").map(|n| k.cache_budget = Some(n))

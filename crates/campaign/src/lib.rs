@@ -16,10 +16,10 @@
 //! - **Caching** — a content-addressed on-disk cache ([`DiskCache`],
 //!   default `results/cache/`) keyed by a stable hash of
 //!   `(config, workload, requests, seed, sim-version)`, with a
-//!   process-wide decoded hot tier for warm replays and LRU eviction
-//!   under an `MN_CACHE_BUDGET` size budget. Re-running a figure, or
-//!   sharing the `100%-C` chain baseline across figures, skips finished
-//!   points.
+//!   process-wide decoded hot tier for warm replays. Entries are written
+//!   once; an `MN_CACHE_BUDGET` size budget evicts the oldest-written.
+//!   Re-running a figure, or sharing the `100%-C` chain baseline across
+//!   figures, skips finished points.
 //! - **Sinks** — alongside the binaries' text tables, per-point JSON-lines
 //!   and CSV records ([`write_point_records`]) with metadata: cache
 //!   hit/miss, host wall-clock, per-class latency stats.

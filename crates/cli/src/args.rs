@@ -134,7 +134,8 @@ pub enum CacheAction {
     /// Print entry/byte totals and the lifetime hit/miss/store/eviction
     /// counters.
     Stats,
-    /// Remove quarantined debris and evict LRU entries under the budget.
+    /// Remove quarantined debris and evict the oldest-written entries
+    /// under the budget.
     Gc,
 }
 
@@ -223,7 +224,7 @@ rerun, skips points the journal already completed — a killed run restarts
 where it died with byte-identical results.
 'cache stats' prints the result cache's entry/byte totals and lifetime
 hit/miss/store/eviction counters; 'cache gc' removes quarantined debris and
-evicts least-recently-used entries until the directory fits --budget
+evicts the oldest-written entries until the directory fits --budget
 (sizes accept K/M/G suffixes, e.g. 512M; default $MN_CACHE_BUDGET).
 'stats' renders the Prometheus snapshot a metrics-enabled run writes
 (MN_METRICS=on MN_METRICS_FILE=FILE) as a terminal table; --watch
