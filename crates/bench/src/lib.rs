@@ -14,7 +14,7 @@
 //!
 //! Every binary reads the `MN_*` knobs through [`mn_campaign::Knobs`];
 //! the knob table ([`mn_campaign::KNOBS`], mirrored by the README) lists
-//! each one with its default. [`tune`] applies the ones that shape a
+//! each one with its default. [`config_for`] applies the ones that shape a
 //! configuration (`MN_REQUESTS`, `MN_SEED`, `MN_FAULT_*`, `MN_TRACE`,
 //! `MN_HOST_*`) and [`Harness`] the ones that shape execution. The binaries
 //! also take `--format text|json|csv` to append per-point records to the
@@ -44,7 +44,7 @@ pub fn requests_per_port() -> u64 {
 /// [`Knobs::apply`]. With `MN_FAULT_RATE` unset (the default), fault
 /// injection stays disabled and results remain on the committed-golden
 /// fingerprints.
-pub fn tune(mut config: SystemConfig) -> SystemConfig {
+pub(crate) fn tune(mut config: SystemConfig) -> SystemConfig {
     let knobs = Knobs::get();
     config.requests_per_port = knobs.requests;
     if let Some(seed) = knobs.seed {

@@ -16,13 +16,13 @@
 //! Each entry stores a version header, the full fingerprint, and the
 //! exactly-encoded result. An entry is written once: after its rename
 //! into place nothing writes to it again — a load only reads it — until
-//! eviction or `gc` removes it. Loads re-verify both the header and the
-//! fingerprint, so version skew or a hash collision degrades to a cache
-//! miss instead of a wrong result. An entry that is actually *corrupt* —
-//! bytes that are not UTF-8, a bad header, or an undecodable body — is
-//! quarantined: renamed to `<key>.corrupt` (with a once-per-process
-//! warning) so it stops masquerading as a miss on every run and stays on
-//! disk for diagnosis.
+//! `gc` evicts it. Loads re-verify both the header and the fingerprint,
+//! so version skew or a hash collision degrades to a cache miss instead
+//! of a wrong result. An entry that is actually *corrupt* — bytes that
+//! are not UTF-8, a bad header, or an undecodable body — is quarantined:
+//! renamed to `<key>.corrupt` (with a once-per-process warning) so it
+//! stops masquerading as a miss on every run and stays on disk for
+//! diagnosis.
 //!
 //! # Concurrency protocol
 //!
@@ -30,11 +30,10 @@
 //! temporary sibling and `rename` into place — POSIX rename atomicity
 //! means concurrent writers (parallel workers, or two figure binaries
 //! sharing the chain baseline) never expose a torn file, and readers
-//! never need a lock. Eviction is the only multi-file mutation, so it is
-//! single-writer: an eviction pass holds `gc.lock` (created with
+//! never need a lock. Eviction ([`DiskCache::gc`]) is the only multi-file
+//! mutation, so it is single-writer: a pass holds `gc.lock` (created with
 //! `create_new`, stolen only when stale) for its whole scan-and-remove,
-//! and a contended pass simply skips eviction — the budget is a target,
-//! not an invariant, and the next pass converges.
+//! and a contended pass simply skips eviction — the next pass converges.
 //!
 //! Stores also leave `.*.tmp` debris when a process dies between write
 //! and rename. The first load or store on a directory sweeps it, once per
@@ -49,8 +48,8 @@
 //! line holding this process's deltas since the last persist, in one
 //! `O_APPEND` write — no re-read, no temp file, no rename. Readers sum
 //! the complete lines, each judged alone, and skip a torn last one, so
-//! the old one-line totals file is simply a log of one line. A [`gc`](DiskCache::gc) and
-//! a budget eviction pass, while they hold `gc.lock`, fold the log back
+//! the old one-line totals file is simply a log of one line. A
+//! [`gc`](DiskCache::gc), while it holds `gc.lock`, folds the log back
 //! into a single totals line (temp + rename); between folds the log
 //! grows by one line per persisting campaign.
 //!
@@ -73,19 +72,14 @@
 //!   of that descriptor (the identity the hot tier records), `close`;
 //! - *miss*: one failed `openat`.
 //!
-//! # Oldest-written eviction under a budget
+//! # Oldest-written eviction
 //!
-//! With `MN_CACHE_BUDGET` set (or [`DiskCache::with_budget`]), stores
-//! amortize an eviction pass: when enough new bytes have landed, entries
-//! are removed oldest-written first (by the mtime their store left)
-//! until the directory fits the budget. Loads never move that order.
-//! Entries this process is currently simulating ([`DiskCache::protect`])
-//! or has just written are never evicted — eviction only reclaims other
-//! runs' cold entries. A directory can therefore exceed its budget while
-//! one long campaign writes; `mncube cache gc` from a fresh process has
-//! no protected set and converges the directory under budget.
+//! Only [`DiskCache::gc`] (`mncube cache gc --budget SIZE`) evicts: it
+//! removes entries oldest-written first (by the mtime their store left)
+//! until the directory fits the budget. Loads never move that order and
+//! stores never evict, so a directory grows until the next `gc`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -129,9 +123,9 @@ fn key_word(key: &str) -> u64 {
     u64::from_str_radix(key, 16).unwrap_or_else(|_| crate::point::fnv1a64(key.as_bytes()))
 }
 
-/// Process-wide per-directory state: the hot tier, the eviction
-/// protection set, and the live counters. Shared by every `DiskCache`
-/// opened on the same path, so concurrent campaigns pool their warmth.
+/// Process-wide per-directory state: the hot tier and the live
+/// counters. Shared by every `DiskCache` opened on the same path, so
+/// concurrent campaigns pool their warmth.
 ///
 /// The counters are plain relaxed atomics, always on: they back
 /// `cache.stats` persistence and `mncube cache stats` whether or not
@@ -142,9 +136,6 @@ fn key_word(key: &str) -> u64 {
 struct DirState {
     hot: Mutex<HotMap>,
     hot_clock: AtomicU64,
-    protected: Mutex<HashSet<String>>,
-    /// Bytes stored since the last budget check (amortizes eviction).
-    pending_bytes: AtomicU64,
     /// Set once this process has swept the directory's stale temps.
     swept: OnceLock<()>,
     hits: AtomicU64,
@@ -321,39 +312,27 @@ pub struct GcReport {
 /// A directory of finished results, keyed by point fingerprint.
 pub struct DiskCache {
     dir: PathBuf,
-    budget: Option<u64>,
     tmp_counter: AtomicU64,
     state: Arc<DirState>,
 }
 
 impl std::fmt::Debug for DiskCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskCache")
-            .field("dir", &self.dir)
-            .field("budget", &self.budget)
-            .finish()
+        f.debug_struct("DiskCache").field("dir", &self.dir).finish()
     }
 }
 
 impl DiskCache {
     /// Opens (lazily — nothing is created until the first store) a cache
-    /// rooted at `dir`, with the eviction budget from `MN_CACHE_BUDGET`
-    /// (unset: unbounded).
+    /// rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> DiskCache {
         let dir = dir.into();
         let state = dir_state(&dir);
         DiskCache {
             dir,
-            budget: crate::Knobs::get().cache_budget,
             tmp_counter: AtomicU64::new(0),
             state,
         }
-    }
-
-    /// Overrides the eviction budget (`None`: unbounded).
-    pub fn with_budget(mut self, budget: Option<u64>) -> DiskCache {
-        self.budget = budget;
-        self
     }
 
     /// The cache directory.
@@ -368,19 +347,6 @@ impl DiskCache {
     #[cfg(test)]
     fn entry_path(&self, point: &CampaignPoint) -> PathBuf {
         self.key_path(&point.cache_key())
-    }
-
-    /// Shields `key` from eviction for the life of this process.
-    /// Campaigns protect every point they are about to simulate
-    /// (in-flight) and [`DiskCache::store`] protects every key it writes
-    /// (just-written), so eviction only ever reclaims other runs' cold
-    /// entries.
-    pub fn protect(&self, key: &str) {
-        self.state
-            .protected
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key.to_string());
     }
 
     /// Removes stale `.*.tmp` files leaked by a killed run (a process
@@ -590,10 +556,8 @@ impl DiskCache {
         }
     }
 
-    /// Stores a finished result atomically (write-to-temp + rename),
-    /// protects the key from eviction, promotes the result into the hot
-    /// tier, and — when a budget is configured — amortizes an
-    /// oldest-written eviction pass over other runs' entries.
+    /// Stores a finished result atomically (write-to-temp + rename) and
+    /// promotes it into the hot tier.
     ///
     /// # Errors
     ///
@@ -610,11 +574,15 @@ impl DiskCache {
     /// # Errors
     ///
     /// As [`DiskCache::store`].
-    pub fn store_keyed(&self, fingerprint: &str, key: &str, result: &RunResult) -> io::Result<()> {
+    pub(crate) fn store_keyed(
+        &self,
+        fingerprint: &str,
+        key: &str,
+        result: &RunResult,
+    ) -> io::Result<()> {
         self.sweep_stale_tmp();
         fs::create_dir_all(&self.dir)?;
         let body = format!("{HEADER}\nkey={fingerprint}\n{}", encode_result(result));
-        let bytes = body.len() as u64;
         // Unique per process *and* per call, so parallel workers never
         // share a temp file.
         let tmp = self.dir.join(format!(
@@ -626,7 +594,6 @@ impl DiskCache {
         let path = self.key_path(key);
         fs::rename(&tmp, &path)?;
 
-        self.protect(key);
         self.state.stores.fetch_add(1, Ordering::Relaxed);
         if let Some(identity) = fs::metadata(&path)
             .ok()
@@ -640,28 +607,6 @@ impl DiskCache {
                 identity.1,
                 Arc::new(result.clone()),
             );
-        }
-
-        if let Some(budget) = self.budget {
-            // Scan-and-evict is O(directory); run it only once enough
-            // new bytes have accumulated to matter (an eighth of the
-            // budget), not per store.
-            let pending = self.state.pending_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            if pending.saturating_mul(8) >= budget {
-                self.state.pending_bytes.store(0, Ordering::Relaxed);
-                // A held `gc.lock` means another process is evicting.
-                if let Some(_lock) = GcLock::acquire(&self.dir) {
-                    let (mut live, _) = self.scan();
-                    if let Some((_, reclaimed)) = self.evict_oldest(&mut live, budget) {
-                        if registry::metrics_enabled() {
-                            registry::metrics()
-                                .cache_gc_reclaimed_bytes
-                                .observe(reclaimed);
-                        }
-                    }
-                    self.fold_counters();
-                }
-            }
         }
         Ok(())
     }
@@ -688,8 +633,8 @@ impl DiskCache {
         (live, corrupt)
     }
 
-    /// The eviction loop; callers hold `gc.lock`. Removes unprotected
-    /// entries of `live` oldest-mtime-first until the live bytes fit
+    /// The eviction loop; callers hold `gc.lock`. Removes entries of
+    /// `live` oldest-mtime-first until the live bytes fit
     /// `budget`, drops each from the hot tier, and adds them to the
     /// eviction counters. `live` keeps the survivors. Returns the evicted
     /// entry count and the bytes reclaimed, or `None` (no pass) when
@@ -706,20 +651,10 @@ impl DiskCache {
         // Oldest first; name breaks mtime ties so the order is stable
         // across runs on coarse-mtime filesystems.
         live.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
-        let protected = self
-            .state
-            .protected
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
         let mut evicted = 0u64;
         let mut reclaimed = 0u64;
         live.retain(|(key, len, _)| {
-            // Protected keys are in flight or just written: never evicted.
-            if total <= budget
-                || protected.contains(key)
-                || fs::remove_file(self.key_path(key)).is_err()
-            {
+            if total <= budget || fs::remove_file(self.key_path(key)).is_err() {
                 return true;
             }
             self.state
@@ -741,15 +676,12 @@ impl DiskCache {
         Some((evicted, reclaimed))
     }
 
-    /// A full garbage-collection pass: removes quarantined `.corrupt`
-    /// files, evicts the oldest-written entries until the directory fits
-    /// `budget` (or this cache's configured budget; `None` evicts
-    /// nothing), and folds the counter log, with this process's deltas,
-    /// into one totals line. Keys protected by
-    /// *this* process survive; a fresh `mncube cache gc` process has an
-    /// empty protected set, so it always converges under budget.
+    /// A full garbage-collection pass, and the cache's only evictor:
+    /// removes quarantined `.corrupt` files, evicts the oldest-written
+    /// entries until the directory fits `budget` (`None` evicts nothing),
+    /// and folds the counter log, with this process's deltas, into one
+    /// totals line.
     pub fn gc(&self, budget: Option<u64>) -> GcReport {
-        let budget = budget.or(self.budget);
         let mut report = GcReport::default();
 
         // Corrupt debris first: quarantine preserved it for diagnosis;
@@ -1244,8 +1176,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Plants an entry that looks like another run's: valid format,
-    /// *not* protected by this process, with a controlled mtime.
+    /// Plants an entry that looks like another run's: valid format, with
+    /// a controlled mtime.
     fn plant_cold_entry(
         cache: &DiskCache,
         point: &CampaignPoint,
@@ -1269,9 +1201,9 @@ mod tests {
     }
 
     #[test]
-    fn eviction_takes_the_oldest_written_and_spares_protected_and_just_written_entries() {
+    fn eviction_takes_the_oldest_written_first() {
         let dir = scratch_dir("eviction");
-        let cache = DiskCache::new(&dir).with_budget(None);
+        let cache = DiskCache::new(&dir);
         let point = tiny_point();
         let result = mn_core::simulate(&point.config, point.workload);
         let entry_len = {
@@ -1283,8 +1215,7 @@ mod tests {
         };
         let _ = fs::remove_file(cache.entry_path(&seeded_point(900)));
 
-        // Six cold entries from "another run", oldest first; one of them
-        // protected (in-flight elsewhere in this process).
+        // Six cold entries from "another run", oldest first.
         for i in 0..6u64 {
             plant_cold_entry(
                 &cache,
@@ -1293,34 +1224,28 @@ mod tests {
                 Duration::from_secs(3600 - i * 60),
             );
         }
-        cache.protect(&seeded_point(1000).cache_key()); // the oldest one
 
-        // Budget fits three entries; the store's own entry is protected
-        // by writing. Eviction must reclaim the oldest *unprotected*
-        // cold entries (1001, 1002, 1003, then 1004...) and never touch
-        // the protected or just-written ones.
-        let budget = entry_len * 3;
-        let cache = DiskCache::new(&dir).with_budget(Some(budget));
+        // A store never evicts: all seven entries stay until a gc.
         cache.store(&point, &result).unwrap();
+        assert_eq!(cache.stats().entries, 7);
 
-        assert!(
-            cache.entry_path(&point).exists(),
-            "just-written entry must survive"
-        );
-        assert!(
-            cache.entry_path(&seeded_point(1000)).exists(),
-            "protected entry must survive"
-        );
-        for i in [1001u64, 1002, 1003, 1004] {
+        // Budget fits three entries: the gc reclaims the four oldest
+        // (1000..=1003) and keeps the newer ones and the stored entry.
+        let report = cache.gc(Some(entry_len * 3));
+        assert_eq!(report.evicted_entries, 4);
+        for i in [1000u64, 1001, 1002, 1003] {
             assert!(
                 !cache.entry_path(&seeded_point(i)).exists(),
-                "oldest unprotected entry {i} must be evicted"
+                "oldest entry {i} must be evicted"
             );
         }
-        assert!(
-            cache.entry_path(&seeded_point(1005)).exists(),
-            "newest cold entry fits the budget and must survive"
-        );
+        for i in [1004u64, 1005] {
+            assert!(
+                cache.entry_path(&seeded_point(i)).exists(),
+                "newer entry {i} fits the budget and must survive"
+            );
+        }
+        assert!(cache.entry_path(&point).exists(), "newest entry survives");
         let stats = cache.stats();
         assert_eq!(stats.evicted_entries, 4);
         assert_eq!(stats.evicted_bytes, entry_len * 4);
@@ -1330,7 +1255,7 @@ mod tests {
     #[test]
     fn gc_converges_under_budget() {
         let dir = scratch_dir("gc");
-        let cache = DiskCache::new(&dir).with_budget(None);
+        let cache = DiskCache::new(&dir);
         let point = tiny_point();
         let result = mn_core::simulate(&point.config, point.workload);
         for i in 0..5u64 {

@@ -95,9 +95,8 @@ impl CampaignOutcome {
     /// # Panics
     ///
     /// Panics with the failing point's label, workload, and error if any
-    /// point failed — the figure binaries expect complete grids; use
-    /// [`CampaignOutcome::try_into_results`] (or inspect `outcomes`
-    /// directly) when failures are expected.
+    /// point failed — the figure binaries expect complete grids; inspect
+    /// `outcomes` directly when failures are expected.
     pub fn into_results(self) -> Vec<RunResult> {
         self.outcomes
             .into_iter()
@@ -111,11 +110,6 @@ impl CampaignOutcome {
                 })
             })
             .collect()
-    }
-
-    /// The results in submission order, or the first point failure.
-    pub fn try_into_results(self) -> Result<Vec<RunResult>, CampaignError> {
-        self.outcomes.into_iter().map(|o| o.result).collect()
     }
 }
 
@@ -135,11 +129,10 @@ impl Campaign {
     /// The knob-driven campaign every figure binary uses ([`Knobs::get`]):
     /// the process-global [`Engine`] sized by `MN_JOBS` (default:
     /// available parallelism), the cache in `MN_CACHE_DIR` (default
-    /// `results/cache/`; `MN_CACHE=off` detaches it, `MN_CACHE_BUDGET`
-    /// bounds it), the `MN_RETRIES` retry budget (default 2), an
-    /// `MN_RESUME` journal when set, and — for harness testing only —
-    /// `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection. It also sets the
-    /// metrics gate from `MN_METRICS`.
+    /// `results/cache/`; `MN_CACHE=off` detaches it), the `MN_RETRIES`
+    /// retry budget (default 2), an `MN_RESUME` journal when set, and —
+    /// for harness testing only — `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault
+    /// injection. It also sets the metrics gate from `MN_METRICS`.
     pub fn from_env() -> Campaign {
         let knobs = Knobs::get();
         registry::set_metrics_enabled(knobs.metrics);
@@ -392,9 +385,8 @@ impl Campaign {
         open.ok()
     }
 
-    /// Stage 4: serves every unresolved point the cache holds, and
-    /// protects each miss, which this run simulates, from eviction
-    /// until the process exits.
+    /// Stage 4: serves every unresolved point the cache holds; the
+    /// misses stay unresolved for [`Campaign::simulate`].
     fn probe(&self, records: &mut [Record], progress: &mut Progress) {
         let Some(cache) = &self.cache else { return };
         for record in records
@@ -402,12 +394,9 @@ impl Campaign {
             .filter(|r| matches!(r.state, State::Unresolved))
         {
             let start = Instant::now();
-            match cache.load_keyed(&record.fingerprint, &record.key) {
-                Some(result) => {
-                    progress.tick(true);
-                    record.fill(Ok(result), Source::Cached, 0, start.elapsed());
-                }
-                None => cache.protect(&record.key),
+            if let Some(result) = cache.load_keyed(&record.fingerprint, &record.key) {
+                progress.tick(true);
+                record.fill(Ok(result), Source::Cached, 0, start.elapsed());
             }
         }
     }
@@ -813,7 +802,6 @@ mod tests {
             Err(CampaignError::Sim { .. })
         ));
         assert!(outcome.outcomes[2].result.is_ok());
-        assert!(outcome.try_into_results().is_err());
     }
 
     #[test]

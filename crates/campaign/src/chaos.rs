@@ -62,7 +62,7 @@ impl ChaosPlan {
     /// budget always outlasts the chaos schedule for a given point, so
     /// every chaos run converges to the clean run's results. (A point
     /// whose *every* attempt panicked could never converge.)
-    pub fn injects_panic(self, key_hash: u64, port: u32, attempt: u32, budget: u32) -> bool {
+    pub(crate) fn injects_panic(self, key_hash: u64, port: u32, attempt: u32, budget: u32) -> bool {
         attempt < budget
             && self.chance(
                 DOMAIN_PANIC,
@@ -74,7 +74,7 @@ impl ChaosPlan {
     /// schedule says so and the entry exists: either truncates it to half
     /// (torn write) or overwrites the header (bit rot). Both damages are
     /// ones the cache's quarantine path must absorb as a miss.
-    pub fn damage_cache_entry(self, dir: &Path, key: &str) {
+    pub(crate) fn damage_cache_entry(self, dir: &Path, key: &str) {
         let salt = fnv1a64(key.as_bytes());
         let truncate = self.chance(DOMAIN_TRUNCATE, salt);
         let corrupt = self.chance(DOMAIN_CORRUPT, salt);

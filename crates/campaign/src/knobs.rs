@@ -44,9 +44,6 @@ pub struct Knobs {
     pub cache: bool,
     /// Result-cache directory (`MN_CACHE_DIR`).
     pub cache_dir: PathBuf,
-    /// Result-cache size budget in bytes (`MN_CACHE_BUDGET`); `None` is
-    /// unbounded.
-    pub cache_budget: Option<u64>,
     /// Per-point retry budget (`MN_RETRIES`).
     pub retries: u32,
     /// Run-journal path (`MN_RESUME`).
@@ -85,7 +82,6 @@ impl Default for Knobs {
             jobs: None,
             cache: true,
             cache_dir: PathBuf::from("results/cache"),
-            cache_budget: None,
             retries: 2,
             resume: None,
             chaos_rate: None,
@@ -157,19 +153,6 @@ pub const KNOBS: &[Knob] = &[
         results: false,
         doc: "`off`/`0`/`no`/`false` (any case) disables the cache",
         set: |k, v| switch(v).map(|on| k.cache = on),
-    },
-    Knob {
-        name: "MN_CACHE_BUDGET",
-        default: "unset (unbounded)",
-        results: false,
-        doc: "result-cache size budget in bytes (`K`/`M`/`G` suffixes, e.g. `512M`); \
-              the oldest-written entries are evicted past it (loads never reorder \
-              them), never in-flight or just-written ones (`mncube cache gc` evicts \
-              on demand)",
-        set: |k, v| {
-            let size = parse_size(text(v)?).ok_or("need a byte size, e.g. 512M")?;
-            positive(size, "a zero budget would evict everything").map(|n| k.cache_budget = Some(n))
-        },
     },
     Knob {
         name: "MN_FAULT_RATE",
@@ -454,7 +437,6 @@ mod tests {
         assert!(unset.jobs() >= 1);
         assert!(unset.cache);
         assert_eq!(unset.cache_dir, PathBuf::from("results/cache"));
-        assert_eq!(unset.cache_budget, None);
         assert_eq!(unset.retries, 2);
         assert_eq!(unset.resume, None);
         assert_eq!(unset.chaos_rate, None);
@@ -484,7 +466,7 @@ mod tests {
     fn every_row_accepts_valid_and_rejects_bad_values() {
         // (variable, value, the field it sets on top of the defaults)
         type Set = fn(&mut Knobs);
-        let valid: [(&str, &str, Set); 27] = [
+        let valid: [(&str, &str, Set); 26] = [
             ("MN_REQUESTS", "1234", |k| k.requests = 1234),
             ("MN_SEED", "42", |k| k.seed = Some(42)),
             ("MN_JOBS", "3", |k| k.jobs = Some(3)),
@@ -492,9 +474,6 @@ mod tests {
             ("MN_CACHE", "0", |k| k.cache = false),
             ("MN_CACHE", "yes", |_| {}),
             ("MN_CACHE_DIR", "/tmp/c", |k| k.cache_dir = "/tmp/c".into()),
-            ("MN_CACHE_BUDGET", "512M", |k| {
-                k.cache_budget = Some(512 << 20)
-            }),
             ("MN_RETRIES", "0", |k| k.retries = 0), // 0 disables retries
             ("MN_RETRIES", "5", |k| k.retries = 5),
             ("MN_RESUME", "/tmp/j", |k| k.resume = Some("/tmp/j".into())),
@@ -540,8 +519,6 @@ mod tests {
             ("MN_JOBS", "0"), // need a worker
             ("MN_JOBS", "many"),
             ("MN_CACHE", "disable"),
-            ("MN_CACHE_BUDGET", "0"), // would evict the committed cache
-            ("MN_CACHE_BUDGET", "lots"),
             ("MN_RETRIES", "many"),
             ("MN_RETRIES", "4294967296"),
             ("MN_CHAOS_RATE", "2.0"),

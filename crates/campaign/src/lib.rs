@@ -17,7 +17,7 @@
 //!   default `results/cache/`) keyed by a stable hash of
 //!   `(config, workload, requests, seed, sim-version)`, with a
 //!   process-wide decoded hot tier for warm replays. Entries are written
-//!   once; an `MN_CACHE_BUDGET` size budget evicts the oldest-written.
+//!   once; `mncube cache gc --budget` evicts the oldest-written.
 //!   Re-running a figure, or sharing the `100%-C` chain baseline across
 //!   figures, skips finished points.
 //! - **Sinks** — alongside the binaries' text tables, per-point JSON-lines

@@ -42,7 +42,7 @@ pub struct CampaignSummary {
 impl CampaignSummary {
     /// Fresh-simulated requests per host-second — the aggregate
     /// simulation throughput the scheduler achieved.
-    pub fn sim_throughput_per_sec(&self) -> f64 {
+    pub(crate) fn sim_throughput_per_sec(&self) -> f64 {
         let secs = self.host_wall.as_secs_f64();
         if secs == 0.0 {
             0.0

@@ -225,16 +225,16 @@ where it died with byte-identical results.
 'cache stats' prints the result cache's entry/byte totals and lifetime
 hit/miss/store/eviction counters; 'cache gc' removes quarantined debris and
 evicts the oldest-written entries until the directory fits --budget
-(sizes accept K/M/G suffixes, e.g. 512M; default $MN_CACHE_BUDGET).
+(sizes accept K/M/G suffixes, e.g. 512M; without it, nothing is evicted).
 'stats' renders the Prometheus snapshot a metrics-enabled run writes
 (MN_METRICS=on MN_METRICS_FILE=FILE) as a terminal table; --watch
 redraws it once per --interval milliseconds until interrupted.
 Flags override their MN_* knobs, which fill in for absent flags:
 --requests (MN_REQUESTS), --seed (MN_SEED), --resume (MN_RESUME),
 --policy/--window (MN_HOST_POLICY/MN_HOST_WINDOW), --dir (MN_CACHE_DIR),
---budget (MN_CACHE_BUDGET), --file (MN_METRICS_FILE) and --interval
-(MN_METRICS_INTERVAL). MN_FAULT_*, MN_TRACE and MN_HOST_* shape every
-simulated configuration, as in the figure binaries.
+--file (MN_METRICS_FILE) and --interval (MN_METRICS_INTERVAL).
+MN_FAULT_*, MN_TRACE and MN_HOST_* shape every simulated configuration,
+as in the figure binaries.
 ";
 
 fn parse_topology(s: &str) -> Result<TopologyKind, ArgError> {
@@ -332,9 +332,9 @@ impl<'a> Cursor<'a> {
 impl Command {
     /// Parses a full argument list (without the program name). Flags
     /// that mirror a knob (`--requests`, `--seed`, `--resume`, `--out`,
-    /// `--policy`, `--window`, `--dir`, `--budget`, `--file`,
-    /// `--interval`) default to that knob's value in `knobs`, so a flag
-    /// overrides its knob and an absent flag falls back to it.
+    /// `--policy`, `--window`, `--dir`, `--file`, `--interval`) default
+    /// to that knob's value in `knobs`, so a flag overrides its knob and
+    /// an absent flag falls back to it.
     ///
     /// # Errors
     ///
@@ -502,7 +502,7 @@ impl Command {
                 let mut parsed = CacheArgs {
                     action,
                     dir: knobs.cache_dir.clone(),
-                    budget: knobs.cache_budget,
+                    budget: None,
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
@@ -843,7 +843,6 @@ mod tests {
             host_policy: Some(WindowPolicyKind::Ecn),
             host_window: Some(4),
             cache_dir: PathBuf::from("/tmp/env-cache"),
-            cache_budget: Some(1 << 20),
             metrics_file: Some(PathBuf::from("env.prom")),
             metrics_interval: Duration::from_millis(50),
             ..Knobs::default()
@@ -892,7 +891,7 @@ mod tests {
             panic!("expected cache");
         };
         assert_eq!(a.dir, PathBuf::from("/tmp/env-cache"));
-        assert_eq!(a.budget, Some(1 << 20));
+        assert_eq!(a.budget, None, "--budget mirrors no knob");
 
         let Command::Stats(a) = parse_with(&["stats", "--interval", "75"], &knobs).unwrap() else {
             panic!("expected stats");

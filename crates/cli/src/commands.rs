@@ -764,11 +764,8 @@ mn_point_resolve_latency_us_count 3
         assert!(text.contains("entries         1"), "{text}");
         assert!(text.contains("stores          1"), "{text}");
 
-        // gc with a one-byte budget evicts everything (nothing is
-        // protected: the CLI process never simulated these keys — here
-        // the campaign above did, so route through an unprotected dir
-        // state by using gc's budget on a fresh scan; the entry was
-        // protected by the store, so it must survive instead).
+        // gc is the only evictor: with a one-byte budget it evicts the
+        // entry the campaign above just stored.
         let text = execute_with(
             &bare(),
             &Knobs::default(),
@@ -779,10 +776,10 @@ mn_point_resolve_latency_us_count 3
             }),
         )
         .unwrap();
-        assert!(text.contains("of 1 B budget"), "{text}");
+        assert!(text.contains("evicted         1"), "{text}");
         assert!(
-            text.contains("evicted         0"),
-            "just-written entries are protected in-process: {text}"
+            text.contains("remaining       0 (0 B) of 1 B budget"),
+            "{text}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -202,7 +202,7 @@ impl SystemConfig {
 
     /// Per-port injection intensity scale: fewer ports than the reference
     /// concentrate more of the APU's traffic on each (§6.1).
-    pub fn intensity_scale(&self) -> f64 {
+    pub(crate) fn intensity_scale(&self) -> f64 {
         f64::from(self.reference_ports) / f64::from(self.ports)
     }
 

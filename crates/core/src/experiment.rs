@@ -89,12 +89,6 @@ impl ConfigPoint {
     }
 }
 
-/// The `100%-C` configuration every figure normalizes against.
-pub fn baseline_chain_config() -> SystemConfig {
-    SystemConfig::paper_baseline(TopologyKind::Chain, 1.0)
-        .expect("the all-DRAM chain is always realizable")
-}
-
 /// Speedup of `wall` over `baseline_wall` as the percentage the paper
 /// plots: `(t_base / t) - 1`, so 0% means parity and 50% means 1.5x.
 ///
@@ -139,7 +133,7 @@ mod tests {
 
     #[test]
     fn baseline_is_all_dram_chain() {
-        let c = baseline_chain_config();
+        let c = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
         assert_eq!(c.label(), "100%-C");
     }
 

@@ -52,9 +52,7 @@ mod system;
 pub use address::{AddressMap, DecodedAddress};
 pub use config::{ConfigError, SystemConfig};
 pub use error::SimError;
-pub use experiment::{
-    baseline_chain_config, mix_grid, ratio_label, speedup_pct, ConfigPoint, MixSpec,
-};
+pub use experiment::{mix_grid, ratio_label, speedup_pct, ConfigPoint, MixSpec};
 pub use mn_host::{HostConfig, WindowPolicyKind};
 pub use mn_telemetry::{HostSummary, TelemetrySummary, TraceConfig};
 pub use port::{PortObservation, PortTelemetry};

@@ -1027,7 +1027,8 @@ impl PortSim {
     fn next_time(&self, now: SimTime) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         let mut consider = |t: SimTime| {
-            if t > now {
+            // `SimTime::MAX` marks an idle component.
+            if t > now && t != SimTime::MAX {
                 next = Some(next.map_or(t, |n| n.min(t)));
             }
         };
@@ -1037,9 +1038,16 @@ impl PortSim {
         if let Some(t) = self.net.next_event_time() {
             consider(t.max(now + SimDuration::from_ps(1)));
         }
-        for t in [self.ctrl_min, self.responses_min] {
-            if t != SimTime::MAX {
-                consider(t.max(now + SimDuration::from_ps(1)));
+        consider(self.ctrl_min.max(now + SimDuration::from_ps(1)));
+        if self.responses_min > now {
+            consider(self.responses_min);
+        } else {
+            // A due response is still pending only because its cube's
+            // injection buffer refused it, and only a network event can
+            // free that buffer: the responses that wake the port are the
+            // ones not ready yet.
+            for p in &self.pending_responses {
+                consider(p.ready_at);
             }
         }
         next
@@ -1339,6 +1347,27 @@ mod tests {
         assert!(!c.host.enabled());
         let r = run(&c, Workload::Dct);
         assert_eq!(r.reads + r.writes, 500);
+    }
+
+    /// A due response that its cube's full injection buffer refuses
+    /// waits for the next network event, not for the next picosecond:
+    /// under a watchdog limit far below the picoseconds such waits span,
+    /// the run completes exactly as it does under the default limit.
+    #[test]
+    fn refused_responses_wait_for_the_network_not_each_picosecond() {
+        let mut c = quick_config(TopologyKind::Chain, 1.0);
+        c.requests_per_port = 1_000;
+        c.window = 16;
+        c.noc.buffer_packets = 1;
+        let unbounded = run(&c, Workload::Nw);
+        c.watchdog_limit = 2_000;
+        let tight = try_run(&c, Workload::Nw).expect("no stall under a 2,000-instant watchdog");
+        assert_eq!(tight.wall, unbounded.wall);
+        assert_eq!(
+            tight.row_hit_rate.to_bits(),
+            unbounded.row_hit_rate.to_bits()
+        );
+        assert_eq!(tight.kernel_events(), unbounded.kernel_events());
     }
 
     #[test]

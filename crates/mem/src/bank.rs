@@ -56,18 +56,13 @@ impl Bank {
         self.free_at
     }
 
-    /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        self.open_row
-    }
-
     /// True if an access to `row` would hit the open row.
-    pub fn would_hit(&self, row: u64) -> bool {
+    pub(crate) fn would_hit(&self, row: u64) -> bool {
         self.open_row == Some(row)
     }
 
     /// True if the open row holds data not yet written back to the array.
-    pub fn is_dirty(&self) -> bool {
+    pub(crate) fn is_dirty(&self) -> bool {
         self.dirty
     }
 
@@ -86,7 +81,7 @@ impl Bank {
     }
 
     /// Blocks the bank until `until` (used for refresh).
-    pub fn block_until(&mut self, until: SimTime) {
+    pub(crate) fn block_until(&mut self, until: SimTime) {
         self.free_at = self.free_at.max(until);
         // Refresh closes the row (and flushes any pending write-back as
         // part of the blocked window).
@@ -250,7 +245,7 @@ mod tests {
         b.access(SimTime::ZERO, 1, false, &dram());
         b.block_until(SimTime::from_ns(1000));
         assert_eq!(b.free_at(), SimTime::from_ns(1000));
-        assert_eq!(b.open_row(), None);
+        assert_eq!(b.open_row, None);
         let after = b.access(SimTime::from_ns(500), 1, false, &dram());
         assert!(!after.row_hit, "refresh closed the row");
         assert!(after.completed_at >= SimTime::from_ns(1020));

@@ -130,6 +130,8 @@ pub struct QuadrantController {
     next_cache: Option<SimTime>,
     stats_row_hits: u64,
     stats_accesses: u64,
+    /// Writes written back to the arrays so far; only tests read it.
+    #[cfg(test)]
     stats_drained_writes: u64,
 }
 
@@ -159,6 +161,7 @@ impl QuadrantController {
             next_cache: None,
             stats_row_hits: 0,
             stats_accesses: 0,
+            #[cfg(test)]
             stats_drained_writes: 0,
         }
     }
@@ -175,16 +178,6 @@ impl QuadrantController {
         } else {
             self.reads.len() < self.read_capacity
         }
-    }
-
-    /// Number of queued reads (not yet issued).
-    pub fn queue_len(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Number of buffered writes (acked or not) awaiting drain.
-    pub fn write_buffer_len(&self) -> usize {
-        self.writes_unacked.len() + self.writes_buffered.len()
     }
 
     /// Adds an access.
@@ -432,7 +425,10 @@ impl QuadrantController {
         if outcome.row_hit {
             self.stats_row_hits += 1;
         }
-        self.stats_drained_writes += 1;
+        #[cfg(test)]
+        {
+            self.stats_drained_writes += 1;
+        }
         true
     }
 
@@ -555,11 +551,6 @@ impl QuadrantController {
     pub fn row_hits(&self) -> u64 {
         self.stats_row_hits
     }
-
-    /// Writes written back to the arrays so far.
-    pub fn drained_writes(&self) -> u64 {
-        self.stats_drained_writes
-    }
 }
 
 #[cfg(test)]
@@ -592,7 +583,7 @@ mod tests {
         // Acked after one burst time, NOT after the 320 ns array write.
         assert_eq!(done[0].completed_at, SimTime::from_ns(2));
         // The drain happened in the background.
-        assert_eq!(c.drained_writes(), 1);
+        assert_eq!(c.stats_drained_writes, 1);
     }
 
     #[test]
@@ -604,11 +595,11 @@ mod tests {
         // Both produce completions (the write is just an ack) but the bank
         // is used by the read first: the write has not drained.
         assert_eq!(done.len(), 2);
-        assert_eq!(c.drained_writes(), 0);
+        assert_eq!(c.stats_drained_writes, 0);
         // Once the read finishes, the write drains.
         let t = c.next_event_time().unwrap();
         c.advance(t);
-        assert_eq!(c.drained_writes(), 1);
+        assert_eq!(c.stats_drained_writes, 1);
     }
 
     #[test]
@@ -621,7 +612,7 @@ mod tests {
         c.enqueue(MemAccess::read(9, 0, 99), SimTime::ZERO).unwrap();
         c.advance(SimTime::ZERO);
         // Urgent mode: at least one write drained ahead of the read.
-        assert!(c.drained_writes() >= 1);
+        assert!(c.stats_drained_writes >= 1);
     }
 
     #[test]
@@ -677,7 +668,7 @@ mod tests {
             c.enqueue(MemAccess::write(2, 0, 3), SimTime::ZERO),
             Err(ControllerFull)
         );
-        assert_eq!(c.write_buffer_len(), 2);
+        assert_eq!(c.writes_unacked.len() + c.writes_buffered.len(), 2);
     }
 
     #[test]
@@ -825,7 +816,7 @@ mod tests {
         let mut c = QuadrantController::new(MemTechSpec::nvm_pcm(), 1, 8);
         c.enqueue(MemAccess::write(0, 0, 1), SimTime::ZERO).unwrap();
         c.advance(SimTime::ZERO); // ack + background drain to row 1
-        assert_eq!(c.drained_writes(), 1);
+        assert_eq!(c.stats_drained_writes, 1);
         // A read to a *different* row must evict the dirty row: pays tWR.
         c.enqueue(MemAccess::read(1, 0, 2), SimTime::from_ns(60))
             .unwrap();

@@ -27,7 +27,7 @@ pub enum DdrGeneration {
 
 impl DdrGeneration {
     /// Pins per channel; the paper cites 288 for DDR4 (§1). DDR3 used 240.
-    pub const fn pins_per_channel(self) -> u32 {
+    pub(crate) const fn pins_per_channel(self) -> u32 {
         match self {
             DdrGeneration::Ddr3 => 240,
             DdrGeneration::Ddr4 => 288,

@@ -96,17 +96,6 @@ impl MemTechSpec {
             capacity_gb: 64,
         }
     }
-
-    /// Worst-case (closed bank) read latency: activation plus CAS plus
-    /// burst. Useful for sanity checks and analytical models.
-    pub fn closed_read_latency(&self) -> SimDuration {
-        self.timings.t_rcd + self.timings.t_cl + self.timings.t_burst
-    }
-
-    /// Best-case (open row) read latency.
-    pub fn open_read_latency(&self) -> SimDuration {
-        self.timings.t_cl + self.timings.t_burst
-    }
 }
 
 #[cfg(test)]
@@ -139,14 +128,7 @@ mod tests {
     fn nvm_reads_slower_than_dram() {
         let d = MemTechSpec::dram_hbm();
         let n = MemTechSpec::nvm_pcm();
-        assert!(n.closed_read_latency() > d.closed_read_latency());
-        assert!(n.open_read_latency() > d.open_read_latency());
-    }
-
-    #[test]
-    fn latency_helpers() {
-        let d = MemTechSpec::dram_hbm();
-        assert_eq!(d.closed_read_latency(), SimDuration::from_ns(20));
-        assert_eq!(d.open_read_latency(), SimDuration::from_ns(8));
+        assert!(n.timings.t_rcd > d.timings.t_rcd);
+        assert!(n.timings.t_cl + n.timings.t_burst > d.timings.t_cl + d.timings.t_burst);
     }
 }

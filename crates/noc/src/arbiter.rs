@@ -84,7 +84,7 @@ impl ArbiterImpl {
 
     /// The weight this policy assigns a packet; see [`Arbiter::weigh`].
     #[inline]
-    pub fn weigh(&self, packet: &Packet) -> u64 {
+    pub(crate) fn weigh(&self, packet: &Packet) -> u64 {
         match self {
             ArbiterImpl::RoundRobin(a) => Arbiter::weigh(a, packet),
             ArbiterImpl::Distance(a) => Arbiter::weigh(a, packet),
@@ -214,12 +214,6 @@ impl DistanceArbiter {
             params: DistanceParams::default(),
             rr: RoundRobinArbiter::new(input_ports),
         }
-    }
-
-    /// Overrides the adaptive parameters.
-    pub fn with_params(mut self, params: DistanceParams) -> DistanceArbiter {
-        self.params = params;
-        self
     }
 }
 

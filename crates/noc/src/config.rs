@@ -114,7 +114,7 @@ impl NocConfig {
     }
 
     /// Packet size in bytes for `kind`.
-    pub fn packet_bytes(&self, kind: PacketKind) -> u32 {
+    pub(crate) fn packet_bytes(&self, kind: PacketKind) -> u32 {
         if kind.carries_data() {
             self.data_bytes
         } else {

@@ -215,19 +215,13 @@ impl FaultModel {
     }
 
     /// Links hard-failed at construction, in ascending id order.
-    pub fn dead_links(&self) -> &[LinkId] {
+    pub(crate) fn dead_links(&self) -> &[LinkId] {
         &self.dead
     }
 
     /// True when `link` is hard-failed.
-    pub fn is_dead(&self, link: LinkId) -> bool {
+    pub(crate) fn is_dead(&self, link: LinkId) -> bool {
         self.dead.binary_search(&link).is_ok()
-    }
-
-    /// The width stretch shift for `link` (0 → healthy, 1 → half width,
-    /// 2 → quarter width).
-    pub fn width_shift(&self, link: LinkId) -> u8 {
-        self.width_shift[link.index()]
     }
 
     /// Fault activity so far.
@@ -282,7 +276,7 @@ mod tests {
         let mut b = FaultModel::build(&topo, cfg);
         assert_eq!(a.dead_links(), b.dead_links());
         for link in topo.link_ids() {
-            assert_eq!(a.width_shift(link), b.width_shift(link));
+            assert_eq!(a.width_shift[link.index()], b.width_shift[link.index()]);
         }
         // The dynamic streams agree too.
         let live = topo
@@ -315,7 +309,11 @@ mod tests {
         // At these rates, 64 static draws per seed: two identical
         // schedules across seeds would be astronomically unlikely.
         let schedules: Vec<Vec<u8>> = (0..4)
-            .map(|s| topo.link_ids().map(|l| mk(s).width_shift(l)).collect())
+            .map(|s| {
+                topo.link_ids()
+                    .map(|l| mk(s).width_shift[l.index()])
+                    .collect()
+            })
             .collect();
         assert!(schedules.windows(2).any(|w| w[0] != w[1]));
     }
@@ -368,7 +366,7 @@ mod tests {
         let ser = SimDuration::from_ps(528);
         let mut seen = [false; 3];
         for link in topo.link_ids() {
-            let shift = fm.width_shift(link);
+            let shift = fm.width_shift[link.index()];
             assert!(shift == 1 || shift == 2, "degraded links are 2x or 4x");
             seen[shift as usize] = true;
             assert_eq!(fm.traverse(link, ser), ser * (1 << shift));
@@ -391,7 +389,7 @@ mod tests {
         assert!(!fm.dead_links().is_empty());
         for &link in fm.dead_links() {
             assert!(fm.is_dead(link));
-            assert_eq!(fm.width_shift(link), 0);
+            assert_eq!(fm.width_shift[link.index()], 0);
         }
         assert_eq!(
             fm.stats().dead_links as usize + fm.stats().degraded_links as usize,

@@ -35,7 +35,7 @@ use mn_topo::{NodeId, NodeKind, PathClass, RoutingTable, Topology};
 
 use crate::arbiter::{ArbiterImpl, Candidate};
 use crate::config::{LinkDuplex, NocConfig};
-use crate::fault::{FaultModel, FaultStats};
+use crate::fault::FaultModel;
 use crate::packet::{Packet, PacketId, VirtualChannel};
 use crate::pool::{self, NetworkStorage, StorageShape};
 use crate::stats::NetStats;
@@ -574,7 +574,7 @@ impl Network {
     /// buffers, packet arena, per-node vectors) to the thread-local
     /// construction pool, where the next same-shape [`Network::try_new`]
     /// reuses it instead of allocating. Call once a run is finished with
-    /// the network; reuse is invisible to results (see [`crate::pool`]).
+    /// the network; reuse is invisible to results (see the `pool` module).
     pub fn recycle(self) {
         let shape = StorageShape {
             buf_count: self.bufs.len(),
@@ -613,17 +613,6 @@ impl Network {
     /// Statistics gathered so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Fault activity so far; `None` when fault injection is disabled.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|fm| fm.stats())
-    }
-
-    /// Number of local injection ports at `node` (1 for the host, 4 for
-    /// cubes, 0 for interface chips).
-    pub fn local_ports(&self, node: NodeId) -> usize {
-        self.meta[node.index()].local_ports as usize
     }
 
     /// True if `packet` could be injected at `node`/`local_port` right now.
@@ -1850,7 +1839,7 @@ mod tests {
             }
         }
         assert_eq!(deliveries.len(), 16, "every cube still reachable");
-        assert_eq!(net.fault_stats().unwrap().dead_links, 1);
+        assert_eq!(net.faults.as_ref().unwrap().stats().dead_links, 1);
     }
 
     #[test]
@@ -1877,7 +1866,7 @@ mod tests {
         net.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
         let deliveries = run_to_quiescence(&mut net);
         assert_eq!(deliveries.len(), 1, "no data loss");
-        let stats = net.fault_stats().unwrap();
+        let stats = net.faults.as_ref().unwrap().stats();
         assert!(stats.replays > 0, "at 50% CRC rate some hop replays");
         assert!(
             deliveries[0].arrived_at > healthy_arrival,
@@ -1889,7 +1878,7 @@ mod tests {
     fn zero_fault_config_builds_no_model() {
         let topo = chain(2);
         let net = Network::new(&topo, NocConfig::default());
-        assert!(net.fault_stats().is_none());
+        assert!(net.faults.is_none());
     }
 
     #[test]

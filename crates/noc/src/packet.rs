@@ -36,7 +36,7 @@ pub enum PacketKind {
 
 impl PacketKind {
     /// True for host→cube messages.
-    pub const fn is_request(self) -> bool {
+    pub(crate) const fn is_request(self) -> bool {
         matches!(self, PacketKind::ReadRequest | PacketKind::WriteRequest)
     }
 
@@ -48,12 +48,12 @@ impl PacketKind {
     /// True for write-class traffic (write requests and their acks) — the
     /// traffic a skip list shunts onto the chain and the adaptive arbiter
     /// may defer.
-    pub const fn is_write_class(self) -> bool {
+    pub(crate) const fn is_write_class(self) -> bool {
         matches!(self, PacketKind::WriteRequest | PacketKind::WriteAck)
     }
 
     /// The virtual channel this kind travels on.
-    pub const fn virtual_channel(self) -> VirtualChannel {
+    pub(crate) const fn virtual_channel(self) -> VirtualChannel {
         if self.is_request() {
             VirtualChannel::Request
         } else {

@@ -92,7 +92,7 @@ impl WriteBurstDetector {
     }
 
     /// Current write fraction of the window (0 when empty).
-    pub fn write_fraction(&self) -> f64 {
+    pub(crate) fn write_fraction(&self) -> f64 {
         if self.recent.is_empty() {
             0.0
         } else {

@@ -42,16 +42,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator; used to give each host port
-    /// its own stream without correlating the streams.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        // Mix the salt through SplitMix64 so fork(0) and fork(1) diverge.
-        let mut z = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        SimRng::seed_from(z ^ (z >> 31))
-    }
-
     /// The next raw 64-bit value (xoshiro256++).
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
@@ -136,14 +126,6 @@ impl SimRng {
         };
         ((x.floor() as u64).saturating_sub(1)).min(n - 1)
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,17 +139,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn forks_diverge() {
-        let mut root = SimRng::seed_from(1);
-        let mut c0 = root.fork(0);
-        let mut root2 = SimRng::seed_from(1);
-        let mut c1 = root2.fork(1);
-        let s0: Vec<u64> = (0..8).map(|_| c0.next_u64()).collect();
-        let s1: Vec<u64> = (0..8).map(|_| c1.next_u64()).collect();
-        assert_ne!(s0, s1);
     }
 
     #[test]
@@ -231,15 +202,5 @@ mod tests {
     #[test]
     fn zipf_singleton() {
         assert_eq!(SimRng::seed_from(0).zipf(1, 1.0), 0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from(10);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -217,11 +217,6 @@ impl RunningStats {
             self.m2 / self.n as f64
         }
     }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
 }
 
 /// A power-of-two bucketed histogram of durations.
@@ -380,7 +375,6 @@ mod tests {
         assert_eq!(s.count(), 4);
         assert!((s.mean() - 2.5).abs() < 1e-12);
         assert!((s.population_variance() - 1.25).abs() < 1e-12);
-        assert!((s.std_dev() - 1.25f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl SimTime {
         self.0
     }
 
-    /// This instant as (truncated) nanoseconds since simulation start.
-    #[inline]
-    pub const fn as_ns(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This instant as fractional nanoseconds since simulation start.
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
@@ -119,43 +113,16 @@ impl SimDuration {
         SimDuration(us * 1_000_000)
     }
 
-    /// Creates a span from fractional nanoseconds, rounding to the nearest
-    /// picosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns` is negative or not finite.
-    #[inline]
-    pub fn from_ns_f64(ns: f64) -> Self {
-        assert!(
-            ns.is_finite() && ns >= 0.0,
-            "duration must be finite and non-negative, got {ns}"
-        );
-        SimDuration((ns * 1_000.0).round() as u64)
-    }
-
     /// This span in picoseconds.
     #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
 
-    /// This span in (truncated) nanoseconds.
-    #[inline]
-    pub const fn as_ns(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This span in fractional nanoseconds.
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// True if this span is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Returns the larger of two spans.
@@ -291,9 +258,9 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_ns(7).as_ps(), 7_000);
-        assert_eq!(SimTime::from_us(3).as_ns(), 3_000);
+        assert_eq!(SimTime::from_us(3).as_ps(), 3_000_000);
         assert_eq!(SimDuration::from_ns(2).as_ps(), 2_000);
-        assert_eq!(SimDuration::from_us(1).as_ns(), 1_000);
+        assert_eq!(SimDuration::from_us(1).as_ps(), 1_000_000);
     }
 
     #[test]
@@ -331,18 +298,6 @@ mod tests {
             SimDuration::from_ns(3) + SimDuration::from_ns(4),
             SimDuration::from_ns(7)
         );
-    }
-
-    #[test]
-    fn from_ns_f64_rounds() {
-        assert_eq!(SimDuration::from_ns_f64(2.6667).as_ps(), 2_667);
-        assert_eq!(SimDuration::from_ns_f64(0.0).as_ps(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn from_ns_f64_rejects_negative() {
-        let _ = SimDuration::from_ns_f64(-1.0);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl Watchdog {
         }
     }
 
-    /// Consecutive no-progress observations so far.
-    pub fn idle_observations(&self) -> u64 {
-        self.idle
-    }
-
     /// The configured trip threshold.
     pub fn limit(&self) -> u64 {
         self.limit
@@ -102,7 +97,6 @@ mod tests {
         assert!(!dog.observe(0));
         assert!(!dog.observe(1)); // advanced just in time
         assert!(!dog.observe(1));
-        assert_eq!(dog.idle_observations(), 1);
         assert!(dog.observe(1));
     }
 

@@ -113,7 +113,7 @@ impl Decomposition {
 
     /// Iterates `(hop_count, latency_accumulator)` for hop counts with
     /// at least one sample.
-    pub fn by_hops(&self) -> impl Iterator<Item = (usize, &Accumulator)> {
+    pub(crate) fn by_hops(&self) -> impl Iterator<Item = (usize, &Accumulator)> {
         self.by_hops
             .iter()
             .enumerate()

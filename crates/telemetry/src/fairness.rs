@@ -97,17 +97,6 @@ impl FairnessTracker {
     pub fn active_sources(&self) -> usize {
         self.completions.iter().filter(|&&c| c > 0).count()
     }
-
-    /// Iterates `(node, completions, mean_latency_ns)` for active
-    /// sources.
-    pub fn per_source(&self) -> impl Iterator<Item = (usize, u64, f64)> + '_ {
-        self.completions
-            .iter()
-            .zip(&self.latency_ps)
-            .enumerate()
-            .filter(|(_, (&c, _))| c > 0)
-            .map(|(i, (&c, &l))| (i, c, l as f64 / c as f64 / 1_000.0))
-    }
 }
 
 #[cfg(test)]
@@ -160,9 +149,8 @@ mod tests {
         b.record(3, SimDuration::from_ns(100));
         a.merge(&b);
         assert_eq!(a.active_sources(), 2);
-        let per: Vec<_> = a.per_source().collect();
-        assert_eq!(per[0], (1, 2, 100.0));
-        assert_eq!(per[1], (3, 1, 100.0));
+        assert_eq!(a.completions, [0, 2, 0, 1]);
+        assert_eq!(a.latency_ps, [0, 200_000, 0, 100_000]);
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl WindowSeries {
         }
     }
 
-    /// Current bucket width in picoseconds.
-    pub fn width_ps(&self) -> u64 {
-        self.width_ps
-    }
-
     /// Iterates `(bucket_start_ps, mean_window)` over buckets with at
     /// least one sample.
     pub fn samples(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
@@ -216,7 +211,7 @@ mod tests {
         s.record(5, 4);
         s.record(15, 8);
         s.record(640, 16); // past the window: width doubles to 20
-        assert_eq!(s.width_ps(), 20);
+        assert_eq!(s.width_ps, 20);
         assert_eq!(s.total_samples(), 3);
         let samples: Vec<_> = s.samples().collect();
         assert_eq!(samples[0], (0, 6.0)); // merged pair
@@ -241,7 +236,7 @@ mod tests {
         let mut b = WindowSeries::new(10);
         b.record(640, 8); // widened to 20
         a.merge(&b);
-        assert_eq!(a.width_ps(), 20);
+        assert_eq!(a.width_ps, 20);
         assert_eq!(a.total_samples(), 2);
     }
 

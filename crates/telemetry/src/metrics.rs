@@ -51,11 +51,6 @@ impl TimeSeries {
         self.width_ps *= 2;
     }
 
-    /// Current bucket width in picoseconds.
-    pub fn width_ps(&self) -> u64 {
-        self.width_ps
-    }
-
     /// Iterates `(bucket_start_ps, utilization)` over the window.
     /// Utilization is clamped to 1.0: busy time is attributed to the
     /// bucket where the busy period *starts*, so a period straddling a
@@ -72,11 +67,6 @@ impl TimeSeries {
     pub fn peak(&self) -> f64 {
         let max_busy = self.busy_ps.iter().copied().max().unwrap_or(0);
         (max_busy as f64 / self.width_ps as f64).min(1.0)
-    }
-
-    /// Total busy time across the window, in picoseconds.
-    pub fn total_busy_ps(&self) -> u64 {
-        self.busy_ps.iter().sum()
     }
 }
 
@@ -179,12 +169,12 @@ mod tests {
         ts.record(0, 500);
         ts.record(100, 250);
         ts.record(1_500, 1_000);
-        assert_eq!(ts.width_ps(), 1_000);
+        assert_eq!(ts.width_ps, 1_000);
         let samples: Vec<_> = ts.samples().collect();
         assert_eq!(samples[0], (0, 0.75));
         assert_eq!(samples[1], (1_000, 1.0));
         assert_eq!(ts.peak(), 1.0);
-        assert_eq!(ts.total_busy_ps(), 1_750);
+        assert_eq!(ts.busy_ps.iter().sum::<u64>(), 1_750);
     }
 
     #[test]
@@ -195,11 +185,11 @@ mod tests {
                            // Lands past the 64-bucket window: width doubles to 20 and the
                            // two old buckets merge into one.
         ts.record(640, 7);
-        assert_eq!(ts.width_ps(), 20);
+        assert_eq!(ts.width_ps, 20);
         let samples: Vec<_> = ts.samples().collect();
         assert_eq!(samples[0], (0, 1.0));
         assert_eq!(samples[32], (640, 7.0 / 20.0));
-        assert_eq!(ts.total_busy_ps(), 27);
+        assert_eq!(ts.busy_ps.iter().sum::<u64>(), 27);
     }
 
     #[test]
@@ -208,8 +198,8 @@ mod tests {
         for at in [0u64, 1 << 10, 1 << 16, 1 << 20] {
             ts.record(at, 3);
         }
-        assert_eq!(ts.total_busy_ps(), 12);
-        assert!(ts.width_ps() >= (1 << 20) / 64);
+        assert_eq!(ts.busy_ps.iter().sum::<u64>(), 12);
+        assert!(ts.width_ps >= (1 << 20) / 64);
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl Histogram {
     }
 
     /// The upper edge of finite bucket `i` (`2^i`).
-    pub fn edge(i: usize) -> u64 {
+    pub(crate) fn edge(i: usize) -> u64 {
         1u64 << i
     }
 }
@@ -246,7 +246,7 @@ macro_rules! global_metrics {
 
             /// Renders the singleton metrics in Prometheus
             /// text-exposition format, in declaration order.
-            pub fn render_into(&self, out: &mut String) {
+            pub(crate) fn render_into(&self, out: &mut String) {
                 $(render_counter(out, $cname, $chelp, self.$cfield.get());)*
                 $(render_gauge(out, $gname, $ghelp, self.$gfield.get());)*
                 $(render_histogram(out, $hname, $hhelp, &self.$hfield);)*
@@ -255,7 +255,7 @@ macro_rules! global_metrics {
             /// Flat `(name, value)` view of every counter plus each
             /// histogram's `_count` — the monotonic subset, in
             /// declaration order.
-            pub fn counter_values(&self) -> Vec<(&'static str, u64)> {
+            pub(crate) fn counter_values(&self) -> Vec<(&'static str, u64)> {
                 vec![
                     $(($cname, self.$cfield.get()),)*
                     $((concat!($hname, "_count"), self.$hfield.count()),)*
@@ -263,7 +263,7 @@ macro_rules! global_metrics {
             }
 
             /// Flat `(name, value)` view of every gauge.
-            pub fn gauge_values(&self) -> Vec<(&'static str, u64)> {
+            pub(crate) fn gauge_values(&self) -> Vec<(&'static str, u64)> {
                 vec![$(($gname, self.$gfield.get()),)*]
             }
         }
@@ -382,7 +382,7 @@ fn render_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
 }
 
 /// Escapes a Prometheus label value (`\`, `"`, newline).
-pub fn escape_label(value: &str, out: &mut String) {
+pub(crate) fn escape_label(value: &str, out: &mut String) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -536,7 +536,7 @@ pub fn sample_now(label: &str) {
 }
 
 /// The JSON-lines stream path paired with a snapshot file.
-pub fn jsonl_path(snapshot: &Path) -> PathBuf {
+pub(crate) fn jsonl_path(snapshot: &Path) -> PathBuf {
     let mut name = snapshot.as_os_str().to_os_string();
     name.push(".jsonl");
     PathBuf::from(name)
@@ -544,7 +544,7 @@ pub fn jsonl_path(snapshot: &Path) -> PathBuf {
 
 /// Writes the current Prometheus snapshot to `path` via tmp + rename, so
 /// watchers (`mncube stats --watch`) never read a half-written file.
-pub fn write_snapshot(path: &Path) -> io::Result<()> {
+pub(crate) fn write_snapshot(path: &Path) -> io::Result<()> {
     let text = render_prometheus();
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, text)?;

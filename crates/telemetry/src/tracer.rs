@@ -114,12 +114,12 @@ impl LifecycleTracer {
     }
 
     /// Number of registered tracks.
-    pub fn track_count(&self) -> usize {
+    pub(crate) fn track_count(&self) -> usize {
         self.tracks.len()
     }
 
     /// Name of a track, if registered.
-    pub fn track_name(&self, id: u32) -> Option<&str> {
+    pub(crate) fn track_name(&self, id: u32) -> Option<&str> {
         self.tracks.get(id as usize).map(String::as_str)
     }
 }

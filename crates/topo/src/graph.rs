@@ -102,23 +102,6 @@ pub struct LinkInfo {
     pub skip: bool,
 }
 
-impl LinkInfo {
-    /// The endpoint opposite `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not an endpoint of this link.
-    pub fn other_end(&self, from: NodeId) -> NodeId {
-        if from == self.a {
-            self.b
-        } else if from == self.b {
-            self.a
-        } else {
-            panic!("{from} is not an endpoint of this link");
-        }
-    }
-}
-
 /// The topology families evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
@@ -447,22 +430,6 @@ mod tests {
         assert_eq!(t.node(last).kind, NodeKind::Cube(CubeTech::Nvm));
         let first = t.cube_at_position(1).unwrap();
         assert_eq!(t.node(first).kind, NodeKind::Cube(CubeTech::Dram));
-    }
-
-    #[test]
-    fn other_end_works() {
-        let t = Topology::build(TopologyKind::Chain, &dram(2)).unwrap();
-        let l = t.link(LinkId(0));
-        assert_eq!(l.other_end(l.a), l.b);
-        assert_eq!(l.other_end(l.b), l.a);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn other_end_panics_for_non_endpoint() {
-        let t = Topology::build(TopologyKind::Chain, &dram(3)).unwrap();
-        let l = t.link(LinkId(0)); // host—cube1
-        l.other_end(NodeId(3));
     }
 
     #[test]

@@ -167,21 +167,6 @@ impl Placement {
     pub fn total_capacity_units(&self) -> u32 {
         self.techs.iter().map(|t| t.capacity_units()).sum()
     }
-
-    /// Fraction of total capacity provided by DRAM.
-    pub fn dram_capacity_fraction(&self) -> f64 {
-        let total = self.total_capacity_units();
-        if total == 0 {
-            return 0.0;
-        }
-        let dram: u32 = self
-            .techs
-            .iter()
-            .filter(|t| **t == CubeTech::Dram)
-            .map(|t| t.capacity_units())
-            .sum();
-        dram as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +185,6 @@ mod tests {
         assert_eq!(p.cube_count(), 16);
         assert!(p.iter().all(|t| t == CubeTech::Dram));
         assert_eq!(p.total_capacity_units(), 16);
-        assert!((p.dram_capacity_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -219,7 +203,6 @@ mod tests {
         assert_eq!(p.tech_at(8), CubeTech::Dram);
         assert_eq!(p.tech_at(9), CubeTech::Nvm);
         assert_eq!(p.tech_at(10), CubeTech::Nvm);
-        assert!((p.dram_capacity_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

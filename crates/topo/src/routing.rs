@@ -205,7 +205,7 @@ impl RoutingTable {
     /// The neighbor and link a packet at `at` should take toward `dst`,
     /// or `None` if `at == dst` or the pair is unreachable. `topo` must be
     /// the topology this table was computed for.
-    pub fn next_hop(
+    pub(crate) fn next_hop(
         &self,
         topo: &Topology,
         class: PathClass,
@@ -259,7 +259,7 @@ impl RoutingTable {
     /// Marks, per [`LinkId`], the links on some host→cube or cube→host
     /// route of `class`. Links left unmarked under [`PathClass::Read`]
     /// are the paper's "dashed" links, used only by writes (Fig. 8).
-    pub fn host_route_links(&self, topo: &Topology, class: PathClass) -> Vec<bool> {
+    pub(crate) fn host_route_links(&self, topo: &Topology, class: PathClass) -> Vec<bool> {
         let mut used = vec![false; topo.link_count()];
         let host = topo.host();
         for (cube, _) in topo.cubes() {

@@ -47,7 +47,6 @@ pub struct TraceGenerator {
     hot_lines: u64,
     rng: SimRng,
     cursor: u64,
-    generated: u64,
 }
 
 impl TraceGenerator {
@@ -72,18 +71,12 @@ impl TraceGenerator {
             hot_lines,
             rng,
             cursor,
-            generated: 0,
         }
     }
 
     /// The profile driving this generator.
     pub fn profile(&self) -> &WorkloadProfile {
         &self.profile
-    }
-
-    /// References produced so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     fn next_line(&mut self) -> u64 {
@@ -113,7 +106,6 @@ impl Iterator for TraceGenerator {
         let gap = self.next_gap();
         let line = self.next_line();
         let is_write = !self.rng.chance(self.profile.read_fraction);
-        self.generated += 1;
         Some(MemRef {
             gap,
             addr: line * LINE_BYTES,
@@ -211,14 +203,6 @@ mod tests {
         let refs: Vec<MemRef> = TraceGenerator::new(p, SPACE, 5).take(5000).collect();
         let bound = SPACE / 4;
         assert!(refs.iter().all(|r| r.addr < bound));
-    }
-
-    #[test]
-    fn generated_counts() {
-        let mut g = TraceGenerator::new(Workload::Bit.profile(), SPACE, 1);
-        assert_eq!(g.generated(), 0);
-        let _ = g.by_ref().take(42).count();
-        assert_eq!(g.generated(), 42);
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl WorkloadProfile {
     }
 
     /// Mean inter-arrival gap in picoseconds.
-    pub fn mean_gap_ps(&self) -> f64 {
+    pub(crate) fn mean_gap_ps(&self) -> f64 {
         1000.0 / self.intensity_per_ns
     }
 }
