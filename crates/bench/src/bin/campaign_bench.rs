@@ -12,9 +12,9 @@
 //!   ([`mn_campaign::DiskCache::load_uncached_keyed`]). This is what
 //!   every warm replay paid before the hot tier existed.
 //! - **warm-hot** — the full [`load`](mn_campaign::DiskCache::load) hit
-//!   path with the hot tier resident: one `stat` revalidation, zero
-//!   reads, zero decodes. CI gates on `warm_speedup = warm-hot /
-//!   warm-disk` staying ≥ 5×. The two warm paths are timed in
+//!   path with the hot tier resident: a map lookup and a clone, with
+//!   no system call, no read and no decode. CI gates on `warm_speedup =
+//!   warm-hot / warm-disk` staying ≥ 5×. The two warm paths are timed in
 //!   alternating passes of one loop, so drift on a busy machine lands
 //!   on both sides of the ratio.
 //!

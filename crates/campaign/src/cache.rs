@@ -57,19 +57,22 @@
 //!
 //! Repeated grid replays used to pay a full read + decode per hit. Every
 //! `DiskCache` on the same directory now shares a process-wide *hot
-//! tier*: up to [`HOT_CAP`] decoded results, keyed by cache key and
-//! revalidated against the entry's `(len, mtime)` with a single `stat`
-//! call — a warm hit costs zero reads and zero decodes. (A true
-//! `mmap(2)` region was considered and rejected: this workspace is
-//! dependency-free and `#![forbid(unsafe_code)]`, and what replays
-//! actually pay for is decode, which a mapped file would still do per
-//! hit. See DESIGN.md §11.)
+//! tier*: up to [`HOT_CAP`] decoded results, keyed by cache key, each
+//! decoded and fingerprint-checked when it entered — a warm hit costs no
+//! system call, no read and no decode. A resident copy is never checked
+//! against its file again: entries are write-once, so the file cannot
+//! come to hold a different result for the same fingerprint, and every
+//! read from disk still verifies and quarantines. A file deleted or
+//! damaged after its copy entered keeps serving the copy until the
+//! process ends. (A true `mmap(2)` region was considered and rejected:
+//! this workspace is dependency-free and `#![forbid(unsafe_code)]`, and
+//! what replays actually pay for is decode, which a mapped file would
+//! still do per hit. See DESIGN.md §11.)
 //!
 //! The syscalls of each path:
 //!
-//! - *hot hit*: one `statx` of the entry path;
-//! - *disk hit*: a read-only `openat`, `read` until end of file, `statx`
-//!   of that descriptor (the identity the hot tier records), `close`;
+//! - *hot hit*: none;
+//! - *disk hit*: a read-only `openat`, `read` until end of file, `close`;
 //! - *miss*: one failed `openat`.
 //!
 //! # Oldest-written eviction
@@ -101,14 +104,9 @@ const HOT_CAP: usize = 1024;
 /// A `gc.lock` older than this is a crashed evictor's debris: steal it.
 const LOCK_STALE: Duration = Duration::from_secs(300);
 
-/// A decoded entry resident in the hot tier, revalidated against the
-/// on-disk file before every serve. Carries its own entry path so a hot
-/// hit allocates nothing.
+/// A decoded, fingerprint-checked entry resident in the hot tier.
 struct HotEntry {
     fingerprint: String,
-    path: PathBuf,
-    len: u64,
-    mtime: Option<SystemTime>,
     result: Arc<RunResult>,
     used: u64,
 }
@@ -379,8 +377,8 @@ impl DiskCache {
     /// corrupt, version-skewed, or fingerprint-mismatched entry). Corrupt
     /// entries are quarantined to `<key>.corrupt` on the way out.
     ///
-    /// Warm path: a hot-tier entry revalidated by one `stat` serves the
-    /// decoded result with no read and no decode. Cold path, through one
+    /// Warm path: a hot-tier entry with this fingerprint serves the
+    /// decoded result with no system call. Cold path, through one
     /// read-only descriptor: read, verify, decode, and promote into the
     /// hot tier. Neither path writes to the entry.
     pub fn load(&self, point: &CampaignPoint) -> Option<RunResult> {
@@ -396,33 +394,13 @@ impl DiskCache {
         let word = key_word(key);
         {
             let mut hot = self.state.hot.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = hot.get_mut(&word) {
-                let disk = fs::metadata(&entry.path)
-                    .ok()
-                    .map(|m| (m.len(), m.modified().ok()));
-                registry::metrics().cache_hot_revalidations.inc();
-                match disk {
-                    Some((len, mtime)) if len == entry.len && mtime == entry.mtime => {
-                        // The file on disk is the one we decoded. A
-                        // fingerprint mismatch here is an FNV collision:
-                        // the resident entry (and the identical file)
-                        // belong to a different point — a plain miss.
-                        if entry.fingerprint == fingerprint {
-                            entry.used = self.state.hot_clock.fetch_add(1, Ordering::Relaxed);
-                            self.state.hits.fetch_add(1, Ordering::Relaxed);
-                            self.state.hot_hits.fetch_add(1, Ordering::Relaxed);
-                            return Some((*entry.result).clone());
-                        }
-                        self.state.misses.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                    _ => {
-                        // Rewritten, damaged, or evicted behind our back:
-                        // drop the resident copy and take the cold path.
-                        registry::metrics().cache_hot_revalidation_misses.inc();
-                        hot.remove(&word);
-                    }
-                }
+            // A resident entry under another fingerprint is an FNV
+            // collision: the disk path below decides that point.
+            if let Some(entry) = hot.get_mut(&word).filter(|e| e.fingerprint == fingerprint) {
+                entry.used = self.state.hot_clock.fetch_add(1, Ordering::Relaxed);
+                self.state.hits.fetch_add(1, Ordering::Relaxed);
+                self.state.hot_hits.fetch_add(1, Ordering::Relaxed);
+                return Some((*entry.result).clone());
             }
         }
 
@@ -432,26 +410,13 @@ impl DiskCache {
                 self.quarantine(&path, "non-UTF-8 bytes");
                 return None;
             };
-            let result = self.verify_entry(fingerprint, &path, &text)?;
-            // The identity of the descriptor just decoded, not of
-            // whatever the path names by now.
-            Some((result, identify(&file)))
+            self.verify_entry(fingerprint, &path, &text)
         });
         match loaded {
-            Some((result, identity)) => {
-                let result = Arc::new(result);
-                if let Some((len, mtime)) = identity {
-                    self.hot_insert(
-                        key,
-                        fingerprint.to_string(),
-                        path,
-                        len,
-                        mtime,
-                        Arc::clone(&result),
-                    );
-                }
+            Some(result) => {
+                self.hot_insert(word, fingerprint.to_string(), Arc::new(result.clone()));
                 self.state.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::try_unwrap(result).unwrap_or_else(|arc| (*arc).clone()))
+                Some(result)
             }
             None => {
                 self.state.misses.fetch_add(1, Ordering::Relaxed);
@@ -461,10 +426,10 @@ impl DiskCache {
     }
 
     /// The cold hit path alone, with the fingerprint and cache key
-    /// already in hand: read, verify, decode — no hot tier, no identity,
-    /// no counters. This is what every hit used to cost;
-    /// `campaign_bench` measures it against [`DiskCache::load_keyed`] to
-    /// keep the warm-replay speedup honest.
+    /// already in hand: read, verify, decode — no hot tier, no counters.
+    /// This is what every hit used to cost; `campaign_bench` measures it
+    /// against [`DiskCache::load_keyed`] to keep the warm-replay speedup
+    /// honest.
     pub fn load_uncached_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         let path = self.key_path(key);
         let text = fs::read_to_string(&path).ok()?;
@@ -503,16 +468,7 @@ impl DiskCache {
         }
     }
 
-    fn hot_insert(
-        &self,
-        key: &str,
-        fingerprint: String,
-        path: PathBuf,
-        len: u64,
-        mtime: Option<SystemTime>,
-        result: Arc<RunResult>,
-    ) {
-        let word = key_word(key);
+    fn hot_insert(&self, word: u64, fingerprint: String, result: Arc<RunResult>) {
         let mut hot = self.state.hot.lock().unwrap_or_else(|e| e.into_inner());
         if hot.len() >= HOT_CAP && !hot.contains_key(&word) {
             // Count-bounded LRU: drop the least-recently-used resident.
@@ -524,9 +480,6 @@ impl DiskCache {
             word,
             HotEntry {
                 fingerprint,
-                path,
-                len,
-                mtime,
                 result,
                 used: self.state.hot_clock.fetch_add(1, Ordering::Relaxed),
             },
@@ -591,23 +544,14 @@ impl DiskCache {
             self.tmp_counter.fetch_add(1, Ordering::Relaxed),
         ));
         fs::write(&tmp, &body)?;
-        let path = self.key_path(key);
-        fs::rename(&tmp, &path)?;
+        fs::rename(&tmp, self.key_path(key))?;
 
         self.state.stores.fetch_add(1, Ordering::Relaxed);
-        if let Some(identity) = fs::metadata(&path)
-            .ok()
-            .map(|m| (m.len(), m.modified().ok()))
-        {
-            self.hot_insert(
-                key,
-                fingerprint.to_string(),
-                path.clone(),
-                identity.0,
-                identity.1,
-                Arc::new(result.clone()),
-            );
-        }
+        self.hot_insert(
+            key_word(key),
+            fingerprint.to_string(),
+            Arc::new(result.clone()),
+        );
         Ok(())
     }
 
@@ -821,12 +765,6 @@ fn read_all(mut file: &fs::File) -> io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// An open entry's `(len, mtime)`, taken from the descriptor: the
-/// identity the hot tier revalidates a resident copy against.
-fn identify(file: &fs::File) -> Option<(u64, Option<SystemTime>)> {
-    file.metadata().ok().map(|m| (m.len(), m.modified().ok()))
-}
-
 /// Atomic sibling-file write (same temp + rename protocol as entries).
 fn write_atomic(dir: &Path, name: &str, bytes: &[u8], counter: &AtomicU64) -> io::Result<()> {
     let tmp = dir.join(format!(
@@ -974,8 +912,14 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Empties the hot tier `cache` shares with every cache on its
+    /// directory, so the next load reads the disk, as in a fresh process.
+    fn empty_hot_tier(cache: &DiskCache) {
+        cache.state.hot.lock().unwrap().clear();
+    }
+
     #[test]
-    fn hot_tier_serves_without_reread_and_revalidates() {
+    fn hot_tier_serves_without_reread_or_stat() {
         let dir = scratch_dir("hot");
         let cache = DiskCache::new(&dir);
         let point = tiny_point();
@@ -995,9 +939,13 @@ mod tests {
         assert!(sibling.load(&point).is_some());
         assert_eq!(sibling.stats().hot_hits, after.hot_hits + 1);
 
-        // Deleting the file behind the tier's back must invalidate the
-        // resident copy: stat revalidation turns it into a miss.
+        // A resident copy is never checked against its file again: it
+        // keeps serving after the file is deleted, and once the tier is
+        // emptied the load reads the disk and misses.
         fs::remove_file(cache.entry_path(&point)).unwrap();
+        let resident = cache.load(&point).expect("resident copy");
+        assert_eq!(encode_result(&resident), encode_result(&result));
+        empty_hot_tier(&cache);
         assert!(cache.load(&point).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1012,6 +960,10 @@ mod tests {
 
         let path = cache.entry_path(&point);
         fs::write(&path, "mncampaign-cache v0\ngarbage").unwrap();
+        // The resident copy still serves; with the tier emptied, the load
+        // reads the damaged bytes and misses.
+        assert!(cache.load(&point).is_some());
+        empty_hot_tier(&cache);
         assert!(cache.load(&point).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1031,13 +983,17 @@ mod tests {
             format!("{HEADER}\nkey={}\nnot-a-result", point.fingerprint()),
         )
         .unwrap();
+        empty_hot_tier(&cache);
         assert!(cache.load(&point).is_none());
         assert!(!path.exists(), "corrupt entry should have been moved");
         assert!(path.with_extension("corrupt").exists());
+        // Moved, so the next load is a clean miss, not a re-read.
+        assert!(cache.load(&point).is_none());
 
         // The quarantined name never collides with a fresh store: the
         // point re-simulates and caches cleanly next to the evidence.
         cache.store(&point, &result).unwrap();
+        empty_hot_tier(&cache);
         assert!(cache.load(&point).is_some());
         assert!(path.with_extension("corrupt").exists());
 
@@ -1049,12 +1005,11 @@ mod tests {
         assert_eq!(report.entries, 1);
 
         // A byte that is not UTF-8 is corruption too, not a plain miss
-        // that every later run would re-read. The hot tier is emptied so
-        // the load reads the damaged bytes.
+        // that every later run would re-read.
         let mut bytes = fs::read(&path).unwrap();
         bytes[HEADER.len() + 1] = 0xFF;
         fs::write(&path, &bytes).unwrap();
-        cache.state.hot.lock().unwrap().clear();
+        empty_hot_tier(&cache);
         assert!(cache.load(&point).is_none());
         assert!(!path.exists(), "a non-UTF-8 entry should have been moved");
         assert_eq!(fs::read(path.with_extension("corrupt")).unwrap(), bytes);
@@ -1113,16 +1068,21 @@ mod tests {
         // another stores a fresh result under the same key — the exact
         // interleaving a retried point's re-simulation produces. Any
         // interleaving must end with no panic and a loadable-or-missing
-        // entry that, when present, is exactly the fresh result.
+        // entry that, when present, is exactly the fresh result. The hot
+        // tier is emptied before the race and before the check, so the
+        // loader reads the rotten bytes (unless the store lands first)
+        // and the check reads what survived on disk.
         let dir = scratch_dir("quarantine-race");
         let point = tiny_point();
         let result = mn_core::simulate(&point.config, point.workload);
+        let mut quarantined = 0;
         for round in 0..16 {
             let cache = DiskCache::new(&dir);
             cache.store(&point, &result).unwrap();
             let path = cache.entry_path(&point);
             fs::write(&path, "mncampaign-cache v0-rotten\ngarbage").unwrap();
             let _ = fs::remove_file(path.with_extension("corrupt"));
+            empty_hot_tier(&cache);
 
             std::thread::scope(|scope| {
                 let loader = DiskCache::new(&dir);
@@ -1136,7 +1096,10 @@ mod tests {
                 });
             });
 
-            let cache = DiskCache::new(&dir);
+            if path.with_extension("corrupt").exists() {
+                quarantined += 1;
+            }
+            empty_hot_tier(&cache);
             if let Some(loaded) = cache.load(&point) {
                 assert_eq!(
                     encode_result(&loaded),
@@ -1148,6 +1111,7 @@ mod tests {
             cache.store(&point, &result).unwrap();
             assert!(cache.load(&point).is_some(), "round {round}");
         }
+        assert!(quarantined > 0, "no round raced a quarantine");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1170,9 +1134,17 @@ mod tests {
             }),
         )
         .unwrap();
+        empty_hot_tier(&cache);
         assert!(cache.load(&point).is_none());
         assert!(path.exists(), "collision entry must not be quarantined");
         assert!(!path.with_extension("corrupt").exists());
+        // The entry serves the point it belongs to, and a resident copy
+        // under one fingerprint never serves another: the third point
+        // reads the disk and misses there too.
+        let key = point.cache_key();
+        assert!(cache.load_keyed("some-other-fingerprint", &key).is_some());
+        assert!(cache.load_keyed("some-third-fingerprint", &key).is_none());
+        assert!(path.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1514,7 +1486,7 @@ mod tests {
         assert_eq!(encode_result(&loaded), encode_result(&result));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.hot_hits), (1, 0));
-        // The recorded identity is the file's: the next load is a hot hit.
+        // The disk hit promoted the entry: the next load is a hot hit.
         assert!(cache.load(&point).is_some());
         assert_eq!(cache.stats().hot_hits, 1);
         let _ = fs::remove_dir_all(&dir);
@@ -1540,30 +1512,15 @@ mod tests {
     }
 
     #[test]
-    fn disk_hits_record_the_identity_of_the_descriptor_they_decoded() {
-        let dir = scratch_dir("identity");
+    fn disk_hits_leave_the_entry_as_it_was() {
+        let dir = scratch_dir("disk-hit");
         let cache = DiskCache::new(&dir);
         let point = tiny_point();
         let result = mn_core::simulate(&point.config, point.workload);
-        plant_cold_entry(&cache, &point, &result, Duration::from_secs(60));
         let path = cache.entry_path(&point);
-        let decoded_len = fs::metadata(&path).unwrap().len();
 
-        // The path is replaced between the read and the identity check:
-        // the identity still describes the bytes the descriptor read.
-        let file = fs::File::open(&path).unwrap();
-        let bytes = read_all(&file).unwrap();
-        fs::write(dir.join("replacement"), "a different, longer file .....").unwrap();
-        fs::rename(dir.join("replacement"), &path).unwrap();
-        let (len, _) = identify(&file).unwrap();
-        assert_eq!(len, decoded_len);
-        assert_eq!(bytes.len() as u64, decoded_len);
-        assert_ne!(fs::metadata(&path).unwrap().len(), decoded_len);
-        drop(file);
-
-        // Through `load`: a disk hit records the entry's identity, and
-        // leaves the entry as it was, so the next load revalidates it
-        // and serves hot.
+        // A disk hit leaves the entry's mtime as it was and promotes the
+        // result, so the next load serves hot.
         plant_cold_entry(&cache, &point, &result, Duration::from_secs(60));
         let planted = fs::metadata(&path).unwrap().modified().unwrap();
         assert!(cache.load(&point).is_some());
@@ -1571,6 +1528,40 @@ mod tests {
         assert_eq!(fs::metadata(&path).unwrap().modified().unwrap(), planted);
         assert!(cache.load(&point).is_some());
         assert_eq!(cache.stats().hot_hits, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_with_an_impossible_energy_is_quarantined() {
+        // A well-formed entry whose network energy has its sign bit set:
+        // the decoder refuses it, so the load quarantines it instead of
+        // panicking in `EnergyPj::from_pj`.
+        let dir = scratch_dir("energy");
+        let cache = DiskCache::new(&dir);
+        let point = tiny_point();
+        let result = mn_core::simulate(&point.config, point.workload);
+        let bits = result.energy.network.as_pj().to_bits();
+        assert!(
+            result.energy.network.as_pj() > 0.0,
+            "a sign bit must make it negative"
+        );
+        plant_cold_entry(&cache, &point, &result, Duration::from_secs(60));
+        let path = cache.entry_path(&point);
+        let text = fs::read_to_string(&path).unwrap();
+        let damaged = text.replacen(
+            &format!("energy={bits:016x}"),
+            &format!("energy={:016x}", bits | 1 << 63),
+            1,
+        );
+        assert_ne!(damaged, text);
+        fs::write(&path, &damaged).unwrap();
+
+        assert!(cache.load(&point).is_none());
+        assert!(!path.exists(), "the entry should have been moved");
+        assert_eq!(
+            fs::read_to_string(path.with_extension("corrupt")).unwrap(),
+            damaged
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -70,7 +70,10 @@ fn scratch(tag: &str) -> PathBuf {
 /// damage, litter) × worker counts × cache on/off, every combination
 /// byte-identical to the one undisturbed run. The cache-on arm runs
 /// twice on one directory so the second pass reads — and chaos damages —
-/// entries the first pass stored, driving the quarantine path.
+/// entries the first pass stored, driving the quarantine path. Both
+/// passes share this process, so the second names the directory another
+/// way: its hot tier starts empty and every load reads the disk, as a
+/// second process would.
 #[test]
 fn chaos_schedules_converge_to_clean_bytes() {
     let clean = stable_render(&Campaign::new(1).quiet().run(grid()).outcomes);
@@ -93,11 +96,12 @@ fn chaos_schedules_converge_to_clean_bytes() {
                 );
 
                 let dir = scratch(&format!("s{seed:x}-r{}-j{jobs}", (rate * 10.0) as u32));
-                for pass in 0..2 {
+                let second_name = dir.join("..").join(dir.file_name().unwrap());
+                for (pass, cache_dir) in [&dir, &second_name].into_iter().enumerate() {
                     let out = Campaign::new(jobs)
                         .quiet()
                         .retries(3)
-                        .cache_dir(&dir)
+                        .cache_dir(cache_dir)
                         .chaos(plan)
                         .run(grid());
                     assert_eq!(out.summary.failed, 0, "{tag} (cache pass {pass})");
@@ -106,6 +110,18 @@ fn chaos_schedules_converge_to_clean_bytes() {
                         clean,
                         "{tag} (cache pass {pass}) diverged from the undisturbed run"
                     );
+                }
+                // At rate 1.0 chaos damages every entry the second pass
+                // reads, so each one must have been quarantined.
+                if rate == 1.0 {
+                    let quarantined = std::fs::read_dir(&dir)
+                        .unwrap()
+                        .filter(|e| {
+                            let path = e.as_ref().unwrap().path();
+                            path.extension().is_some_and(|x| x == "corrupt")
+                        })
+                        .count();
+                    assert_eq!(quarantined, 4, "{tag}: quarantined entries");
                 }
                 let _ = std::fs::remove_dir_all(&dir);
             }

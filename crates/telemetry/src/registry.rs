@@ -282,10 +282,6 @@ global_metrics! {
             "Point re-dispatches after a retryable failure.";
         engine_retry_escalations => "mn_engine_retry_escalations_total",
             "Jobs executed with an escalated watchdog budget (attempt > 0).";
-        cache_hot_revalidations => "mn_cache_hot_revalidations_total",
-            "Hot-tier hits revalidated against the backing file's metadata.";
-        cache_hot_revalidation_misses => "mn_cache_hot_revalidation_misses_total",
-            "Hot-tier entries dropped because revalidation failed.";
         cache_gc_passes => "mn_cache_gc_passes_total",
             "Cache eviction passes (explicit gc and budget-triggered).";
         journal_lines_written => "mn_journal_lines_written_total",
