@@ -387,8 +387,8 @@ impl DiskCache {
 
     /// [`DiskCache::load`] with the fingerprint and cache key already in
     /// hand. The campaign formats both once per distinct point while
-    /// folding duplicates (the journal and the chaos schedule need them
-    /// too), so a load never formats either again.
+    /// folding duplicates (the chaos schedule needs the key too), so a
+    /// load never formats either again.
     pub fn load_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         self.sweep_stale_tmp();
         let word = key_word(key);
@@ -404,15 +404,7 @@ impl DiskCache {
             }
         }
 
-        let path = self.key_path(key);
-        let loaded = fs::File::open(&path).ok().and_then(|file| {
-            let Ok(text) = String::from_utf8(read_all(&file).ok()?) else {
-                self.quarantine(&path, "non-UTF-8 bytes");
-                return None;
-            };
-            self.verify_entry(fingerprint, &path, &text)
-        });
-        match loaded {
+        match self.read_entry(fingerprint, key) {
             Some(result) => {
                 self.hot_insert(word, fingerprint.to_string(), Arc::new(result.clone()));
                 self.state.hits.fetch_add(1, Ordering::Relaxed);
@@ -427,12 +419,23 @@ impl DiskCache {
 
     /// The cold hit path alone, with the fingerprint and cache key
     /// already in hand: read, verify, decode — no hot tier, no counters.
-    /// This is what every hit used to cost; `campaign_bench` measures it
-    /// against [`DiskCache::load_keyed`] to keep the warm-replay speedup
-    /// honest.
+    /// This is the disk hit [`DiskCache::load_keyed`] makes on a hot-tier
+    /// miss; `campaign_bench` measures the two against each other to
+    /// keep the warm-replay speedup honest.
     pub fn load_uncached_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
+        self.read_entry(fingerprint, key)
+    }
+
+    /// Reads the entry for `key` through one read-only descriptor
+    /// (`openat`, `read` to EOF, `close`), then verifies and decodes it;
+    /// a corrupt entry is quarantined.
+    fn read_entry(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         let path = self.key_path(key);
-        let text = fs::read_to_string(&path).ok()?;
+        let file = fs::File::open(&path).ok()?;
+        let Ok(text) = String::from_utf8(read_all(&file).ok()?) else {
+            self.quarantine(&path, "non-UTF-8 bytes");
+            return None;
+        };
         self.verify_entry(fingerprint, &path, &text)
     }
 

@@ -23,9 +23,10 @@
 //!    [`CampaignError::PointPanicked`] record; retryable failures
 //!    (stalls, lost workers, caught panics) are re-dispatched up to the
 //!    [retry budget](Campaign::retries) with an escalated watchdog; and
-//!    an attached [run journal](Campaign::journal) makes a killed run
-//!    resumable. Every recovery path converges to results byte-identical
-//!    to an undisturbed run (`tests/chaos_diff.rs` pins this).
+//!    a killed run resumes by rerunning against the same cache, which
+//!    stored each finished point as it landed. Every recovery path
+//!    converges to results byte-identical to an undisturbed run
+//!    (`tests/chaos_diff.rs` pins this).
 //!
 //! Campaigns submitted concurrently to one [`Engine`] share its workers
 //! and stay byte-identical to serial runs (`tests/concurrent.rs` pins
@@ -48,7 +49,6 @@ use crate::cache::DiskCache;
 use crate::chaos::ChaosPlan;
 use crate::engine::{Delivery, Engine, Job, Reply};
 use crate::error::CampaignError;
-use crate::journal::{self, ReplayedPoint, RunJournal};
 use crate::knobs::Knobs;
 use crate::point::{fnv1a64, CampaignPoint, WordMap};
 use crate::report::{CampaignSummary, Progress};
@@ -58,13 +58,12 @@ use crate::report::{CampaignSummary, Progress};
 pub struct PointOutcome {
     /// The point that was executed.
     pub point: CampaignPoint,
-    /// Its simulation result (fresh, from cache, or replayed from a
-    /// resume journal), or why this point has none. A failed point never
-    /// aborts the grid: the other points complete and the error travels
-    /// with its point.
+    /// Its simulation result (fresh or from the cache), or why this
+    /// point has none. A failed point never aborts the grid: the other
+    /// points complete and the error travels with its point.
     pub result: Result<RunResult, CampaignError>,
-    /// True when the result came from disk — the result cache or a
-    /// resume journal — rather than a fresh simulation.
+    /// True when the result came from the result cache rather than a
+    /// fresh simulation.
     pub cached: bool,
     /// Always false: campaigns no longer hand results to each other.
     /// Kept only because the frozen benchmark package reads it; retire it
@@ -72,8 +71,7 @@ pub struct PointOutcome {
     pub coalesced: bool,
     /// Simulation attempts this run spent on the point: 0 for cache
     /// hits and folded duplicates, 1 for a clean first run, more when
-    /// retryable failures earned re-dispatches. Replayed points report
-    /// the attempts the journaling run recorded.
+    /// retryable failures earned re-dispatches.
     pub attempts: u32,
     /// Host wall-clock spent obtaining this result (near zero for cache
     /// hits and folded duplicates).
@@ -120,7 +118,6 @@ pub struct Campaign {
     cache: Option<DiskCache>,
     quiet: bool,
     retries: u32,
-    journal: Option<PathBuf>,
     chaos: Option<ChaosPlan>,
     engine: OnceLock<Arc<Engine>>,
 }
@@ -130,15 +127,14 @@ impl Campaign {
     /// the process-global [`Engine`] sized by `MN_JOBS` (default:
     /// available parallelism), the cache in `MN_CACHE_DIR` (default
     /// `results/cache/`; `MN_CACHE=off` detaches it), the `MN_RETRIES`
-    /// retry budget (default 2), an `MN_RESUME` journal when set, and —
-    /// for harness testing only — `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault
-    /// injection. It also sets the metrics gate from `MN_METRICS`.
+    /// retry budget (default 2), and — for harness testing only —
+    /// `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection. It also sets the
+    /// metrics gate from `MN_METRICS`.
     pub fn from_env() -> Campaign {
         let knobs = Knobs::get();
         registry::set_metrics_enabled(knobs.metrics);
         let mut campaign = Campaign::new(knobs.jobs());
         campaign.retries = knobs.retries;
-        campaign.journal = knobs.resume.clone();
         campaign.chaos = knobs.chaos();
         let _ = campaign.engine.set(Engine::global());
         if knobs.cache {
@@ -148,8 +144,8 @@ impl Campaign {
         }
     }
 
-    /// A campaign with an explicit worker count, no cache, no journal,
-    /// and no retries (embedding and tests want every dispatch visible;
+    /// A campaign with an explicit worker count, no cache and no
+    /// retries (embedding and tests want every dispatch visible;
     /// [`Campaign::from_env`] applies the `MN_RETRIES` default). The
     /// campaign runs on a private engine unless one is attached with
     /// [`Campaign::on_engine`].
@@ -159,7 +155,6 @@ impl Campaign {
             cache: None,
             quiet: false,
             retries: 0,
-            journal: None,
             chaos: None,
             engine: OnceLock::new(),
         }
@@ -193,17 +188,8 @@ impl Campaign {
         self
     }
 
-    /// Attaches a crash-consistent run journal at `path`: completed
-    /// points recorded there by any earlier run are replayed (even with
-    /// the cache detached) instead of re-simulated, and this run appends
-    /// its own events so *it* can be resumed in turn.
-    pub fn journal(mut self, path: impl Into<PathBuf>) -> Campaign {
-        self.journal = Some(path.into());
-        self
-    }
-
     /// Arms the deterministic chaos harness (test infrastructure): the
-    /// plan injects worker panics, cache damage, and journal tears on a
+    /// plan injects worker panics, cache damage and temp-file litter on a
     /// seeded schedule that the recovery machinery must absorb without
     /// changing a byte of output.
     pub fn chaos(mut self, plan: ChaosPlan) -> Campaign {
@@ -225,17 +211,19 @@ impl Campaign {
 
     /// Runs every point and returns outcomes in submission order.
     ///
-    /// The run is six stages over one record per distinct point: `fold`
-    /// the duplicates, `replay` the journal, `strike` with chaos, `probe`
-    /// the cache, `simulate` the misses and `tally` the summary; then
-    /// every submitted point receives its record's result.
+    /// The run is five stages over one record per distinct point: `fold`
+    /// the duplicates, `strike` with chaos, `probe` the cache, `simulate`
+    /// the misses and `tally` the summary; then every submitted point
+    /// receives its record's result.
     ///
     /// Simulation failures (a fault schedule that partitions a topology, a
     /// stalled port, a panicking point) are confined to their point: the
     /// affected [`PointOutcome`] carries the [`CampaignError`] and every
     /// other point still completes. Retryable failures are re-dispatched
     /// up to the [retry budget](Campaign::retries) first. Failed points
-    /// are never written to the cache, so a later run retries them.
+    /// are never written to the cache, so a later run retries them. Every
+    /// other point is stored as it lands, so rerunning a killed run
+    /// against the same cache resumes it.
     ///
     /// # Panics
     ///
@@ -252,11 +240,9 @@ impl Campaign {
         }
         let mut progress = Progress::new(points.len(), self.quiet);
         let (mut records, canonical) = self.fold(&points);
-        self.replay(&mut records, &mut progress);
         self.strike(&records);
-        let journal = self.open_journal();
         self.probe(&mut records, &mut progress);
-        let jobs = self.simulate(&mut records, journal.as_ref(), &mut progress);
+        let jobs = self.simulate(&mut records, &mut progress);
         let mut filled: Vec<Option<Filled>> =
             records.into_iter().map(Record::into_filled).collect();
         let summary = tally(&filled, points.len(), jobs, progress.started().elapsed());
@@ -333,66 +319,24 @@ impl Campaign {
         (records, canonical)
     }
 
-    /// Stage 2: points a previous run completed are served from their
-    /// journaled (lossless) encodings, even with the cache detached.
-    fn replay(&self, records: &mut [Record], progress: &mut Progress) {
-        let Some(path) = &self.journal else { return };
-        let mut done = journal::replay(path).unwrap_or_else(|err| {
-            eprintln!(
-                "warning: could not replay journal {}: {err}; starting from scratch",
-                path.display()
-            );
-            HashMap::new()
-        });
-        for record in records {
-            if let Some(ReplayedPoint { result, attempts }) = done.remove(&record.fingerprint) {
-                progress.tick(true);
-                record.fill(Ok(result), Source::Resumed, attempts, Duration::ZERO);
-            }
-        }
-    }
-
-    /// Stage 3: all of the chaos harness's damage to durable state — stale
-    /// cache temp files, a torn journal tail, and damaged entries for
-    /// exactly the points the probe reads, which it knows because it runs
-    /// after replay (replay skips a torn tail either way).
+    /// Stage 2: all of the chaos harness's damage to durable state — stale
+    /// cache temp files, and damaged entries for exactly the points the
+    /// probe reads.
     fn strike(&self, records: &[Record]) {
-        let Some(chaos) = self.chaos else { return };
-        if let Some(path) = &self.journal {
-            chaos.tear_journal(path);
-        }
-        let Some(cache) = &self.cache else { return };
+        let (Some(chaos), Some(cache)) = (self.chaos, &self.cache) else {
+            return;
+        };
         chaos.litter_cache_dir(cache.dir());
-        for record in records
-            .iter()
-            .filter(|r| matches!(r.state, State::Unresolved))
-        {
+        for record in records {
             chaos.damage_cache_entry(cache.dir(), &record.key);
         }
     }
 
-    /// Opens the journal this run appends to, after the strike, so a torn
-    /// tail is repaired before this run's first event.
-    fn open_journal(&self) -> Option<RunJournal> {
-        let path = self.journal.as_ref()?;
-        let open = RunJournal::open(path);
-        if let Err(err) = &open {
-            eprintln!(
-                "warning: could not open journal {}: {err}; this run will not be resumable",
-                path.display()
-            );
-        }
-        open.ok()
-    }
-
-    /// Stage 4: serves every unresolved point the cache holds; the
-    /// misses stay unresolved for [`Campaign::simulate`].
+    /// Stage 3: serves every point the cache holds; the misses stay
+    /// unresolved for [`Campaign::simulate`].
     fn probe(&self, records: &mut [Record], progress: &mut Progress) {
         let Some(cache) = &self.cache else { return };
-        for record in records
-            .iter_mut()
-            .filter(|r| matches!(r.state, State::Unresolved))
-        {
+        for record in records {
             let start = Instant::now();
             if let Some(result) = cache.load_keyed(&record.fingerprint, &record.key) {
                 progress.tick(true);
@@ -401,25 +345,17 @@ impl Campaign {
         }
     }
 
-    /// Stage 5: simulates every unresolved point as one job per port (ports
+    /// Stage 4: simulates every unresolved point as one job per port (ports
     /// serve disjoint address slices, so a point's ports run concurrently)
     /// and returns the worker count the summary reports. Every job replies
     /// exactly once: a job its worker lost replies `LostWorker` as it is
     /// dropped, which is retried like any retryable failure, so the loop
     /// always ends with every point filled.
-    fn simulate(
-        &self,
-        records: &mut [Record],
-        journal: Option<&RunJournal>,
-        progress: &mut Progress,
-    ) -> usize {
+    fn simulate(&self, records: &mut [Record], progress: &mut Progress) -> usize {
         let (tx, rx) = mpsc::channel::<Delivery>();
         let mut initial = Vec::new();
         for (slot, record) in records.iter_mut().enumerate() {
             if matches!(record.state, State::Unresolved) {
-                if let Some(journal) = journal {
-                    journal.start(&record.fingerprint, &record.key);
-                }
                 let ports = port_count(&record.point.config) as usize;
                 record.state = State::Gathering(Gather {
                     point: Arc::new(record.point.clone()),
@@ -439,7 +375,7 @@ impl Campaign {
             let delivery = rx.recv().expect("the gatherer holds a sender");
             outstanding -= 1;
             let slot = delivery.slot;
-            if self.land(&mut records[slot], delivery, journal, progress) {
+            if self.land(&mut records[slot], delivery, progress) {
                 let retry = self.port_jobs(slot, &records[slot], &tx);
                 outstanding += retry.len();
                 engine.submit(retry);
@@ -468,18 +404,12 @@ impl Campaign {
     }
 
     /// Lands one port. After an attempt's last port the point is merged
-    /// (in ascending port order, as the serial `simulate` merges), cached
-    /// and journaled; or re-armed for a fresh attempt of every port
+    /// (in ascending port order, as the serial `simulate` merges) and
+    /// cached; or re-armed for a fresh attempt of every port
     /// (returns true, and the caller dispatches it); or recorded failed.
     /// Waiting for every port makes the error attribution deterministic:
     /// the lowest-numbered failing port speaks for the point.
-    fn land(
-        &self,
-        record: &mut Record,
-        delivery: Delivery,
-        journal: Option<&RunJournal>,
-        progress: &mut Progress,
-    ) -> bool {
+    fn land(&self, record: &mut Record, delivery: Delivery, progress: &mut Progress) -> bool {
         let State::Gathering(gather) = &mut record.state else {
             unreachable!("only gathering points have jobs in flight")
         };
@@ -489,7 +419,6 @@ impl Campaign {
             return false; // the attempt's other ports are still in flight
         }
         let (attempts, host) = (gather.attempt + 1, gather.host);
-        let fp = &record.fingerprint;
         let (ok, expected) = (
             gather.ports.iter().flatten().filter(|p| p.is_ok()).count(),
             gather.ports.len(),
@@ -507,24 +436,16 @@ impl Campaign {
         let result = match landed {
             Err(error) if error.is_retryable() && gather.attempt < self.retries => {
                 registry::metrics().engine_retry_attempts.inc();
-                if let Some(journal) = journal {
-                    journal.retry(fp, attempts, &error.to_string());
-                }
                 gather.ports.iter_mut().for_each(|p| *p = None);
                 gather.attempt = attempts;
                 return true;
             }
-            Err(error) => {
-                if let Some(journal) = journal {
-                    journal.failed(fp, attempts, &error.to_string());
-                }
-                Err(error)
-            }
+            Err(error) => Err(error),
             Ok(obs) => {
                 let point = record.point;
                 let result = merge_port_observations(&point.config, point.workload, obs);
                 if let Some(cache) = &self.cache {
-                    if let Err(err) = cache.store_keyed(fp, &record.key, &result) {
+                    if let Err(err) = cache.store_keyed(&record.fingerprint, &record.key, &result) {
                         // Warn once, not per point: the point itself
                         // completed, uncached.
                         static STORE_WARNED: AtomicBool = AtomicBool::new(false);
@@ -533,9 +454,6 @@ impl Campaign {
                             eprintln!("warning: could not cache result in {dir}: {err}");
                         }
                     }
-                }
-                if let Some(journal) = journal {
-                    journal.done(fp, attempts, &result);
                 }
                 if let Some(start) = gather.dispatched {
                     registry::metrics()
@@ -551,7 +469,7 @@ impl Campaign {
     }
 }
 
-/// Stage 6: the run's summary, from every distinct point's result.
+/// Stage 5: the run's summary, from every distinct point's result.
 fn tally(
     filled: &[Option<Filled>],
     total: usize,
@@ -573,7 +491,6 @@ fn tally(
             .flat_map(|f| &f.result)
             .map(|r| r.reads + r.writes)
             .sum(),
-        resumed: count(Source::Resumed),
         retried: fresh().filter(|f| f.attempts > 1).count(),
         coalesced: 0,
     }
@@ -654,7 +571,7 @@ impl Record<'_> {
 // hit on the warm replay path; a run holds one record per distinct point.
 #[allow(clippy::large_enum_variant)]
 enum State {
-    /// Not replayed, cached or simulated yet.
+    /// Not cached or simulated yet.
     Unresolved,
     /// Dispatched to the engine; ports are landing.
     Gathering(Gather),
@@ -667,7 +584,6 @@ enum State {
 enum Source {
     Simulated,
     Cached,
-    Resumed,
 }
 
 type PointResult = Result<RunResult, CampaignError>;
@@ -733,7 +649,6 @@ mod tests {
         assert_eq!(outcome.summary.unique, 3);
         assert_eq!(outcome.summary.fresh, 3);
         assert_eq!(outcome.summary.retried, 0);
-        assert_eq!(outcome.summary.resumed, 0);
         assert_eq!(outcome.summary.coalesced, 0);
         let labels: Vec<&str> = outcome
             .outcomes
@@ -945,67 +860,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn journal_resume_skips_completed_points_without_a_cache() {
-        let dir = scratch("resume");
-        let path = dir.join("run.journal");
-        let points = || vec![tiny(TopologyKind::Chain, 71), tiny(TopologyKind::Ring, 72)];
-
-        // First run journals both points (no cache attached).
-        let first = Campaign::new(2).quiet().journal(&path).run(points());
-        assert_eq!(first.summary.fresh, 2);
-        assert_eq!(first.summary.resumed, 0);
-
-        // Second run replays them — zero fresh simulations, identical
-        // results, attempts carried over from the journal.
-        let second = Campaign::new(2).quiet().journal(&path).run(points());
-        assert_eq!(second.summary.fresh, 0);
-        assert_eq!(second.summary.resumed, 2);
-        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-            assert!(b.cached, "replayed points are served from disk");
-            assert_eq!(b.attempts, 1);
-            assert_eq!(
-                codec::encode_result(a.result.as_ref().unwrap()),
-                codec::encode_result(b.result.as_ref().unwrap()),
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+    /// `point` under a watchdog that stalls its first two attempts and
+    /// lets the third, at four times the limit, finish: a quarter of the
+    /// smallest power-of-two limit the point completes under. The limit is
+    /// not fingerprinted, so the result and cache key are `point`'s own.
+    fn stalls_twice(mut point: CampaignPoint) -> CampaignPoint {
+        let completes = |limit| {
+            let mut probe = point.clone();
+            probe.config.watchdog_limit = limit;
+            mn_core::try_simulate_port(&probe.config, probe.workload, 0).is_ok()
+        };
+        let least = (0..40)
+            .map(|shift| 1u64 << shift)
+            .find(|&limit| completes(limit))
+            .expect("some watchdog limit lets the point finish");
+        assert!(least >= 4, "a limit of {least} leaves no room to stall");
+        point.config.watchdog_limit = least / 4;
+        point
     }
 
     #[test]
     fn one_run_mixes_every_source() {
         let dir = scratch("mixed");
-        let (journal, cache) = (dir.join("run.journal"), dir.join("cache"));
-        let p1 = tiny(TopologyKind::Chain, 91);
+        let p1 = stalls_twice(tiny(TopologyKind::Chain, 91));
         let p2 = tiny(TopologyKind::Tree, 92);
         let p3 = tiny(TopologyKind::Ring, 93);
-        // Run A journals P1 after two chaos panics (three attempts); run B
-        // caches P2.
-        let chaos = ChaosPlan::new(0xC0, 1.0);
-        let a = Campaign::new(1).quiet().retries(2).chaos(chaos);
-        let a = a.journal(&journal).run(vec![p1.clone()]);
-        assert_eq!(a.outcomes[0].attempts, 3);
-        let b = Campaign::new(1).quiet().cache_dir(&cache);
-        assert_eq!(b.run(vec![p2.clone()]).summary.fresh, 1);
+        let campaign = || Campaign::new(2).quiet().retries(2).cache_dir(&dir);
+        // An earlier run cached P2.
+        assert_eq!(campaign().run(vec![p2.clone()]).summary.fresh, 1);
 
-        let both = || Campaign::new(2).quiet().journal(&journal).cache_dir(&cache);
-        let c = both().run(vec![p1, p2, p3.clone(), p3.clone(), partitioned(94)]);
+        let c = campaign().run(vec![p1, p2, p3.clone(), p3, partitioned(94)]);
         let seen = |o: &PointOutcome| (o.cached, o.attempts, o.result.is_ok());
         let seen: Vec<_> = c.outcomes.iter().map(seen).collect();
-        let (resumed, cached, fresh) = ((true, 3, true), (true, 0, true), (false, 1, true));
-        assert_eq!(seen, [resumed, cached, fresh, fresh, (false, 1, false)]);
-        assert_eq!(c.outcomes[0].host, Duration::ZERO);
+        let (retried, cached, fresh) = ((false, 3, true), (true, 0, true), (false, 1, true));
+        assert_eq!(seen, [retried, cached, fresh, fresh, (false, 1, false)]);
         let s = &c.summary;
         assert_eq!((s.total, s.unique, s.failed), (5, 4, 1));
-        assert_eq!((s.resumed, s.cache_hits, s.fresh), (1, 1, 2));
+        assert_eq!((s.cache_hits, s.fresh, s.retried), (1, 3, 1));
         let line = s.line();
         assert!(line.starts_with("campaign: 5/5 points in "), "{line}");
-        let tail = " — 1 cached, 2 simulated, 1 resumed, 1 FAILED, 2 workers, ";
+        let tail = " — 1 cached, 3 simulated, 1 retried, 1 FAILED, 2 workers, ";
         assert!(line.contains(tail), "{line}");
 
-        // P3 is now in both the journal and the cache: the journal wins.
-        let d = both().run(vec![p3]);
-        assert_eq!((d.summary.resumed, d.summary.cache_hits), (1, 0));
+        // The twice-stalled point converged and was cached like any other.
+        let d = campaign().run(vec![stalls_twice(tiny(TopologyKind::Chain, 91))]);
+        assert_eq!((d.summary.cache_hits, d.summary.fresh), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the campaign engine itself.
 //!
 //! The simulator's `FaultModel` breaks links; [`ChaosPlan`] breaks the
-//! *harness* — worker panics, corrupt cache entries, stale temp files,
-//! torn journal tails — so the recovery machinery (`catch_unwind`, retry,
-//! quarantine, sweep, torn-tail-tolerant replay) is exercised under test
-//! instead of trusted on faith.
+//! *harness* — worker panics, corrupt cache entries, and the stale temp
+//! files a killed run leaves — so the recovery machinery (`catch_unwind`,
+//! retry, quarantine, sweep) is exercised under test instead of trusted
+//! on faith.
 //!
 //! Determinism discipline: every injection decision is a **pure function
 //! of (seed, injection-site coordinates)** — a splitmix64 hash of the
@@ -24,7 +24,6 @@ const DOMAIN_PANIC: u64 = 0x0050_414e_4943; // "PANIC"
 const DOMAIN_CORRUPT: u64 = 0x434f_5252; // "CORR"
 const DOMAIN_TRUNCATE: u64 = 0x5452_554e; // "TRUN"
 const DOMAIN_LITTER: u64 = 0x4c49_5454; // "LITT"
-const DOMAIN_TEAR: u64 = 0x5445_4152; // "TEAR"
 
 /// A seeded schedule of harness faults. `Copy`, so workers carry it by
 /// value; all decisions are derived, no mutable state.
@@ -107,22 +106,6 @@ impl ChaosPlan {
             let _ = std::fs::write(dir.join(name), b"torn half-written cache entry");
         }
     }
-
-    /// Tears the journal's tail: appends a partial line *without* a
-    /// trailing newline, mimicking a crash mid-append. Replay must skip
-    /// it and the next run's appends must not concatenate with it.
-    pub fn tear_journal(self, path: &Path) {
-        if !self.chance(DOMAIN_TEAR, 0) {
-            return;
-        }
-        if !path.exists() {
-            return;
-        }
-        use std::io::Write as _;
-        if let Ok(mut file) = std::fs::OpenOptions::new().append(true).open(path) {
-            let _ = file.write_all(br#"{"event":"done","fp":"torn-mid-"#);
-        }
-    }
 }
 
 /// splitmix64's finalizer: a strong 64-bit mixing function, used here as
@@ -189,9 +172,8 @@ mod tests {
         let plan = ChaosPlan::new(9, 1.0);
         let dir = std::env::temp_dir().join("mn-chaos-missing-paths-test");
         let _ = std::fs::remove_dir_all(&dir);
-        // No entry, no journal: all no-ops, no panics.
+        // No entry: a no-op, no panic.
         plan.damage_cache_entry(&dir, "0123456789abcdef");
-        plan.tear_journal(&dir.join("absent.journal"));
         // Litter creates the dir and drops sweepable files.
         plan.litter_cache_dir(&dir);
         let litter: Vec<_> = std::fs::read_dir(&dir)

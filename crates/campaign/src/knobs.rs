@@ -46,8 +46,6 @@ pub struct Knobs {
     pub cache_dir: PathBuf,
     /// Per-point retry budget (`MN_RETRIES`).
     pub retries: u32,
-    /// Run-journal path (`MN_RESUME`).
-    pub resume: Option<PathBuf>,
     /// Chaos-injection probability (`MN_CHAOS_RATE`).
     pub chaos_rate: Option<f64>,
     /// Chaos schedule seed (`MN_CHAOS_SEED`).
@@ -83,7 +81,6 @@ impl Default for Knobs {
             cache: true,
             cache_dir: PathBuf::from("results/cache"),
             retries: 2,
-            resume: None,
             chaos_rate: None,
             chaos_seed: 0,
             fault_rate: None,
@@ -207,19 +204,11 @@ pub const KNOBS: &[Knob] = &[
         set: |k, v| parsed(v).map(|n| k.retries = n),
     },
     Knob {
-        name: "MN_RESUME",
-        default: "unset",
-        results: false,
-        doc: "run-journal path (`mncube run --resume FILE` overrides); reruns replay \
-              the journal's completed points, even with `MN_CACHE=off`",
-        set: |k, v| path(v).map(|p| k.resume = Some(p)),
-    },
-    Knob {
         name: "MN_CHAOS_RATE",
         default: "0 (off)",
         results: false,
         doc: "*test harness*: per-site fault-injection probability in `[0, 1]` \
-              (worker panics, cache damage, torn journals)",
+              (worker panics, cache damage, temp-file litter)",
         set: |k, v| probability(v).map(|p| k.chaos_rate = Some(p)),
     },
     Knob {
@@ -438,7 +427,6 @@ mod tests {
         assert!(unset.cache);
         assert_eq!(unset.cache_dir, PathBuf::from("results/cache"));
         assert_eq!(unset.retries, 2);
-        assert_eq!(unset.resume, None);
         assert_eq!(unset.chaos_rate, None);
         assert_eq!(unset.chaos_seed, 0);
         assert_eq!(unset.fault_rate, None); // fault injection stays off
@@ -466,7 +454,7 @@ mod tests {
     fn every_row_accepts_valid_and_rejects_bad_values() {
         // (variable, value, the field it sets on top of the defaults)
         type Set = fn(&mut Knobs);
-        let valid: [(&str, &str, Set); 26] = [
+        let valid: [(&str, &str, Set); 25] = [
             ("MN_REQUESTS", "1234", |k| k.requests = 1234),
             ("MN_SEED", "42", |k| k.seed = Some(42)),
             ("MN_JOBS", "3", |k| k.jobs = Some(3)),
@@ -476,7 +464,6 @@ mod tests {
             ("MN_CACHE_DIR", "/tmp/c", |k| k.cache_dir = "/tmp/c".into()),
             ("MN_RETRIES", "0", |k| k.retries = 0), // 0 disables retries
             ("MN_RETRIES", "5", |k| k.retries = 5),
-            ("MN_RESUME", "/tmp/j", |k| k.resume = Some("/tmp/j".into())),
             ("MN_CHAOS_RATE", "0.25", |k| k.chaos_rate = Some(0.25)),
             ("MN_CHAOS_SEED", "99", |k| k.chaos_seed = 99),
             ("MN_FAULT_RATE", "0.05", |k| k.fault_rate = Some(0.05)),

@@ -26,11 +26,12 @@
 //! - **Reporting** — live progress on a terminal and a closing
 //!   [`CampaignSummary`] line (points done/total, cache hits, aggregate
 //!   sim-throughput) on stderr.
-//! - **Robustness** — panic isolation (`catch_unwind` per point), a
-//!   crash-consistent run journal with `MN_RESUME` replay, bounded
-//!   per-point retry (`MN_RETRIES`) with watchdog escalation, and a
-//!   seeded [`ChaosPlan`] harness proving every recovery path converges
-//!   to byte-identical results (DESIGN.md §"Robustness & recovery").
+//! - **Robustness** — panic isolation (`catch_unwind` per point), bounded
+//!   per-point retry (`MN_RETRIES`) with watchdog escalation, resume by
+//!   rerunning against the same cache (each finished point is stored as
+//!   it lands), and a seeded [`ChaosPlan`] harness proving every recovery
+//!   path converges to byte-identical results (DESIGN.md §"Robustness &
+//!   recovery").
 //!
 //! ## Example
 //!
@@ -62,7 +63,6 @@ mod chaos;
 pub mod codec;
 mod engine;
 mod error;
-mod journal;
 mod knobs;
 mod point;
 mod report;

@@ -26,10 +26,6 @@ pub struct CampaignSummary {
     pub host_wall: Duration,
     /// Memory requests completed by fresh simulations.
     pub fresh_requests: u64,
-    /// Unique points served from a resume journal's `done` events
-    /// (counted apart from `cache_hits`: replay works even with the
-    /// cache disabled).
-    pub resumed: usize,
     /// Unique points that needed at least one re-dispatch (successful
     /// or not) before settling.
     pub retried: usize,
@@ -51,15 +47,10 @@ impl CampaignSummary {
         }
     }
 
-    /// The one-line human rendering. The resume/retry/failure segments
+    /// The one-line human rendering. The retry and failure segments
     /// appear only when nonzero, so the common clean run reads exactly
     /// as it always has (CI greps this line).
     pub fn line(&self) -> String {
-        let resumed = if self.resumed == 0 {
-            String::new()
-        } else {
-            format!(", {} resumed", self.resumed)
-        };
         let retried = if self.retried == 0 {
             String::new()
         } else {
@@ -71,8 +62,8 @@ impl CampaignSummary {
             format!(", {} FAILED", self.failed)
         };
         format!(
-            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{resumed}\
-             {retried}{failed}, {} worker{}, {:.0} req/s",
+            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{retried}\
+             {failed}, {} worker{}, {:.0} req/s",
             self.total,
             self.total,
             self.host_wall.as_secs_f64(),

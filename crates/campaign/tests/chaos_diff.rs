@@ -1,8 +1,8 @@
 //! Differential proof of the crash-safety contract (`DESIGN.md`
 //! §"Robustness & recovery"): every recovery path — caught panics with
 //! retry, cache corruption with quarantine, stale temp litter with the
-//! open-time sweep, torn journals with tolerant replay, kill-and-resume —
-//! converges to results **byte-identical** to an undisturbed run. Proven
+//! open-time sweep, kill-and-rerun against the same cache — converges
+//! to results **byte-identical** to an undisturbed run. Proven
 //! differentially: run both sides and compare the rendered sink records
 //! byte for byte.
 //!
@@ -129,70 +129,49 @@ fn chaos_schedules_converge_to_clean_bytes() {
     }
 }
 
-/// Kill-and-resume: a run that died partway (journal holds its first
-/// points, tail torn mid-append) resumes into the full grid and lands on
-/// the clean run's exact bytes; a further resume replays everything.
+/// Kill-and-resume: a run that died partway left its first points in
+/// the cache, stored as each landed, and the temp files of the stores it
+/// was cut off in. Rerunning the full grid against the same cache serves
+/// those points, simulates the rest and lands on the clean run's exact
+/// bytes; a further rerun simulates nothing. Each rerun names the
+/// directory another way, so its hot tier starts empty and every load
+/// reads the disk, as a new process would.
 #[test]
 fn kill_and_resume_matches_the_undisturbed_run() {
     let dir = scratch("resume");
-    let journal = dir.join("run.journal");
+    let cache = dir.join("cache");
     let clean = stable_render(&Campaign::new(2).quiet().run(grid()).outcomes);
 
     // The "killed" run: only the first two points completed.
     let partial: Vec<CampaignPoint> = grid().into_iter().take(2).collect();
-    let first = Campaign::new(2).quiet().journal(&journal).run(partial);
+    let first = Campaign::new(2).quiet().cache_dir(&cache).run(partial);
     assert_eq!(first.summary.fresh, 2);
 
-    // The crash left a half-written append on the journal tail.
-    ChaosPlan::new(7, 1.0).tear_journal(&journal);
-
-    // Resume over the full grid: journaled points replay (no cache
-    // attached — replay alone must carry them), the rest simulate fresh.
-    let resumed = Campaign::new(2).quiet().journal(&journal).run(grid());
-    assert_eq!(resumed.summary.resumed, 2);
-    assert_eq!(resumed.summary.fresh, 2);
-    assert_eq!(resumed.summary.failed, 0);
-    assert_eq!(stable_render(&resumed.outcomes), clean);
-
-    // Third run: everything replays, nothing simulates.
-    let replayed = Campaign::new(2).quiet().journal(&journal).run(grid());
-    assert_eq!(replayed.summary.fresh, 0);
-    assert_eq!(replayed.summary.resumed, 4);
-    assert_eq!(stable_render(&replayed.outcomes), clean);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The full stack at once — journal + cache + chaos at rate 1.0: the
-/// second run's schedule tears the journal, litters the cache, and
-/// damages every entry it probes, and the run still converges.
-#[test]
-fn journal_cache_and_chaos_together_still_converge() {
-    let dir = scratch("fullstack");
-    let journal = dir.join("run.journal");
-    let cache = dir.join("cache");
-    let clean = stable_render(&Campaign::new(2).quiet().run(grid()).outcomes);
-    let plan = ChaosPlan::new(0xD00F, 1.0);
-
-    let run = || {
-        Campaign::new(4)
-            .quiet()
-            .retries(2)
-            .cache_dir(&cache)
-            .journal(&journal)
-            .chaos(plan)
-            .run(grid())
+    // The crash left half-written temp files beside the stored entries.
+    ChaosPlan::new(7, 1.0).litter_cache_dir(&cache);
+    let litter = || {
+        let entries = std::fs::read_dir(&cache).unwrap().flatten();
+        let names = entries.map(|e| e.file_name().to_string_lossy().into_owned());
+        names.filter(|name| name.ends_with(".tmp")).count()
     };
-    let first = run();
-    assert_eq!(first.summary.failed, 0);
-    assert_eq!(stable_render(&first.outcomes), clean);
+    assert!(litter() > 0);
 
-    // Second run: replay serves every point straight through the torn,
-    // chaos-damaged state; nothing re-simulates.
-    let second = run();
-    assert_eq!(second.summary.failed, 0);
-    assert_eq!(second.summary.resumed, 4);
-    assert_eq!(second.summary.fresh, 0);
-    assert_eq!(stable_render(&second.outcomes), clean);
+    // Rerun the full grid: stored points are served, the rest simulate.
+    let rerun = dir.join("..").join(dir.file_name().unwrap()).join("cache");
+    let resumed = Campaign::new(2).quiet().cache_dir(&rerun).run(grid());
+    let s = &resumed.summary;
+    assert_eq!((s.cache_hits, s.fresh, s.failed), (2, 2, 0));
+    assert_eq!(stable_render(&resumed.outcomes), clean);
+    assert_eq!(litter(), 0, "the rerun swept the dead run's temp files");
+
+    // Third run: everything is cached, nothing simulates.
+    let again = cache.join("..").join("cache");
+    let replayed = Campaign::new(2).quiet().cache_dir(&again).run(grid());
+    assert_eq!(
+        (replayed.summary.cache_hits, replayed.summary.fresh),
+        (4, 0)
+    );
+    assert_eq!(stable_render(&replayed.outcomes), clean);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -204,7 +183,6 @@ fn zero_chaos_leaves_the_pinned_fingerprint_untouched() {
     let dir = scratch("zero");
     let plan = ChaosPlan::new(123, 0.0);
     plan.litter_cache_dir(&dir);
-    plan.tear_journal(&dir.join("absent.journal"));
     assert!(
         std::fs::read_dir(&dir).unwrap().next().is_none(),
         "a rate-0 plan must not touch the filesystem"

@@ -50,9 +50,6 @@ pub struct RunArgs {
     pub write_burst: bool,
     /// RNG seed override.
     pub seed: Option<u64>,
-    /// Resume journal path: completed points recorded there are skipped
-    /// and this run's progress is appended.
-    pub resume: Option<PathBuf>,
 }
 
 /// Arguments of `mncube compare`.
@@ -195,7 +192,6 @@ mncube — memory-network simulator (ISCA'17 'There and Back Again')
 USAGE:
     mncube run     [--topology T] [--workload W] [--dram PCT] [--placement P]
                    [--arbiter A] [--requests N] [--write-burst] [--seed S]
-                   [--resume FILE]
     mncube compare [--workload W] [--arbiter A] [--requests N]
     mncube topo    [--topology T] [--cubes N] [--dram PCT] [--placement P]
     mncube sweep   [--topology T] [--workload W] [--requests N]
@@ -219,9 +215,9 @@ VALUES:
 --out overrides the destination, else $MN_TRACE_DIR/trace.json is used.
 'closedloop' gates injection on an outstanding-request window and reports
 the steady-state window, RTT, and goodput (ecn also enables link marking).
-'run --resume FILE' (or MN_RESUME=FILE) journals progress to FILE and, on
-rerun, skips points the journal already completed — a killed run restarts
-where it died with byte-identical results.
+'run', 'compare' and 'sweep' store each finished point in the result cache
+as it lands, so a killed one resumes when rerun against the same cache
+(MN_CACHE_DIR=DIR for a private one), with byte-identical results.
 'cache stats' prints the result cache's entry/byte totals and lifetime
 hit/miss/store/eviction counters; 'cache gc' removes quarantined debris and
 evicts the oldest-written entries until the directory fits --budget
@@ -230,7 +226,7 @@ evicts the oldest-written entries until the directory fits --budget
 (MN_METRICS=on MN_METRICS_FILE=FILE) as a terminal table; --watch
 redraws it once per --interval milliseconds until interrupted.
 Flags override their MN_* knobs, which fill in for absent flags:
---requests (MN_REQUESTS), --seed (MN_SEED), --resume (MN_RESUME),
+--requests (MN_REQUESTS), --seed (MN_SEED),
 --policy/--window (MN_HOST_POLICY/MN_HOST_WINDOW), --dir (MN_CACHE_DIR),
 --file (MN_METRICS_FILE) and --interval (MN_METRICS_INTERVAL).
 MN_FAULT_*, MN_TRACE and MN_HOST_* shape every simulated configuration,
@@ -331,7 +327,7 @@ impl<'a> Cursor<'a> {
 
 impl Command {
     /// Parses a full argument list (without the program name). Flags
-    /// that mirror a knob (`--requests`, `--seed`, `--resume`, `--out`,
+    /// that mirror a knob (`--requests`, `--seed`, `--out`,
     /// `--policy`, `--window`, `--dir`, `--file`, `--interval`) default
     /// to that knob's value in `knobs`, so a flag overrides its knob and
     /// an absent flag falls back to it.
@@ -360,7 +356,6 @@ impl Command {
                     requests: knobs.requests,
                     write_burst: false,
                     seed: knobs.seed,
-                    resume: knobs.resume.clone(),
                 };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
@@ -372,7 +367,6 @@ impl Command {
                         "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
                         "--write-burst" => parsed.write_burst = true,
                         "--seed" => parsed.seed = Some(parse_u64(flag, cursor.value(flag)?)?),
-                        "--resume" => parsed.resume = Some(cursor.value(flag)?.into()),
                         other => return Err(err(format!("unknown flag '{other}' for run"))),
                     }
                 }
@@ -586,7 +580,6 @@ mod tests {
         assert_eq!(a.workload, Workload::Dct);
         assert_eq!(a.dram_pct, 100);
         assert!(!a.write_burst);
-        assert_eq!(a.resume, None);
     }
 
     #[test]
@@ -608,8 +601,6 @@ mod tests {
             "--write-burst",
             "--seed",
             "9",
-            "--resume",
-            "/tmp/run.journal",
         ])
         .unwrap() else {
             panic!("expected run");
@@ -622,14 +613,6 @@ mod tests {
         assert_eq!(a.requests, 1234);
         assert!(a.write_burst);
         assert_eq!(a.seed, Some(9));
-        assert_eq!(a.resume, Some(PathBuf::from("/tmp/run.journal")));
-    }
-
-    #[test]
-    fn resume_needs_a_value_and_belongs_to_run() {
-        let e = parse(&["run", "--resume"]).unwrap_err();
-        assert!(e.to_string().contains("expects a value"));
-        assert!(parse(&["sweep", "--resume", "x.journal"]).is_err());
     }
 
     #[test]
@@ -838,7 +821,6 @@ mod tests {
         let knobs = Knobs {
             requests: 300,
             seed: Some(5),
-            resume: Some(PathBuf::from("env.journal")),
             trace_dir: PathBuf::from("/tmp/traces"),
             host_policy: Some(WindowPolicyKind::Ecn),
             host_window: Some(4),
@@ -851,24 +833,12 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!((a.requests, a.seed), (300, Some(5)));
-        assert_eq!(a.resume, Some(PathBuf::from("env.journal")));
-        let Command::Run(a) = parse_with(
-            &[
-                "run",
-                "--requests",
-                "7",
-                "--seed",
-                "8",
-                "--resume",
-                "flag.journal",
-            ],
-            &knobs,
-        )
-        .unwrap() else {
+        let Command::Run(a) =
+            parse_with(&["run", "--requests", "7", "--seed", "8"], &knobs).unwrap()
+        else {
             panic!("expected run");
         };
         assert_eq!((a.requests, a.seed), (7, Some(8)));
-        assert_eq!(a.resume, Some(PathBuf::from("flag.journal")));
 
         let Command::Trace(a) = parse_with(&["trace"], &knobs).unwrap() else {
             panic!("expected trace");

@@ -509,8 +509,7 @@ fn stats(args: &StatsArgs) -> Result<String, ArgError> {
 }
 
 /// Executes a parsed command against an explicit campaign engine and
-/// knobs, returning the text to print. The campaign carries any run
-/// journal; [`execute`] attaches `run --resume`'s.
+/// knobs, returning the text to print.
 ///
 /// # Errors
 ///
@@ -535,21 +534,13 @@ pub fn execute_with(
 }
 
 /// Executes a parsed command with the process's knobs and the
-/// knob-configured campaign (`MN_JOBS` workers, shared `results/cache/`),
-/// journaling to the resolved `run --resume` path when there is one.
+/// knob-configured campaign (`MN_JOBS` workers, shared `results/cache/`).
 ///
 /// # Errors
 ///
 /// Returns [`ArgError`] when the configuration cannot be built.
 pub fn execute(command: &Command) -> Result<String, ArgError> {
-    let mut campaign = Campaign::from_env();
-    if let Command::Run(RunArgs {
-        resume: Some(path), ..
-    }) = command
-    {
-        campaign = campaign.journal(path);
-    }
-    execute_with(&campaign, Knobs::get(), command)
+    execute_with(&Campaign::from_env(), Knobs::get(), command)
 }
 
 #[cfg(test)]
@@ -643,7 +634,6 @@ mn_point_resolve_latency_us_count 3
                 requests: 300,
                 write_burst: false,
                 seed: Some(1),
-                resume: None,
             }),
         )
         .unwrap();
@@ -666,7 +656,6 @@ mn_point_resolve_latency_us_count 3
                 requests: 100,
                 write_burst: false,
                 seed: None,
-                resume: None,
             }),
         );
         assert!(result.is_err());

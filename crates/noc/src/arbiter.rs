@@ -168,27 +168,15 @@ impl Arbiter for RoundRobinArbiter {
     }
 }
 
-/// Parameters of the distance-based weighting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DistanceParams {
-    /// Extra weight for responses whose source cube is NVM, in hop
-    /// equivalents. The paper tunes this empirically from the average
-    /// network-hop and array latencies (§5.3); NVM array latency is worth a
-    /// few hops.
-    pub nvm_age_bonus: u64,
-    /// Weight divisor applied to write-class packets, deferring them in
-    /// favor of reads.
-    pub write_deprioritization: u64,
-}
+/// Adaptive distance arbitration's extra weight for responses whose
+/// source cube is NVM, in hop equivalents. The paper tunes this
+/// empirically from the average network-hop and array latencies (§5.3);
+/// NVM array latency is worth a few hops.
+const NVM_AGE_BONUS: u64 = 6;
 
-impl Default for DistanceParams {
-    fn default() -> Self {
-        DistanceParams {
-            nvm_age_bonus: 6,
-            write_deprioritization: 2,
-        }
-    }
-}
+/// Adaptive distance arbitration's weight divisor for write-class
+/// packets, deferring them in favor of reads.
+const WRITE_DEPRIORITIZATION: u64 = 2;
 
 /// Weighted round-robin where the weight is the packet's traveled distance
 /// (plus adaptive adjustments). Implemented as *smooth* weighted
@@ -200,7 +188,6 @@ impl Default for DistanceParams {
 pub struct DistanceArbiter {
     credits: Vec<i64>,
     adaptive: bool,
-    params: DistanceParams,
     rr: RoundRobinArbiter,
 }
 
@@ -211,7 +198,6 @@ impl DistanceArbiter {
         DistanceArbiter {
             credits: vec![0; input_ports],
             adaptive,
-            params: DistanceParams::default(),
             rr: RoundRobinArbiter::new(input_ports),
         }
     }
@@ -250,10 +236,10 @@ impl Arbiter for DistanceArbiter {
         let mut w = 1 + u64::from(packet.hops());
         if self.adaptive {
             if packet.src_is_nvm && !packet.kind.is_request() {
-                w += self.params.nvm_age_bonus;
+                w += NVM_AGE_BONUS;
             }
             if packet.kind.is_write_class() {
-                w = (w / self.params.write_deprioritization).max(1);
+                w = (w / WRITE_DEPRIORITIZATION).max(1);
             }
         }
         w

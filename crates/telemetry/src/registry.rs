@@ -1,8 +1,8 @@
 //! mn-metrics — the process-wide service-layer metrics registry.
 //!
 //! PR 5 instrumented the *simulation kernel*; this module instruments the
-//! *service stack around it* (worker pool, two-tier cache, journal,
-//! retries). Three primitives:
+//! *service stack around it* (worker pool, two-tier cache, retries).
+//! Three primitives:
 //!
 //! - [`Counter`] — a monotonic `AtomicU64` whose [`Counter::add`] is
 //!   gated on [`metrics_enabled`] (an `#[inline]` early return, the same
@@ -284,12 +284,6 @@ global_metrics! {
             "Jobs executed with an escalated watchdog budget (attempt > 0).";
         cache_gc_passes => "mn_cache_gc_passes_total",
             "Cache eviction passes (explicit gc and budget-triggered).";
-        journal_lines_written => "mn_journal_lines_written_total",
-            "Lines appended to run journals.";
-        journal_torn_tails_repaired => "mn_journal_torn_tails_repaired_total",
-            "Torn trailing journal lines truncated away on open.";
-        journal_replayed_points => "mn_journal_replayed_points_total",
-            "Completed points restored from a journal instead of rerun.";
         campaign_runs => "mn_campaign_runs_total",
             "Campaign submissions run to completion in this process.";
         campaign_points => "mn_campaign_points_total",
