@@ -19,6 +19,10 @@
 //!   pooled buffers drive the steady-state figure to zero.
 //! - **arena high-water** — from [`mn_sim::KernelCounters`]; it bounds
 //!   the packet working set.
+//! - **fixpoints** and **idle fixpoints** per iteration — the port loop's
+//!   instants, and those whose first pass moved nothing (see
+//!   [`mn_sim::KernelCounters::idle_fixpoints`]). Like the event count
+//!   they are exact, so CI gates them too.
 //!
 //! Results go to stdout (human-readable) and to `BENCH_kernel.json`
 //! (`MN_BENCH_OUT` to relocate), so CI can archive the perf trajectory
@@ -78,6 +82,8 @@ struct Measurement {
     allocs_per_1k_events: f64,
     steady_allocs_per_1k_events: f64,
     arena_high_water: u64,
+    fixpoints_per_iter: u64,
+    idle_fixpoints_per_iter: u64,
     wall_per_iter_ms: f64,
 }
 
@@ -110,6 +116,11 @@ fn run_case(case: &Case) -> Measurement {
             events,
             "event stream must be deterministic"
         );
+        assert_eq!(
+            obs.kernel_counters().fixpoints,
+            kernel.fixpoints,
+            "the port loop must be deterministic"
+        );
         steady_allocs += obs.kernel_counters().steady_heap_allocs;
         std::hint::black_box(&obs);
     }
@@ -127,6 +138,8 @@ fn run_case(case: &Case) -> Measurement {
         allocs_per_1k_events: allocs as f64 * 1000.0 / total_events as f64,
         steady_allocs_per_1k_events: steady_allocs as f64 * 1000.0 / total_events as f64,
         arena_high_water: kernel.arena_high_water,
+        fixpoints_per_iter: kernel.fixpoints,
+        idle_fixpoints_per_iter: kernel.idle_fixpoints,
         wall_per_iter_ms: secs * 1e3 / f64::from(case.iters),
     }
 }
@@ -185,7 +198,7 @@ fn main() {
     ];
 
     println!(
-        "{:<22} {:>12} {:>8} {:>9} {:>13} {:>11} {:>11} {:>8} {:>10}",
+        "{:<22} {:>12} {:>8} {:>9} {:>13} {:>11} {:>11} {:>8} {:>10} {:>10} {:>10}",
         "case",
         "events/iter",
         "peak q",
@@ -194,13 +207,15 @@ fn main() {
         "alloc/1kev",
         "steady/1k",
         "arena",
+        "fixpoints",
+        "idle",
         "ms/iter"
     );
     let mut measurements = Vec::new();
     for case in &cases {
         let m = run_case(case);
         println!(
-            "{:<22} {:>12} {:>8} {:>9.1} {:>13.0} {:>11.2} {:>11.3} {:>8} {:>10.3}",
+            "{:<22} {:>12} {:>8} {:>9.1} {:>13.0} {:>11.2} {:>11.3} {:>8} {:>10} {:>10} {:>10.3}",
             m.name,
             m.events_per_iter,
             m.queue_peak,
@@ -209,6 +224,8 @@ fn main() {
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,
             m.arena_high_water,
+            m.fixpoints_per_iter,
+            m.idle_fixpoints_per_iter,
             m.wall_per_iter_ms
         );
         measurements.push(m);
@@ -226,7 +243,8 @@ fn main() {
             "    {{\"name\":\"{}\",\"events_per_iter\":{},\"peak_queue_depth\":{},\
              \"ns_per_event\":{:.3},\"events_per_sec\":{:.0},\
              \"allocs_per_1k_events\":{:.2},\"steady_allocs_per_1k_events\":{:.3},\
-             \"arena_high_water\":{},\"wall_per_iter_ms\":{:.3}}}{comma}",
+             \"arena_high_water\":{},\"fixpoints_per_iter\":{},\
+             \"idle_fixpoints_per_iter\":{},\"wall_per_iter_ms\":{:.3}}}{comma}",
             m.name,
             m.events_per_iter,
             m.queue_peak,
@@ -235,6 +253,8 @@ fn main() {
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,
             m.arena_high_water,
+            m.fixpoints_per_iter,
+            m.idle_fixpoints_per_iter,
             m.wall_per_iter_ms
         );
     }

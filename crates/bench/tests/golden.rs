@@ -13,14 +13,19 @@
 //!    text byte for byte. Loads are re-verified against the stored full
 //!    fingerprint, so this breaks if either the fingerprint or the result
 //!    encoding changes.
-//! 3. The `#[ignore]`d loop re-simulates every registry figure from
+//! 3. Eight sampled Figs. 10–12 points are re-simulated and must encode
+//!    to their committed entries' bytes, so a kernel change that moves a
+//!    result fails plain `cargo test`, not only the ignored loop below.
+//! 4. The `#[ignore]`d loop re-simulates every registry figure from
 //!    scratch (no cache) and proves the kernel itself still produces the
 //!    bytes.
 
 use mn_bench::figures::{self, Figure};
 use mn_bench::{fig05_points, fig05_table, Harness};
+use mn_campaign::codec::encode_result;
 use mn_campaign::{CampaignPoint, DiskCache};
 use mn_core::SystemConfig;
+use mn_noc::ArbiterKind;
 use mn_topo::TopologyKind;
 use mn_workloads::Workload;
 
@@ -216,6 +221,80 @@ fn cached_figures_replay_byte_identically() {
         cache_listing() == before,
         "the replay wrote to results/cache/"
     );
+}
+
+/// The kernel's drift check in tier-1: the replays above only decode
+/// committed bytes, so they pass whatever the kernel now computes. Eight
+/// Figs. 10–12 points are re-simulated instead, and each must encode to
+/// its committed entry's exact bytes. Together they cover the chain,
+/// ring, tree, skip-list (with write-burst routing) and MetaCube
+/// networks, the round-robin, distance and adaptive arbiters, and an
+/// all-NVM mix; each takes well under a second even in a debug build.
+#[test]
+fn sampled_points_resimulate_to_their_committed_bytes() {
+    if !env_is_default() {
+        eprintln!("skipping: result-changing knobs override the golden grids");
+        return;
+    }
+    use ArbiterKind::{AdaptiveDistance, Distance, RoundRobin};
+    use TopologyKind::{Chain, MetaCube, Ring, SkipList, Tree};
+    let (fig10, fig11, fig12) = (figures::fig10(), figures::fig11(), figures::fig12());
+    // (campaign, topology, DRAM share, arbiter, workload)
+    let picks = [
+        (&fig10.campaigns[0], Chain, 1.0, Distance, Workload::Dct),
+        (&fig10.campaigns[0], Ring, 0.0, Distance, Workload::Kmeans),
+        (&fig10.campaigns[1], Tree, 1.0, RoundRobin, Workload::Bit),
+        (&fig10.campaigns[1], Chain, 1.0, RoundRobin, Workload::Nw),
+        (
+            &fig11.campaigns[0],
+            MetaCube,
+            1.0,
+            RoundRobin,
+            Workload::Buff,
+        ),
+        (
+            &fig11.campaigns[0],
+            SkipList,
+            1.0,
+            RoundRobin,
+            Workload::Dct,
+        ),
+        (
+            &fig12.campaigns[0],
+            SkipList,
+            1.0,
+            AdaptiveDistance,
+            Workload::Backprop,
+        ),
+        (
+            &fig12.campaigns[0],
+            Tree,
+            0.0,
+            AdaptiveDistance,
+            Workload::Kmeans,
+        ),
+    ];
+    let cache = committed_cache();
+    for (points, topology, dram, arbiter, workload) in picks {
+        let point = points
+            .iter()
+            .find(|p| {
+                p.config.topology == topology
+                    && p.config.dram_fraction == dram
+                    && p.config.noc.arbiter == arbiter
+                    && p.workload == workload
+            })
+            .unwrap_or_else(|| panic!("no {topology:?} {dram} {arbiter:?} {workload:?} point"));
+        let label = format!("{} / {}", point.config.label(), workload.label());
+        let committed = cache
+            .load(point)
+            .unwrap_or_else(|| panic!("{label}: no committed entry"));
+        let fresh = mn_core::try_simulate(&point.config, workload).expect("simulates");
+        assert!(
+            encode_result(&fresh) == encode_result(&committed),
+            "{label}: the re-simulated result differs from its committed entry"
+        );
+    }
 }
 
 /// From-scratch variant: re-simulates every registry figure with no

@@ -32,6 +32,32 @@
 //! not wait for write acknowledgments — but the host tracks them against a
 //! bounded write buffer, so sustained write bursts eventually stall issue
 //! (BACKPROP's failure mode on slow write paths).
+//!
+//! ## The port loop
+//!
+//! Each instant where something outside the network is due runs a
+//! *fixpoint*: stage due bursts, inject host requests, advance the
+//! network, drain deliveries, advance controllers, inject responses, and
+//! repeat until a pass moves nothing. That step order is part of the
+//! bit-identical contract: it fixes which packets contend at each
+//! arbitration.
+//!
+//! Between fixpoints, only the network may have work. The loop then hands
+//! the network a whole stretch of instants in one
+//! [`Network::advance_until`] call, which stops at the first delivery
+//! (the next fixpoint starts from its `ready` nodes) or before the next
+//! external instant. A host front that the last fixpoint left refused is
+//! *parked*: it does not count as external work, because only the
+//! network can admit it. A full injection buffer frees at a network
+//! instant, so the stretch also stops after the instant that frees the
+//! front's buffer, and the loop steps to the next instant, where the old
+//! polled loop injected it. A closed window or a full write buffer frees
+//! only when a response reaches the host, and that delivery ends the
+//! stretch by itself. The watchdog observes every network-only instant,
+//! as it observes every fixpoint, so a stall reports the same instant
+//! either way. [`KernelCounters::fixpoints`] and
+//! [`KernelCounters::idle_fixpoints`] count the fixpoints and those that
+//! moved nothing.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -254,6 +280,10 @@ pub(crate) struct PortSim {
     reads: u64,
     writes: u64,
     hop_sum: u64,
+    /// Fixpoints run, and those whose first pass moved nothing (see
+    /// [`KernelCounters::idle_fixpoints`]).
+    fixpoints: u64,
+    idle_fixpoints: u64,
     breakdown: LatencyBreakdown,
     read_latency: Histogram,
     read_energy: EnergyPj,
@@ -279,6 +309,16 @@ pub(crate) struct PortSim {
     /// Control/data packet sizes, for wire-cost evaluation.
     control_bytes: u64,
     data_bytes: u64,
+}
+
+/// The packet kind a host request travels as.
+#[inline]
+fn request_kind(is_write: bool) -> PacketKind {
+    if is_write {
+        PacketKind::WriteRequest
+    } else {
+        PacketKind::ReadRequest
+    }
 }
 
 /// Dense index for the two routing planes in the wire-cost tables.
@@ -449,6 +489,8 @@ impl PortSim {
             reads: 0,
             writes: 0,
             hop_sum: 0,
+            fixpoints: 0,
+            idle_fixpoints: 0,
             breakdown: LatencyBreakdown::default(),
             read_latency: Histogram::new(),
             read_energy: EnergyPj::ZERO,
@@ -482,8 +524,8 @@ impl PortSim {
         // the binary installed a counting allocator.
         let allocs_at_start = counters::heap_allocs();
         let mut now = SimTime::ZERO;
-        // One ready buffer for the whole run; `Network::advance` refills it
-        // in place every iteration of the hot loop.
+        // One ready buffer for the whole run; the network refills it in
+        // place every iteration of the hot loop.
         let mut ready = Vec::new();
         // The watchdog backstops *livelock*: time keeps advancing but no
         // request ever completes (deadlock is caught by `next_time`
@@ -491,6 +533,7 @@ impl PortSim {
         let mut watchdog = Watchdog::new(self.watchdog_limit.max(1));
         // True when `ready` already holds the network's advance to `now`.
         let mut advanced = false;
+        let host = self.topo.host();
         self.spawn_threads();
         while self.completed < self.total_requests {
             self.fixpoint(now, &mut ready, advanced);
@@ -501,27 +544,33 @@ impl PortSim {
                 return Err(self.stall_snapshot(now));
             }
             // Network-only instants: before `external`, only the network
-            // has work. A fixpoint there stages and injects nothing, and
-            // unless its advance leaves a delivery, it drains, advances
-            // controllers and injects responses nothing too. So the network
-            // advances alone until a node has a delivery (the fixpoint then
-            // takes over at that instant with `ready` in hand) or external
-            // work is due. The watchdog observes each such instant, as it
+            // has work, and a parked host front waits on it. A fixpoint
+            // there stages nothing and injects nothing, and unless its
+            // advance leaves a delivery, it drains, advances controllers
+            // and injects responses nothing too. So the network advances
+            // alone until a node has a delivery (the fixpoint then takes
+            // over at that instant with `ready` in hand), external work is
+            // due, or the instant just advanced freed the parked front's
+            // injection buffer: the next fixpoint injects it, at
+            // `next_time`. The watchdog observes each such instant, as it
             // would after a fixpoint.
-            advanced = false;
-            let external = self.external_due();
-            while let Some(t) = self.net.next_event_time().filter(|&t| t < external) {
-                debug_assert!(t > now && self.external_due() > t);
+            let (external, watch) = self.external_due(now);
+            let completed = self.completed;
+            let mut stalled = false;
+            let last = self.net.advance_until(external, &mut ready, |net, _| {
+                if watchdog.observe(completed) {
+                    stalled = true;
+                    return true;
+                }
+                watch.is_some_and(|kind| net.can_inject(host, 0, kind))
+            });
+            if let Some(t) = last {
                 now = t;
-                self.net.advance(now, &mut ready);
-                if !ready.is_empty() {
-                    advanced = true;
-                    break;
-                }
-                if watchdog.observe(self.completed) {
-                    return Err(self.stall_snapshot(now));
-                }
             }
+            if stalled {
+                return Err(self.stall_snapshot(now));
+            }
+            advanced = !ready.is_empty();
             if !advanced {
                 now = match self.next_time(now) {
                     Some(t) => t,
@@ -534,6 +583,8 @@ impl PortSim {
         let delivered = self.net.stats().delivered.value().max(1);
         let mut kernel = self.net.kernel_counters();
         kernel.steady_heap_allocs = counters::heap_allocs() - allocs_at_start;
+        kernel.fixpoints = self.fixpoints;
+        kernel.idle_fixpoints = self.idle_fixpoints;
         // Telemetry extraction (labels, rollup) happens after the
         // steady-state allocation tally is frozen: export cost is
         // end-of-run, not hot-loop.
@@ -578,16 +629,29 @@ impl PortSim {
 
     /// One instant's fixpoint: keep moving work between the host model,
     /// the network, and the controllers until nothing changes at `now`.
+    ///
     /// With `advanced`, `ready` already holds the network's advance to
-    /// `now` and the first pass skips it; its stage and inject steps are
-    /// then no-ops, as nothing external is due before `now`.
-    fn fixpoint(&mut self, now: SimTime, ready: &mut Vec<NodeId>, mut advanced: bool) {
+    /// `now`, and the first pass skips its stage, inject and advance
+    /// steps. In step order the first two ran before the advance, when
+    /// they were no-ops: nothing external was due before `now`, and a
+    /// parked host front was still refused (the stretch would have ended
+    /// at an earlier instant that freed its buffer). Run after the
+    /// advance, they could inject ahead of the drain.
+    fn fixpoint(&mut self, now: SimTime, ready: &mut Vec<NodeId>, advanced: bool) {
+        self.fixpoints += 1;
+        let mut first = true;
         loop {
             let mut progress = false;
-            progress |= self.stage_and_offer(now);
-            progress |= self.inject_host(now);
-            if !std::mem::take(&mut advanced) {
-                self.net.advance(now, ready);
+            if !(first && advanced) {
+                progress |= self.stage_and_offer(now);
+                progress |= self.inject_host(now);
+                // With no network work due at `now`, an advance would
+                // only clear `ready`.
+                if self.net.next_event_time().is_some_and(|t| t <= now) {
+                    self.net.advance(now, ready);
+                } else {
+                    ready.clear();
+                }
             }
             if !ready.is_empty() {
                 progress = true;
@@ -598,8 +662,12 @@ impl PortSim {
             progress |= self.advance_controllers(now);
             progress |= self.inject_responses(now);
             if !progress {
+                if first && !advanced {
+                    self.idle_fixpoints += 1;
+                }
                 break;
             }
+            first = false;
         }
     }
 
@@ -692,37 +760,39 @@ impl PortSim {
         progress
     }
 
+    /// True when neither the congestion window nor the host write buffer
+    /// holds back a request (a write when `is_write`). Both open again
+    /// only when a response reaches the host.
+    fn issue_open(&self, is_write: bool) -> bool {
+        // Closed loop: the congestion window caps outstanding requests.
+        // `window()` is always ≥ 1, so the gate re-opens as soon as a
+        // response drains — no deadlock is possible.
+        let window_open = self
+            .window_policy
+            .as_ref()
+            .is_none_or(|policy| self.outstanding < policy.window() as usize);
+        // A full host write buffer stalls issue until acks drain.
+        window_open && !(is_write && self.outstanding_writes >= self.write_cap)
+    }
+
     /// Injects queued host requests while the window and buffers allow.
     fn inject_host(&mut self, now: SimTime) -> bool {
         let mut progress = false;
+        let host = self.topo.host();
         while let Some(&(token, r, offered_at, burst)) = self.host_queue.front() {
             if offered_at > now {
                 break;
             }
-            // Closed loop: the congestion window caps outstanding
-            // requests. `window()` is always ≥ 1, so the gate re-opens
-            // as soon as a response drains — no deadlock is possible.
-            if let Some(policy) = &self.window_policy {
-                if self.outstanding >= policy.window() as usize {
-                    break;
-                }
-            }
-            // The host write buffer is full: stall issue until acks drain.
-            if r.is_write && self.outstanding_writes >= self.write_cap {
+            let kind = request_kind(r.is_write);
+            // The injection buffer first: it refuses most often, and
+            // nothing before the packet is built has side effects.
+            if !self.net.can_inject(host, 0, kind) || !self.issue_open(r.is_write) {
                 break;
             }
             let decoded = self.addr_map.decode(r.addr);
-            let kind = if r.is_write {
-                PacketKind::WriteRequest
-            } else {
-                PacketKind::ReadRequest
-            };
-            let mut packet = Packet::request(token, kind, self.topo.host(), decoded.cube);
+            let mut packet = Packet::request(token, kind, host, decoded.cube);
             if r.is_write && self.write_burst_routing && self.detector.in_burst() {
                 packet = packet.with_class(PathClass::Read);
-            }
-            if !self.net.can_inject(self.topo.host(), 0, &packet) {
-                break;
             }
             self.detector.observe(r.is_write);
             let tech = self.cube_tech[decoded.cube.index()].expect("request targets a cube");
@@ -739,7 +809,7 @@ impl PortSim {
                 },
             );
             self.net
-                .inject(self.topo.host(), 0, packet, now)
+                .inject(host, 0, packet, now)
                 .expect("can_inject checked");
             self.outstanding += 1;
             if r.is_write {
@@ -930,7 +1000,11 @@ impl PortSim {
         let mut i = 0;
         while i < self.pending_responses.len() {
             let p = &self.pending_responses[i];
-            if p.ready_at <= now && self.net.can_inject(p.cube, p.quadrant as usize, &p.packet) {
+            if p.ready_at <= now
+                && self
+                    .net
+                    .can_inject(p.cube, p.quadrant as usize, p.packet.kind)
+            {
                 let p = self.pending_responses.swap_remove(i);
                 self.net
                     .inject(p.cube, p.quadrant as usize, p.packet, now)
@@ -1011,16 +1085,38 @@ impl PortSim {
 
     /// The earliest instant at which anything outside the network can
     /// act: a controller, a pending response, the host queue's front, or
-    /// a thinking slot.
-    fn external_due(&self) -> SimTime {
-        let host = self
-            .host_queue
-            .front()
-            .map_or(SimTime::MAX, |&(_, _, offered_at, _)| offered_at);
-        self.thinking.iter().fold(
+    /// a thinking slot. Called right after the fixpoint at `now`.
+    ///
+    /// A front due at `now` that is refused now is *parked* and left out:
+    /// only the network can admit it. When the window and the write
+    /// buffer are open, only its full injection buffer refuses it, and
+    /// the packet kind returned says which buffer to watch. Otherwise
+    /// (`None`) only a response reaching the host can admit it, and that
+    /// delivery ends any network-only stretch by itself.
+    fn external_due(&self, now: SimTime) -> (SimTime, Option<PacketKind>) {
+        let mut watch = None;
+        let host = match self.host_queue.front() {
+            None => SimTime::MAX,
+            Some(&(_, _, offered_at, _)) if offered_at > now => offered_at,
+            Some(&(_, r, offered_at, _)) => {
+                let kind = request_kind(r.is_write);
+                if !self.issue_open(r.is_write) {
+                    SimTime::MAX
+                } else if self.net.can_inject(self.topo.host(), 0, kind) {
+                    // The fixpoint's last advance freed the buffer after
+                    // its inject step: the front goes in next instant.
+                    offered_at
+                } else {
+                    watch = Some(kind);
+                    SimTime::MAX
+                }
+            }
+        };
+        let external = self.thinking.iter().fold(
             self.ctrl_min.min(self.responses_min).min(host),
             |t, &(due, _)| t.min(due),
-        )
+        );
+        (external, watch)
     }
 
     /// The earliest instant any component can make further progress.
@@ -1368,6 +1464,74 @@ mod tests {
             unbounded.row_hit_rate.to_bits()
         );
         assert_eq!(tight.kernel_events(), unbounded.kernel_events());
+    }
+
+    /// A chain whose 1-packet injection buffers refuse the host's front
+    /// request at most instants.
+    fn refusing_config() -> SystemConfig {
+        let mut c = quick_config(TopologyKind::Chain, 1.0);
+        c.window = 16;
+        c.noc.buffer_packets = 1;
+        c
+    }
+
+    /// A refused host front is parked: the network-only instants it
+    /// waits through run inside `Network::advance_until`, not as
+    /// fixpoints that move nothing. Before parking, these runs made
+    /// 3,988 fixpoints with 1,812 idle (NW) and 9,917 with 7,743 idle
+    /// (BIT); the wall clock and the event stream are the same.
+    #[test]
+    fn a_refused_host_front_parks_instead_of_polling() {
+        for (workload, wall_ps, events, fixpoints, idle) in [
+            (Workload::Nw, 14_989_448, 29_354, 2_347, 171),
+            (Workload::Bit, 3_536_856, 35_545, 2_724, 550),
+        ] {
+            let r = run(&refusing_config(), workload);
+            let k = r.kernel_counters();
+            assert_eq!(r.wall, SimTime::from_ps(wall_ps), "{workload:?} wall");
+            assert_eq!(k.events_processed, events, "{workload:?} events");
+            assert_eq!(
+                (k.fixpoints, k.idle_fixpoints),
+                (fixpoints, idle),
+                "{workload:?} fixpoints"
+            );
+        }
+    }
+
+    /// The watchdog observes once per network-only instant inside a
+    /// parked stretch, as it did after each fixpoint the stretch
+    /// replaces: a stall reports the same instant and state as before
+    /// parking (the pinned values). At a limit of 40 the run stalls
+    /// inside a stretch whose front waits on a full injection buffer;
+    /// at 20 and 100, inside stretches that wait on the network alone.
+    #[test]
+    fn a_stall_in_a_parked_stretch_reports_the_same_state() {
+        for (limit, at_ps, want) in [
+            (20, 468_688, (2, 1, 0, 1)),
+            (40, 507_136, (2, 3, 1, 3)),
+            (100, 2_327_040, (30, 12, 0, 9)),
+        ] {
+            let mut c = refusing_config();
+            c.watchdog_limit = limit;
+            match try_run(&c, Workload::Nw) {
+                Err(SimError::Stalled {
+                    at,
+                    completed,
+                    outstanding,
+                    queued,
+                    in_network,
+                    ..
+                }) => {
+                    assert_eq!(at, SimTime::from_ps(at_ps), "limit {limit}");
+                    assert_eq!(
+                        (completed, outstanding, queued, in_network),
+                        want,
+                        "limit {limit}"
+                    );
+                }
+                other => panic!("limit {limit}: expected Stalled, got {other:?}"),
+            }
+        }
     }
 
     #[test]

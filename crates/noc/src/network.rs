@@ -24,6 +24,18 @@
 //! Responses have strict priority over requests at every output, but a
 //! blocked response never blocks a request: candidates that lack downstream
 //! space simply do not contend.
+//!
+//! ## Time
+//!
+//! Link arrivals and link-free events wait in an [`EventQueue`], all due
+//! strictly after the network's clock. Wakes due at the instant being
+//! processed go to the same-instant *lane*, one FIFO of nodes that is
+//! drained in place after the queue's run at that instant and emptied
+//! when the instant is done. A caller drives the network with
+//! [`Network::advance`] (every instant up to and including `now`) or, for
+//! a stretch of instants at which it has nothing else to do,
+//! [`Network::advance_until`] (every instant before a bound, stopping at
+//! the first delivery or when the caller's `stop` says so).
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -31,12 +43,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use mn_sim::{ArenaRef, EventQueue, GenArena, KernelCounters, SimTime};
-use mn_topo::{NodeId, NodeKind, PathClass, RoutingTable, Topology};
+use mn_topo::{LinkId, NodeId, NodeKind, PathClass, RoutingTable, Topology};
 
 use crate::arbiter::{ArbiterImpl, Candidate};
 use crate::config::{LinkDuplex, NocConfig};
 use crate::fault::FaultModel;
-use crate::packet::{Packet, PacketId, VirtualChannel};
+use crate::packet::{Packet, PacketId, PacketKind, VirtualChannel};
 use crate::pool::{self, NetworkStorage, StorageShape};
 use crate::stats::NetStats;
 use crate::telem::{FlightEntry, NetTelem, NetTelemetry};
@@ -250,7 +262,9 @@ pub(crate) enum NetEvent {
     /// buffer at `port`.
     Arrive {
         node: NodeId,
-        port: usize,
+        /// A `u8` holds any port: a node has at most [`MAX_NODE_PORTS`].
+        /// It keeps a queue entry at 24 bytes instead of 32.
+        port: u8,
         packet: ArenaRef,
     },
     /// A link send's occupancy ends: arbitrate `node`, then `other` (the
@@ -265,7 +279,8 @@ pub(crate) enum NetEvent {
 ///
 /// Drive it like the other components in this workspace: inject packets,
 /// call [`Network::advance`] whenever simulated time reaches
-/// [`Network::next_event_time`], and pull [`Delivery`]s from nodes it
+/// [`Network::next_event_time`] (or [`Network::advance_until`] over a
+/// stretch of such instants), and pull [`Delivery`]s from nodes it
 /// reports ready.
 ///
 /// See the crate-level docs for an end-to-end example.
@@ -296,15 +311,18 @@ pub struct Network {
     /// Link arrivals and link-free events, all due strictly after
     /// `clock`: every send occupies its link for a positive time.
     events: EventQueue<NetEvent>,
-    /// The same-instant lane: nodes to arbitrate at `clock`, in wake
-    /// order. Every wake due at the instant being processed lands here,
-    /// never in `events`. [`Network::advance`] runs `events`' run at an
-    /// instant first, then drains the lane in batches (`lane_batch` holds
-    /// the one being drained), which is the `(time, seq)` order a single
-    /// queue gives: every queued event at `t` was pushed before the clock
-    /// reached `t`.
+    /// The same-instant lane: one FIFO of nodes to arbitrate at `clock`,
+    /// in wake order. Every wake due at the instant being processed lands
+    /// here, never in `events`. [`Network::advance`] runs `events`' run at
+    /// an instant first, then drains the lane in place, batch by batch,
+    /// which is the `(time, seq)` order a single queue gives: every
+    /// queued event at `t` was pushed before the clock reached `t`. The
+    /// lane is emptied once the instant is done.
     lane: Vec<NodeId>,
-    lane_batch: Vec<NodeId>,
+    /// End of the lane batch being drained: entries before it are popped
+    /// (fired or about to be), entries from it on are pending. Zero
+    /// outside a drain.
+    lane_head: usize,
     /// The instant the network is processing, or last injected or
     /// delivered at; the lane's entries are due at it. Never moves
     /// backwards.
@@ -353,6 +371,13 @@ pub struct Network {
     /// set bits instead of scanning every port and looking up each head's
     /// route.
     head_mask: Vec<u64>,
+    /// Per node, bit `out` is set exactly when some head mask of link
+    /// output `out` is non-zero, so arbitration finds the link outputs
+    /// with a candidate without reading every output's masks.
+    link_heads: Vec<u64>,
+    /// Per output (`meta[n].arb_idx(output)`), the link it sends on and
+    /// the direction (0 is a→b). Unused for ejection outputs.
+    out_link: Vec<(LinkId, usize)>,
     /// Reusable arbitration candidate buffer (cleared before each use).
     scratch: Vec<Candidate>,
     /// Reusable same-instant event batch for [`Network::advance`].
@@ -489,10 +514,11 @@ impl Network {
             ready_pending: vec![false; shape.nodes],
             buffered: vec![0; shape.nodes],
             head_mask: vec![0; shape.outputs * VC],
+            link_heads: vec![0; shape.nodes],
+            out_link: Vec::with_capacity(shape.outputs),
             scratch: Vec::with_capacity(16),
             batch: Vec::with_capacity(64),
             lane: Vec::with_capacity(64),
-            lane_batch: Vec::with_capacity(64),
             inbound: vec![0; shape.nodes],
         });
         // Adjacency wiring can differ between same-shape topologies, so
@@ -523,12 +549,23 @@ impl Network {
             ready_pending,
             buffered,
             head_mask,
+            link_heads,
+            mut out_link,
             scratch,
             batch,
             lane,
-            lane_batch,
             inbound,
         } = storage;
+        // Like `neighbor_ports`, the output links follow the wiring, so
+        // they are refilled on every construction.
+        debug_assert!(out_link.is_empty());
+        for id in topo.node_ids() {
+            for &(_, link) in topo.neighbors(id) {
+                out_link.push((link, usize::from(topo.link(link).a != id)));
+            }
+            // The ejection output sends on no link.
+            out_link.push((LinkId(u32::MAX), 0));
+        }
         let stats = NetStats::new(topo.link_count());
         // Pre-size the queue for the common working set — order one
         // link-free event per node plus one in-flight packet per link
@@ -548,7 +585,7 @@ impl Network {
             neighbor_ports,
             events: EventQueue::with_capacity(event_capacity),
             lane,
-            lane_batch,
+            lane_head: 0,
             clock: SimTime::ZERO,
             inbound,
             lane_popped: 0,
@@ -560,6 +597,8 @@ impl Network {
             ready_pending,
             buffered,
             head_mask,
+            link_heads,
+            out_link,
             scratch,
             batch,
             next_packet_id: 0,
@@ -597,10 +636,11 @@ impl Network {
             ready_pending: self.ready_pending,
             buffered: self.buffered,
             head_mask: self.head_mask,
+            link_heads: self.link_heads,
+            out_link: self.out_link,
             scratch: self.scratch,
             batch: self.batch,
             lane: self.lane,
-            lane_batch: self.lane_batch,
             inbound: self.inbound,
         });
     }
@@ -615,8 +655,11 @@ impl Network {
         &self.stats
     }
 
-    /// True if `packet` could be injected at `node`/`local_port` right now.
-    pub fn can_inject(&self, node: NodeId, local_port: usize, packet: &Packet) -> bool {
+    /// True if a packet of `kind` could be injected at
+    /// `node`/`local_port` right now: its virtual channel's injection
+    /// buffer has space. Only the kind matters, so a caller can ask
+    /// before it builds the packet.
+    pub fn can_inject(&self, node: NodeId, local_port: usize, kind: PacketKind) -> bool {
         let meta = self.meta[node.index()];
         assert!(
             local_port < meta.local_ports as usize,
@@ -624,7 +667,7 @@ impl Network {
             meta.local_ports
         );
         let port = meta.ext_ports as usize + local_port;
-        self.bufs[meta.buf_idx(port, packet.kind.virtual_channel().index())].has_space()
+        self.bufs[meta.buf_idx(port, kind.virtual_channel().index())].has_space()
     }
 
     /// Injects `packet` into `node`'s local port at `now`, the caller's
@@ -647,7 +690,7 @@ impl Network {
         now: SimTime,
     ) -> Result<PacketId, NetworkFull> {
         assert!(packet.dst != node, "packet addressed to its own node");
-        if !self.can_inject(node, local_port, &packet) {
+        if !self.can_inject(node, local_port, packet.kind) {
             return Err(NetworkFull);
         }
         let id = PacketId(self.next_packet_id);
@@ -672,17 +715,20 @@ impl Network {
 
     /// The next instant at which [`Network::advance`] can make progress.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        if self.lane.is_empty() {
+        if self.lane.len() == self.lane_head {
             self.events.peek_time()
         } else {
             Some(self.clock)
         }
     }
 
-    /// Records the combined depth of the queue and the lane after a push.
+    /// Records the combined depth of the queue and the lane's pending
+    /// entries after a push.
     #[inline]
     fn note_depth(&mut self) {
-        self.peak = self.peak.max(self.events.len() + self.lane.len());
+        self.peak = self
+            .peak
+            .max(self.events.len() + self.lane.len() - self.lane_head);
     }
 
     /// Appends a wake for `node` to the same-instant lane and marks the
@@ -774,29 +820,77 @@ impl Network {
     pub fn advance(&mut self, now: SimTime, ready: &mut Vec<NodeId>) {
         ready.clear();
         while let Some(t) = self.next_event_time().filter(|&t| t <= now) {
-            debug_assert!(t >= self.clock, "clock moved backwards");
-            self.clock = t;
-            // The queue's run at `t` was pushed before the clock reached
-            // `t`, so it goes before every lane entry.
-            if self.events.peek_time() == Some(t) {
-                self.run_queue_batch(t, ready);
+            self.run_instant(t, ready);
+        }
+        self.publish_ready(ready);
+    }
+
+    /// Advances through the instants before `before` in one call, as
+    /// one [`Network::advance`] per instant would, for a caller that has
+    /// nothing to do at those instants unless the network delivers.
+    ///
+    /// After each instant it stops when a node has a delivery (`ready`
+    /// then holds the nodes, as [`Network::advance`] leaves them) or,
+    /// failing that, when `stop(self, t)` returns true. So `stop` is
+    /// called once per instant that delivered nothing, and can observe
+    /// the network between instants: a port simulation checks there
+    /// whether an injection buffer it waits on has freed. Returns the
+    /// last instant processed, or `None` when no work was due before
+    /// `before` (`ready` is then empty).
+    pub fn advance_until(
+        &mut self,
+        before: SimTime,
+        ready: &mut Vec<NodeId>,
+        mut stop: impl FnMut(&Network, SimTime) -> bool,
+    ) -> Option<SimTime> {
+        ready.clear();
+        let mut last = None;
+        while let Some(t) = self.next_event_time().filter(|&t| t < before) {
+            self.run_instant(t, ready);
+            last = Some(t);
+            if !ready.is_empty() {
+                self.publish_ready(ready);
+                break;
             }
-            // Wakes pushed while a lane batch drains are due at `t` too;
-            // they form the next batch.
-            while !self.lane.is_empty() {
-                let mut batch =
-                    std::mem::replace(&mut self.lane, std::mem::take(&mut self.lane_batch));
-                self.lane_popped += batch.len() as u64;
-                for node in batch.drain(..) {
-                    self.fire(node, t, ready);
-                }
-                self.lane_batch = batch;
+            if stop(self, t) {
+                break;
             }
         }
-        // Membership is already unique (structural dedup via
-        // `ready_pending`); the sort stays because callers drain nodes in
-        // ascending order and the drain order is part of the deterministic,
-        // bit-reproducible behavior the result cache depends on.
+        last
+    }
+
+    /// Processes the instant `t`: the queue's run at `t`, then the lane.
+    fn run_instant(&mut self, t: SimTime, ready: &mut Vec<NodeId>) {
+        debug_assert!(t >= self.clock, "clock moved backwards");
+        self.clock = t;
+        // The queue's run at `t` was pushed before the clock reached
+        // `t`, so it goes before every lane entry.
+        if self.events.peek_time() == Some(t) {
+            self.run_queue_batch(t, ready);
+        }
+        // Wakes pushed while a batch drains are due at `t` too; they
+        // form the next batch. `lane_head` marks the batch as popped, so
+        // the depth a push records counts only the wakes behind it.
+        let mut next = 0;
+        while next < self.lane.len() {
+            self.lane_head = self.lane.len();
+            self.lane_popped += (self.lane_head - next) as u64;
+            while next < self.lane_head {
+                let node = self.lane[next];
+                next += 1;
+                self.fire(node, t, ready);
+            }
+        }
+        self.lane.clear();
+        self.lane_head = 0;
+    }
+
+    /// Sorts `ready` and clears its members' pending flags. Membership is
+    /// already unique (structural dedup via `ready_pending`); the sort
+    /// stays because callers drain nodes in ascending order and the drain
+    /// order is part of the deterministic, bit-reproducible behavior the
+    /// result cache depends on.
+    fn publish_ready(&mut self, ready: &mut [NodeId]) {
         ready.sort_unstable();
         for &node in ready.iter() {
             self.ready_pending[node.index()] = false;
@@ -805,8 +899,17 @@ impl Network {
 
     /// Handles the queue's entire run at `t`. The run leaves the queue
     /// before its handlers push, which the pinned queue peaks count on.
+    /// A run of one event needs neither the batch buffer nor `inbound`:
+    /// a lone arrival's increment and decrement would cancel with no
+    /// wake between them to read it.
     fn run_queue_batch(&mut self, t: SimTime, ready: &mut Vec<NodeId>) {
+        let (_, first) = self.events.pop().expect("the queue has a run at t");
+        if self.events.peek_time() != Some(t) {
+            self.handle_event(first, t, false, ready);
+            return;
+        }
         let mut batch = std::mem::take(&mut self.batch);
+        batch.push(first);
         self.events.pop_batch_into(&mut batch);
         for event in &batch {
             if let NetEvent::Arrive { node, .. } = *event {
@@ -814,46 +917,65 @@ impl Network {
             }
         }
         for event in batch.drain(..) {
-            match event {
-                NetEvent::Arrive { node, port, packet } => {
-                    if self.telem.tracing() {
-                        let id = self
-                            .packets
-                            .get(packet)
-                            .map_or(PacketId(u64::MAX), |p| p.id);
-                        self.telem.on_kernel_event(FlightEntry::Arrive {
-                            at: t,
-                            node,
-                            port,
-                            packet: id,
-                        });
-                    }
-                    self.inbound[node.index()] -= 1;
-                    self.handle_arrival(node, port, packet, t);
-                }
-                NetEvent::LinkFree { node, other } => {
-                    self.fire(node, t, ready);
-                    if let Some(other) = other {
-                        self.fire(other, t, ready);
-                    }
-                }
-            }
+            self.handle_event(event, t, true, ready);
         }
         self.batch = batch;
     }
 
+    /// Handles one queued event at `t`; `counted` says its arrival is
+    /// counted in `inbound`.
+    fn handle_event(
+        &mut self,
+        event: NetEvent,
+        t: SimTime,
+        counted: bool,
+        ready: &mut Vec<NodeId>,
+    ) {
+        match event {
+            NetEvent::Arrive { node, port, packet } => {
+                if self.telem.tracing() {
+                    let id = self
+                        .packets
+                        .get(packet)
+                        .map_or(PacketId(u64::MAX), |p| p.id);
+                    self.telem.on_kernel_event(FlightEntry::Arrive {
+                        at: t,
+                        node,
+                        port: usize::from(port),
+                        packet: id,
+                    });
+                }
+                if counted {
+                    self.inbound[node.index()] -= 1;
+                }
+                self.handle_arrival(node, usize::from(port), packet, t);
+            }
+            NetEvent::LinkFree { node, other } => {
+                self.fire(node, t, ready);
+                if let Some(other) = other {
+                    self.fire(other, t, ready);
+                }
+            }
+        }
+    }
+
     /// Fires one wake: arbitrates `node` at `t` unless that is provably a
-    /// no-op — the node already arbitrated at this exact instant and
-    /// nothing has changed since. At a *later* instant a busy link may
-    /// have freed, so the flag only holds within one timestamp. The flag
-    /// is set before arbitrating: packet movement inside `arbitrate`
-    /// re-dirties the node (via `wake_upstream`).
+    /// no-op — the node has nothing buffered, or it already arbitrated at
+    /// this exact instant and nothing has changed since. At a *later*
+    /// instant a busy link may have freed, so the flag only holds within
+    /// one timestamp. The flag is set before arbitrating: packet movement
+    /// inside `arbitrate` re-dirties the node (via `wake_upstream`). An
+    /// empty node leaves the flags as they are: a packet can reach it
+    /// only by an arrival or an injection, and both dirty it again.
     fn fire(&mut self, node: NodeId, t: SimTime, ready: &mut Vec<NodeId>) {
         if self.telem.tracing() {
             self.telem
                 .on_kernel_event(FlightEntry::TryArb { at: t, node });
         }
         let n = node.index();
+        if self.buffered[n] == 0 {
+            return;
+        }
         if !(self.arb_clean[n] && self.last_arb[n] == t) {
             self.arb_clean[n] = true;
             self.last_arb[n] = t;
@@ -954,6 +1076,9 @@ impl Network {
         if let Some(handle) = self.bufs[meta.buf_idx(port, vc)].head() {
             if let Some(out) = self.head_output(node, meta, handle) {
                 self.head_mask[meta.mask_idx(out, vc)] |= 1 << port;
+                if out != meta.eject_out() {
+                    self.link_heads[node.index()] |= 1 << out;
+                }
             }
         }
     }
@@ -967,6 +1092,9 @@ impl Network {
             .pop_front()
             .expect("selected head exists");
         self.head_mask[meta.mask_idx(out, vc)] &= !(1 << port);
+        if out != meta.eject_out() && !self.has_heads(meta, out) {
+            self.link_heads[node.index()] &= !(1 << out);
+        }
         self.mark_head(node, meta, port, vc);
         self.buffered[node.index()] -= 1;
         handle
@@ -979,34 +1107,53 @@ impl Network {
         self.head_mask[base..base + VC].iter().any(|&m| m != 0)
     }
 
-    /// Runs arbitration for every output of `node` that has a candidate.
-    /// An output whose head masks are all zero has nothing to move: its
-    /// arbitration would end with no candidate, no packet moved and no
-    /// counter touched, so skipping it changes nothing.
+    /// The instant the link under (`link`, `dir`) can take a send: a
+    /// half-duplex link is one channel that either direction occupies.
+    #[inline]
+    fn link_busy_until(&self, link: LinkId, dir: usize) -> SimTime {
+        let free_at = self.link_free_at[link.index()];
+        match self.config.duplex {
+            LinkDuplex::Half => free_at[0].max(free_at[1]),
+            LinkDuplex::Full => free_at[dir],
+        }
+    }
+
+    /// Runs arbitration for every output of `node` that can move a
+    /// packet. An output whose head masks are all zero, or whose link is
+    /// still busy, has nothing to move: its arbitration would end with no
+    /// packet moved and no counter touched, so skipping it changes
+    /// nothing. (A busy link's link-free event is already scheduled.)
     fn arbitrate(&mut self, node: NodeId, now: SimTime, ready: &mut Vec<NodeId>) {
         let meta = self.meta[node.index()];
-        if self.buffered[node.index()] > 0 {
-            if self.has_heads(meta, meta.eject_out()) {
-                self.arbitrate_ejection(node, now, ready);
+        if self.has_heads(meta, meta.eject_out()) {
+            self.arbitrate_ejection(node, now, ready);
+        }
+        // The link-output mask is re-read after each output, not taken
+        // up front: a packet moved by an earlier output can expose a head
+        // for a later one, and that output must still see it.
+        let mut from = 0;
+        loop {
+            let pending = self.link_heads[node.index()] & u64::MAX.checked_shl(from).unwrap_or(0);
+            if pending == 0 {
+                break;
             }
-            // Masks are read as each output comes up, not up front: a
-            // packet moved by an earlier output can expose a head for a
-            // later one, and that output must still see it.
-            for out_port in 0..meta.ext_ports as usize {
-                if self.has_heads(meta, out_port) {
-                    self.arbitrate_link_output(node, out_port, now);
-                }
+            let out = pending.trailing_zeros();
+            from = out + 1;
+            let out = out as usize;
+            let (link, dir) = self.out_link[meta.arb_idx(out)];
+            if self.link_busy_until(link, dir) <= now {
+                self.arbitrate_link_output(node, out, link, dir, now);
             }
         }
         #[cfg(debug_assertions)]
         self.assert_head_masks(node);
     }
 
-    /// Recomputes `node`'s head masks from its input buffers and checks
-    /// them against the maintained ones. Every mask update is caused by
-    /// a buffer change at `node`, and each such change is followed by an
-    /// arbitration at `node`, so checking after each arbitration covers
-    /// every update site.
+    /// Recomputes `node`'s head masks and link-output mask from its input
+    /// buffers and checks them against the maintained ones. Every mask
+    /// update is caused by a buffer change at `node`, and each such change
+    /// is followed by an arbitration at `node`, so checking after each
+    /// arbitration covers every update site.
     #[cfg(debug_assertions)]
     fn assert_head_masks(&self, node: NodeId) {
         let meta = self.meta[node.index()];
@@ -1027,6 +1174,14 @@ impl Network {
                 );
             }
         }
+        let links = (0..meta.eject_out())
+            .filter(|&out| self.has_heads(meta, out))
+            .fold(0u64, |mask, out| mask | 1 << out);
+        assert_eq!(
+            self.link_heads[node.index()],
+            links,
+            "stale link-output mask at node {node}"
+        );
     }
 
     /// Moves packets destined for `node` itself from input buffers into the
@@ -1081,30 +1236,25 @@ impl Network {
         self.scratch = candidates;
     }
 
-    /// Tries to send one packet out of `out_port`; reschedules itself when
-    /// the link frees.
-    fn arbitrate_link_output(&mut self, node: NodeId, out_port: usize, now: SimTime) {
-        let (neighbor, link) = self.topo.neighbors(node)[out_port];
+    /// Tries to send one packet out of `out_port`, whose link (`link`,
+    /// direction `dir`) is free at `now`; reschedules itself when the
+    /// link frees.
+    fn arbitrate_link_output(
+        &mut self,
+        node: NodeId,
+        out_port: usize,
+        link: LinkId,
+        dir: usize,
+        now: SimTime,
+    ) {
         // Dead links never carry traffic. Routing already avoids them, so
         // no head's mask bit can select this output; the guard keeps that
         // invariant explicit.
         if self.faults.as_ref().is_some_and(|fm| fm.is_dead(link)) {
             return;
         }
+        let neighbor = self.topo.neighbors(node)[out_port].0;
         let link_info = self.topo.link(link);
-        let dir = usize::from(link_info.a != node);
-        let busy = match self.config.duplex {
-            LinkDuplex::Half => {
-                // One shared channel: either direction occupies the link.
-                self.link_free_at[link.index()][0].max(self.link_free_at[link.index()][1])
-            }
-            LinkDuplex::Full => self.link_free_at[link.index()][dir],
-        };
-        if busy > now {
-            // Busy; a link-free event is already scheduled for when it
-            // frees.
-            return;
-        }
         // Which port does this link occupy at the neighbor?
         let neighbor_port = self.neighbor_ports[node.index()][out_port];
         let meta = self.meta[node.index()];
@@ -1186,7 +1336,7 @@ impl Network {
             free_at + timing.fixed_latency,
             NetEvent::Arrive {
                 node: neighbor,
-                port: neighbor_port,
+                port: neighbor_port as u8,
                 packet: handle,
             },
         );
@@ -1261,7 +1411,6 @@ impl Network {
 mod tests {
     use super::*;
     use crate::arbiter::ArbiterKind;
-    use crate::packet::PacketKind;
     use mn_topo::{CubeTech, PathClass, Placement, TopologyKind};
 
     fn chain(n: usize) -> Topology {
@@ -1333,7 +1482,7 @@ mod tests {
                     let j = i + rng.below((responses.len() - i) as u64) as usize;
                     responses.swap(i, j);
                     let (node, port, ref resp) = responses[i];
-                    if rng.chance(0.7) && net.can_inject(node, port, resp) {
+                    if rng.chance(0.7) && net.can_inject(node, port, resp.kind) {
                         let (node, port, resp) = responses.swap_remove(i);
                         net.inject(node, port, resp, now).unwrap();
                         moved = true;
@@ -1349,7 +1498,7 @@ mod tests {
                         PacketKind::ReadRequest
                     };
                     let pkt = Packet::request(issued, kind, host, dst);
-                    if issued < total && net.can_inject(host, 0, &pkt) {
+                    if issued < total && net.can_inject(host, 0, pkt.kind) {
                         net.inject(host, 0, pkt, now).unwrap();
                         issued += 1;
                         moved = true;
@@ -1431,6 +1580,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `Arrive` carries its port as a `u8`, so a queue entry (instant
+    /// and event) is 24 bytes.
+    #[test]
+    fn a_queue_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<(SimTime, NetEvent)>(), 24);
+    }
+
+    /// `advance_until` walks the same instants as one `advance` per
+    /// instant: it stops at each delivery with the ready nodes in hand,
+    /// asks `stop` once per instant that delivered nothing, stops when
+    /// `stop` says so, and never processes an instant at or after
+    /// `before`.
+    #[test]
+    fn advance_until_matches_advance_per_instant() {
+        let topo = chain(4);
+        let dst = topo.cube_at_position(4).unwrap();
+        let load = |net: &mut Network| {
+            for t in 0..3 {
+                let pkt = Packet::request(t, PacketKind::ReadRequest, topo.host(), dst);
+                net.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
+            }
+        };
+        let mut reference = Network::new(&topo, NocConfig::default());
+        load(&mut reference);
+        let want = run_to_quiescence(&mut reference);
+
+        let mut net = Network::new(&topo, NocConfig::default());
+        load(&mut net);
+        let mut ready = Vec::new();
+        let mut got = Vec::new();
+        let mut asked = Vec::new();
+        // Nothing is due before the first instant.
+        assert_eq!(
+            net.advance_until(SimTime::ZERO, &mut ready, |_, _| true),
+            None
+        );
+        // A `stop` that says yes ends the call after one quiet instant.
+        let first = net.advance_until(SimTime::MAX, &mut ready, |_, t| {
+            asked.push(t);
+            true
+        });
+        assert_eq!(first, Some(SimTime::ZERO));
+        assert!(ready.is_empty());
+        while let Some(t) = net.advance_until(SimTime::MAX, &mut ready, |_, t| {
+            asked.push(t);
+            false
+        }) {
+            if ready.is_empty() {
+                // The last call ran the network dry.
+                assert_eq!(net.next_event_time(), None);
+                break;
+            }
+            assert_eq!(ready, [dst]);
+            while let Some(d) = net.take_delivery(dst, t) {
+                got.push(d);
+            }
+        }
+        assert_eq!(got, want);
+        assert_eq!(net.events_processed(), reference.events_processed());
+        assert!(
+            asked.windows(2).all(|w| w[0] < w[1]),
+            "one call per instant"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 
 use mn_sim::{GenArena, SimTime};
-use mn_topo::NodeId;
+use mn_topo::{LinkId, NodeId};
 
 use crate::arbiter::Candidate;
 use crate::network::{Buf, NetEvent};
@@ -70,17 +70,18 @@ pub(crate) struct NetworkStorage {
     pub(crate) ready_pending: Vec<bool>,
     pub(crate) buffered: Vec<u32>,
     pub(crate) head_mask: Vec<u64>,
+    pub(crate) link_heads: Vec<u64>,
+    pub(crate) out_link: Vec<(LinkId, usize)>,
     pub(crate) scratch: Vec<Candidate>,
     pub(crate) batch: Vec<NetEvent>,
     pub(crate) lane: Vec<NodeId>,
-    pub(crate) lane_batch: Vec<NodeId>,
     pub(crate) inbound: Vec<u32>,
 }
 
 impl NetworkStorage {
     /// Clears every container for a fresh run. Values that depend on the
-    /// concrete topology (`neighbor_ports` wiring) are emptied; the
-    /// constructor refills them. The arena reset replays the fresh
+    /// concrete topology (`neighbor_ports` and `out_link` wiring) are
+    /// emptied; the constructor refills them. The arena reset replays the fresh
     /// handle-allocation order, so a pooled network assigns the exact
     /// handle sequence a newly built one would.
     fn reset(&mut self) {
@@ -97,10 +98,11 @@ impl NetworkStorage {
         self.ready_pending.fill(false);
         self.buffered.fill(0);
         self.head_mask.fill(0);
+        self.link_heads.fill(0);
+        self.out_link.clear();
         self.scratch.clear();
         self.batch.clear();
         self.lane.clear();
-        self.lane_batch.clear();
         self.inbound.fill(0);
     }
 }

@@ -104,7 +104,7 @@ fn backpressure_cascades_upstream_without_loss() {
     let mut ready = Vec::new();
     loop {
         while let Some(pkt) = pending.last() {
-            if net.can_inject(topo.host(), 0, pkt) {
+            if net.can_inject(topo.host(), 0, pkt.kind) {
                 let pkt = pending.pop().unwrap();
                 net.inject(topo.host(), 0, pkt, now).unwrap();
             } else {
@@ -157,12 +157,12 @@ fn full_duplex_cuts_round_trip_under_bidirectional_load() {
         loop {
             while down
                 .last()
-                .is_some_and(|p| net.can_inject(topo.host(), 0, p))
+                .is_some_and(|p| net.can_inject(topo.host(), 0, p.kind))
             {
                 let p = down.pop().unwrap();
                 net.inject(topo.host(), 0, p, now).unwrap();
             }
-            while up.last().is_some_and(|p| net.can_inject(far, 0, p)) {
+            while up.last().is_some_and(|p| net.can_inject(far, 0, p.kind)) {
                 let p = up.pop().unwrap();
                 net.inject(far, 0, p, now).unwrap();
             }

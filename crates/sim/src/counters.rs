@@ -11,9 +11,9 @@
 //!   allocations attributable to simulation alone (construction and
 //!   teardown excluded). In binaries without a counting allocator the
 //!   tally simply stays at zero.
-//! - [`KernelCounters`], a per-run snapshot of queue traffic and arena
-//!   high-water marks that the network and port layers fill in and the
-//!   bench binary serializes.
+//! - [`KernelCounters`], a per-run snapshot of queue traffic, arena
+//!   high-water marks and the port loop's fixpoint counts that the
+//!   network and port layers fill in and the bench binary serializes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,4 +56,11 @@ pub struct KernelCounters {
     /// Heap allocations during the steady-state loop (requires a counting
     /// allocator in the binary; zero otherwise).
     pub steady_heap_allocs: u64,
+    /// Fixpoints the port loop ran: instants it moved work between the
+    /// host model, the network and the controllers until nothing changed.
+    pub fixpoints: u64,
+    /// Fixpoints whose first pass moved nothing, among those not entered
+    /// with a network delivery already in hand: the polls a wake-driven
+    /// port loop would not make.
+    pub idle_fixpoints: u64,
 }

@@ -52,7 +52,7 @@ fn main() {
             while let Some((src, pkt)) = flows.last() {
                 // Spread injections across the cube's four quadrant ports.
                 let port = (pkt.token % 4) as usize;
-                if net.can_inject(*src, port, pkt) {
+                if net.can_inject(*src, port, pkt.kind) {
                     let (src, pkt) = flows.pop().expect("non-empty");
                     net.inject(src, port, pkt, now).expect("space checked");
                 } else {

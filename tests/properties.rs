@@ -229,7 +229,7 @@ fn network_conserves_packets() {
         let mut ready = Vec::new();
         loop {
             while let Some(pkt) = pending.front() {
-                if net.can_inject(topo.host(), 0, pkt) {
+                if net.can_inject(topo.host(), 0, pkt.kind) {
                     let pkt = pending.pop_front().expect("non-empty");
                     net.inject(topo.host(), 0, pkt, now).expect("space checked");
                 } else {
