@@ -2,25 +2,34 @@
 //!
 //! A sampling profiler in the tree, so a layer attribution can be
 //! reproduced from a checkout. It samples the interrupted instruction
-//! pointer every 1 ms of CPU time (`ITIMER_PROF`, read from the
-//! `SIGPROF` handler's `ucontext`) while it drives one of two workloads
-//! in-process:
+//! pointer on the process's CPU-time profiling timer (`ITIMER_PROF`,
+//! read from the `SIGPROF` handler's `ucontext`) while it drives one of
+//! three workloads in-process:
 //!
 //! - `cold`: the Figs. 10–12 grids simulated serially with the cache
 //!   detached — the kernel's profile (figbench's figs-cold grid);
-//! - `warm`: `--replays N` warm replays of the same grids (default 20),
-//!   each over a fresh copy of the `.mnres` entries of `--cache DIR`
-//!   (default `results/cache`) — the campaign layer's profile. Sampling
-//!   pauses while a copy is made.
+//! - `closed`: `--replays N` serial runs of the closed-loop sweep
+//!   (default 20) with the cache detached — the kernel under host window
+//!   gating, ECN links and Counters telemetry (figbench's closed-loop
+//!   grid);
+//! - `warm`: `--replays N` warm replays of the Figs. 10–12 grids
+//!   (default 20), each over a fresh copy of the `.mnres` entries of
+//!   `--cache DIR` (default `results/cache`) — the campaign layer's
+//!   profile. Sampling pauses while a copy is made.
 //!
-//! It prints the samples split by mapping (this executable, libc, the
-//! rest) and the `--top K` hottest executable addresses (default 40),
-//! which `addr2line -f -i -C -e <exe>` symbolizes. A syscall's time lands
-//! on its libc wrapper: the signal arrives as the call returns.
+//! The timer is asked for one sample per millisecond of CPU time, but it
+//! ticks at the kernel's timer rate, so a 250 Hz kernel records one per
+//! 4 ms. The report therefore prints the CPU seconds sampled and the
+//! measured milliseconds per sample. It then splits the samples by
+//! mapping (this executable, libc, the rest) and lists the `--top K`
+//! hottest executable addresses (default 40), which
+//! `addr2line -f -i -C -e <exe>` symbolizes. A syscall's time lands on
+//! its libc wrapper: the signal arrives as the call returns.
 //!
 //! ```text
 //! cargo build --release -p mn-bench --bin hotspots
 //! ./target/release/hotspots cold
+//! ./target/release/hotspots closed --replays 10
 //! ./target/release/hotspots warm --replays 40 --cache results/cache
 //! ```
 //!
@@ -34,7 +43,7 @@ fn main() -> std::process::ExitCode {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("hotspots: {err}");
-            eprintln!("usage: hotspots cold|warm [--replays N] [--cache DIR] [--top K]");
+            eprintln!("usage: hotspots cold|closed|warm [--replays N] [--cache DIR] [--top K]");
             std::process::ExitCode::from(2)
         }
     }
@@ -55,10 +64,12 @@ mod sampler {
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    use mn_bench::figures::{fig10, fig11, fig12};
+    use mn_bench::figures::{closed_loop, fig10, fig11, fig12};
     use mn_bench::Harness;
 
-    /// Samples kept: 256 s of CPU time at one per millisecond.
+    /// Samples kept: at least 256 s of CPU time, since the timer never
+    /// fires more than once per millisecond (about 1,000 s at one per
+    /// 4 ms).
     const CAP: usize = 1 << 18;
     static SAMPLES: [AtomicU64; CAP] = [const { AtomicU64::new(0) }; CAP];
     static TAKEN: AtomicUsize = AtomicUsize::new(0);
@@ -93,9 +104,21 @@ mod sampler {
         value: TimeVal,
     }
 
+    /// glibc's `struct rusage` on x86_64: two `timeval`s, then fourteen
+    /// `long` counters this program does not read.
+    #[repr(C)]
+    struct RUsage {
+        utime: TimeVal,
+        stime: TimeVal,
+        counters: [i64; 14],
+    }
+
+    const RUSAGE_SELF: c_int = 0;
+
     extern "C" {
         fn sigaction(signum: c_int, act: *const SigAction, old: *mut SigAction) -> c_int;
         fn setitimer(which: c_int, new: *const ITimerVal, old: *mut ITimerVal) -> c_int;
+        fn getrusage(who: c_int, usage: *mut RUsage) -> c_int;
     }
 
     /// The `SIGPROF` handler: records the interrupted RIP.
@@ -130,6 +153,22 @@ mod sampler {
         Ok(())
     }
 
+    /// The process's CPU time so far (user and system, all threads), in
+    /// seconds: what `ITIMER_PROF` counts down.
+    fn cpu_seconds() -> io::Result<f64> {
+        let mut usage = RUsage {
+            utime: TimeVal { sec: 0, usec: 0 },
+            stime: TimeVal { sec: 0, usec: 0 },
+            counters: [0; 14],
+        };
+        // SAFETY: `usage` is a valid, writable glibc `struct rusage`.
+        if unsafe { getrusage(RUSAGE_SELF, &mut usage) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        let secs = |t: &TimeVal| t.sec as f64 + t.usec as f64 * 1e-6;
+        Ok(secs(&usage.utime) + secs(&usage.stime))
+    }
+
     /// Arms the profiling timer at 1 ms of CPU time, or disarms it.
     fn arm(on: bool) -> io::Result<()> {
         let usec = i64::from(on) * 1000;
@@ -145,8 +184,15 @@ mod sampler {
         Ok(())
     }
 
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mode {
+        Cold,
+        Closed,
+        Warm,
+    }
+
     struct Options {
-        warm: bool,
+        mode: Mode,
         replays: usize,
         cache: PathBuf,
         top: usize,
@@ -155,9 +201,10 @@ mod sampler {
     fn parse(args: &[String]) -> Result<Options, String> {
         let (mode, flags) = args.split_first().ok_or("a workload is required")?;
         let mut options = Options {
-            warm: match mode.as_str() {
-                "cold" => false,
-                "warm" => true,
+            mode: match mode.as_str() {
+                "cold" => Mode::Cold,
+                "closed" => Mode::Closed,
+                "warm" => Mode::Warm,
                 other => return Err(format!("unknown workload {other}")),
             },
             replays: 20,
@@ -208,36 +255,57 @@ mod sampler {
         Ok(copied)
     }
 
+    /// Runs `work` with the timer armed; returns the CPU seconds it took.
+    fn sampled(work: impl FnOnce()) -> Result<f64, String> {
+        let start = cpu_seconds().map_err(|e| format!("getrusage: {e}"))?;
+        arm(true).map_err(|e| format!("setitimer: {e}"))?;
+        work();
+        arm(false).map_err(|e| format!("setitimer: {e}"))?;
+        Ok(cpu_seconds().map_err(|e| format!("getrusage: {e}"))? - start)
+    }
+
     pub fn run(args: &[String]) -> Result<(), String> {
         let options = parse(args)?;
         install_handler().map_err(|e| format!("sigaction: {e}"))?;
-        if options.warm {
-            let scratch =
-                std::env::temp_dir().join(format!("mncube-hotspots-{}", std::process::id()));
-            for replay in 0..options.replays {
-                let dir = scratch.join(replay.to_string());
-                let copied = copy_entries(&options.cache, &dir)
-                    .map_err(|e| format!("copy {}: {e}", options.cache.display()))?;
-                if copied == 0 {
-                    return Err(format!("no .mnres entries in {}", options.cache.display()));
+        let mut cpu = 0.0;
+        match options.mode {
+            Mode::Warm => {
+                let scratch =
+                    std::env::temp_dir().join(format!("mncube-hotspots-{}", std::process::id()));
+                for replay in 0..options.replays {
+                    let dir = scratch.join(replay.to_string());
+                    let copied = copy_entries(&options.cache, &dir)
+                        .map_err(|e| format!("copy {}: {e}", options.cache.display()))?;
+                    if copied == 0 {
+                        return Err(format!("no .mnres entries in {}", options.cache.display()));
+                    }
+                    cpu += sampled(|| {
+                        std::hint::black_box(figures(&mut Harness::cached(1, &dir)));
+                    })?;
+                    let _ = fs::remove_dir_all(&dir);
                 }
-                arm(true).map_err(|e| format!("setitimer: {e}"))?;
-                std::hint::black_box(figures(&mut Harness::cached(1, &dir)));
-                arm(false).map_err(|e| format!("setitimer: {e}"))?;
-                let _ = fs::remove_dir_all(&dir);
+                let _ = fs::remove_dir_all(&scratch);
             }
-            let _ = fs::remove_dir_all(&scratch);
-        } else {
-            arm(true).map_err(|e| format!("setitimer: {e}"))?;
-            std::hint::black_box(figures(&mut Harness::bare(1)));
-            arm(false).map_err(|e| format!("setitimer: {e}"))?;
+            Mode::Closed => {
+                cpu += sampled(|| {
+                    let mut harness = Harness::bare(1);
+                    for _ in 0..options.replays {
+                        std::hint::black_box(harness.render(closed_loop()));
+                    }
+                })?;
+            }
+            Mode::Cold => {
+                cpu += sampled(|| {
+                    std::hint::black_box(figures(&mut Harness::bare(1)));
+                })?;
+            }
         }
         let taken = TAKEN.load(Ordering::Relaxed).min(CAP);
         let samples: Vec<u64> = SAMPLES[..taken]
             .iter()
             .map(|s| s.load(Ordering::Relaxed))
             .collect();
-        report(&samples, options.top).map_err(|e| format!("report: {e}"))
+        report(&samples, cpu, options.top).map_err(|e| format!("report: {e}"))
     }
 
     /// One executable mapping of `/proc/self/maps`.
@@ -298,7 +366,7 @@ mod sampler {
             .collect())
     }
 
-    fn report(samples: &[u64], top: usize) -> io::Result<()> {
+    fn report(samples: &[u64], cpu: f64, top: usize) -> io::Result<()> {
         let exe = fs::canonicalize("/proc/self/exe")?;
         let exe_name = exe.display().to_string();
         let maps = mappings()?;
@@ -324,8 +392,10 @@ mod sampler {
         let total = samples.len().max(1) as f64;
         let share = |n: usize| 100.0 * n as f64 / total;
         println!(
-            "{} samples, one per ms of CPU time (main and worker threads together)",
-            samples.len()
+            "{} samples over {cpu:.2} s of CPU time, one per {:.2} ms \
+             (main and worker threads together)",
+            samples.len(),
+            cpu * 1e3 / total,
         );
         let libc: usize = by_mapping
             .iter()

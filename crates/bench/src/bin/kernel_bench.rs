@@ -4,7 +4,9 @@
 //! chain MN driven to 640 completed requests), two larger reference points,
 //! a fault-enabled chain variant (CRC retry/replay exercises the
 //! retry-buffer path) and a half-NVM tree (idle-time write-back of dirty
-//! NVM rows), and reports the kernel-health metrics the hot-path work
+//! NVM rows) — all open-loop with the paper's 3 issue slots — plus one
+//! closed-loop sweep point (16 slots behind an ECN window, with Counters
+//! telemetry), and reports the kernel-health metrics the hot-path work
 //! targets:
 //!
 //! - **events/sec** and **ns/event** — wall time divided by the number of
@@ -32,7 +34,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mn_core::{simulate_port, SystemConfig};
+use mn_bench::figures::closed_loop_config;
+use mn_core::{simulate_port, SystemConfig, WindowPolicyKind};
 use mn_sim::counters;
 use mn_topo::TopologyKind;
 use mn_workloads::Workload;
@@ -63,14 +66,28 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 struct Case {
     name: &'static str,
-    topology: TopologyKind,
-    requests: u64,
+    config: SystemConfig,
     workload: Workload,
     iters: u32,
-    /// Share of the capacity in DRAM cubes (the rest is NVM).
+}
+
+/// The paper baseline on `topology` with `dram_fraction` of the capacity
+/// in DRAM cubes, driven to `requests`, with transient CRC faults at
+/// `fault_rate` (0.0 = healthy links).
+fn baseline(
+    topology: TopologyKind,
     dram_fraction: f64,
-    /// Transient CRC fault rate (0.0 = healthy links).
+    requests: u64,
     fault_rate: f64,
+) -> SystemConfig {
+    let mut config =
+        SystemConfig::paper_baseline(topology, dram_fraction).expect("paper baseline is valid");
+    config.requests_per_port = requests;
+    if fault_rate > 0.0 {
+        config.noc.fault.transient_rate = fault_rate;
+        config.noc.fault.seed = 7;
+    }
+    config
 }
 
 struct Measurement {
@@ -88,13 +105,7 @@ struct Measurement {
 }
 
 fn run_case(case: &Case) -> Measurement {
-    let mut config = SystemConfig::paper_baseline(case.topology, case.dram_fraction)
-        .expect("paper baseline is valid");
-    config.requests_per_port = case.requests;
-    if case.fault_rate > 0.0 {
-        config.noc.fault.transient_rate = case.fault_rate;
-        config.noc.fault.seed = 7;
-    }
+    let mut config = case.config.clone();
     // MN_TRACE lets CI measure telemetry overhead (off/counters/full)
     // with the same binary; the event stream is identical either way.
     if let Some(mode) = mn_campaign::Knobs::get().trace {
@@ -145,55 +156,50 @@ fn run_case(case: &Case) -> Measurement {
 }
 
 fn main() {
+    // The closed-loop sweep's busiest host: its point at the most issue
+    // slots, gated by the ECN window over marking links.
+    let mut closed_loop = closed_loop_config(TopologyKind::SkipList, WindowPolicyKind::Ecn, 16);
+    closed_loop.requests_per_port = 2_000;
     let cases = [
         Case {
             name: "chain-640-requests",
-            topology: TopologyKind::Chain,
-            requests: 640,
+            config: baseline(TopologyKind::Chain, 1.0, 640, 0.0),
             workload: Workload::Dct,
             iters: 40,
-            dram_fraction: 1.0,
-            fault_rate: 0.0,
         },
         Case {
             name: "tree-2k-requests",
-            topology: TopologyKind::Tree,
-            requests: 2_000,
+            config: baseline(TopologyKind::Tree, 1.0, 2_000, 0.0),
             workload: Workload::Nw,
             iters: 10,
-            dram_fraction: 1.0,
-            fault_rate: 0.0,
         },
         Case {
             name: "skiplist-2k-requests",
-            topology: TopologyKind::SkipList,
-            requests: 2_000,
+            config: baseline(TopologyKind::SkipList, 1.0, 2_000, 0.0),
             workload: Workload::Backprop,
             iters: 10,
-            dram_fraction: 1.0,
-            fault_rate: 0.0,
         },
         // Retry/replay path: transient CRC faults stretch link occupancy
         // and touch the per-link retry buffers every few hundred packets.
         Case {
             name: "chain-640-faulty",
-            topology: TopologyKind::Chain,
-            requests: 640,
+            config: baseline(TopologyKind::Chain, 1.0, 640, 0.02),
             workload: Workload::Dct,
             iters: 40,
-            dram_fraction: 1.0,
-            fault_rate: 0.02,
         },
         // NVM cubes hold dirty rows until idle time writes them back, so
         // this case exercises the controllers' flush path.
         Case {
             name: "tree-2k-nvm-half",
-            topology: TopologyKind::Tree,
-            requests: 2_000,
+            config: baseline(TopologyKind::Tree, 0.5, 2_000, 0.0),
             workload: Workload::Backprop,
             iters: 10,
-            dram_fraction: 0.5,
-            fault_rate: 0.0,
+        },
+        Case {
+            name: "closed-loop-2k-ecn16",
+            config: closed_loop,
+            workload: Workload::Nw,
+            iters: 10,
         },
     ];
 

@@ -297,6 +297,92 @@ fn sampled_points_resimulate_to_their_committed_bytes() {
     }
 }
 
+/// The closed-loop sweep runs detached, so no replay above covers its
+/// host-window path. Three of its points are re-simulated here instead:
+/// a serializing fixed window on the chain, AIMD on the tree and ECN on
+/// the skip-list, the last two at 16 issue slots. Each must encode to
+/// the pinned bytes and report the pinned Jain index, steady-state
+/// window and marked fraction, the three telemetry values its row
+/// prints.
+#[test]
+fn closed_loop_points_resimulate_to_their_pinned_values() {
+    if !env_is_default() {
+        eprintln!("skipping: result-changing knobs override the golden grids");
+        return;
+    }
+    use mn_core::WindowPolicyKind::{Aimd, Ecn, Fixed};
+    use TopologyKind::{Chain, SkipList, Tree};
+    let sweep = figures::closed_loop();
+    // (topology, policy, slots, encoded-result hash, Jain, window, marked)
+    let picks = [
+        (
+            Chain,
+            Fixed(1),
+            4,
+            11_833_552_045_737_147_453,
+            0.973_465_311_763_911_2_f64,
+            1.0_f64,
+            0.0_f64,
+        ),
+        (
+            Tree,
+            Aimd,
+            16,
+            2_101_850_845_358_898_125,
+            0.914_356_327_204_451,
+            64.0,
+            0.0,
+        ),
+        (
+            SkipList,
+            Ecn,
+            16,
+            3_104_580_970_701_344_184,
+            0.902_725_827_960_291,
+            6.455_186_304_128_902,
+            0.059_166_666_666_666_666,
+        ),
+    ];
+    for (topology, policy, slots, hash, jain, window, marked) in picks {
+        let point = sweep.campaigns[0]
+            .iter()
+            .find(|p| {
+                p.config.topology == topology
+                    && p.config.host.policy == policy
+                    && p.config.window == slots
+            })
+            .unwrap_or_else(|| panic!("no {topology:?} {policy:?} {slots}-slot point"));
+        let label = format!("{} / {slots} slots", point.config.label());
+        let result = mn_core::try_simulate(&point.config, point.workload).expect("simulates");
+        let tele = result
+            .telemetry
+            .as_deref()
+            .expect("the sweep runs with telemetry");
+        let host = tele
+            .host
+            .as_ref()
+            .expect("a closed-loop point records its host");
+        let got = (
+            fnv1a64(encode_result(&result).as_bytes()),
+            tele.fairness.jain(),
+            host.steady_window(),
+            host.marked_fraction(),
+        );
+        assert_eq!(
+            (got.0, got.1.to_bits(), got.2.to_bits(), got.3.to_bits()),
+            (hash, jain.to_bits(), window.to_bits(), marked.to_bits()),
+            "{label}: (hash, jain, window, marked) read {got:?}"
+        );
+    }
+}
+
+/// 64-bit FNV-1a, enough to pin an encoded result in one literal.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// From-scratch variant: re-simulates every registry figure with no
 /// cache and demands the committed bytes. `#[ignore]`d for local `cargo
 /// test` speed; CI's golden step runs it.

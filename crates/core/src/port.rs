@@ -228,6 +228,10 @@ pub(crate) struct PortSim {
     /// advances controllers recomputes it from `ctrl_next`; an instant
     /// with no controller due skips the pass on one comparison.
     ctrl_min: SimTime,
+    /// Bit `i % 64` of word `i / 64` is set exactly when `ctrl_next[i]`
+    /// is not idle (`SimTime::MAX`): `enqueue` sets it and the pass that
+    /// advances controllers clears it, so the pass visits only these.
+    ctrl_active: Vec<u64>,
     cube_tech: Vec<Option<CubeTech>>,
     trace: TraceGenerator,
     detector: WriteBurstDetector,
@@ -241,6 +245,10 @@ pub(crate) struct PortSim {
 
     /// Wavefront slots waiting out their think time: (due, burst refs).
     thinking: Vec<(SimTime, Vec<MemRef>)>,
+    /// Exact minimum of the `thinking` dues (`SimTime::MAX` when empty).
+    /// A push min-merges it and the staging scan recomputes it, so an
+    /// instant with no slot due skips the scan on one comparison.
+    thinking_min: SimTime,
     /// Recycled burst buffers: issued bursts return their (emptied) `Vec`
     /// here so the steady state never allocates a fresh one.
     ref_pool: Vec<Vec<MemRef>>,
@@ -449,6 +457,7 @@ impl PortSim {
             net,
             addr_map,
             ctrl_next: vec![SimTime::MAX; ctrl.len()],
+            ctrl_active: vec![0; ctrl.len().div_ceil(64)],
             ctrl,
             ctrl_base,
             ctrl_cube,
@@ -464,6 +473,7 @@ impl PortSim {
             transport_pj_per_bit_hop: config.noc.transport_pj_per_bit_hop,
             watchdog_limit: config.watchdog_limit,
             thinking: Vec::with_capacity(slot_hint),
+            thinking_min: SimTime::MAX,
             ref_pool: (0..=slot_hint)
                 .map(|_| Vec::with_capacity(burst_hint))
                 .collect(),
@@ -669,6 +679,16 @@ impl PortSim {
             }
             first = false;
         }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.thinking_min,
+            self.thinking
+                .iter()
+                .map(|&(due, _)| due)
+                .min()
+                .unwrap_or(SimTime::MAX),
+            "stale thinking_min"
+        );
     }
 
     /// The [`SimError::Stalled`] snapshot for the current wedged state.
@@ -717,25 +737,31 @@ impl PortSim {
     /// think-time sample (the memoryless steady state).
     fn spawn_threads(&mut self) {
         for _ in 0..self.window {
-            let Some((refs, think)) = self.pull_burst() else {
-                break;
-            };
-            self.thinking.push((SimTime::ZERO + think, refs));
+            self.recycle_thread(SimTime::ZERO);
         }
     }
 
     /// A slot's burst fully completed at `at`: think toward the next one.
     fn recycle_thread(&mut self, at: SimTime) {
         if let Some((refs, think)) = self.pull_burst() {
-            self.thinking.push((at + think, refs));
+            let due = at + think;
+            self.thinking_min = self.thinking_min.min(due);
+            self.thinking.push((due, refs));
         }
     }
 
     /// Moves slots whose think time has elapsed into the host issue queue,
     /// issuing their whole burst back to back.
     fn stage_and_offer(&mut self, now: SimTime) -> bool {
+        if self.thinking_min > now {
+            return false;
+        }
         let mut progress = false;
+        let mut min = SimTime::MAX;
         let mut i = 0;
+        // `swap_remove` keeps the staging order (and so the host queue's)
+        // as it was; each slot left behind is passed over exactly once,
+        // which folds the new minimum.
         while i < self.thinking.len() {
             if self.thinking[i].0 <= now {
                 let (due, mut refs) = self.thinking.swap_remove(i);
@@ -754,9 +780,11 @@ impl PortSim {
                 self.ref_pool.push(refs);
                 progress = true;
             } else {
+                min = min.min(self.thinking[i].0);
                 i += 1;
             }
         }
+        self.thinking_min = min;
         progress
     }
 
@@ -896,6 +924,9 @@ impl PortSim {
             let next = self.ctrl[i].next_event_time().unwrap_or(SimTime::MAX);
             self.ctrl_next[i] = next;
             self.ctrl_min = self.ctrl_min.min(next);
+            if next != SimTime::MAX {
+                self.ctrl_active[i / 64] |= 1 << (i % 64);
+            }
         }
     }
 
@@ -913,7 +944,11 @@ impl PortSim {
         // field, for the whole run) — `advance_into` appends in place.
         let mut done = std::mem::take(&mut self.completions);
         // Ascending controller index is node order, then quadrant order.
-        for i in 0..self.ctrl.len() {
+        // An idle controller would only be skipped, so only active ones
+        // are visited.
+        let mut from = 0;
+        while let Some(i) = self.next_active(from) {
+            from = i + 1;
             if self.ctrl_next[i] > now {
                 min = min.min(self.ctrl_next[i]);
                 continue;
@@ -924,6 +959,9 @@ impl PortSim {
             let next = ctrl.next_event_time().unwrap_or(SimTime::MAX);
             self.ctrl_next[i] = next;
             min = min.min(next);
+            if next == SimTime::MAX {
+                self.ctrl_active[i / 64] &= !(1 << (i % 64));
+            }
             let spec = *ctrl.spec();
             for c in done.drain(..) {
                 progress = true;
@@ -973,8 +1011,19 @@ impl PortSim {
         progress
     }
 
+    /// The lowest active controller index at or above `from`.
+    fn next_active(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.ctrl_active.get(word)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.ctrl_active.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
     /// Checks `ctrl_next` and `ctrl_min` against the controllers' own
-    /// memoized next-event times.
+    /// memoized next-event times, and `ctrl_active` against `ctrl_next`.
     #[cfg(debug_assertions)]
     fn assert_ctrl_next(&self) {
         for (i, ctrl) in self.ctrl.iter().enumerate() {
@@ -982,6 +1031,11 @@ impl PortSim {
                 self.ctrl_next[i],
                 ctrl.next_event_time().unwrap_or(SimTime::MAX),
                 "stale wake time for controller {i}"
+            );
+            assert_eq!(
+                self.ctrl_active[i / 64] >> (i % 64) & 1 == 1,
+                self.ctrl_next[i] != SimTime::MAX,
+                "stale active bit for controller {i}"
             );
         }
         assert_eq!(
@@ -1112,10 +1166,11 @@ impl PortSim {
                 }
             }
         };
-        let external = self.thinking.iter().fold(
-            self.ctrl_min.min(self.responses_min).min(host),
-            |t, &(due, _)| t.min(due),
-        );
+        let external = self
+            .thinking_min
+            .min(self.ctrl_min)
+            .min(self.responses_min)
+            .min(host);
         (external, watch)
     }
 
@@ -1128,9 +1183,8 @@ impl PortSim {
                 next = Some(next.map_or(t, |n| n.min(t)));
             }
         };
-        for &(due, _) in &self.thinking {
-            consider(due.max(now + SimDuration::from_ps(1)));
-        }
+        // The earliest clamped due is the clamped earliest due.
+        consider(self.thinking_min.max(now + SimDuration::from_ps(1)));
         if let Some(t) = self.net.next_event_time() {
             consider(t.max(now + SimDuration::from_ps(1)));
         }
@@ -1163,7 +1217,7 @@ impl PortSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_workloads::Workload;
+    use mn_workloads::{Workload, WorkloadProfile};
 
     fn quick_config(topology: TopologyKind, dram_fraction: f64) -> SystemConfig {
         let mut c = SystemConfig::paper_baseline(topology, dram_fraction).unwrap();
@@ -1172,8 +1226,14 @@ mod tests {
     }
 
     fn try_run(config: &SystemConfig, workload: Workload) -> Result<PortObservation, SimError> {
+        try_run_profile(config, workload.profile())
+    }
+
+    fn try_run_profile(
+        config: &SystemConfig,
+        mut profile: WorkloadProfile,
+    ) -> Result<PortObservation, SimError> {
         let space = config.capacity_per_port_gb() * (1 << 30);
-        let mut profile = workload.profile();
         profile.footprint_fraction = 1.0;
         let trace = TraceGenerator::new(profile, space, config.seed);
         PortSim::try_new(config, trace)?.run()
@@ -1532,6 +1592,25 @@ mod tests {
                 other => panic!("limit {limit}: expected Stalled, got {other:?}"),
             }
         }
+    }
+
+    /// At an offered load this high every trace gap rounds to 0 ps, so a
+    /// slot's think time is 0 and a slot recycled in the middle of a pass
+    /// (by `inject_host` or `finish_request`) is due at that very instant:
+    /// the next pass must stage it, which it does only if the recycle
+    /// kept `thinking_min` exact. The pinned values come from a kernel
+    /// that scanned every slot in every pass.
+    #[test]
+    fn a_slot_recycled_with_no_think_time_is_staged_at_once() {
+        let mut c = quick_config(TopologyKind::SkipList, 1.0);
+        c.window = 16;
+        let mut profile = Workload::Nw.profile();
+        profile.intensity_per_ns = 1e9;
+        let r = try_run_profile(&c, profile).expect("simulation completes");
+        let k = r.kernel_counters();
+        assert_eq!(r.wall, SimTime::from_ps(1_865_360), "wall");
+        assert_eq!(k.events_processed, 18_994, "events");
+        assert_eq!((k.fixpoints, k.idle_fixpoints), (2_032, 171), "fixpoints");
     }
 
     #[test]
