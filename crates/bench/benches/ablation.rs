@@ -4,6 +4,8 @@
 //! clock; the *simulated* outcomes of the same ablations are what the
 //! fig10/fig12 binaries report. Self-contained harness, no external crates.
 
+#![warn(unreachable_pub)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

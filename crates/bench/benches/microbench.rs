@@ -3,6 +3,8 @@
 //! network run. Self-contained timing harness (no external crates): each
 //! case warms up, then reports mean wall time per iteration.
 
+#![warn(unreachable_pub)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -22,6 +22,8 @@
 //! (`MN_BENCH_OUT` to relocate) so CI can archive the throughput
 //! trajectory per-PR and show regressions as a diff, not an anecdote.
 
+#![warn(unreachable_pub)]
+
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

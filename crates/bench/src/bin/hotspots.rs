@@ -36,6 +36,8 @@
 //! Linux x86_64 only; on any other target it says so and exits.
 //! `MN_REQUESTS` and `MN_SEED` shape the grids as they do for `fig10`.
 
+#![warn(unreachable_pub)]
+
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -264,7 +266,7 @@ mod sampler {
         Ok(cpu_seconds().map_err(|e| format!("getrusage: {e}"))? - start)
     }
 
-    pub fn run(args: &[String]) -> Result<(), String> {
+    pub(super) fn run(args: &[String]) -> Result<(), String> {
         let options = parse(args)?;
         install_handler().map_err(|e| format!("sigaction: {e}"))?;
         let mut cpu = 0.0;

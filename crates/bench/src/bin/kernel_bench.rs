@@ -30,6 +30,8 @@
 //! (`MN_BENCH_OUT` to relocate), so CI can archive the perf trajectory
 //! per-PR and regressions are visible as a diff, not an anecdote.
 
+#![warn(unreachable_pub)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::time::Instant;

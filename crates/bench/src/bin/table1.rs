@@ -2,6 +2,8 @@
 //! capacity/bandwidth tradeoff and the pin-cost comparison that motivate
 //! memory networks (§1–2.1).
 
+#![warn(unreachable_pub)]
+
 use mn_campaign::{write_records, OutputFormat, Record, Value};
 use mn_mem::ddr::{
     channel_bandwidth_gbs, cube_links_for_pin_budget, max_speed_mhz, DdrGeneration, DdrSystem,

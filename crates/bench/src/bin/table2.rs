@@ -1,6 +1,8 @@
 //! Table 2: the evaluated system's configuration parameters, printed from
 //! the live defaults so the table can never drift from the code.
 
+#![warn(unreachable_pub)]
+
 use mn_campaign::{write_records, OutputFormat, Record, Value};
 use mn_core::SystemConfig;
 use mn_mem::MemTechSpec;

@@ -189,7 +189,7 @@ impl<'a> Cursor<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mn_sim::{SimDuration, SimRng};
 
@@ -464,7 +464,7 @@ mod tests {
 
     /// One random edit of `chars`, drawn from `rng`: a swap, deletion,
     /// insertion, replacement, truncation or run of extra digits.
-    fn mutate(chars: &mut Vec<char>, rng: &mut SimRng) {
+    pub(crate) fn mutate(chars: &mut Vec<char>, rng: &mut SimRng) {
         const ALPHABET: [char; 16] = [
             '0', '1', '7', '9', 'a', 'c', 'f', 'F', 'x', '+', '-', ',', '=', '\n', ' ', 'é',
         ];

@@ -393,6 +393,8 @@ impl Knobs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::mutate;
+    use mn_sim::SimRng;
 
     /// Reads `vars` as the whole environment.
     fn read(vars: &[(&str, &str)]) -> (Knobs, Vec<String>) {
@@ -413,6 +415,50 @@ mod tests {
     fn defaults() -> Knobs {
         Knobs::default()
     }
+
+    type Set = fn(&mut Knobs);
+
+    /// Accepted values, at least one per row: (variable, value, the field
+    /// it sets on top of the defaults).
+    const VALID: [(&str, &str, Set); 25] = [
+        ("MN_REQUESTS", "1234", |k| k.requests = 1234),
+        ("MN_SEED", "42", |k| k.seed = Some(42)),
+        ("MN_JOBS", "3", |k| k.jobs = Some(3)),
+        ("MN_CACHE", "off", |k| k.cache = false),
+        ("MN_CACHE", "0", |k| k.cache = false),
+        ("MN_CACHE", "yes", |_| {}),
+        ("MN_CACHE_DIR", "/tmp/c", |k| k.cache_dir = "/tmp/c".into()),
+        ("MN_RETRIES", "0", |k| k.retries = 0), // 0 disables retries
+        ("MN_RETRIES", "5", |k| k.retries = 5),
+        ("MN_CHAOS_RATE", "0.25", |k| k.chaos_rate = Some(0.25)),
+        ("MN_CHAOS_SEED", "99", |k| k.chaos_seed = 99),
+        ("MN_FAULT_RATE", "0.05", |k| k.fault_rate = Some(0.05)),
+        ("MN_FAULT_SEED", "42", |k| k.fault_seed = Some(42)),
+        ("MN_TRACE", "Counters", |k| {
+            k.trace = Some(TraceConfig::Counters)
+        }),
+        ("MN_TRACE", "full", |k| k.trace = Some(TraceConfig::Full)),
+        ("MN_TRACE_DIR", "/tmp/t", |k| k.trace_dir = "/tmp/t".into()),
+        ("MN_HOST_POLICY", "aimd", |k| {
+            k.host_policy = Some(WindowPolicyKind::Aimd)
+        }),
+        ("MN_HOST_POLICY", "Fixed:12", |k| {
+            k.host_policy = Some(WindowPolicyKind::Fixed(12))
+        }),
+        ("MN_HOST_WINDOW", "24", |k| k.host_window = Some(24)),
+        ("MN_METRICS", "on", |k| k.metrics = true),
+        ("MN_METRICS", "1", |k| k.metrics = true),
+        ("MN_METRICS", "off", |_| {}),
+        ("MN_METRICS_FILE", "/tmp/m", |k| {
+            k.metrics_file = Some("/tmp/m".into())
+        }),
+        ("MN_METRICS_INTERVAL", "250", |k| {
+            k.metrics_interval = Duration::from_millis(250)
+        }),
+        ("MN_BENCH_OUT", "/tmp/b", |k| {
+            k.bench_out = Some("/tmp/b".into())
+        }),
+    ];
 
     #[test]
     fn unset_and_empty_knobs_keep_their_defaults() {
@@ -452,48 +498,7 @@ mod tests {
     /// the variable, and leaves every field at its default.
     #[test]
     fn every_row_accepts_valid_and_rejects_bad_values() {
-        // (variable, value, the field it sets on top of the defaults)
-        type Set = fn(&mut Knobs);
-        let valid: [(&str, &str, Set); 25] = [
-            ("MN_REQUESTS", "1234", |k| k.requests = 1234),
-            ("MN_SEED", "42", |k| k.seed = Some(42)),
-            ("MN_JOBS", "3", |k| k.jobs = Some(3)),
-            ("MN_CACHE", "off", |k| k.cache = false),
-            ("MN_CACHE", "0", |k| k.cache = false),
-            ("MN_CACHE", "yes", |_| {}),
-            ("MN_CACHE_DIR", "/tmp/c", |k| k.cache_dir = "/tmp/c".into()),
-            ("MN_RETRIES", "0", |k| k.retries = 0), // 0 disables retries
-            ("MN_RETRIES", "5", |k| k.retries = 5),
-            ("MN_CHAOS_RATE", "0.25", |k| k.chaos_rate = Some(0.25)),
-            ("MN_CHAOS_SEED", "99", |k| k.chaos_seed = 99),
-            ("MN_FAULT_RATE", "0.05", |k| k.fault_rate = Some(0.05)),
-            ("MN_FAULT_SEED", "42", |k| k.fault_seed = Some(42)),
-            ("MN_TRACE", "Counters", |k| {
-                k.trace = Some(TraceConfig::Counters)
-            }),
-            ("MN_TRACE", "full", |k| k.trace = Some(TraceConfig::Full)),
-            ("MN_TRACE_DIR", "/tmp/t", |k| k.trace_dir = "/tmp/t".into()),
-            ("MN_HOST_POLICY", "aimd", |k| {
-                k.host_policy = Some(WindowPolicyKind::Aimd)
-            }),
-            ("MN_HOST_POLICY", "Fixed:12", |k| {
-                k.host_policy = Some(WindowPolicyKind::Fixed(12))
-            }),
-            ("MN_HOST_WINDOW", "24", |k| k.host_window = Some(24)),
-            ("MN_METRICS", "on", |k| k.metrics = true),
-            ("MN_METRICS", "1", |k| k.metrics = true),
-            ("MN_METRICS", "off", |_| {}),
-            ("MN_METRICS_FILE", "/tmp/m", |k| {
-                k.metrics_file = Some("/tmp/m".into())
-            }),
-            ("MN_METRICS_INTERVAL", "250", |k| {
-                k.metrics_interval = Duration::from_millis(250)
-            }),
-            ("MN_BENCH_OUT", "/tmp/b", |k| {
-                k.bench_out = Some("/tmp/b".into())
-            }),
-        ];
-        for (name, value, set) in valid {
+        for (name, value, set) in VALID {
             let mut want = defaults();
             set(&mut want);
             assert_eq!(accepted(name, value), want, "{name}={value:?}");
@@ -535,7 +540,7 @@ mod tests {
         // value has a rejected case (path knobs accept any path).
         for knob in KNOBS {
             assert!(
-                valid.iter().any(|(name, ..)| *name == knob.name),
+                VALID.iter().any(|(name, ..)| *name == knob.name),
                 "{} has no valid case",
                 knob.name
             );
@@ -546,6 +551,44 @@ mod tests {
                 "{} has no rejected case",
                 knob.name
             );
+        }
+    }
+
+    /// Seeded mutations of every row's valid values. No value panics:
+    /// each is accepted, exactly as its row parses it, or rejected with
+    /// one warning that names the variable while every field keeps its
+    /// default. Applying the knobs to a paper-baseline config always
+    /// leaves a config that validates.
+    #[test]
+    fn mutated_values_are_accepted_or_rejected_by_name() {
+        let base = SystemConfig::paper_baseline(mn_topo::TopologyKind::Chain, 1.0).unwrap();
+        let mut rng = SimRng::seed_from(0x04B4_E0B5);
+        for (name, value, _) in VALID {
+            let knob = KNOBS.iter().find(|k| k.name == name).unwrap();
+            for _ in 0..400 {
+                let mut chars: Vec<char> = value.chars().collect();
+                for _ in 0..rng.range(1, 4) {
+                    mutate(&mut chars, &mut rng);
+                }
+                let mutated: String = chars.into_iter().collect();
+                let (knobs, warnings) = read(&[(name, &mutated)]);
+                let mut want = defaults();
+                if mutated.is_empty() || (knob.set)(&mut want, OsStr::new(&mutated)).is_ok() {
+                    assert!(warnings.is_empty(), "{name}={mutated:?}: {warnings:?}");
+                    assert_eq!(knobs, want, "{name}={mutated:?}");
+                } else {
+                    assert_eq!(knobs, defaults(), "{name}={mutated:?} changed a knob");
+                    assert_eq!(warnings.len(), 1, "{name}={mutated:?}: {warnings:?}");
+                    assert!(warnings[0].contains(name), "{}", warnings[0]);
+                }
+                let mut config = base.clone();
+                knobs.apply(&mut config);
+                config.noc.validate();
+                config.host.validate();
+                config
+                    .placement()
+                    .expect("the knobs leave the placement alone");
+            }
         }
     }
 

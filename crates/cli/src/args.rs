@@ -186,7 +186,7 @@ pub enum Command {
 }
 
 /// The usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 mncube — memory-network simulator (ISCA'17 'There and Back Again')
 
 USAGE:

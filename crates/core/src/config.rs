@@ -42,7 +42,7 @@ impl From<TopologyError> for ConfigError {
 }
 
 /// Capacity of one DRAM cube in GB (Table 2).
-pub const DRAM_CUBE_GB: u64 = 16;
+pub(crate) const DRAM_CUBE_GB: u64 = 16;
 
 /// Full description of one simulated system.
 ///

@@ -737,12 +737,12 @@ impl PortSim {
     /// think-time sample (the memoryless steady state).
     fn spawn_threads(&mut self) {
         for _ in 0..self.window {
-            self.recycle_thread(SimTime::ZERO);
+            self.start_thinking(SimTime::ZERO);
         }
     }
 
     /// A slot's burst fully completed at `at`: think toward the next one.
-    fn recycle_thread(&mut self, at: SimTime) {
+    fn start_thinking(&mut self, at: SimTime) {
         if let Some((refs, think)) = self.pull_burst() {
             let due = at + think;
             self.thinking_min = self.thinking_min.min(due);
@@ -851,7 +851,7 @@ impl PortSim {
                 .is_none_or(|&(_, _, _, b)| b != burst);
             if burst_fully_issued && self.bursts.get(burst) == Some(&0) {
                 self.bursts.remove(burst);
-                self.recycle_thread(now);
+                self.start_thinking(now);
             }
             progress = true;
         }
@@ -1132,7 +1132,7 @@ impl PortSim {
             *remaining -= 1;
             if *remaining == 0 {
                 self.bursts.remove(rec.burst);
-                self.recycle_thread(at);
+                self.start_thinking(at);
             }
         }
     }
@@ -1611,6 +1611,34 @@ mod tests {
         assert_eq!(r.wall, SimTime::from_ps(1_865_360), "wall");
         assert_eq!(k.events_processed, 18_994, "events");
         assert_eq!((k.fixpoints, k.idle_fixpoints), (2_032, 171), "fixpoints");
+    }
+
+    /// A fixpoint entered with a delivery in hand drains it before it
+    /// stages or injects: the drain's completions move the AIMD window
+    /// that gates the host front. At zero think time on full-duplex
+    /// links, a kernel that ran stage and inject ahead of that drain
+    /// made 18,425 events, 2,128 fixpoints (228 idle) and a smaller
+    /// to-memory latency sum; the pinned values drain first.
+    #[test]
+    fn a_fixpoint_with_a_delivery_in_hand_drains_before_it_injects() {
+        use mn_host::WindowPolicyKind;
+        let mut c = quick_config(TopologyKind::SkipList, 1.0);
+        c.window = 16;
+        c.noc.buffer_packets = 1;
+        c.noc.duplex = mn_noc::LinkDuplex::Full;
+        c.host.policy = WindowPolicyKind::Aimd;
+        let mut profile = Workload::Dct.profile();
+        profile.intensity_per_ns = 1e9;
+        let r = try_run_profile(&c, profile).expect("simulation completes");
+        let k = r.kernel_counters();
+        assert_eq!(r.wall, SimTime::from_ps(19_662_488), "wall");
+        assert_eq!(k.events_processed, 18_428, "events");
+        assert_eq!((k.fixpoints, k.idle_fixpoints), (2_130, 229), "fixpoints");
+        assert_eq!(
+            r.breakdown.to_memory.sum(),
+            SimDuration::from_ps(3_631_986_392),
+            "to-memory latency"
+        );
     }
 
     #[test]

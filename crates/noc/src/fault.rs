@@ -20,8 +20,6 @@
 //! refuses to build (see `NetworkError::Partitioned`) instead of silently
 //! dropping traffic.
 
-use std::fmt;
-
 use mn_sim::{SimDuration, SimRng};
 use mn_topo::{LinkId, Topology};
 
@@ -100,39 +98,28 @@ impl Default for FaultConfig {
     }
 }
 
-/// Counters of fault activity, separate from [`crate::NetStats`] so the
-/// healthy-path statistics stay untouched by the subsystem.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Traversals that took at least one CRC error.
-    pub faulted_traversals: u64,
-    /// Total replays across all traversals (≥ `faulted_traversals`).
-    pub replays: u64,
-    /// Traversals that hit `retry_limit` and forwarded anyway.
-    pub exhausted_retries: u64,
-    /// Links operating at reduced width.
-    pub degraded_links: u32,
-    /// Links hard-failed at construction.
-    pub dead_links: u32,
-}
-
 /// The instantiated fault schedule for one network.
 ///
 /// # Example
 ///
 /// ```
 /// use mn_noc::{FaultConfig, FaultModel};
+/// use mn_sim::SimDuration;
 /// use mn_topo::{Topology, TopologyKind, Placement, CubeTech};
 ///
 /// let topo = Topology::build(
 ///     TopologyKind::Ring,
 ///     &Placement::homogeneous(16, CubeTech::Dram),
 /// ).unwrap();
-/// let cfg = FaultConfig { degrade_rate: 0.5, seed: 7, ..FaultConfig::none() };
-/// let a = FaultModel::build(&topo, cfg.clone());
-/// let b = FaultModel::build(&topo, cfg);
-/// // Same seed, same topology: identical schedule.
-/// assert_eq!(a.stats(), b.stats());
+/// let cfg = FaultConfig { degrade_rate: 0.5, transient_rate: 0.1, seed: 7, ..FaultConfig::none() };
+/// let mut a = FaultModel::build(&topo, cfg.clone());
+/// let mut b = FaultModel::build(&topo, cfg);
+/// // Same seed, same topology: identical schedule, so every traversal
+/// // occupies its link for the same time.
+/// let ser = SimDuration::from_ps(528);
+/// for link in topo.link_ids() {
+///     assert_eq!(a.traverse(link, ser), b.traverse(link, ser));
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultModel {
@@ -142,7 +129,6 @@ pub struct FaultModel {
     /// 1 → half (2x), 2 → quarter (4x).
     width_shift: Vec<u8>,
     dead: Vec<LinkId>,
-    stats: FaultStats,
 }
 
 impl FaultModel {
@@ -172,17 +158,11 @@ impl FaultModel {
                 width_shift[link.index()] = if quarter { 2 } else { 1 };
             }
         }
-        let stats = FaultStats {
-            degraded_links: width_shift.iter().filter(|&&s| s > 0).count() as u32,
-            dead_links: dead.len() as u32,
-            ..FaultStats::default()
-        };
         FaultModel {
             config,
             rng,
             width_shift,
             dead,
-            stats,
         }
     }
 
@@ -196,20 +176,8 @@ impl FaultModel {
     pub fn traverse(&mut self, link: LinkId, ser: SimDuration) -> SimDuration {
         let ser = ser * (1u64 << self.width_shift[link.index()]);
         let mut replays: u32 = 0;
-        let mut delivered = false;
-        while replays < self.config.retry_limit {
-            if !self.rng.chance(self.config.transient_rate) {
-                delivered = true;
-                break;
-            }
+        while replays < self.config.retry_limit && self.rng.chance(self.config.transient_rate) {
             replays += 1;
-        }
-        if !delivered {
-            self.stats.exhausted_retries += 1;
-        }
-        if replays > 0 {
-            self.stats.faulted_traversals += 1;
-            self.stats.replays += u64::from(replays);
         }
         ser * u64::from(replays + 1) + self.config.retry_backoff * u64::from(replays)
     }
@@ -224,28 +192,9 @@ impl FaultModel {
         self.dead.binary_search(&link).is_ok()
     }
 
-    /// Fault activity so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
     /// The configuration this schedule was drawn from.
     pub fn config(&self) -> &FaultConfig {
         &self.config
-    }
-}
-
-impl fmt::Display for FaultStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} dead, {} degraded links; {} faulted traversals, {} replays ({} exhausted)",
-            self.dead_links,
-            self.degraded_links,
-            self.faulted_traversals,
-            self.replays,
-            self.exhausted_retries
-        )
     }
 }
 
@@ -289,7 +238,6 @@ mod tests {
                 b.traverse(live, SimDuration::from_ps(528))
             );
         }
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
@@ -333,11 +281,11 @@ mod tests {
         let ser = SimDuration::from_ps(1000);
         // Every attempt faults: 3 replays, then forward anyway.
         // Occupancy = 4 serializations + 3 backoffs.
-        let got = fm.traverse(link, ser);
-        assert_eq!(got, ser * 4 + SimDuration::from_ns(4) * 3);
-        assert_eq!(fm.stats().replays, 3);
-        assert_eq!(fm.stats().faulted_traversals, 1);
-        assert_eq!(fm.stats().exhausted_retries, 1);
+        // The limit caps every traversal the same way, so the next one
+        // replays exactly as often.
+        let capped = ser * 4 + SimDuration::from_ns(4) * 3;
+        assert_eq!(fm.traverse(link, ser), capped);
+        assert_eq!(fm.traverse(link, ser), capped);
     }
 
     #[test]
@@ -349,8 +297,8 @@ mod tests {
         let link = topo.link_ids().next().unwrap();
         let ser = SimDuration::from_ps(528);
         assert_eq!(fm.traverse(link, ser), ser);
-        assert_eq!(fm.stats().dead_links, 0);
-        assert_eq!(fm.stats().degraded_links, 0);
+        assert!(fm.dead_links().is_empty());
+        assert!(fm.width_shift.iter().all(|&s| s == 0));
     }
 
     #[test]
@@ -362,7 +310,6 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut fm = FaultModel::build(&topo, cfg);
-        assert_eq!(fm.stats().degraded_links as usize, topo.link_count());
         let ser = SimDuration::from_ps(528);
         let mut seen = [false; 3];
         for link in topo.link_ids() {
@@ -391,10 +338,8 @@ mod tests {
             assert!(fm.is_dead(link));
             assert_eq!(fm.width_shift[link.index()], 0);
         }
-        assert_eq!(
-            fm.stats().dead_links as usize + fm.stats().degraded_links as usize,
-            topo.link_count()
-        );
+        let degraded = fm.width_shift.iter().filter(|&&s| s > 0).count();
+        assert_eq!(fm.dead_links().len() + degraded, topo.link_count());
     }
 
     #[test]

@@ -67,6 +67,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod arbiter;
@@ -75,7 +76,6 @@ mod fault;
 mod network;
 mod packet;
 mod policy;
-mod pool;
 mod stats;
 mod telem;
 
@@ -84,7 +84,7 @@ pub use arbiter::{
     RoundRobinArbiter,
 };
 pub use config::{LinkDuplex, LinkTiming, NocConfig};
-pub use fault::{FaultConfig, FaultModel, FaultStats};
+pub use fault::{FaultConfig, FaultModel};
 pub use mn_telemetry::TraceConfig;
 pub use network::{
     Delivery, IntoSharedTopology, Network, NetworkError, NetworkFull, MAX_NODE_PORTS,

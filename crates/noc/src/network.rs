@@ -49,7 +49,6 @@ use crate::arbiter::{ArbiterImpl, Candidate};
 use crate::config::{LinkDuplex, NocConfig};
 use crate::fault::FaultModel;
 use crate::packet::{Packet, PacketId, PacketKind, VirtualChannel};
-use crate::pool::{self, NetworkStorage, StorageShape};
 use crate::stats::NetStats;
 use crate::telem::{FlightEntry, NetTelem, NetTelemetry};
 
@@ -176,7 +175,7 @@ pub struct Delivery {
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct Buf {
+struct Buf {
     /// Handles into the network's packet arena, with arrival timestamps.
     queue: VecDeque<(ArenaRef, SimTime)>,
     reserved: usize,
@@ -192,12 +191,6 @@ impl Buf {
             reserved: 0,
             capacity,
         }
-    }
-
-    /// Empties the buffer for pooled reuse, keeping its backing storage.
-    pub(crate) fn reset(&mut self) {
-        self.queue.clear();
-        self.reserved = 0;
     }
 
     fn has_space(&self) -> bool {
@@ -257,7 +250,7 @@ impl NodeMeta {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum NetEvent {
+enum NetEvent {
     /// A packet finishes traversing a link and lands in `node`'s input
     /// buffer at `port`.
     Arrive {
@@ -330,8 +323,8 @@ pub struct Network {
     /// Per node, the arrivals still unprocessed in the `events` batch
     /// being handled (zero outside that batch). See [`Network::wake`].
     inbound: Vec<u32>,
-    /// Lane entries popped so far; with the lane's length and the queue's
-    /// counters this gives the kernel's event counts.
+    /// Lane entries popped so far; with the queue's pops this gives the
+    /// kernel's event count.
     lane_popped: u64,
     /// Most entries ever pending at once in `events` and the lane
     /// together.
@@ -453,6 +446,8 @@ impl Network {
         let mut meta = Vec::with_capacity(topo.node_count());
         let mut arbiters = Vec::new();
         let mut link_ports = vec![Vec::new(); topo.node_count()];
+        // Per router output, its link and direction, in `arb_idx` order.
+        let mut out_link = Vec::with_capacity(2 * topo.link_count() + topo.node_count());
         let mut buf_count = 0usize;
         for id in topo.node_ids() {
             let ext_ports = topo.degree(id);
@@ -465,7 +460,10 @@ impl Network {
             };
             for (port, &(_, link)) in topo.neighbors(id).iter().enumerate() {
                 link_ports[id.index()].push((link, port));
+                out_link.push((link, usize::from(topo.link(link).a != id)));
             }
+            // The ejection output sends on no link.
+            out_link.push((LinkId(u32::MAX), 0));
             let total_ports = ext_ports + local_ports;
             check_port_bound(id, total_ports)?;
             let buf_base = u32::try_from(buf_count).expect("buffer count fits u32");
@@ -482,91 +480,36 @@ impl Network {
                 arb_base,
             });
         }
-        // The struct-of-arrays storage — hundreds of pre-sized buffer
-        // deques plus the packet arena — is the dominant construction
-        // cost, so a previous same-shape network's donated storage is
-        // reused when the thread-local pool has one. The arena is sized
-        // so every live packet (some buffer slot, or in flight on a link
-        // — a handful per direction at most) fits without slot-vector
-        // growth in the steady state.
-        let shape = StorageShape {
-            buf_count,
-            buffer_packets: config.buffer_packets,
-            eject_count: topo.node_count() * VC,
-            ejection_packets: config.ejection_packets,
-            links: topo.link_count(),
-            nodes: topo.node_count(),
-            outputs: arbiters.len(),
-        };
-        let mut storage = pool::take(shape).unwrap_or_else(|| NetworkStorage {
-            shape,
-            bufs: (0..shape.buf_count)
-                .map(|_| Buf::with_capacity(config.buffer_packets))
-                .collect(),
-            eject: (0..shape.eject_count)
-                .map(|_| Buf::with_capacity(config.ejection_packets))
-                .collect(),
-            packets: GenArena::with_capacity(shape.arena_capacity()),
-            link_free_at: vec![[SimTime::ZERO; 2]; shape.links],
-            neighbor_ports: vec![Vec::new(); shape.nodes],
-            arb_clean: vec![false; shape.nodes],
-            last_arb: vec![SimTime::ZERO; shape.nodes],
-            ready_pending: vec![false; shape.nodes],
-            buffered: vec![0; shape.nodes],
-            head_mask: vec![0; shape.outputs * VC],
-            link_heads: vec![0; shape.nodes],
-            out_link: Vec::with_capacity(shape.outputs),
-            scratch: Vec::with_capacity(16),
-            batch: Vec::with_capacity(64),
-            lane: Vec::with_capacity(64),
-            inbound: vec![0; shape.nodes],
-        });
-        // Adjacency wiring can differ between same-shape topologies, so
-        // `neighbor_ports[node][out_port]` — the input-port index our link
-        // occupies at the neighbor — is (re)computed every construction;
-        // pooling only spares the vector allocations.
-        for id in topo.node_ids() {
-            let ports = &mut storage.neighbor_ports[id.index()];
-            debug_assert!(ports.is_empty());
-            for &(neighbor, link) in topo.neighbors(id) {
-                let port = link_ports[neighbor.index()]
+        // The arena is sized so every live packet (some buffer slot, or in
+        // flight on a link — a handful per direction at most) fits without
+        // slot-vector growth in the steady state.
+        let nodes = topo.node_count();
+        let bufs: Vec<Buf> = (0..buf_count)
+            .map(|_| Buf::with_capacity(config.buffer_packets))
+            .collect();
+        let eject: Vec<Buf> = (0..nodes * VC)
+            .map(|_| Buf::with_capacity(config.ejection_packets))
+            .collect();
+        let arena_capacity = bufs.len() * config.buffer_packets
+            + eject.len() * config.ejection_packets
+            + 8 * topo.link_count();
+        // `neighbor_ports[node][out_port]`: the input-port index our link
+        // occupies at the neighbor.
+        let neighbor_ports = topo
+            .node_ids()
+            .map(|id| {
+                topo.neighbors(id)
                     .iter()
-                    .find(|(l, _)| *l == link)
-                    .map(|&(_, p)| p)
-                    .expect("link attaches to both endpoints");
-                ports.push(port);
-            }
-        }
-        let NetworkStorage {
-            shape: _,
-            bufs,
-            eject,
-            packets,
-            link_free_at,
-            neighbor_ports,
-            arb_clean,
-            last_arb,
-            ready_pending,
-            buffered,
-            head_mask,
-            link_heads,
-            mut out_link,
-            scratch,
-            batch,
-            lane,
-            inbound,
-        } = storage;
-        // Like `neighbor_ports`, the output links follow the wiring, so
-        // they are refilled on every construction.
-        debug_assert!(out_link.is_empty());
-        for id in topo.node_ids() {
-            for &(_, link) in topo.neighbors(id) {
-                out_link.push((link, usize::from(topo.link(link).a != id)));
-            }
-            // The ejection output sends on no link.
-            out_link.push((LinkId(u32::MAX), 0));
-        }
-        let stats = NetStats::new(topo.link_count());
+                    .map(|&(neighbor, link)| {
+                        link_ports[neighbor.index()]
+                            .iter()
+                            .find(|(l, _)| *l == link)
+                            .map(|&(_, p)| p)
+                            .expect("link attaches to both endpoints")
+                    })
+                    .collect()
+            })
+            .collect();
         // Pre-size the queue for the common working set — order one
         // link-free event per node plus one in-flight packet per link
         // direction, doubled for transients. The queue still grows past
@@ -579,70 +522,34 @@ impl Network {
             meta,
             bufs,
             eject,
+            head_mask: vec![0; arbiters.len() * VC],
             arbiters,
-            packets,
-            link_free_at,
+            packets: GenArena::with_capacity(arena_capacity),
+            link_free_at: vec![[SimTime::ZERO; 2]; topo.link_count()],
             neighbor_ports,
             events: EventQueue::with_capacity(event_capacity),
-            lane,
+            lane: Vec::with_capacity(64),
             lane_head: 0,
             clock: SimTime::ZERO,
-            inbound,
+            inbound: vec![0; nodes],
             lane_popped: 0,
             peak: 0,
             #[cfg(test)]
             every_wake: false,
-            arb_clean,
-            last_arb,
-            ready_pending,
-            buffered,
-            head_mask,
-            link_heads,
+            arb_clean: vec![false; nodes],
+            last_arb: vec![SimTime::ZERO; nodes],
+            ready_pending: vec![false; nodes],
+            buffered: vec![0; nodes],
+            link_heads: vec![0; nodes],
             out_link,
-            scratch,
-            batch,
+            scratch: Vec::with_capacity(16),
+            batch: Vec::with_capacity(64),
             next_packet_id: 0,
-            stats,
+            stats: NetStats::new(topo.link_count()),
             faults,
             telem: NetTelem::new(config_trace, &topo),
             topo,
         })
-    }
-
-    /// Donates this network's struct-of-arrays storage (input/ejection
-    /// buffers, packet arena, per-node vectors) to the thread-local
-    /// construction pool, where the next same-shape [`Network::try_new`]
-    /// reuses it instead of allocating. Call once a run is finished with
-    /// the network; reuse is invisible to results (see the `pool` module).
-    pub fn recycle(self) {
-        let shape = StorageShape {
-            buf_count: self.bufs.len(),
-            buffer_packets: self.config.buffer_packets,
-            eject_count: self.eject.len(),
-            ejection_packets: self.config.ejection_packets,
-            links: self.link_free_at.len(),
-            nodes: self.buffered.len(),
-            outputs: self.arbiters.len(),
-        };
-        pool::put(NetworkStorage {
-            shape,
-            bufs: self.bufs,
-            eject: self.eject,
-            packets: self.packets,
-            link_free_at: self.link_free_at,
-            neighbor_ports: self.neighbor_ports,
-            arb_clean: self.arb_clean,
-            last_arb: self.last_arb,
-            ready_pending: self.ready_pending,
-            buffered: self.buffered,
-            head_mask: self.head_mask,
-            link_heads: self.link_heads,
-            out_link: self.out_link,
-            scratch: self.scratch,
-            batch: self.batch,
-            lane: self.lane,
-            inbound: self.inbound,
-        });
     }
 
     /// The routing table the network forwards with.
@@ -1016,13 +923,6 @@ impl Network {
         })
     }
 
-    /// True if `node` has a deliverable packet waiting.
-    pub fn has_delivery(&self, node: NodeId) -> bool {
-        self.eject[node.index() * VC..node.index() * VC + VC]
-            .iter()
-            .any(|b| !b.queue.is_empty())
-    }
-
     /// Total packets currently inside the network (buffered or in flight).
     pub fn in_flight(&self) -> u64 {
         self.stats.injected.value() - self.stats.delivered.value()
@@ -1383,22 +1283,12 @@ impl Network {
         self.events.events_processed() + self.lane_popped
     }
 
-    /// High-water mark of the internal event queue and lane together — how
-    /// large a working set the kernel had to sustain (coalescing drives
-    /// this down).
-    pub fn event_queue_peak(&self) -> usize {
-        self.peak
-    }
-
     /// Snapshot of the kernel-level performance counters: event-queue
     /// traffic and the packet arena's high-water mark. `steady_heap_allocs`
     /// is left at zero — only the driving binary can observe the global
     /// allocator.
     pub fn kernel_counters(&self) -> KernelCounters {
         KernelCounters {
-            events_scheduled: self.events.events_scheduled()
-                + self.lane_popped
-                + self.lane.len() as u64,
             events_processed: self.events_processed(),
             queue_peak: self.peak as u64,
             arena_high_water: self.packets.high_water() as u64,
@@ -1955,7 +1845,7 @@ mod tests {
         let topo = chain(2);
         let mut net = Network::new(&topo, NocConfig::default());
         assert_eq!(net.take_delivery(topo.host(), SimTime::ZERO), None);
-        assert!(!net.has_delivery(topo.host()));
+        assert!(net.peek_delivery(topo.host()).is_none());
     }
 
     #[test]
@@ -2053,7 +1943,7 @@ mod tests {
             }
         }
         assert_eq!(deliveries.len(), 16, "every cube still reachable");
-        assert_eq!(net.faults.as_ref().unwrap().stats().dead_links, 1);
+        assert_eq!(net.faults.as_ref().unwrap().dead_links().len(), 1);
     }
 
     #[test]
@@ -2080,11 +1970,9 @@ mod tests {
         net.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
         let deliveries = run_to_quiescence(&mut net);
         assert_eq!(deliveries.len(), 1, "no data loss");
-        let stats = net.faults.as_ref().unwrap().stats();
-        assert!(stats.replays > 0, "at 50% CRC rate some hop replays");
         assert!(
             deliveries[0].arrived_at > healthy_arrival,
-            "replays cost latency"
+            "at 50% CRC rate some hop replays, and replays cost latency"
         );
     }
 
@@ -2093,49 +1981,6 @@ mod tests {
         let topo = chain(2);
         let net = Network::new(&topo, NocConfig::default());
         assert!(net.faults.is_none());
-    }
-
-    #[test]
-    fn recycled_storage_reproduces_a_fresh_network() {
-        let topo = chain(4);
-        let dst = topo.cube_at_position(4).unwrap();
-        let run = |net: &mut Network| {
-            for t in 0..3 {
-                let pkt = Packet::request(t, PacketKind::ReadRequest, topo.host(), dst);
-                net.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
-            }
-            run_to_quiescence(net)
-        };
-        let mut fresh = Network::new(&topo, NocConfig::default());
-        let baseline = run(&mut fresh);
-        fresh.recycle();
-        // Donate a mid-run storage too: packets still buffered, so its
-        // head masks are set until the pool clears them.
-        let mut busy = Network::new(&topo, NocConfig::default());
-        let pkt = Packet::request(9, PacketKind::ReadRequest, topo.host(), dst);
-        busy.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
-        assert!(busy.head_mask.iter().any(|&m| m != 0));
-        busy.recycle();
-        let pooled = crate::pool::pooled_count();
-        assert!(pooled > 0, "recycle must donate storage");
-        let mut reused = Network::new(&topo, NocConfig::default());
-        assert_eq!(
-            crate::pool::pooled_count(),
-            pooled - 1,
-            "a same-shape construction must take the pooled storage"
-        );
-        assert!(
-            reused.head_mask.iter().all(|&m| m == 0),
-            "a pooled network must start with all-zero head masks"
-        );
-        // A different shape must not match the pooled entry.
-        let other = chain(7);
-        let taken_for_other = Network::new(&other, NocConfig::default());
-        drop(taken_for_other);
-        // Pooled storage replays the exact packet-id/handle sequence and
-        // delivery stream of a fresh network.
-        assert_eq!(run(&mut reused), baseline);
-        reused.recycle();
     }
 
     #[test]

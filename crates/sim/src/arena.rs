@@ -137,29 +137,6 @@ impl<T> GenArena<T> {
         value
     }
 
-    /// Empties the arena while keeping its slot storage, so a pooled arena
-    /// can be reused across runs without reallocating. Occupied slots have
-    /// their generation bumped, so handles from before the reset turn
-    /// stale exactly as if each entry had been removed. The free list is
-    /// rebuilt lowest-index-first, so a reset arena hands out the same
-    /// handle indices in the same order as a freshly built one; the
-    /// high-water mark restarts at zero (it is a per-run metric).
-    pub fn reset(&mut self) {
-        self.free.clear();
-        for slot in self.slots.iter_mut() {
-            if slot.value.take().is_some() {
-                slot.generation = slot.generation.wrapping_add(1);
-            }
-        }
-        // `insert` pops from the back; descending order replays the fresh
-        // arena's 0, 1, 2, ... slot sequence.
-        for index in (0..self.slots.len()).rev() {
-            self.free.push(index as u32);
-        }
-        self.len = 0;
-        self.high_water = 0;
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.len
@@ -221,29 +198,6 @@ mod tests {
         arena.remove(a);
         arena.insert(2); // recycle
         arena.remove(a);
-    }
-
-    #[test]
-    fn reset_reuses_storage_and_replays_fresh_handle_order() {
-        let mut arena = GenArena::with_capacity(4);
-        let a = arena.insert("a");
-        let b = arena.insert("b");
-        arena.remove(a);
-        arena.reset();
-        assert!(arena.is_empty());
-        assert_eq!(arena.high_water(), 0);
-        assert_eq!(arena.get(b), None, "pre-reset handles must be stale");
-        // Fresh-arena order: slot 0 first, then 1.
-        let c = arena.insert("c");
-        let d = arena.insert("d");
-        assert_eq!(c.index, 0);
-        assert_eq!(d.index, 1);
-        assert_eq!(
-            arena.capacity(),
-            2,
-            "reset must not drop materialized slots"
-        );
-        assert_eq!(arena.get(c), Some(&"c"));
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub fn heap_allocs() -> u64 {
 /// network/port layers at the end of a run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// Events pushed into the event queue.
-    pub events_scheduled: u64,
     /// Events popped from the event queue.
     pub events_processed: u64,
     /// High-water mark of simultaneously pending events.

@@ -112,8 +112,6 @@ pub struct EventQueue<E> {
     pending: Vec<(SimTime, E)>,
     now: SimTime,
     popped: u64,
-    pushed: u64,
-    peak: usize,
 }
 
 impl<E> EventQueue<E> {
@@ -123,8 +121,6 @@ impl<E> EventQueue<E> {
             pending: Vec::new(),
             now: SimTime::ZERO,
             popped: 0,
-            pushed: 0,
-            peak: 0,
         }
     }
 
@@ -154,7 +150,6 @@ impl<E> EventQueue<E> {
             "scheduled event at {time} into the past (now = {})",
             self.now
         );
-        self.pushed += 1;
         // The newest push pops after every entry due no later than it —
         // exactly the (time, seq) position. It usually lands among the
         // latest entries, so those are scanned first (see `NEAR`).
@@ -164,7 +159,6 @@ impl<E> EventQueue<E> {
             None => near + self.pending[near..].partition_point(|&(t, _)| t > time),
         };
         self.pending.insert(pos, (time, event));
-        self.peak = self.peak.max(self.pending.len());
     }
 
     /// Removes and returns the earliest event, advancing [`EventQueue::now`].
@@ -218,18 +212,6 @@ impl<E> EventQueue<E> {
     /// Total number of events popped since construction.
     pub fn events_processed(&self) -> u64 {
         self.popped
-    }
-
-    /// Total number of events pushed since construction.
-    pub fn events_scheduled(&self) -> u64 {
-        self.pushed
-    }
-
-    /// The largest number of events simultaneously pending since
-    /// construction — the working-set size the queue had to sustain.
-    /// Event-coalescing optimizations drive this down.
-    pub fn peak_len(&self) -> usize {
-        self.peak
     }
 }
 
@@ -316,24 +298,9 @@ mod tests {
         assert!(q.is_empty());
         q.extend((0..5).map(|i| (SimTime::from_ns(i), i)));
         assert_eq!(q.len(), 5);
-        assert_eq!(q.events_scheduled(), 5);
         while q.pop().is_some() {}
         assert_eq!(q.events_processed(), 5);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peak_len_tracks_high_water_mark() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peak_len(), 0);
-        q.push(SimTime::from_ns(1), ());
-        q.push(SimTime::from_ns(2), ());
-        q.pop();
-        q.push(SimTime::from_ns(3), ());
-        // Never more than 2 pending at once.
-        assert_eq!(q.peak_len(), 2);
-        while q.pop().is_some() {}
-        assert_eq!(q.peak_len(), 2);
     }
 
     #[test]

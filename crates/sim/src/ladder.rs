@@ -148,8 +148,6 @@ mod tests {
             q.push(SimTime::from_ns(i), i);
         }
         assert_eq!(q.len(), 5);
-        assert_eq!(q.peak_len(), 5);
-        assert_eq!(q.events_scheduled(), 5);
         while q.pop().is_some() {}
         assert_eq!(q.events_processed(), 5);
         assert!(q.is_empty());
@@ -262,7 +260,7 @@ mod tests {
         q.push(SimTime::from_ns(20), "later");
         q.push(t, "at-clock-1");
         q.push(t, "at-clock-2");
-        assert_eq!((q.len(), q.peak_len()), (4, 4));
+        assert_eq!(q.len(), 4);
         assert_eq!(q.peek_time(), Some(t));
         let mut out = Vec::new();
         assert_eq!(q.pop_batch_into(&mut out), Some((t, 3)));

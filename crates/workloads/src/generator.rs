@@ -5,7 +5,7 @@ use mn_sim::{SimDuration, SimRng};
 use crate::profile::WorkloadProfile;
 
 /// Cache-line granularity of references (the LLC miss stream is 64 B).
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 
 /// One memory reference in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
