@@ -282,7 +282,7 @@ mod sampler {
                         return Err(format!("no .mnres entries in {}", options.cache.display()));
                     }
                     cpu += sampled(|| {
-                        std::hint::black_box(figures(&mut Harness::cached(1, &dir)));
+                        std::hint::black_box(figures(&mut Harness::with_cache(1, &dir)));
                     })?;
                     let _ = fs::remove_dir_all(&dir);
                 }

@@ -34,8 +34,6 @@ pub struct Figure {
     pub campaigns: Vec<Vec<CampaignPoint>>,
     /// Renders the binary's stdout from the campaigns' results.
     pub render: Render,
-    /// Whether the campaigns run with the result cache detached.
-    detached: bool,
 }
 
 impl Figure {
@@ -44,15 +42,7 @@ impl Figure {
             name,
             campaigns,
             render,
-            detached: false,
         }
-    }
-
-    /// Whether the figure's binary runs with the result cache attached.
-    /// Only the closed-loop sweep does not: its render reads the
-    /// telemetry rollup, which cache hits never carry.
-    pub fn cached(&self) -> bool {
-        !self.detached
     }
 }
 
@@ -819,8 +809,9 @@ const LOOP_TOPOLOGIES: [TopologyKind; 3] = [
 /// goodput, earliest knee), `fixed:32` barely gates, `aimd` converges
 /// near the uncongested window, and `ecn` backs off on marked responses
 /// (nonzero marked fraction, fairest under load). The per-policy Jain
-/// index and steady-state window columns come from telemetry, so the
-/// sweep runs with the cache detached (cache hits carry no telemetry).
+/// index and steady-state window columns come from telemetry, so every
+/// point runs with `Counters` on, and the campaign simulates it on every
+/// run instead of serving or storing it (no cache entry holds telemetry).
 pub fn closed_loop() -> Figure {
     let mut points = Vec::new();
     for topo in LOOP_TOPOLOGIES {
@@ -900,8 +891,5 @@ pub fn closed_loop() -> Figure {
         }
         out
     };
-    Figure {
-        detached: true,
-        ..Figure::new("closed_loop", vec![points], render)
-    }
+    Figure::new("closed_loop", vec![points], render)
 }

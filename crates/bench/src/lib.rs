@@ -8,9 +8,11 @@
 //! which submits the grids to the `mn-campaign` engine through a
 //! [`Harness`]: points run across `MN_JOBS` workers, finished points are
 //! served from the on-disk result cache (`results/cache/`), and
-//! machine-readable per-point records can follow the text tables. The
-//! golden tests replay the same registry against the committed
-//! `results/*.txt`.
+//! machine-readable per-point records can follow the text tables. A point
+//! that asks for telemetry (under `MN_TRACE`, and every closed-loop
+//! point) is simulated on every run and never cached, so its telemetry
+//! columns are always filled. The golden tests replay the same registry
+//! against the committed `results/*.txt`.
 //!
 //! Every binary reads the `MN_*` knobs through [`mn_campaign::Knobs`];
 //! the knob table ([`mn_campaign::KNOBS`], mirrored by the README) lists
@@ -115,18 +117,11 @@ pub fn baseline_config(template: &SystemConfig) -> SystemConfig {
 }
 
 /// Runs `figure` as its binary does: a [`Harness`] configured from the
-/// environment (`MN_JOBS`, cache knobs; the cache detached when the
-/// figure is not [`Figure::cached`]) and the process arguments
+/// environment (`MN_JOBS`, cache knobs) and the process arguments
 /// (`--format`), each campaign in order, the render on stdout, then the
 /// per-point records.
 pub fn run(figure: Figure) {
-    let campaign = Campaign::from_env();
-    let campaign = if figure.cached() {
-        campaign
-    } else {
-        campaign.no_cache()
-    };
-    let mut harness = Harness::with(campaign, OutputFormat::from_args());
+    let mut harness = Harness::with(Campaign::from_env(), OutputFormat::from_args());
     print!("{}", harness.render(figure));
     harness.finish();
 }
@@ -158,7 +153,7 @@ impl Harness {
 
     /// A quiet harness backed by an explicit cache directory, without
     /// consulting the environment.
-    pub fn cached(jobs: usize, dir: impl Into<std::path::PathBuf>) -> Harness {
+    pub fn with_cache(jobs: usize, dir: impl Into<std::path::PathBuf>) -> Harness {
         Harness::with(
             Campaign::new(jobs).quiet().cache_dir(dir),
             OutputFormat::Text,
@@ -168,9 +163,9 @@ impl Harness {
     /// Runs each of `figure`'s campaigns in order and renders its text.
     /// A failed point reaches the render as its error: a figure that
     /// cannot show one panics with it, while the fault sweep prints an
-    /// `ERROR` row. The figure's cache mark ([`Figure::cached`]) is
-    /// [`run`]'s to apply: this harness serves every figure from its own
-    /// cache, if it has one.
+    /// `ERROR` row. The campaign decides which points its cache serves: a
+    /// point that asks for telemetry, as every closed-loop point does,
+    /// is simulated on every run.
     pub fn render(&mut self, figure: Figure) -> String {
         let results: Vec<Vec<figures::PointResult>> = figure
             .campaigns

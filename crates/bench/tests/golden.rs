@@ -8,11 +8,12 @@
 //! 1. `cache_key` is pinned to a literal — silent fingerprint drift fails
 //!    with a readable diff.
 //! 2. The committed cache must *hit* for the whole Fig. 5 grid, and every
-//!    registry figure whose points are all in the committed cache is
-//!    re-rendered from loaded entries alone and must match its committed
-//!    text byte for byte. Loads are re-verified against the stored full
-//!    fingerprint, so this breaks if either the fingerprint or the result
-//!    encoding changes.
+//!    registry figure but the closed-loop sweep (whose telemetry no entry
+//!    holds) is re-rendered from loaded entries alone, the fault sweep's
+//!    partitioned points from building their networks, and must match its
+//!    committed text byte for byte. Loads are re-verified against the
+//!    stored full fingerprint, so this breaks if either the fingerprint or
+//!    the result encoding changes.
 //! 3. Eight sampled Figs. 10–12 points are re-simulated and must encode
 //!    to their committed entries' bytes, so a kernel change that moves a
 //!    result fails plain `cargo test`, not only the ignored loop below.
@@ -23,7 +24,7 @@
 use mn_bench::figures::{self, Figure};
 use mn_bench::{fig05_points, fig05_table, Harness};
 use mn_campaign::codec::encode_result;
-use mn_campaign::{CampaignPoint, DiskCache};
+use mn_campaign::{CampaignError, CampaignPoint, DiskCache};
 use mn_core::SystemConfig;
 use mn_noc::ArbiterKind;
 use mn_topo::TopologyKind;
@@ -149,12 +150,25 @@ fn every_golden_is_a_registry_figure() {
     assert_eq!(registry, goldens);
 }
 
-/// Whether the committed cache can replay `figure`. Two figures cannot:
-/// the closed-loop sweep runs detached, because its render reads
-/// telemetry that cache hits never carry, and the fault sweep's
-/// partitioned points fail, and a failure is never cached.
+/// Whether the committed cache can replay `figure`. The closed-loop
+/// sweep cannot: its render reads telemetry, which no cache entry holds,
+/// so the campaign simulates every one of its points.
 fn replayable(figure: &Figure) -> bool {
-    figure.cached() && figure.name != "fault_sweep"
+    figure.name != "closed_loop"
+}
+
+/// `point`'s result as a warm campaign resolves it without simulating:
+/// its committed entry, or, for a missed point with a fault schedule, the
+/// error building its network reports (the error every port reports).
+fn replay(cache: &DiskCache, point: &CampaignPoint) -> Option<figures::PointResult> {
+    if let Some(result) = cache.load(point) {
+        return Some(Ok(result));
+    }
+    if !point.config.noc.fault.enabled() {
+        return None;
+    }
+    let error = mn_core::try_build_network(&point.config).err()?;
+    Some(Err(CampaignError::Sim { port: 0, error }))
 }
 
 /// Every file in the committed cache directory as `(name, len, mtime)`.
@@ -173,9 +187,11 @@ fn cache_listing() -> Vec<(String, u64, std::time::SystemTime)> {
 }
 
 /// Every replayable registry figure, rendered from the committed cache
-/// alone: a missing entry fails the test instead of simulating, so this
-/// stays cheap in a debug build. The replay only reads: it leaves every
-/// file in `results/cache/` as it found it.
+/// alone (the fault sweep's three partitioned points from building their
+/// networks, as a warm campaign resolves them): a missing entry fails the
+/// test instead of simulating, so this stays cheap in a debug build. The
+/// replay only reads: it leaves every file in `results/cache/` as it
+/// found it.
 #[test]
 fn cached_figures_replay_byte_identically() {
     if !env_is_default() {
@@ -184,10 +200,10 @@ fn cached_figures_replay_byte_identically() {
     }
     let before = cache_listing();
     let cache = committed_cache();
-    for figure in figures::ALL.map(|build| build()) {
-        if !replayable(&figure) {
-            continue;
-        }
+    let figures = figures::ALL.map(|build| build());
+    let replayed: Vec<_> = figures.into_iter().filter(replayable).collect();
+    assert_eq!(replayed.len(), 13, "every figure but the closed-loop sweep");
+    for figure in replayed {
         let results: Vec<Vec<figures::PointResult>> = figure
             .campaigns
             .iter()
@@ -195,7 +211,7 @@ fn cached_figures_replay_byte_identically() {
                 points
                     .iter()
                     .map(|point| {
-                        Ok(cache.load(point).unwrap_or_else(|| {
+                        replay(&cache, point).unwrap_or_else(|| {
                             panic!(
                                 "{}: cache miss for {} / {} (key {}): kernel changes \
                                  altered the fingerprint or the stored results",
@@ -204,7 +220,7 @@ fn cached_figures_replay_byte_identically() {
                                 point.workload.label(),
                                 point.cache_key(),
                             )
-                        }))
+                        })
                     })
                     .collect()
             })
@@ -297,8 +313,8 @@ fn sampled_points_resimulate_to_their_committed_bytes() {
     }
 }
 
-/// The closed-loop sweep runs detached, so no replay above covers its
-/// host-window path. Three of its points are re-simulated here instead:
+/// The closed-loop sweep is never cached (its points ask for
+/// telemetry), so no replay above covers its host-window path. Three of its points are re-simulated here instead:
 /// a serializing fixed window on the chain, AIMD on the tree and ECN on
 /// the skip-list, the last two at 16 issue slots. Each must encode to
 /// the pinned bytes and report the pinned Jain index, steady-state

@@ -229,23 +229,23 @@ impl DirState {
 
     /// Adds this process's unpersisted counter deltas onto `stats`.
     fn add_live(&self, stats: &mut CacheStats) {
-        stats.hits += self.hits.load(Ordering::Relaxed);
-        stats.hot_hits += self.hot_hits.load(Ordering::Relaxed);
-        stats.misses += self.misses.load(Ordering::Relaxed);
-        stats.stores += self.stores.load(Ordering::Relaxed);
-        stats.evicted_entries += self.evicted_entries.load(Ordering::Relaxed);
-        stats.evicted_bytes += self.evicted_bytes.load(Ordering::Relaxed);
+        stats.add(&self.live(|counter| counter.load(Ordering::Relaxed)));
     }
 
     /// Swaps this process's unpersisted counter deltas out, leaving zero.
     fn take_live(&self) -> CacheStats {
+        self.live(|counter| counter.swap(0, Ordering::Relaxed))
+    }
+
+    /// This process's unpersisted counter deltas, each read by `read`.
+    fn live(&self, read: impl Fn(&AtomicU64) -> u64) -> CacheStats {
         CacheStats {
-            hits: self.hits.swap(0, Ordering::Relaxed),
-            hot_hits: self.hot_hits.swap(0, Ordering::Relaxed),
-            misses: self.misses.swap(0, Ordering::Relaxed),
-            stores: self.stores.swap(0, Ordering::Relaxed),
-            evicted_entries: self.evicted_entries.swap(0, Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.swap(0, Ordering::Relaxed),
+            hits: read(&self.hits),
+            hot_hits: read(&self.hot_hits),
+            misses: read(&self.misses),
+            stores: read(&self.stores),
+            evicted_entries: read(&self.evicted_entries),
+            evicted_bytes: read(&self.evicted_bytes),
             ..CacheStats::default()
         }
     }
@@ -278,14 +278,16 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Adds `other`'s lifetime counters onto these (the directory scan
-    /// fields are left alone).
+    /// fields are left alone). The sums saturate: `cache.stats` is read
+    /// from disk, and any digit run that fits a `u64` parses, so two
+    /// huge lines must not overflow.
     fn add(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.hot_hits += other.hot_hits;
-        self.misses += other.misses;
-        self.stores += other.stores;
-        self.evicted_entries += other.evicted_entries;
-        self.evicted_bytes += other.evicted_bytes;
+        self.hits = self.hits.saturating_add(other.hits);
+        self.hot_hits = self.hot_hits.saturating_add(other.hot_hits);
+        self.misses = self.misses.saturating_add(other.misses);
+        self.stores = self.stores.saturating_add(other.stores);
+        self.evicted_entries = self.evicted_entries.saturating_add(other.evicted_entries);
+        self.evicted_bytes = self.evicted_bytes.saturating_add(other.evicted_bytes);
     }
 }
 
@@ -1469,6 +1471,59 @@ mod tests {
         assert_eq!(stats_lines(&dir).len(), 1);
         assert_eq!(DiskCache::new(&dir).stats(), before);
         assert_eq!((before.misses, before.stores, before.hits), (1, 1, 2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn counter_sums_saturate_instead_of_overflowing() {
+        // Two lines that each fit a u64 but sum past it.
+        let dir = scratch_dir("stats-overflow");
+        fs::create_dir_all(&dir).unwrap();
+        let line = "{\"version\":1,\"hits\":9999999999999999999}\n";
+        fs::write(dir.join("cache.stats"), line.repeat(2)).unwrap();
+        let cache = DiskCache::new(&dir);
+        assert_eq!(cache.stats().hits, u64::MAX);
+        assert!(cache.gc(None).ran);
+        assert_eq!(stats_lines(&dir).len(), 1);
+        assert_eq!(DiskCache::new(&dir).stats().hits, u64::MAX);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mutated_counter_logs_read_and_fold_without_panicking() {
+        // Seeded edits of a valid three-line log: `stats` and `gc` never
+        // panic, and folding the log into one line keeps every counter
+        // that `stats` reported before the fold.
+        use crate::codec::tests::mutate;
+        let dir = scratch_dir("stats-mutate");
+        fs::create_dir_all(&dir).unwrap();
+        let valid: String = [(3, 1, 2, 0), (7, 7, 0, 1), (0, 0, 5, 2)]
+            .into_iter()
+            .map(|(hits, hot_hits, misses, stores)| {
+                counter_line(&CacheStats {
+                    hits,
+                    hot_hits,
+                    misses,
+                    stores,
+                    evicted_entries: stores,
+                    evicted_bytes: 512 * stores,
+                    ..CacheStats::default()
+                })
+            })
+            .collect();
+        let mut rng = mn_sim::SimRng::seed_from(0xCA_C4E5);
+        let cache = DiskCache::new(&dir);
+        for _ in 0..10_000 {
+            let mut chars: Vec<char> = valid.chars().collect();
+            for _ in 0..rng.range(1, 6) {
+                mutate(&mut chars, &mut rng);
+            }
+            let log: String = chars.into_iter().collect();
+            fs::write(dir.join("cache.stats"), &log).unwrap();
+            let before = cache.stats();
+            assert!(cache.gc(None).ran);
+            assert_eq!(cache.stats(), before, "{log:?}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,7 +17,9 @@
 //!    simulated once and replicated.
 //! 3. **Finished points are cached.** With a [`DiskCache`] attached,
 //!    points are served from disk when a prior run — this figure binary or
-//!    any other — already simulated them.
+//!    any other — already simulated them. A point that asks for telemetry
+//!    is neither served nor stored, since no entry holds telemetry: it
+//!    simulates on every run.
 //! 4. **Failures are contained and recovered.** A panicking point is
 //!    caught at the worker loop and becomes a structured
 //!    [`CampaignError::PointPanicked`] record; retryable failures
@@ -37,12 +39,13 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::panic;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use mn_core::{merge_port_observations, port_count, PortObservation, RunResult};
+use mn_core::{merge_port_observations, port_count, PortObservation, RunResult, SimError};
 use mn_telemetry::registry;
 
 use crate::cache::DiskCache;
@@ -70,8 +73,8 @@ pub struct PointOutcome {
     /// with the next benchmark change.
     pub coalesced: bool,
     /// Simulation attempts this run spent on the point: 0 for cache
-    /// hits and folded duplicates, 1 for a clean first run, more when
-    /// retryable failures earned re-dispatches.
+    /// hits and points the probe failed, 1 for a clean first run, more
+    /// when retryable failures earned re-dispatches.
     pub attempts: u32,
     /// Host wall-clock spent obtaining this result (near zero for cache
     /// hits and folded duplicates).
@@ -166,12 +169,6 @@ impl Campaign {
         self
     }
 
-    /// Detaches the cache (every point simulates fresh).
-    pub fn no_cache(mut self) -> Campaign {
-        self.cache = None;
-        self
-    }
-
     /// Suppresses the stderr progress/summary reporting.
     pub fn quiet(mut self) -> Campaign {
         self.quiet = true;
@@ -221,9 +218,10 @@ impl Campaign {
     /// affected [`PointOutcome`] carries the [`CampaignError`] and every
     /// other point still completes. Retryable failures are re-dispatched
     /// up to the [retry budget](Campaign::retries) first. Failed points
-    /// are never written to the cache, so a later run retries them. Every
-    /// other point is stored as it lands, so rerunning a killed run
-    /// against the same cache resumes it.
+    /// are never written to the cache; a missed point whose fault
+    /// schedule partitions its network fails in the probe, without a job.
+    /// Every other point without telemetry is stored as it lands, so
+    /// rerunning a killed run against the same cache resumes it.
     ///
     /// # Panics
     ///
@@ -239,7 +237,7 @@ impl Campaign {
             registry::sample_now("campaign-start");
         }
         let mut progress = Progress::new(points.len(), self.quiet);
-        let (mut records, canonical) = self.fold(&points);
+        let (mut records, canonical) = Campaign::fold(&points);
         self.strike(&records);
         self.probe(&mut records, &mut progress);
         let jobs = self.simulate(&mut records, &mut progress);
@@ -272,7 +270,7 @@ impl Campaign {
             PointOutcome {
                 point,
                 result: filled.result,
-                cached: filled.source != Source::Simulated,
+                cached: filled.source == Source::Cached,
                 coalesced: false,
                 attempts: filled.attempts,
                 host: filled.host,
@@ -287,10 +285,10 @@ impl Campaign {
     /// Stage 1: one record per distinct fingerprint (formatted once, the
     /// cache key rendered from its FNV-1a word), and for each submitted
     /// point the index of the record whose result it receives.
-    fn fold<'p>(&self, points: &'p [CampaignPoint]) -> (Vec<Record<'p>>, Vec<usize>) {
+    fn fold<'p>(points: &'p [CampaignPoint]) -> (Vec<Record<'p>>, Vec<usize>) {
         let prints = points.iter().map(CampaignPoint::fingerprint);
         let (distinct, canonical) = dedupe(prints, |print| fnv1a64(print.as_bytes()));
-        let records: Vec<Record> = distinct
+        let records = distinct
             .into_iter()
             .map(|d| Record {
                 point: &points[d.first],
@@ -299,23 +297,6 @@ impl Campaign {
                 state: State::Unresolved,
             })
             .collect();
-
-        // Cache hits return results without telemetry (the codec stores
-        // only simulated quantities), so an instrumented campaign served
-        // from cache would silently lose its traces. Warn once per
-        // process instead of dropping them quietly.
-        if self.cache.is_some()
-            && !self.quiet
-            && records.iter().any(|r| r.point.config.noc.trace.enabled())
-        {
-            static WARNED: AtomicBool = AtomicBool::new(false);
-            if !WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: telemetry requested with the result cache enabled; \
-                     cache hits carry no telemetry (set MN_CACHE=off for instrumented runs)"
-                );
-            }
-        }
         (records, canonical)
     }
 
@@ -332,15 +313,21 @@ impl Campaign {
         }
     }
 
-    /// Stage 3: serves every point the cache holds; the misses stay
-    /// unresolved for [`Campaign::simulate`].
+    /// Stage 3: serves every cacheable point the cache holds, and fails
+    /// a missed point whose fault schedule partitions its network without
+    /// simulating it (building the network decides that, the same way for
+    /// every port); the rest stay unresolved for [`Campaign::simulate`].
     fn probe(&self, records: &mut [Record], progress: &mut Progress) {
         let Some(cache) = &self.cache else { return };
-        for record in records {
+        for record in records.iter_mut().filter(|r| r.point.cacheable()) {
             let start = Instant::now();
             if let Some(result) = cache.load_keyed(&record.fingerprint, &record.key) {
                 progress.tick(true);
                 record.fill(Ok(result), Source::Cached, 0, start.elapsed());
+            } else if let Some(error) = build_failure(record.point) {
+                progress.tick(false);
+                let error = CampaignError::Sim { port: 0, error };
+                record.fill(Err(error), Source::Built, 0, start.elapsed());
             }
         }
     }
@@ -444,7 +431,7 @@ impl Campaign {
             Ok(obs) => {
                 let point = record.point;
                 let result = merge_port_observations(&point.config, point.workload, obs);
-                if let Some(cache) = &self.cache {
+                if let Some(cache) = self.cache.as_ref().filter(|_| point.cacheable()) {
                     if let Err(err) = cache.store_keyed(&record.fingerprint, &record.key, &result) {
                         // Warn once, not per point: the point itself
                         // completed, uncached.
@@ -466,6 +453,19 @@ impl Campaign {
         progress.tick(false);
         record.fill(result, Source::Simulated, attempts, host);
         false
+    }
+}
+
+/// The deterministic failure building `point`'s network reports, if its
+/// fault schedule can fail at all. An invalid configuration is left to
+/// the simulation, whose worker records the panic against the point.
+fn build_failure(point: &CampaignPoint) -> Option<SimError> {
+    if !point.config.noc.fault.enabled() || point.config.placement().is_err() {
+        return None;
+    }
+    match panic::catch_unwind(|| mn_core::try_build_network(&point.config)) {
+        Ok(Err(error)) if !error.is_retryable() => Some(error),
+        _ => None,
     }
 }
 
@@ -584,6 +584,8 @@ enum State {
 enum Source {
     Simulated,
     Cached,
+    /// Failed while the probe built its network.
+    Built,
 }
 
 type PointResult = Result<RunResult, CampaignError>;
@@ -748,6 +750,61 @@ mod tests {
     }
 
     #[test]
+    fn a_partitioned_miss_fails_in_the_probe_without_a_job() {
+        // With a cache attached, the partition is found by building the
+        // network: the error every port reports, and no job dispatched.
+        let dir = scratch("partition-probe");
+        let point = partitioned(35);
+        let engine = Arc::new(Engine::new(1));
+        let cached = Campaign::new(1)
+            .quiet()
+            .cache_dir(&dir)
+            .on_engine(Arc::clone(&engine))
+            .run(vec![point.clone()]);
+        assert_eq!(engine.jobs_executed(), 0);
+        let s = &cached.summary;
+        assert_eq!((s.cache_hits, s.fresh, s.failed), (0, 0, 1));
+        // Without a cache the workers simulate it and fail the same way.
+        let simulated = Campaign::new(1).quiet().run(vec![point]);
+        assert_eq!(simulated.summary.fresh, 1);
+        let error = |o: &CampaignOutcome| o.outcomes[0].result.clone().unwrap_err();
+        assert_eq!(error(&cached), error(&simulated));
+        assert!(matches!(error(&cached), CampaignError::Sim { port: 0, .. }));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn telemetry_points_are_simulated_and_never_cached() {
+        // A point that asks for telemetry is neither served nor stored,
+        // so each run returns its own telemetry; the same point untraced
+        // (the same cache key) is stored, then served.
+        let dir = scratch("telemetry-uncached");
+        let mut traced = tiny(TopologyKind::Chain, 121);
+        traced.config.noc.trace = mn_core::TraceConfig::Counters;
+        let untraced = tiny(TopologyKind::Chain, 121);
+        assert_eq!(traced.cache_key(), untraced.cache_key());
+        let entry = dir.join(format!("{}.mnres", traced.cache_key()));
+        let run = |point: &CampaignPoint| {
+            let mut outcome = Campaign::new(1)
+                .quiet()
+                .cache_dir(&dir)
+                .run(vec![point.clone()]);
+            outcome.outcomes.remove(0)
+        };
+        for _ in 0..2 {
+            let outcome = run(&traced);
+            assert!(!outcome.cached);
+            assert!(outcome.result.unwrap().telemetry.is_some());
+            assert!(!entry.exists(), "a traced point was stored");
+        }
+        let (first, second) = (run(&untraced), run(&untraced));
+        assert!(!first.cached && entry.exists());
+        assert!(second.cached);
+        assert!(second.result.unwrap().telemetry.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_warm_rerun_writes_one_counter_line_and_no_file() {
         // The warm replay's syscall floor, structurally: a fully cached
         // rerun creates, renames, removes and rewrites nothing in the
@@ -893,13 +950,14 @@ mod tests {
         let seen = |o: &PointOutcome| (o.cached, o.attempts, o.result.is_ok());
         let seen: Vec<_> = c.outcomes.iter().map(seen).collect();
         let (retried, cached, fresh) = ((false, 3, true), (true, 0, true), (false, 1, true));
-        assert_eq!(seen, [retried, cached, fresh, fresh, (false, 1, false)]);
+        // The partitioned point fails in the probe, with no attempt.
+        assert_eq!(seen, [retried, cached, fresh, fresh, (false, 0, false)]);
         let s = &c.summary;
         assert_eq!((s.total, s.unique, s.failed), (5, 4, 1));
-        assert_eq!((s.cache_hits, s.fresh, s.retried), (1, 3, 1));
+        assert_eq!((s.cache_hits, s.fresh, s.retried), (1, 2, 1));
         let line = s.line();
         assert!(line.starts_with("campaign: 5/5 points in "), "{line}");
-        let tail = " — 1 cached, 3 simulated, 1 retried, 1 FAILED, 2 workers, ";
+        let tail = " — 1 cached, 2 simulated, 1 retried, 1 FAILED, 2 workers, ";
         assert!(line.contains(tail), "{line}");
 
         // The twice-stalled point converged and was cached like any other.

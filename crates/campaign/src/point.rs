@@ -46,6 +46,15 @@ impl CampaignPoint {
         CampaignPoint { config, workload }
     }
 
+    /// Whether the result cache may serve or store this point: not when
+    /// its configuration asks for telemetry, which no cache entry holds.
+    /// Such a point simulates on every run, so its telemetry is always
+    /// its own; telemetry never changes the simulated numbers, so the
+    /// untraced point's entry stays valid for later untraced runs.
+    pub(crate) fn cacheable(&self) -> bool {
+        !self.config.noc.trace.enabled()
+    }
+
     /// The canonical description of everything that determines this
     /// point's result. Floats are rendered via their bit patterns so the
     /// encoding is exact, and the [`SystemConfig`] is destructured

@@ -18,7 +18,9 @@ pub struct CampaignSummary {
     pub fresh: usize,
     /// Unique points that produced an error record instead of a result
     /// (partitioned by fault injection, stalled, or lost to a dead
-    /// worker). Always `<= fresh`: failures are never served from cache.
+    /// worker). Failures are never served from cache, but a point whose
+    /// fault schedule partitions its network fails in the cache probe
+    /// without being simulated, so this can exceed `fresh`.
     pub failed: usize,
     /// Worker threads used.
     pub jobs: usize,

@@ -105,8 +105,8 @@ enum Column {
     /// A count the result always has.
     Count(&'static str, fn(&RunResult) -> u64),
     /// A float of the telemetry rollup: NaN (JSON null) unless the run was
-    /// traced — the campaign default is Off, and cache hits never carry
-    /// telemetry.
+    /// traced (the campaign default is Off; a traced point is never a
+    /// cache hit).
     Traced(&'static str, fn(&TelemetrySummary) -> f64),
     /// A float of the host rollup, which rides on telemetry: NaN unless
     /// the run was a traced closed-loop run.

@@ -53,20 +53,8 @@ fn concurrent_overlapping_campaigns_are_serial_identical_and_exactly_once() {
     let distinct = 9usize;
 
     // The serial reference: each grid alone, no cache, one worker.
-    let reference_a = encode_all(
-        &Campaign::new(1)
-            .quiet()
-            .no_cache()
-            .run(grid_a.clone())
-            .outcomes,
-    );
-    let reference_b = encode_all(
-        &Campaign::new(1)
-            .quiet()
-            .no_cache()
-            .run(grid_b.clone())
-            .outcomes,
-    );
+    let reference_a = encode_all(&Campaign::new(1).quiet().run(grid_a.clone()).outcomes);
+    let reference_b = encode_all(&Campaign::new(1).quiet().run(grid_b.clone()).outcomes);
 
     // Four submitters (two per grid) on one fresh engine and one cache
     // directory, all racing.

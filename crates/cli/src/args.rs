@@ -633,6 +633,150 @@ mod tests {
         assert_eq!(parse_arbiter("oracle").unwrap(), ArbiterKind::OracleAge);
     }
 
+    /// One valid invocation per subcommand and action, together using
+    /// every flag.
+    const VALID: [&[&str]; 11] = [
+        &[
+            "run",
+            "--topology",
+            "skiplist",
+            "--workload",
+            "nw",
+            "--dram",
+            "50",
+            "--placement",
+            "first",
+            "--arbiter",
+            "adaptive",
+            "--requests",
+            "1234",
+            "--write-burst",
+            "--seed",
+            "9",
+        ],
+        &[
+            "compare",
+            "--workload",
+            "dct",
+            "--arbiter",
+            "rr",
+            "--requests",
+            "400",
+        ],
+        &["topo", "--topology", "chain", "--cubes", "16"],
+        &["topo", "--dram", "50", "--placement", "last"],
+        &[
+            "sweep",
+            "--topology",
+            "ring",
+            "--workload",
+            "bit",
+            "--requests",
+            "300",
+        ],
+        &[
+            "trace",
+            "--topology",
+            "tree",
+            "--workload",
+            "kmeans",
+            "--dram",
+            "75",
+            "--placement",
+            "l",
+            "--requests",
+            "640",
+            "--seed",
+            "3",
+            "--out",
+            "t.json",
+        ],
+        &[
+            "closedloop",
+            "--topology",
+            "chain",
+            "--workload",
+            "nw",
+            "--policy",
+            "fixed:4",
+            "--window",
+            "8",
+            "--requests",
+            "400",
+            "--seed",
+            "1",
+        ],
+        &["cache", "gc", "--dir", "d", "--budget", "512M"],
+        &["cache", "stats", "--dir", "d"],
+        &["stats", "--file", "m.prom", "--watch", "--interval", "250"],
+        &["help"],
+    ];
+
+    /// One random edit of `args`: a token dropped, duplicated or swapped
+    /// with another, or an edit inside one token (a character deleted,
+    /// inserted or replaced, the token truncated, or a run of digits
+    /// inserted).
+    fn mutate(args: &mut Vec<String>, rng: &mut mn_sim::SimRng) {
+        const ALPHABET: [char; 14] = [
+            '0', '1', '9', ':', '-', 'k', 'M', 'G', 'x', ' ', '=', 'é', '\0', 'F',
+        ];
+        let below = |rng: &mut mn_sim::SimRng, n: usize| rng.below(n.max(1) as u64) as usize;
+        let token = below(rng, args.len());
+        match rng.below(4) {
+            _ if args.is_empty() => args.push(ALPHABET[below(rng, 14)].to_string()),
+            0 => {
+                args.remove(token);
+            }
+            1 => args.insert(token, args[token].clone()),
+            2 => {
+                let other = below(rng, args.len());
+                args.swap(token, other);
+            }
+            _ => {
+                let mut chars: Vec<char> = args[token].chars().collect();
+                let (at, end) = (below(rng, chars.len()), below(rng, chars.len() + 1));
+                let c = ALPHABET[below(rng, ALPHABET.len())];
+                match rng.below(5) {
+                    0 if !chars.is_empty() => {
+                        chars.remove(at);
+                    }
+                    1 => chars.insert(end, c),
+                    2 if !chars.is_empty() => chars[at] = c,
+                    3 => chars.truncate(end),
+                    _ => {
+                        let run = rng.range(1, 25) as usize;
+                        chars.splice(end..end, std::iter::repeat_n('9', run));
+                    }
+                }
+                args[token] = chars.into_iter().collect();
+            }
+        }
+    }
+
+    /// Seeded mutations of every subcommand's valid invocation never
+    /// panic the parser: each parses, or is rejected with a message.
+    #[test]
+    fn mutated_invocations_parse_or_fail_with_a_message() {
+        let knobs = Knobs::default();
+        let mut rng = mn_sim::SimRng::seed_from(0xA26_F022);
+        for valid in VALID {
+            let valid: Vec<String> = valid.iter().map(|s| s.to_string()).collect();
+            assert!(Command::parse(&valid, &knobs).is_ok(), "{valid:?}");
+            for _ in 0..1_000 {
+                let mut args = valid.clone();
+                for _ in 0..rng.range(1, 5) {
+                    mutate(&mut args, &mut rng);
+                }
+                let parsed = std::panic::catch_unwind(|| Command::parse(&args, &knobs));
+                match parsed {
+                    Ok(Ok(_)) => {}
+                    Ok(Err(ArgError(message))) => assert!(!message.is_empty(), "{args:?}"),
+                    Err(_) => panic!("{args:?} panicked the parser"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn errors_are_informative() {
         let e = parse(&["run", "--topology", "torus"]).unwrap_err();

@@ -2,7 +2,8 @@
 //!
 //! Every simulation a command needs goes through the `mn-campaign` engine,
 //! so CLI runs parallelize across `MN_JOBS` workers and share the on-disk
-//! result cache with the figure binaries.
+//! result cache with the figure binaries. Only `trace` simulates its one
+//! port directly, for the tracers a merged result does not carry.
 
 use std::fmt::Write as _;
 
@@ -38,12 +39,21 @@ fn build_config(
     Ok(config)
 }
 
-fn run_grid(campaign: &Campaign, configs: Vec<SystemConfig>, workload: Workload) -> Vec<RunResult> {
-    let points = configs
-        .into_iter()
-        .map(|config| CampaignPoint::new(config, workload))
-        .collect();
-    campaign.run(points).into_results()
+/// Runs `configs` under `workload` as one campaign; the first failed
+/// point becomes the command's error.
+fn run_grid(
+    campaign: &Campaign,
+    configs: Vec<SystemConfig>,
+    workload: Workload,
+) -> Result<Vec<RunResult>, ArgError> {
+    let points = configs.into_iter().map(|c| CampaignPoint::new(c, workload));
+    let outcomes = campaign.run(points.collect()).outcomes.into_iter();
+    outcomes
+        .map(|o| {
+            o.result
+                .map_err(|e| ArgError(format!("{}: {e}", o.point.config.label())))
+        })
+        .collect()
 }
 
 fn report(result: &RunResult) -> String {
@@ -105,7 +115,7 @@ fn run(campaign: &Campaign, knobs: &Knobs, args: &RunArgs) -> Result<String, Arg
     )?;
     config.noc.arbiter = args.arbiter;
     config.write_burst_routing = args.write_burst;
-    let results = run_grid(campaign, vec![config], args.workload);
+    let results = run_grid(campaign, vec![config], args.workload)?;
     Ok(report(&results[0]))
 }
 
@@ -117,7 +127,7 @@ fn compare(campaign: &Campaign, knobs: &Knobs, args: &CompareArgs) -> Result<Str
         config.noc.arbiter = args.arbiter;
         configs.push(config);
     }
-    let results = run_grid(campaign, configs, args.workload);
+    let results = run_grid(campaign, configs, args.workload)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -189,7 +199,7 @@ fn sweep(campaign: &Campaign, knobs: &Knobs, args: &SweepArgs) -> Result<String,
         );
         configs.push(config);
     }
-    let results = run_grid(campaign, configs, args.workload);
+    let results = run_grid(campaign, configs, args.workload)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -229,10 +239,10 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
     )?;
     config.noc.trace = mn_core::TraceConfig::Full;
 
-    // Tracing bypasses the campaign engine on purpose: a cache hit
-    // returns the simulated result without the telemetry rollup, and a
-    // trace run exists precisely for that rollup. One port is simulated
-    // directly (ports are independent; port 0 is representative).
+    // Tracing simulates one port directly, outside the campaign: the
+    // export needs that port's `Full` network and controller tracers,
+    // which no merged `RunResult` carries (ports are independent; port 0
+    // is representative).
     let started = mn_telemetry::registry::metrics_enabled().then(std::time::Instant::now);
     let mut observation = mn_core::try_simulate_port(&config, args.workload, 0)
         .map_err(|e| ArgError(e.to_string()))?;
@@ -300,7 +310,11 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn closedloop(knobs: &Knobs, args: &ClosedLoopArgs) -> Result<String, ArgError> {
+fn closedloop(
+    campaign: &Campaign,
+    knobs: &Knobs,
+    args: &ClosedLoopArgs,
+) -> Result<String, ArgError> {
     // `--policy`/`--window` already fell back to their knobs; applying
     // them as knobs gives `ecn` the same marking links as everywhere.
     let knobs = Knobs {
@@ -319,13 +333,8 @@ fn closedloop(knobs: &Knobs, args: &ClosedLoopArgs) -> Result<String, ArgError> 
     if !config.noc.trace.enabled() {
         config.noc.trace = mn_core::TraceConfig::Counters;
     }
-
-    // Like `trace`, this bypasses the campaign engine: the closed-loop
-    // rollup (window series, RTT, marked fraction) rides on telemetry,
-    // which cache hits drop.
-    let result =
-        mn_core::try_simulate(&config, args.workload).map_err(|e| ArgError(e.to_string()))?;
-    let mut out = report(&result);
+    let result = &run_grid(campaign, vec![config], args.workload)?[0];
+    let mut out = report(result);
     let _ = writeln!(out, "window policy   {}", args.policy);
     if let Some(telemetry) = &result.telemetry {
         out.push_str(&telemetry.report());
@@ -514,7 +523,7 @@ fn stats(args: &StatsArgs) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Returns [`ArgError`] when the configuration cannot be built (e.g. an
-/// unrealizable DRAM percentage).
+/// unrealizable DRAM percentage) or a simulated point fails.
 pub fn execute_with(
     campaign: &Campaign,
     knobs: &Knobs,
@@ -527,7 +536,7 @@ pub fn execute_with(
         Command::Topo(args) => topo(args),
         Command::Sweep(args) => sweep(campaign, knobs, args),
         Command::Trace(args) => trace(knobs, args),
-        Command::ClosedLoop(args) => closedloop(knobs, args),
+        Command::ClosedLoop(args) => closedloop(campaign, knobs, args),
         Command::Cache(args) => cache(args),
         Command::Stats(args) => stats(args),
     }
@@ -538,7 +547,8 @@ pub fn execute_with(
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] when the configuration cannot be built.
+/// Returns [`ArgError`] when the configuration cannot be built or a
+/// simulated point fails.
 pub fn execute(command: &Command) -> Result<String, ArgError> {
     execute_with(&Campaign::from_env(), Knobs::get(), command)
 }
@@ -727,6 +737,27 @@ mn_point_resolve_latency_us_count 3
         assert!(text.contains("window policy   ecn"));
         assert!(text.contains("closed loop"));
         assert!(text.contains("window steady"));
+    }
+
+    #[test]
+    fn a_failed_point_is_an_error_not_a_panic() {
+        // A chain whose fault schedule kills a link is partitioned.
+        let mut config = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
+        config.requests_per_port = 100;
+        config.noc.fault.link_kill_rate = 0.9;
+        config.noc.fault.seed = (0..64)
+            .find(|&seed| {
+                config.noc.fault.seed = seed;
+                mn_core::try_build_network(&config).is_err()
+            })
+            .expect("some fault seed kills a chain link");
+        let Err(ArgError(message)) = run_grid(&bare(), vec![config], Workload::Nw) else {
+            panic!("a partitioned point returned a result");
+        };
+        assert!(
+            message.starts_with("100%-C: port 0: network partitioned"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -59,5 +59,6 @@ pub use mn_telemetry::{HostSummary, TelemetrySummary, TraceConfig};
 pub use port::{PortObservation, PortTelemetry};
 pub use stats::{EnergyBreakdown, LatencyBreakdown, RunResult};
 pub use system::{
-    merge_port_observations, port_count, simulate, simulate_port, try_simulate, try_simulate_port,
+    merge_port_observations, port_count, simulate, simulate_port, try_build_network, try_simulate,
+    try_simulate_port,
 };

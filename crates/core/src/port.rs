@@ -72,7 +72,7 @@ use mn_telemetry::{
     Decomposition, FairnessTracker, HostSummary, LifecycleTracer, TelemetrySummary, TraceConfig,
     TraceEvent, TraceEventKind,
 };
-use mn_topo::{CubeTech, NodeId, PathClass, Topology, TopologyKind};
+use mn_topo::{CubeTech, NodeId, PathClass, Placement, Topology, TopologyKind};
 use mn_workloads::{MemRef, TraceGenerator};
 
 use crate::address::{AddressMap, DecodedAddress};
@@ -349,6 +349,22 @@ fn path_cost(topo: &Topology, noc: &mn_noc::NocConfig, links: &[mn_topo::LinkId]
     cost
 }
 
+/// The topology and memory network every port of `config` builds first,
+/// reporting [`SimError::Partitioned`] when fault injection severed the
+/// topology. The network shares the topology (`Arc::clone` bumps a
+/// refcount; the old path deep-cloned the adjacency and link tables per
+/// port).
+pub(crate) fn build_network(
+    config: &SystemConfig,
+    placement: &Placement,
+) -> Result<(Arc<Topology>, Network), SimError> {
+    let topo = Arc::new(
+        Topology::build(config.topology, placement).expect("placement is valid for every topology"),
+    );
+    let net = Network::try_new(Arc::clone(&topo), config.noc.clone())?;
+    Ok((topo, net))
+}
+
 impl PortSim {
     /// Builds the simulator for one port of `config` running `trace`,
     /// reporting [`SimError::Partitioned`] when fault injection severed
@@ -360,13 +376,7 @@ impl PortSim {
         let placement = config
             .placement()
             .expect("config validated before simulation");
-        let topo = Arc::new(
-            Topology::build(config.topology, &placement)
-                .expect("placement is valid for every topology"),
-        );
-        // The network shares the topology (`Arc::clone` bumps a refcount;
-        // the old path deep-cloned the adjacency and link tables per port).
-        let net = Network::try_new(Arc::clone(&topo), config.noc.clone())?;
+        let (topo, net) = build_network(config, &placement)?;
         let addr_map = AddressMap::new(
             &topo,
             &placement,

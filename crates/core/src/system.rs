@@ -92,6 +92,24 @@ pub fn try_simulate_port(
     PortSim::try_new(config, trace)?.run()
 }
 
+/// Builds `config`'s memory network without simulating it. A
+/// construction-time failure (a fault schedule that partitions the
+/// topology, a router with too many ports) depends on neither the port nor
+/// the workload, so this reports the error every port of the point would
+/// report before its first event.
+///
+/// # Errors
+///
+/// Returns [`SimError::Partitioned`] or [`SimError::TooManyPorts`].
+///
+/// # Panics
+///
+/// Panics if the configuration's placement is invalid.
+pub fn try_build_network(config: &SystemConfig) -> Result<(), SimError> {
+    let placement = config.placement().expect("invalid configuration");
+    crate::port::build_network(config, &placement).map(drop)
+}
+
 /// Merges per-port observations into the aggregate [`RunResult`].
 ///
 /// `observations` must be supplied in ascending port order: the merge sums
