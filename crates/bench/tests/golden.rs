@@ -313,13 +313,13 @@ fn sampled_points_resimulate_to_their_committed_bytes() {
     }
 }
 
-/// The closed-loop sweep is never cached (its points ask for
-/// telemetry), so no replay above covers its host-window path. Three of its points are re-simulated here instead:
-/// a serializing fixed window on the chain, AIMD on the tree and ECN on
-/// the skip-list, the last two at 16 issue slots. Each must encode to
-/// the pinned bytes and report the pinned Jain index, steady-state
-/// window and marked fraction, the three telemetry values its row
-/// prints.
+/// The closed-loop sweep is never cached (its points ask for telemetry),
+/// so no replay above covers its host-window path. Three of its points
+/// are re-simulated here instead: a serializing fixed window on the
+/// chain, AIMD on the tree and ECN on the skip-list, the last two at 16
+/// issue slots. Each must encode to the pinned bytes and report the
+/// pinned Jain index, steady-state window and marked fraction, the three
+/// telemetry values its row prints.
 #[test]
 fn closed_loop_points_resimulate_to_their_pinned_values() {
     if !env_is_default() {

@@ -351,9 +351,8 @@ fn path_cost(topo: &Topology, noc: &mn_noc::NocConfig, links: &[mn_topo::LinkId]
 
 /// The topology and memory network every port of `config` builds first,
 /// reporting [`SimError::Partitioned`] when fault injection severed the
-/// topology. The network shares the topology (`Arc::clone` bumps a
-/// refcount; the old path deep-cloned the adjacency and link tables per
-/// port).
+/// topology. The network shares the topology through an `Arc` rather
+/// than cloning its adjacency and link tables.
 pub(crate) fn build_network(
     config: &SystemConfig,
     placement: &Placement,
