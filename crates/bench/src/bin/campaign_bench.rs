@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 
 use mn_campaign::{Campaign, CampaignPoint, DiskCache, Engine};
 use mn_core::SystemConfig;
-use mn_telemetry::registry;
 use mn_topo::TopologyKind;
 use mn_workloads::Workload;
 
@@ -100,8 +99,7 @@ fn main() {
     // the ratio between them is the hot tier's true win. Interleaved,
     // not two separate timing windows: on a busy or frequency-scaling
     // machine two sequential windows disagree by more than the gate's
-    // margin, while alternating blocks see the same drift. The metrics
-    // gate is pinned off so MN_METRICS cannot reach the ratio.
+    // margin, while alternating blocks see the same drift.
     let cache = DiskCache::new(&cold_dir);
     let keys: Vec<(String, String)> = points
         .iter()
@@ -123,7 +121,6 @@ fn main() {
             std::hint::black_box(&result);
         }
     };
-    registry::set_metrics_enabled(false);
     disk_pass(); // warm the page cache
     hot_pass(); // fill the hot tier
     let (mut disk_passes, mut disk_secs) = (0u32, 0.0f64);
@@ -142,27 +139,6 @@ fn main() {
     let warm_hot_rate = f64::from(hot_passes) * n as f64 / hot_secs;
     let warm_speedup = warm_hot_rate / warm_disk_rate;
 
-    // --- metrics overhead: the same warm-hot loop, gate off vs on --------
-    // Interleaved pairs for the same reason: two sequential windows
-    // disagree by far more than the one gated atomic under test costs.
-    let mut off_secs = 0.0f64;
-    let mut on_secs = 0.0f64;
-    let mut pairs = 0u32;
-    while pairs < 8 || off_secs + on_secs < 1.0 {
-        registry::set_metrics_enabled(false);
-        let t = Instant::now();
-        hot_pass();
-        off_secs += t.elapsed().as_secs_f64();
-        registry::set_metrics_enabled(true);
-        let t = Instant::now();
-        hot_pass();
-        on_secs += t.elapsed().as_secs_f64();
-        pairs += 1;
-    }
-    registry::set_metrics_enabled(false);
-    let warm_hot_on_rate = f64::from(pairs) * n as f64 / on_secs;
-    let metrics_overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
-
     let _ = std::fs::remove_dir_all(&scratch);
 
     println!("available cores: {available_cores}  workers: {jobs}  grid: {n} points");
@@ -174,12 +150,10 @@ fn main() {
         ("cold", cold_rate),
         ("warm-disk", warm_disk_rate),
         ("warm-hot", warm_hot_rate),
-        ("warm-hot+mtr", warm_hot_on_rate),
     ] {
         println!("{:<14} {:>14.0} {:>11.1}x", name, rate, rate / cold_rate);
     }
     println!("warm speedup (hot vs read+decode): {warm_speedup:.1}x");
-    println!("metrics-on overhead on the warm-hot path: {metrics_overhead_pct:.2}%");
 
     let out = mn_campaign::Knobs::get()
         .bench_out
@@ -192,14 +166,6 @@ fn main() {
     let _ = writeln!(json, "  \"cold_points_per_sec\": {cold_rate:.0},");
     let _ = writeln!(json, "  \"warm_disk_points_per_sec\": {warm_disk_rate:.0},");
     let _ = writeln!(json, "  \"warm_hot_points_per_sec\": {warm_hot_rate:.0},");
-    let _ = writeln!(
-        json,
-        "  \"warm_hot_metrics_on_points_per_sec\": {warm_hot_on_rate:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"metrics_overhead_warm_hot_pct\": {metrics_overhead_pct:.2},"
-    );
     let _ = writeln!(json, "  \"warm_speedup\": {warm_speedup:.2}");
     json.push_str("}\n");
     if let Err(err) = std::fs::write(&out, &json) {

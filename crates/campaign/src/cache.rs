@@ -91,7 +91,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, SystemTime};
 
 use mn_core::RunResult;
-use mn_telemetry::registry;
 
 use crate::codec::{decode_result, encode_result};
 use crate::point::{key_of, CampaignPoint, WordMap};
@@ -126,10 +125,7 @@ fn key_word(key: &str) -> u64 {
 /// concurrent campaigns pool their warmth.
 ///
 /// The counters are plain relaxed atomics, always on: they back
-/// `cache.stats` persistence and `mncube cache stats` whether or not
-/// `MN_METRICS` is set, and the registry's cache collector exports the
-/// same instances, so the Prometheus snapshot, the stats subcommand, and
-/// the persisted file share one source of truth.
+/// `cache.stats` persistence and `mncube cache stats`.
 #[derive(Default)]
 struct DirState {
     hot: Mutex<HotMap>,
@@ -156,63 +152,6 @@ fn dir_registry() -> &'static Mutex<HashMap<PathBuf, Arc<DirState>>> {
 }
 
 fn dir_state(dir: &Path) -> Arc<DirState> {
-    // Per-directory lifetime counters (persisted + this process's live
-    // deltas) join the Prometheus snapshot, one labeled sample per
-    // directory ever opened in this process, in sorted-path order so
-    // snapshots are deterministically laid out.
-    registry::register_collector("cache", |out| {
-        let mut dirs: Vec<(PathBuf, Arc<DirState>)> = dir_registry()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(path, state)| (path.clone(), Arc::clone(state)))
-            .collect();
-        dirs.sort_by(|a, b| a.0.cmp(&b.0));
-        type Family = (&'static str, &'static str, fn(&CacheStats) -> u64);
-        let families: [Family; 6] = [
-            (
-                "mn_cache_hits_total",
-                "Cache loads served (disk or hot tier).",
-                |s| s.hits,
-            ),
-            (
-                "mn_cache_hot_hits_total",
-                "Cache loads served by the decoded hot tier.",
-                |s| s.hot_hits,
-            ),
-            (
-                "mn_cache_misses_total",
-                "Cache loads that found no usable entry.",
-                |s| s.misses,
-            ),
-            (
-                "mn_cache_stores_total",
-                "Results written to the cache.",
-                |s| s.stores,
-            ),
-            (
-                "mn_cache_evicted_entries_total",
-                "Entries removed by budget eviction.",
-                |s| s.evicted_entries,
-            ),
-            (
-                "mn_cache_evicted_bytes_total",
-                "Bytes reclaimed by budget eviction.",
-                |s| s.evicted_bytes,
-            ),
-        ];
-        let stats: Vec<(String, CacheStats)> = dirs
-            .iter()
-            .map(|(path, state)| (path.display().to_string(), state.totals(path)))
-            .collect();
-        for (name, help, field) in families {
-            let samples: Vec<(&str, &str, u64)> = stats
-                .iter()
-                .map(|(dir, s)| ("dir", dir.as_str(), field(s)))
-                .collect();
-            registry::render_labeled_counters(out, name, help, &samples);
-        }
-    });
     let mut map = dir_registry().lock().unwrap_or_else(|e| e.into_inner());
     Arc::clone(map.entry(dir.to_path_buf()).or_default())
 }
@@ -659,14 +598,6 @@ impl DiskCache {
         report.entries = live.len() as u64;
         report.bytes = live.iter().map(|(_, len, _)| len).sum();
         report.ran = true;
-        if registry::metrics_enabled() {
-            let m = registry::metrics();
-            m.cache_gc_passes.inc();
-            m.cache_gc_reclaimed_bytes.observe(report.evicted_bytes);
-            if let Some(budget) = budget {
-                m.cache_budget_bytes.set(budget);
-            }
-        }
 
         self.fold_counters();
         report

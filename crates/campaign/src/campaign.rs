@@ -46,7 +46,6 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mn_core::{merge_port_observations, port_count, PortObservation, RunResult, SimError};
-use mn_telemetry::registry;
 
 use crate::cache::DiskCache;
 use crate::chaos::ChaosPlan;
@@ -131,11 +130,9 @@ impl Campaign {
     /// available parallelism), the cache in `MN_CACHE_DIR` (default
     /// `results/cache/`; `MN_CACHE=off` detaches it), the `MN_RETRIES`
     /// retry budget (default 2), and — for harness testing only —
-    /// `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection. It also sets the
-    /// metrics gate from `MN_METRICS`.
+    /// `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection.
     pub fn from_env() -> Campaign {
         let knobs = Knobs::get();
-        registry::set_metrics_enabled(knobs.metrics);
         let mut campaign = Campaign::new(knobs.jobs());
         campaign.retries = knobs.retries;
         campaign.chaos = knobs.chaos();
@@ -228,14 +225,6 @@ impl Campaign {
     /// Panics if a point's configuration panics the merge itself;
     /// per-point simulation panics are caught and recorded instead.
     pub fn run(&self, points: Vec<CampaignPoint>) -> CampaignOutcome {
-        if registry::metrics_enabled() {
-            let m = registry::metrics();
-            m.campaign_runs.inc();
-            m.campaign_points.add(points.len() as u64);
-            let knobs = Knobs::get();
-            registry::configure_export(knobs.metrics_file.clone(), knobs.metrics_interval);
-            registry::sample_now("campaign-start");
-        }
         let mut progress = Progress::new(points.len(), self.quiet);
         let (mut records, canonical) = Campaign::fold(&points);
         self.strike(&records);
@@ -249,9 +238,6 @@ impl Campaign {
             // Fold this run's activity into the directory's lifetime
             // counters (best-effort; `mncube cache stats` reads them).
             cache.persist_counters();
-        }
-        if registry::metrics_enabled() {
-            registry::sample_now("campaign-end");
         }
         // Each record's last submitted point takes its result by move;
         // only the true duplicates before it clone.
@@ -349,7 +335,6 @@ impl Campaign {
                     ports: (0..ports).map(|_| None).collect(),
                     attempt: 0,
                     host: Duration::ZERO,
-                    dispatched: registry::metrics_enabled().then(Instant::now),
                 });
                 initial.extend(self.port_jobs(slot, record, &tx));
             }
@@ -422,7 +407,6 @@ impl Campaign {
         });
         let result = match landed {
             Err(error) if error.is_retryable() && gather.attempt < self.retries => {
-                registry::metrics().engine_retry_attempts.inc();
                 gather.ports.iter_mut().for_each(|p| *p = None);
                 gather.attempt = attempts;
                 return true;
@@ -441,11 +425,6 @@ impl Campaign {
                             eprintln!("warning: could not cache result in {dir}: {err}");
                         }
                     }
-                }
-                if let Some(start) = gather.dispatched {
-                    registry::metrics()
-                        .point_resolve_latency_us
-                        .observe_since(start);
                 }
                 Ok(result)
             }
@@ -607,9 +586,6 @@ struct Gather {
     ports: Vec<Option<Result<PortObservation, CampaignError>>>,
     attempt: u32,
     host: Duration,
-    /// The dispatch instant (None with metrics off), for the
-    /// resolve-latency histogram.
-    dispatched: Option<Instant>,
 }
 
 #[cfg(test)]

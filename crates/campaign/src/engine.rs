@@ -31,7 +31,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mn_core::{try_simulate_port, PortObservation};
-use mn_telemetry::registry;
 
 use crate::error::CampaignError;
 use crate::point::CampaignPoint;
@@ -123,10 +122,8 @@ struct Core {
     workers: usize,
     queue: Mutex<Queue>,
     ready: Condvar,
-    /// Lifetime total, always on, so campaign tests, benches and the
-    /// Prometheus export read one source of truth. Per-engine, not
-    /// global — tests and benches build private pools and assert on
-    /// their counts.
+    /// Lifetime total, always on. Per-engine, not global — tests and
+    /// benches build private pools and assert on their counts.
     executed: AtomicU64,
     /// Test only: workers drop every job unrun, as a worker that died
     /// outside its panic isolation would.
@@ -189,24 +186,7 @@ impl Engine {
     pub fn global() -> Arc<Engine> {
         static GLOBAL: OnceLock<Arc<Engine>> = OnceLock::new();
         GLOBAL
-            .get_or_init(|| {
-                let engine = Arc::new(Engine::new(crate::Knobs::get().jobs()));
-                registry::metrics()
-                    .engine_workers
-                    .set(engine.workers() as u64);
-                // The shared engine's lifetime total joins the Prometheus
-                // snapshot; private pools (tests, benches) stay local.
-                let core = Arc::clone(&engine.core);
-                registry::register_collector("engine", move |out| {
-                    registry::render_labeled_counters(
-                        out,
-                        "mn_engine_jobs_executed_total",
-                        "Jobs executed by the shared engine since process start.",
-                        &[("pool", "global", core.executed.load(Ordering::Relaxed))],
-                    );
-                });
-                engine
-            })
+            .get_or_init(|| Arc::new(Engine::new(crate::Knobs::get().jobs())))
             .clone()
     }
 
@@ -283,23 +263,16 @@ fn worker_loop(core: &Core) {
 fn next_job(core: &Core) -> Option<Job> {
     let mut queue = lock(&core.queue);
     loop {
-        if registry::metrics_enabled() {
-            registry::metrics()
-                .engine_queue_depth
-                .set(queue.jobs.len() as u64);
-        }
         if let Some(job) = queue.jobs.pop_front() {
             return Some(job);
         }
         if queue.closed {
             return None;
         }
-        registry::metrics().engine_parks.inc();
         queue = core
             .ready
             .wait(queue)
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        registry::metrics().engine_unparks.inc();
     }
 }
 
@@ -309,9 +282,6 @@ fn next_job(core: &Core) -> Option<Job> {
 /// (`AssertUnwindSafe` is sound here).
 fn execute(core: &Core, mut job: Job) {
     let (start, port) = (Instant::now(), job.reply.port());
-    if job.attempt > 0 {
-        registry::metrics().engine_retry_escalations.inc();
-    }
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         assert!(!job.chaos_panic, "chaos: injected worker panic");
         if job.attempt == 0 {
@@ -328,13 +298,10 @@ fn execute(core: &Core, mut job: Job) {
     let outcome = match caught {
         Ok(Ok(observation)) => Ok(observation),
         Ok(Err(error)) => Err(CampaignError::Sim { port, error }),
-        Err(payload) => {
-            registry::metrics().engine_panics_isolated.inc();
-            Err(CampaignError::PointPanicked {
-                label: job.point.config.label(),
-                payload: panic_payload_string(payload.as_ref()),
-            })
-        }
+        Err(payload) => Err(CampaignError::PointPanicked {
+            label: job.point.config.label(),
+            payload: panic_payload_string(payload.as_ref()),
+        }),
     };
     core.executed.fetch_add(1, Ordering::Relaxed);
     job.reply.deliver(start.elapsed(), outcome);

@@ -17,7 +17,6 @@ use std::fmt::Display;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use mn_core::{SystemConfig, TraceConfig, WindowPolicyKind};
 
@@ -62,12 +61,6 @@ pub struct Knobs {
     pub host_policy: Option<WindowPolicyKind>,
     /// Initial closed-loop window, at least one (`MN_HOST_WINDOW`).
     pub host_window: Option<u32>,
-    /// Whether the metrics registry is on (`MN_METRICS`).
-    pub metrics: bool,
-    /// Prometheus snapshot path (`MN_METRICS_FILE`).
-    pub metrics_file: Option<PathBuf>,
-    /// Metrics sampling period, positive (`MN_METRICS_INTERVAL`, in ms).
-    pub metrics_interval: Duration,
     /// Where the kernel and campaign benches write JSON (`MN_BENCH_OUT`).
     pub bench_out: Option<PathBuf>,
 }
@@ -89,9 +82,6 @@ impl Default for Knobs {
             trace_dir: PathBuf::new(),
             host_policy: None,
             host_window: None,
-            metrics: false,
-            metrics_file: None,
-            metrics_interval: Duration::from_millis(1000),
             bench_out: None,
         }
     }
@@ -217,35 +207,6 @@ pub const KNOBS: &[Knob] = &[
         results: false,
         doc: "chaos-schedule seed (same seed ⇒ same injections at any `MN_JOBS`)",
         set: |k, v| parsed(v).map(|n| k.chaos_seed = n),
-    },
-    Knob {
-        name: "MN_METRICS",
-        default: "`off`",
-        results: false,
-        doc: "`on`/`1`/`true`/`yes` (any case) enables the engine-layer metrics \
-              registry (counters, gauges, histograms); off costs one relaxed load \
-              per hook",
-        set: |k, v| switch(v).map(|on| k.metrics = on),
-    },
-    Knob {
-        name: "MN_METRICS_FILE",
-        default: "unset",
-        results: false,
-        doc: "Prometheus text snapshot destination; a sampler thread rewrites it \
-              every interval and appends one JSON line per sample to `<file>.jsonl` \
-              (`mncube stats` renders it)",
-        set: |k, v| path(v).map(|p| k.metrics_file = Some(p)),
-    },
-    Knob {
-        name: "MN_METRICS_INTERVAL",
-        default: "1000",
-        results: false,
-        doc: "sampler period in milliseconds (must be positive)",
-        set: |k, v| {
-            let ms = positive(parsed(v)?, "need a positive period in milliseconds")?;
-            k.metrics_interval = Duration::from_millis(ms);
-            Ok(())
-        },
     },
     Knob {
         name: "MN_BENCH_OUT",
@@ -420,7 +381,7 @@ mod tests {
 
     /// Accepted values, at least one per row: (variable, value, the field
     /// it sets on top of the defaults).
-    const VALID: [(&str, &str, Set); 25] = [
+    const VALID: [(&str, &str, Set); 20] = [
         ("MN_REQUESTS", "1234", |k| k.requests = 1234),
         ("MN_SEED", "42", |k| k.seed = Some(42)),
         ("MN_JOBS", "3", |k| k.jobs = Some(3)),
@@ -446,15 +407,6 @@ mod tests {
             k.host_policy = Some(WindowPolicyKind::Fixed(12))
         }),
         ("MN_HOST_WINDOW", "24", |k| k.host_window = Some(24)),
-        ("MN_METRICS", "on", |k| k.metrics = true),
-        ("MN_METRICS", "1", |k| k.metrics = true),
-        ("MN_METRICS", "off", |_| {}),
-        ("MN_METRICS_FILE", "/tmp/m", |k| {
-            k.metrics_file = Some("/tmp/m".into())
-        }),
-        ("MN_METRICS_INTERVAL", "250", |k| {
-            k.metrics_interval = Duration::from_millis(250)
-        }),
         ("MN_BENCH_OUT", "/tmp/b", |k| {
             k.bench_out = Some("/tmp/b".into())
         }),
@@ -481,9 +433,6 @@ mod tests {
         assert_eq!(unset.trace_dir, PathBuf::new());
         assert_eq!(unset.host_policy, None);
         assert_eq!(unset.host_window, None);
-        assert!(!unset.metrics);
-        assert_eq!(unset.metrics_file, None);
-        assert_eq!(unset.metrics_interval, Duration::from_millis(1000));
         assert_eq!(unset.bench_out, None);
 
         for knob in KNOBS {
@@ -524,9 +473,6 @@ mod tests {
             ("MN_HOST_POLICY", "closed"),
             ("MN_HOST_WINDOW", "0"), // the window must admit a request
             ("MN_HOST_WINDOW", "wide"),
-            ("MN_METRICS", "loudly"),
-            ("MN_METRICS_INTERVAL", "0"),
-            ("MN_METRICS_INTERVAL", "soon"),
         ];
         for (name, value) in rejected {
             let (knobs, warnings) = read(&[(name, value)]);
@@ -610,8 +556,8 @@ mod tests {
     fn boolean_knobs_are_case_insensitive_and_loud() {
         assert!(!accepted("MN_CACHE", "OFF").cache);
         assert!(!accepted("MN_CACHE", "False").cache);
-        assert!(accepted("MN_METRICS", "ON").metrics);
-        assert!(accepted("MN_METRICS", "Yes").metrics);
+        assert!(accepted("MN_CACHE", "ON").cache);
+        assert!(accepted("MN_CACHE", "Yes").cache);
         let (knobs, warnings) = read(&[("MN_CACHE", "disable")]);
         assert!(knobs.cache, "an unknown value keeps the default");
         assert_eq!(warnings.len(), 1);

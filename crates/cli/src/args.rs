@@ -7,7 +7,6 @@
 use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use mn_campaign::Knobs;
 use mn_core::WindowPolicyKind;
@@ -148,17 +147,6 @@ pub struct CacheArgs {
     pub budget: Option<u64>,
 }
 
-/// Arguments of `mncube stats`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsArgs {
-    /// Snapshot file.
-    pub file: Option<PathBuf>,
-    /// Redraw the view once per interval instead of printing once.
-    pub watch: bool,
-    /// Redraw interval for `--watch`.
-    pub interval: Duration,
-}
-
 /// A parsed `mncube` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -178,9 +166,6 @@ pub enum Command {
     ClosedLoop(ClosedLoopArgs),
     /// Inspect or garbage-collect the on-disk result cache.
     Cache(CacheArgs),
-    /// Render the engine metrics snapshot (`MN_METRICS_FILE`) as a
-    /// terminal table, optionally redrawing live with `--watch`.
-    Stats(StatsArgs),
     /// Print usage.
     Help,
 }
@@ -200,7 +185,6 @@ USAGE:
     mncube closedloop [--topology T] [--workload W] [--policy PO]
                    [--window N] [--requests N] [--seed S]
     mncube cache   <stats|gc> [--dir DIR] [--budget SIZE]
-    mncube stats   [--file FILE] [--watch] [--interval MS]
     mncube help
 
 VALUES:
@@ -222,13 +206,9 @@ as it lands, so a killed one resumes when rerun against the same cache
 hit/miss/store/eviction counters; 'cache gc' removes quarantined debris and
 evicts the oldest-written entries until the directory fits --budget
 (sizes accept K/M/G suffixes, e.g. 512M; without it, nothing is evicted).
-'stats' renders the Prometheus snapshot a metrics-enabled run writes
-(MN_METRICS=on MN_METRICS_FILE=FILE) as a terminal table; --watch
-redraws it once per --interval milliseconds until interrupted.
 Flags override their MN_* knobs, which fill in for absent flags:
 --requests (MN_REQUESTS), --seed (MN_SEED),
---policy/--window (MN_HOST_POLICY/MN_HOST_WINDOW), --dir (MN_CACHE_DIR),
---file (MN_METRICS_FILE) and --interval (MN_METRICS_INTERVAL).
+--policy/--window (MN_HOST_POLICY/MN_HOST_WINDOW) and --dir (MN_CACHE_DIR).
 MN_FAULT_*, MN_TRACE and MN_HOST_* shape every simulated configuration,
 as in the figure binaries.
 ";
@@ -328,7 +308,7 @@ impl<'a> Cursor<'a> {
 impl Command {
     /// Parses a full argument list (without the program name). Flags
     /// that mirror a knob (`--requests`, `--seed`, `--out`,
-    /// `--policy`, `--window`, `--dir`, `--file`, `--interval`) default
+    /// `--policy`, `--window`, `--dir`) default
     /// to that knob's value in `knobs`, so a flag overrides its knob and
     /// an absent flag falls back to it.
     ///
@@ -522,28 +502,6 @@ impl Command {
                 }
                 Ok(Command::Cache(parsed))
             }
-            "stats" => {
-                let mut parsed = StatsArgs {
-                    file: knobs.metrics_file.clone(),
-                    watch: false,
-                    interval: knobs.metrics_interval,
-                };
-                while let Some(flag) = cursor.next_flag() {
-                    match flag {
-                        "--file" => parsed.file = Some(cursor.value(flag)?.into()),
-                        "--watch" => parsed.watch = true,
-                        "--interval" => {
-                            let ms = parse_u64(flag, cursor.value(flag)?)?;
-                            if ms == 0 {
-                                return Err(err("--interval must be positive"));
-                            }
-                            parsed.interval = Duration::from_millis(ms);
-                        }
-                        other => return Err(err(format!("unknown flag '{other}' for stats"))),
-                    }
-                }
-                Ok(Command::Stats(parsed))
-            }
             other => Err(err(format!(
                 "unknown subcommand '{other}' (try 'mncube help')"
             ))),
@@ -635,7 +593,7 @@ mod tests {
 
     /// One valid invocation per subcommand and action, together using
     /// every flag.
-    const VALID: [&[&str]; 11] = [
+    const VALID: [&[&str]; 10] = [
         &[
             "run",
             "--topology",
@@ -708,7 +666,6 @@ mod tests {
         ],
         &["cache", "gc", "--dir", "d", "--budget", "512M"],
         &["cache", "stats", "--dir", "d"],
-        &["stats", "--file", "m.prom", "--watch", "--interval", "250"],
         &["help"],
     ];
 
@@ -787,6 +744,8 @@ mod tests {
         assert!(e.to_string().contains("fly"));
         let e = parse(&["run", "--bogus", "1"]).unwrap_err();
         assert!(e.to_string().contains("bogus"));
+        let e = parse(&["stats"]).unwrap_err();
+        assert!(e.to_string().contains("stats"));
     }
 
     #[test]
@@ -906,29 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_parses_flags() {
-        let Command::Stats(a) = parse(&["stats"]).unwrap() else {
-            panic!("expected stats");
-        };
-        assert_eq!(a.file, None);
-        assert!(!a.watch);
-        assert_eq!(a.interval, Duration::from_millis(1000));
-
-        let Command::Stats(a) =
-            parse(&["stats", "--file", "m.prom", "--watch", "--interval", "250"]).unwrap()
-        else {
-            panic!("expected stats");
-        };
-        assert_eq!(a.file, Some(PathBuf::from("m.prom")));
-        assert!(a.watch);
-        assert_eq!(a.interval, Duration::from_millis(250));
-
-        let e = parse(&["stats", "--interval", "0"]).unwrap_err();
-        assert!(e.to_string().contains("positive"));
-        assert!(parse(&["stats", "--refresh"]).is_err());
-    }
-
-    #[test]
     fn out_of_range_numbers_are_errors_not_wrapped() {
         // 4294967396 and 4294967312 wrap to 100 and 16 under `as u32`.
         let e = parse(&["topo", "--dram", "4294967396"]).unwrap_err();
@@ -969,8 +905,6 @@ mod tests {
             host_policy: Some(WindowPolicyKind::Ecn),
             host_window: Some(4),
             cache_dir: PathBuf::from("/tmp/env-cache"),
-            metrics_file: Some(PathBuf::from("env.prom")),
-            metrics_interval: Duration::from_millis(50),
             ..Knobs::default()
         };
         let Command::Run(a) = parse_with(&["run"], &knobs).unwrap() else {
@@ -1006,12 +940,6 @@ mod tests {
         };
         assert_eq!(a.dir, PathBuf::from("/tmp/env-cache"));
         assert_eq!(a.budget, None, "--budget mirrors no knob");
-
-        let Command::Stats(a) = parse_with(&["stats", "--interval", "75"], &knobs).unwrap() else {
-            panic!("expected stats");
-        };
-        assert_eq!(a.file, Some(PathBuf::from("env.prom")));
-        assert_eq!(a.interval, Duration::from_millis(75));
     }
 
     #[test]

@@ -13,8 +13,8 @@ use mn_topo::{render_ascii, Placement, Topology, TopologyKind, TopologyMetrics};
 use mn_workloads::Workload;
 
 use crate::args::{
-    ArgError, CacheAction, CacheArgs, ClosedLoopArgs, Command, CompareArgs, RunArgs, StatsArgs,
-    SweepArgs, TopoArgs, TraceArgs, USAGE,
+    ArgError, CacheAction, CacheArgs, ClosedLoopArgs, Command, CompareArgs, RunArgs, SweepArgs,
+    TopoArgs, TraceArgs, USAGE,
 };
 
 /// The paper's configuration for one point, shaped by the knobs: the
@@ -243,21 +243,18 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
     // export needs that port's `Full` network and controller tracers,
     // which no merged `RunResult` carries (ports are independent; port 0
     // is representative).
-    let started = mn_telemetry::registry::metrics_enabled().then(std::time::Instant::now);
+    let started = std::time::Instant::now();
     let mut observation = mn_core::try_simulate_port(&config, args.workload, 0)
         .map_err(|e| ArgError(e.to_string()))?;
-    // With metrics on, the simulation renders as the one service span on a
-    // third process row beside the kernel events, starting the timeline.
-    let spans: Vec<mn_telemetry::NamedSpan> = started
-        .iter()
-        .map(|start| mn_telemetry::NamedSpan {
-            name: "trace.simulate".to_string(),
-            track: 0,
-            ts_ps: 0,
-            dur_ps: u64::try_from(start.elapsed().as_nanos())
-                .map_or(u64::MAX, |ns| ns.saturating_mul(1000)),
-        })
-        .collect();
+    // The simulation renders as the one service span on a third process
+    // row beside the kernel events, starting the timeline.
+    let spans = [mn_telemetry::NamedSpan {
+        name: "trace.simulate".to_string(),
+        track: 0,
+        ts_ps: 0,
+        dur_ps: u64::try_from(started.elapsed().as_nanos())
+            .map_or(u64::MAX, |ns| ns.saturating_mul(1000)),
+    }];
     let telemetry = observation
         .take_telemetry()
         .ok_or_else(|| ArgError("tracing produced no telemetry".into()))?;
@@ -266,16 +263,6 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
     let mut file = std::fs::File::create(path)
         .map_err(|e| ArgError(format!("cannot create {}: {e}", path.display())))?;
     let tracks = ["service".to_string()];
-    let span_processes = if spans.is_empty() {
-        Vec::new()
-    } else {
-        vec![mn_telemetry::SpanProcess {
-            pid: 3,
-            name: "engine services",
-            tracks: &tracks,
-            spans: &spans,
-        }]
-    };
     mn_telemetry::write_chrome_trace_with_spans(
         &mut file,
         &[
@@ -290,7 +277,12 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
                 tracer: &telemetry.ctrl_tracer,
             },
         ],
-        &span_processes,
+        &[mn_telemetry::SpanProcess {
+            pid: 3,
+            name: "engine services",
+            tracks: &tracks,
+            spans: &spans,
+        }],
     )
     .map_err(|e| ArgError(format!("cannot write {}: {e}", path.display())))?;
 
@@ -304,9 +296,7 @@ fn trace(knobs: &Knobs, args: &TraceArgs) -> Result<String, ArgError> {
         dropped,
         path.display()
     );
-    if !spans.is_empty() {
-        let _ = writeln!(out, "service spans   {}", spans.len());
-    }
+    let _ = writeln!(out, "service spans   {}", spans.len());
     Ok(out)
 }
 
@@ -411,112 +401,6 @@ fn cache(args: &CacheArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// Renders a Prometheus text snapshot as the `mncube stats` table:
-/// families grouped by type in snapshot order, histograms collapsed to
-/// their exact count/sum.
-fn render_stats(text: &str) -> String {
-    let mut types: Vec<(&str, &str)> = Vec::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            if let (Some(name), Some(kind)) = (it.next(), it.next()) {
-                types.push((name, kind));
-            }
-        }
-    }
-    let samples: Vec<(&str, &str)> = text
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .filter_map(|l| l.rsplit_once(' '))
-        .collect();
-    fn family_of(series: &str) -> &str {
-        series.split('{').next().unwrap_or(series)
-    }
-    let mut out = String::new();
-    for kind in ["counter", "gauge", "histogram"] {
-        let families: Vec<&str> = types
-            .iter()
-            .filter(|(_, k)| *k == kind)
-            .map(|(n, _)| *n)
-            .collect();
-        if families.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "{kind}s:");
-        for family in families {
-            if kind == "histogram" {
-                let find = |suffix: &str| {
-                    let name = format!("{family}{suffix}");
-                    samples
-                        .iter()
-                        .find(|(s, _)| family_of(s) == name)
-                        .map_or("0", |(_, v)| *v)
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<46} count {:>10}  sum {}",
-                    family,
-                    find("_count"),
-                    find("_sum")
-                );
-            } else {
-                for (series, value) in samples.iter().filter(|(s, _)| family_of(s) == family) {
-                    let _ = writeln!(out, "  {series:<46} {value:>12}");
-                }
-            }
-        }
-    }
-    if out.is_empty() {
-        out.push_str("(no metric families in snapshot)\n");
-    }
-    out
-}
-
-fn stats(args: &StatsArgs) -> Result<String, ArgError> {
-    let file = args.file.as_ref().ok_or_else(|| {
-        ArgError("no snapshot file: pass --file FILE or set MN_METRICS_FILE".into())
-    })?;
-    if !args.watch {
-        let text = std::fs::read_to_string(file).map_err(|e| {
-            ArgError(format!(
-                "cannot read {}: {e} (produce one with MN_METRICS=on \
-                 MN_METRICS_FILE={} mncube run ...)",
-                file.display(),
-                file.display()
-            ))
-        })?;
-        let mut out = String::new();
-        let _ = writeln!(out, "metrics         {}", file.display());
-        out.push_str(&render_stats(&text));
-        return Ok(out);
-    }
-    // Redraw until interrupted; a missing snapshot is a waiting state,
-    // not an error, so `mncube stats --watch` can be started before the
-    // campaign it observes.
-    loop {
-        let mut frame = String::from("\x1b[2J\x1b[H");
-        let _ = writeln!(
-            frame,
-            "metrics         {} (every {}ms, Ctrl-C to exit)",
-            file.display(),
-            args.interval.as_millis()
-        );
-        match std::fs::read_to_string(file) {
-            Ok(text) => frame.push_str(&render_stats(&text)),
-            Err(err) => {
-                let _ = writeln!(frame, "(waiting for snapshot: {err})");
-            }
-        }
-        {
-            use std::io::Write as _;
-            let mut stdout = std::io::stdout().lock();
-            let _ = stdout.write_all(frame.as_bytes());
-            let _ = stdout.flush();
-        }
-        std::thread::sleep(args.interval);
-    }
-}
-
 /// Executes a parsed command against an explicit campaign engine and
 /// knobs, returning the text to print.
 ///
@@ -538,7 +422,6 @@ pub fn execute_with(
         Command::Trace(args) => trace(knobs, args),
         Command::ClosedLoop(args) => closedloop(campaign, knobs, args),
         Command::Cache(args) => cache(args),
-        Command::Stats(args) => stats(args),
     }
 }
 
@@ -563,64 +446,6 @@ mod tests {
 
     fn bare() -> Campaign {
         Campaign::new(2).quiet()
-    }
-
-    #[test]
-    fn stats_renders_snapshot_table() {
-        let prom = "\
-# HELP mn_engine_parks_total Worker parks.
-# TYPE mn_engine_parks_total counter
-mn_engine_parks_total 7
-# HELP mn_engine_jobs_executed_total Jobs executed.
-# TYPE mn_engine_jobs_executed_total counter
-mn_engine_jobs_executed_total{pool=\"global\"} 42
-# HELP mn_engine_workers Worker threads.
-# TYPE mn_engine_workers gauge
-mn_engine_workers 8
-# HELP mn_point_resolve_latency_us Dispatch-to-resolution latency.
-# TYPE mn_point_resolve_latency_us histogram
-mn_point_resolve_latency_us_bucket{le=\"1\"} 0
-mn_point_resolve_latency_us_bucket{le=\"+Inf\"} 3
-mn_point_resolve_latency_us_sum 1500
-mn_point_resolve_latency_us_count 3
-";
-        let table = render_stats(prom);
-        assert!(table.contains("counters:"), "{table}");
-        assert!(table.contains("mn_engine_parks_total"), "{table}");
-        assert!(table.contains("mn_engine_jobs_executed_total{pool=\"global\"}"));
-        assert!(table.contains("gauges:"));
-        assert!(table.contains("histograms:"));
-        // Histograms collapse to count/sum; bucket rows never leak.
-        assert!(table.contains("count          3  sum 1500"), "{table}");
-        assert!(!table.contains("le="), "{table}");
-
-        let dir = std::env::temp_dir().join(format!("mn-stats-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("metrics.prom");
-        std::fs::write(&file, prom).unwrap();
-        let text = execute_with(
-            &bare(),
-            &Knobs::default(),
-            &Command::Stats(crate::args::StatsArgs {
-                file: Some(file.clone()),
-                watch: false,
-                interval: std::time::Duration::from_secs(1),
-            }),
-        )
-        .unwrap();
-        assert!(text.contains("metrics"));
-        assert!(text.contains("mn_engine_workers"));
-        let missing = execute_with(
-            &bare(),
-            &Knobs::default(),
-            &Command::Stats(crate::args::StatsArgs {
-                file: Some(dir.join("absent.prom")),
-                watch: false,
-                interval: std::time::Duration::from_secs(1),
-            }),
-        );
-        assert!(missing.is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -709,6 +534,7 @@ mn_point_resolve_latency_us_count 3
         assert!(text.contains("request network"));
         assert!(text.contains("fairness"));
         assert!(text.contains("trace           "));
+        assert!(text.contains("service spans   1"));
 
         let json = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -716,6 +542,9 @@ mn_point_resolve_latency_us_count 3
         assert!(json.contains("\"name\":\"network\""));
         assert!(json.contains("\"name\":\"memory controllers\""));
         assert!(json.contains("\"BankAccess\""));
+        // The simulation's own wall-clock span, on its own process row.
+        assert!(json.contains("\"name\":\"engine services\""));
+        assert!(json.contains("\"name\":\"trace.simulate\""));
     }
 
     #[test]

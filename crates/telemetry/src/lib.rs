@@ -24,12 +24,9 @@
 //! - [`FlightRecorder`] — a fixed ring retaining the last N kernel
 //!   events so watchdog trips become post-mortems instead of bare
 //!   errors.
-//! - [`registry`] (mn-metrics) — the *service-layer* counterpart to all
-//!   of the above: a process-wide, lock-free-on-the-hot-path metrics
-//!   registry (counters, gauges, log-scaled histograms), gated on
-//!   `MN_METRICS` and exported as a Prometheus text snapshot and a
-//!   JSON-lines sample stream. Named wall-clock spans join a kernel
-//!   trace as extra Perfetto rows through the same writer.
+//! - [`NamedSpan`] / [`SpanProcess`] — named wall-clock spans that join
+//!   a kernel trace as extra Perfetto rows through the same writer
+//!   (`mncube trace`'s `trace.simulate`).
 //!
 //! The crate depends only on `mn-sim` (for the time base and accumulator
 //! primitives) so every other layer can use it without cycles.
@@ -45,7 +42,6 @@ mod fairness;
 mod host;
 mod metrics;
 mod recorder;
-pub mod registry;
 mod tracer;
 
 pub use config::{ParseTraceConfigError, TraceConfig};

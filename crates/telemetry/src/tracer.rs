@@ -167,7 +167,7 @@ pub struct NamedSpan {
     /// Index into the owning [`SpanProcess::tracks`].
     pub track: u32,
     /// Span start in picoseconds (service spans use wall-clock time
-    /// since the process epoch; kernel events use simulated time — the
+    /// since the traced run began; kernel events use simulated time — the
     /// two share one timeline by construction, both starting near 0).
     pub ts_ps: u64,
     /// Span length in picoseconds; 0 renders as an instant.
