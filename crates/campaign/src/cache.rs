@@ -328,8 +328,7 @@ impl DiskCache {
 
     /// [`DiskCache::load`] with the fingerprint and cache key already in
     /// hand. The campaign formats both once per distinct point while
-    /// folding duplicates (the chaos schedule needs the key too), so a
-    /// load never formats either again.
+    /// folding duplicates, so a load never formats either again.
     pub fn load_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         self.sweep_stale_tmp();
         let word = key_word(key);
@@ -1002,7 +1001,7 @@ mod tests {
     fn quarantine_racing_a_fresh_store_is_benign() {
         // One thread loads a corrupt entry (quarantining it) while
         // another stores a fresh result under the same key — the exact
-        // interleaving a retried point's re-simulation produces. Any
+        // interleaving two processes racing one directory produce. Any
         // interleaving must end with no panic and a loadable-or-missing
         // entry that, when present, is exactly the fresh result. The hot
         // tier is emptied before the race and before the check, so the

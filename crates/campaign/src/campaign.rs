@@ -20,15 +20,15 @@
 //!    any other — already simulated them. A point that asks for telemetry
 //!    is neither served nor stored, since no entry holds telemetry: it
 //!    simulates on every run.
-//! 4. **Failures are contained and recovered.** A panicking point is
-//!    caught at the worker loop and becomes a structured
-//!    [`CampaignError::PointPanicked`] record; retryable failures
-//!    (stalls, lost workers, caught panics) are re-dispatched up to the
-//!    [retry budget](Campaign::retries) with an escalated watchdog; and
-//!    a killed run resumes by rerunning against the same cache, which
-//!    stored each finished point as it landed. Every recovery path
-//!    converges to results byte-identical to an undisturbed run
-//!    (`tests/chaos_diff.rs` pins this).
+//! 4. **Failures are contained and final.** A panicking point is caught
+//!    at the worker loop and becomes a structured
+//!    [`CampaignError::PointPanicked`] record; a stall, a partition and a
+//!    lost worker become records too, and none is re-run: a point is a
+//!    pure function of its config, so a second run would fail the same
+//!    way. A killed run resumes by rerunning against the same cache,
+//!    which stored each finished point as it landed, and damaged entries
+//!    are quarantined as misses; both land on results byte-identical to
+//!    an undisturbed run (`tests/chaos_diff.rs` pins this).
 //!
 //! Campaigns submitted concurrently to one [`Engine`] share its workers
 //! and stay byte-identical to serial runs (`tests/concurrent.rs` pins
@@ -48,7 +48,6 @@ use std::time::{Duration, Instant};
 use mn_core::{merge_port_observations, port_count, PortObservation, RunResult, SimError};
 
 use crate::cache::DiskCache;
-use crate::chaos::ChaosPlan;
 use crate::engine::{Delivery, Engine, Job, Reply};
 use crate::error::CampaignError;
 use crate::knobs::Knobs;
@@ -71,10 +70,6 @@ pub struct PointOutcome {
     /// Kept only because the frozen benchmark package reads it; retire it
     /// with the next benchmark change.
     pub coalesced: bool,
-    /// Simulation attempts this run spent on the point: 0 for cache
-    /// hits and points the probe failed, 1 for a clean first run, more
-    /// when retryable failures earned re-dispatches.
-    pub attempts: u32,
     /// Host wall-clock spent obtaining this result (near zero for cache
     /// hits and folded duplicates).
     pub host: Duration,
@@ -119,23 +114,17 @@ pub struct Campaign {
     jobs: usize,
     cache: Option<DiskCache>,
     quiet: bool,
-    retries: u32,
-    chaos: Option<ChaosPlan>,
     engine: OnceLock<Arc<Engine>>,
 }
 
 impl Campaign {
     /// The knob-driven campaign every figure binary uses ([`Knobs::get`]):
     /// the process-global [`Engine`] sized by `MN_JOBS` (default:
-    /// available parallelism), the cache in `MN_CACHE_DIR` (default
-    /// `results/cache/`; `MN_CACHE=off` detaches it), the `MN_RETRIES`
-    /// retry budget (default 2), and — for harness testing only —
-    /// `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection.
+    /// available parallelism) and the cache in `MN_CACHE_DIR` (default
+    /// `results/cache/`; `MN_CACHE=off` detaches it).
     pub fn from_env() -> Campaign {
         let knobs = Knobs::get();
-        let mut campaign = Campaign::new(knobs.jobs());
-        campaign.retries = knobs.retries;
-        campaign.chaos = knobs.chaos();
+        let campaign = Campaign::new(knobs.jobs());
         let _ = campaign.engine.set(Engine::global());
         if knobs.cache {
             campaign.cache_dir(&knobs.cache_dir)
@@ -144,18 +133,14 @@ impl Campaign {
         }
     }
 
-    /// A campaign with an explicit worker count, no cache and no
-    /// retries (embedding and tests want every dispatch visible;
-    /// [`Campaign::from_env`] applies the `MN_RETRIES` default). The
-    /// campaign runs on a private engine unless one is attached with
+    /// A campaign with an explicit worker count and no cache. It runs on
+    /// a private engine unless one is attached with
     /// [`Campaign::on_engine`].
     pub fn new(jobs: usize) -> Campaign {
         Campaign {
             jobs: jobs.max(1),
             cache: None,
             quiet: false,
-            retries: 0,
-            chaos: None,
             engine: OnceLock::new(),
         }
     }
@@ -169,25 +154,6 @@ impl Campaign {
     /// Suppresses the stderr progress/summary reporting.
     pub fn quiet(mut self) -> Campaign {
         self.quiet = true;
-        self
-    }
-
-    /// Sets the per-point retry budget: how many re-dispatches a
-    /// retryable failure (stall, lost worker, caught panic) earns beyond
-    /// the first attempt. `Stalled` retries re-run with an escalated
-    /// watchdog limit (doubled per attempt); fatal failures
-    /// (`Partitioned`) are never retried.
-    pub fn retries(mut self, retries: u32) -> Campaign {
-        self.retries = retries;
-        self
-    }
-
-    /// Arms the deterministic chaos harness (test infrastructure): the
-    /// plan injects worker panics, cache damage and temp-file litter on a
-    /// seeded schedule that the recovery machinery must absorb without
-    /// changing a byte of output.
-    pub fn chaos(mut self, plan: ChaosPlan) -> Campaign {
-        self.chaos = Some(plan);
         self
     }
 
@@ -205,18 +171,18 @@ impl Campaign {
 
     /// Runs every point and returns outcomes in submission order.
     ///
-    /// The run is five stages over one record per distinct point: `fold`
-    /// the duplicates, `strike` with chaos, `probe` the cache, `simulate`
-    /// the misses and `tally` the summary; then every submitted point
-    /// receives its record's result.
+    /// The run is four stages over one record per distinct point: `fold`
+    /// the duplicates, `probe` the cache, `simulate` the misses and
+    /// `tally` the summary; then every submitted point receives its
+    /// record's result.
     ///
     /// Simulation failures (a fault schedule that partitions a topology, a
     /// stalled port, a panicking point) are confined to their point: the
     /// affected [`PointOutcome`] carries the [`CampaignError`] and every
-    /// other point still completes. Retryable failures are re-dispatched
-    /// up to the [retry budget](Campaign::retries) first. Failed points
-    /// are never written to the cache; a missed point whose fault
-    /// schedule partitions its network fails in the probe, without a job.
+    /// other point still completes. Every failure is final: the point ran
+    /// once and is not re-dispatched. Failed points are never written to
+    /// the cache; a missed point whose fault schedule partitions its
+    /// network fails in the probe, without a job.
     /// Every other point without telemetry is stored as it lands, so
     /// rerunning a killed run against the same cache resumes it.
     ///
@@ -227,7 +193,6 @@ impl Campaign {
     pub fn run(&self, points: Vec<CampaignPoint>) -> CampaignOutcome {
         let mut progress = Progress::new(points.len(), self.quiet);
         let (mut records, canonical) = Campaign::fold(&points);
-        self.strike(&records);
         self.probe(&mut records, &mut progress);
         let jobs = self.simulate(&mut records, &mut progress);
         let mut filled: Vec<Option<Filled>> =
@@ -258,7 +223,6 @@ impl Campaign {
                 result: filled.result,
                 cached: filled.source == Source::Cached,
                 coalesced: false,
-                attempts: filled.attempts,
                 host: filled.host,
             }
         });
@@ -286,20 +250,7 @@ impl Campaign {
         (records, canonical)
     }
 
-    /// Stage 2: all of the chaos harness's damage to durable state — stale
-    /// cache temp files, and damaged entries for exactly the points the
-    /// probe reads.
-    fn strike(&self, records: &[Record]) {
-        let (Some(chaos), Some(cache)) = (self.chaos, &self.cache) else {
-            return;
-        };
-        chaos.litter_cache_dir(cache.dir());
-        for record in records {
-            chaos.damage_cache_entry(cache.dir(), &record.key);
-        }
-    }
-
-    /// Stage 3: serves every cacheable point the cache holds, and fails
+    /// Stage 2: serves every cacheable point the cache holds, and fails
     /// a missed point whose fault schedule partitions its network without
     /// simulating it (building the network decides that, the same way for
     /// every port); the rest stay unresolved for [`Campaign::simulate`].
@@ -309,95 +260,69 @@ impl Campaign {
             let start = Instant::now();
             if let Some(result) = cache.load_keyed(&record.fingerprint, &record.key) {
                 progress.tick(true);
-                record.fill(Ok(result), Source::Cached, 0, start.elapsed());
+                record.fill(Ok(result), Source::Cached, start.elapsed());
             } else if let Some(error) = build_failure(record.point) {
                 progress.tick(false);
                 let error = CampaignError::Sim { port: 0, error };
-                record.fill(Err(error), Source::Built, 0, start.elapsed());
+                record.fill(Err(error), Source::Built, start.elapsed());
             }
         }
     }
 
-    /// Stage 4: simulates every unresolved point as one job per port (ports
+    /// Stage 3: simulates every unresolved point as one job per port (ports
     /// serve disjoint address slices, so a point's ports run concurrently)
     /// and returns the worker count the summary reports. Every job replies
     /// exactly once: a job its worker lost replies `LostWorker` as it is
-    /// dropped, which is retried like any retryable failure, so the loop
-    /// always ends with every point filled.
+    /// dropped, so the loop always ends with every point filled.
     fn simulate(&self, records: &mut [Record], progress: &mut Progress) -> usize {
         let (tx, rx) = mpsc::channel::<Delivery>();
-        let mut initial = Vec::new();
+        let mut jobs = Vec::new();
         for (slot, record) in records.iter_mut().enumerate() {
             if matches!(record.state, State::Unresolved) {
-                let ports = port_count(&record.point.config) as usize;
+                let point = Arc::new(record.point.clone());
+                let ports = port_count(&point.config);
+                jobs.extend((0..ports).map(|port| Job {
+                    point: Arc::clone(&point),
+                    reply: Reply::new(slot, port, &tx),
+                }));
                 record.state = State::Gathering(Gather {
-                    point: Arc::new(record.point.clone()),
                     ports: (0..ports).map(|_| None).collect(),
-                    attempt: 0,
                     host: Duration::ZERO,
                 });
-                initial.extend(self.port_jobs(slot, record, &tx));
             }
         }
-        let mut outstanding = initial.len();
-        let workers = self.jobs.min(outstanding).max(1);
+        let workers = self.jobs.min(jobs.len()).max(1);
         let engine = self.engine.get_or_init(|| Arc::new(Engine::new(self.jobs)));
-        engine.submit(initial);
-        while outstanding > 0 {
-            let delivery = rx.recv().expect("the gatherer holds a sender");
-            outstanding -= 1;
-            let slot = delivery.slot;
-            if self.land(&mut records[slot], delivery, progress) {
-                let retry = self.port_jobs(slot, &records[slot], &tx);
-                outstanding += retry.len();
-                engine.submit(retry);
-            }
+        let outstanding = jobs.len();
+        engine.submit(jobs);
+        for delivery in rx.iter().take(outstanding) {
+            self.land(&mut records[delivery.slot], delivery, progress);
         }
         workers
     }
 
-    /// One job per port for the current attempt of the gathering point at
-    /// `slot`. The chaos panic decision keys on a scheduling-independent
-    /// identity of the point, never on dispatch order.
-    fn port_jobs(&self, slot: usize, record: &Record, reply: &mpsc::Sender<Delivery>) -> Vec<Job> {
-        let State::Gathering(gather) = &record.state else {
-            unreachable!("only gathering points are dispatched")
-        };
-        let (key_hash, attempt) = (fnv1a64(record.key.as_bytes()), gather.attempt);
-        let job = |port| Job {
-            attempt,
-            point: Arc::clone(&gather.point),
-            chaos_panic: self
-                .chaos
-                .is_some_and(|c| c.injects_panic(key_hash, port, attempt, self.retries)),
-            reply: Reply::new(slot, port, reply),
-        };
-        (0..gather.ports.len() as u32).map(job).collect()
-    }
-
-    /// Lands one port. After an attempt's last port the point is merged
-    /// (in ascending port order, as the serial `simulate` merges) and
-    /// cached; or re-armed for a fresh attempt of every port
-    /// (returns true, and the caller dispatches it); or recorded failed.
-    /// Waiting for every port makes the error attribution deterministic:
-    /// the lowest-numbered failing port speaks for the point.
-    fn land(&self, record: &mut Record, delivery: Delivery, progress: &mut Progress) -> bool {
+    /// Lands one port. After the point's last port it is merged (in
+    /// ascending port order, as the serial `simulate` merges) and cached,
+    /// or recorded failed. Waiting for every port makes the error
+    /// attribution deterministic: the lowest-numbered failing port speaks
+    /// for the point.
+    fn land(&self, record: &mut Record, delivery: Delivery, progress: &mut Progress) {
         let State::Gathering(gather) = &mut record.state else {
             unreachable!("only gathering points have jobs in flight")
         };
         gather.host += delivery.host;
         gather.ports[delivery.port as usize] = Some(delivery.outcome);
         if gather.ports.iter().any(Option::is_none) {
-            return false; // the attempt's other ports are still in flight
+            return; // the point's other ports are still in flight
         }
-        let (attempts, host) = (gather.attempt + 1, gather.host);
+        let host = gather.host;
         let (ok, expected) = (
             gather.ports.iter().flatten().filter(|p| p.is_ok()).count(),
             gather.ports.len(),
         );
         let landed: Result<Vec<_>, _> = gather.ports.iter_mut().flat_map(Option::take).collect();
         // A lost job reports only its own port; the point's error counts
-        // every port of the attempt.
+        // every port.
         let landed = landed.map_err(|error| match error {
             CampaignError::LostWorker { .. } => CampaignError::LostWorker {
                 landed: ok,
@@ -405,50 +330,41 @@ impl Campaign {
             },
             error => error,
         });
-        let result = match landed {
-            Err(error) if error.is_retryable() && gather.attempt < self.retries => {
-                gather.ports.iter_mut().for_each(|p| *p = None);
-                gather.attempt = attempts;
-                return true;
-            }
-            Err(error) => Err(error),
-            Ok(obs) => {
-                let point = record.point;
-                let result = merge_port_observations(&point.config, point.workload, obs);
-                if let Some(cache) = self.cache.as_ref().filter(|_| point.cacheable()) {
-                    if let Err(err) = cache.store_keyed(&record.fingerprint, &record.key, &result) {
-                        // Warn once, not per point: the point itself
-                        // completed, uncached.
-                        static STORE_WARNED: AtomicBool = AtomicBool::new(false);
-                        if !STORE_WARNED.swap(true, Ordering::Relaxed) {
-                            let dir = cache.dir().display();
-                            eprintln!("warning: could not cache result in {dir}: {err}");
-                        }
+        let result = landed.map(|obs| {
+            let point = record.point;
+            let result = merge_port_observations(&point.config, point.workload, obs);
+            if let Some(cache) = self.cache.as_ref().filter(|_| point.cacheable()) {
+                if let Err(err) = cache.store_keyed(&record.fingerprint, &record.key, &result) {
+                    // Warn once, not per point: the point itself
+                    // completed, uncached.
+                    static STORE_WARNED: AtomicBool = AtomicBool::new(false);
+                    if !STORE_WARNED.swap(true, Ordering::Relaxed) {
+                        let dir = cache.dir().display();
+                        eprintln!("warning: could not cache result in {dir}: {err}");
                     }
                 }
-                Ok(result)
             }
-        };
+            result
+        });
         progress.tick(false);
-        record.fill(result, Source::Simulated, attempts, host);
-        false
+        record.fill(result, Source::Simulated, host);
     }
 }
 
-/// The deterministic failure building `point`'s network reports, if its
-/// fault schedule can fail at all. An invalid configuration is left to
-/// the simulation, whose worker records the panic against the point.
+/// The failure building `point`'s network reports (a partition or an
+/// over-ported node, both deterministic), if its fault schedule can fail
+/// at all. An invalid configuration is left to the simulation, whose
+/// worker records the panic against the point.
 fn build_failure(point: &CampaignPoint) -> Option<SimError> {
     if !point.config.noc.fault.enabled() || point.config.placement().is_err() {
         return None;
     }
-    match panic::catch_unwind(|| mn_core::try_build_network(&point.config)) {
-        Ok(Err(error)) if !error.is_retryable() => Some(error),
-        _ => None,
-    }
+    panic::catch_unwind(|| mn_core::try_build_network(&point.config))
+        .ok()?
+        .err()
 }
 
-/// Stage 5: the run's summary, from every distinct point's result.
+/// Stage 4: the run's summary, from every distinct point's result.
 fn tally(
     filled: &[Option<Filled>],
     total: usize,
@@ -457,7 +373,6 @@ fn tally(
 ) -> CampaignSummary {
     let filled = || filled.iter().flatten();
     let count = |source| filled().filter(|f| f.source == source).count();
-    let fresh = || filled().filter(|f| f.source == Source::Simulated);
     CampaignSummary {
         total,
         unique: filled().count(),
@@ -466,11 +381,11 @@ fn tally(
         failed: filled().filter(|f| f.result.is_err()).count(),
         jobs,
         host_wall,
-        fresh_requests: fresh()
+        fresh_requests: filled()
+            .filter(|f| f.source == Source::Simulated)
             .flat_map(|f| &f.result)
             .map(|r| r.reads + r.writes)
             .sum(),
-        retried: fresh().filter(|f| f.attempts > 1).count(),
         coalesced: 0,
     }
 }
@@ -528,11 +443,10 @@ struct Record<'p> {
 }
 
 impl Record<'_> {
-    fn fill(&mut self, result: PointResult, source: Source, attempts: u32, host: Duration) {
+    fn fill(&mut self, result: PointResult, source: Source, host: Duration) {
         self.state = State::Filled(Filled {
             result,
             source,
-            attempts,
             host,
         });
     }
@@ -546,7 +460,7 @@ impl Record<'_> {
 }
 
 // A filled record (336 bytes, the 304-byte result inline) outweighs a
-// gathering one (72 bytes). Boxing it would cost an allocation per cache
+// gathering one (40 bytes). Boxing it would cost an allocation per cache
 // hit on the warm replay path; a run holds one record per distinct point.
 #[allow(clippy::large_enum_variant)]
 enum State {
@@ -574,17 +488,14 @@ type PointResult = Result<RunResult, CampaignError>;
 struct Filled {
     result: PointResult,
     source: Source,
-    attempts: u32,
     host: Duration,
 }
 
-/// The ports of a dispatched point's current attempt, as they land.
+/// The ports of a dispatched point, as they land.
 struct Gather {
-    point: Arc<CampaignPoint>,
-    /// Each port's observation or error, once it lands; the attempt is
+    /// Each port's observation or error, once it lands; the point is
     /// pending while any is `None`.
     ports: Vec<Option<Result<PortObservation, CampaignError>>>,
-    attempt: u32,
     host: Duration,
 }
 
@@ -626,7 +537,6 @@ mod tests {
         assert_eq!(outcome.summary.total, 3);
         assert_eq!(outcome.summary.unique, 3);
         assert_eq!(outcome.summary.fresh, 3);
-        assert_eq!(outcome.summary.retried, 0);
         assert_eq!(outcome.summary.coalesced, 0);
         let labels: Vec<&str> = outcome
             .outcomes
@@ -717,8 +627,7 @@ mod tests {
         assert_eq!(first.summary.failed, 1);
         assert_eq!(first.summary.cache_hits, 0);
         // Second run: the healthy point is served from cache, the failed
-        // point is retried (and fails again) rather than being served a
-        // poisoned entry.
+        // point fails again rather than being served a poisoned entry.
         let second = run(30);
         assert_eq!(second.summary.cache_hits, 1);
         assert_eq!(second.summary.failed, 1);
@@ -852,93 +761,98 @@ mod tests {
         };
         assert_eq!(label, "100%-C");
         assert!(payload.contains("invalid configuration"), "{payload}");
-        // One attempt: Campaign::new has no retry budget.
-        assert_eq!(outcome.outcomes[1].attempts, 1);
     }
 
-    #[test]
-    fn fatal_failures_are_not_retried() {
-        let outcome = Campaign::new(1)
-            .quiet()
-            .retries(5)
-            .run(vec![partitioned(51)]);
-        assert_eq!(outcome.summary.failed, 1);
-        assert_eq!(outcome.summary.retried, 0);
-        assert_eq!(
-            outcome.outcomes[0].attempts, 1,
-            "a partitioned network is deterministic; retrying burns cycles"
-        );
-    }
-
-    #[test]
-    fn chaos_panics_are_retried_to_convergence() {
-        // Rate 1.0: every attempt below the budget panics, so each point
-        // burns the full budget and then succeeds — and the results are
-        // byte-identical to an undisturbed run.
-        let points = || vec![tiny(TopologyKind::Chain, 61), tiny(TopologyKind::Tree, 62)];
-        let clean = Campaign::new(2).quiet().run(points());
-        let chaotic = Campaign::new(2)
-            .quiet()
-            .retries(2)
-            .chaos(ChaosPlan::new(0xC0, 1.0))
-            .run(points());
-        assert_eq!(chaotic.summary.failed, 0);
-        assert_eq!(chaotic.summary.retried, 2);
-        for (c, d) in clean.outcomes.iter().zip(&chaotic.outcomes) {
-            assert_eq!(d.attempts, 3, "budget 2 = two panics + one success");
-            assert_eq!(
-                codec::encode_result(c.result.as_ref().unwrap()),
-                codec::encode_result(d.result.as_ref().unwrap()),
-            );
-        }
-    }
-
-    /// `point` under a watchdog that stalls its first two attempts and
-    /// lets the third, at four times the limit, finish: a quarter of the
-    /// smallest power-of-two limit the point completes under. The limit is
-    /// not fingerprinted, so the result and cache key are `point`'s own.
-    fn stalls_twice(mut point: CampaignPoint) -> CampaignPoint {
-        let completes = |limit| {
-            let mut probe = point.clone();
-            probe.config.watchdog_limit = limit;
-            mn_core::try_simulate_port(&probe.config, probe.workload, 0).is_ok()
-        };
-        let least = (0..40)
-            .map(|shift| 1u64 << shift)
-            .find(|&limit| completes(limit))
-            .expect("some watchdog limit lets the point finish");
-        assert!(least >= 4, "a limit of {least} leaves no room to stall");
-        point.config.watchdog_limit = least / 4;
+    /// `point` under a one-instant watchdog, which trips at the first
+    /// instant without a completion. The limit is not fingerprinted, so
+    /// the cache key is `point`'s own.
+    fn stalls(mut point: CampaignPoint) -> CampaignPoint {
+        point.config.watchdog_limit = 1;
         point
+    }
+
+    #[test]
+    fn every_failure_runs_its_ports_once() {
+        // A partition, a stall and a panic are each deterministic: every
+        // port of the failing point runs exactly once and the point is
+        // recorded failed, never dispatched again.
+        let mut broken = tiny(TopologyKind::Tree, 52);
+        broken.config.total_capacity_gb = 100; // unrealizable placement
+        let points = vec![
+            partitioned(51),
+            stalls(tiny(TopologyKind::Ring, 53)),
+            broken,
+        ];
+        let ports: u64 = points
+            .iter()
+            .map(|p| u64::from(port_count(&p.config)))
+            .sum();
+        let engine = Arc::new(Engine::new(2));
+        let outcome = Campaign::new(2)
+            .quiet()
+            .on_engine(Arc::clone(&engine))
+            .run(points);
+        assert_eq!(engine.jobs_executed(), ports);
+        let s = &outcome.summary;
+        assert_eq!((s.fresh, s.failed), (3, 3));
+        let errors: Vec<_> = outcome.outcomes.iter().map(|o| &o.result).collect();
+        assert!(matches!(
+            errors[0],
+            Err(CampaignError::Sim {
+                error: SimError::Partitioned { .. },
+                ..
+            })
+        ));
+        assert!(matches!(
+            errors[1],
+            Err(CampaignError::Sim {
+                error: SimError::Stalled { .. },
+                ..
+            })
+        ));
+        assert!(matches!(
+            errors[2],
+            Err(CampaignError::PointPanicked { .. })
+        ));
     }
 
     #[test]
     fn one_run_mixes_every_source() {
         let dir = scratch("mixed");
-        let p1 = stalls_twice(tiny(TopologyKind::Chain, 91));
+        let p1 = stalls(tiny(TopologyKind::Chain, 91));
         let p2 = tiny(TopologyKind::Tree, 92);
         let p3 = tiny(TopologyKind::Ring, 93);
-        let campaign = || Campaign::new(2).quiet().retries(2).cache_dir(&dir);
+        let campaign = || Campaign::new(2).quiet().cache_dir(&dir);
         // An earlier run cached P2.
         assert_eq!(campaign().run(vec![p2.clone()]).summary.fresh, 1);
 
-        let c = campaign().run(vec![p1, p2, p3.clone(), p3, partitioned(94)]);
-        let seen = |o: &PointOutcome| (o.cached, o.attempts, o.result.is_ok());
+        let c = campaign().run(vec![p1.clone(), p2, p3.clone(), p3, partitioned(94)]);
+        let seen = |o: &PointOutcome| (o.cached, o.result.is_ok());
         let seen: Vec<_> = c.outcomes.iter().map(seen).collect();
-        let (retried, cached, fresh) = ((false, 3, true), (true, 0, true), (false, 1, true));
-        // The partitioned point fails in the probe, with no attempt.
-        assert_eq!(seen, [retried, cached, fresh, fresh, (false, 0, false)]);
+        let (failed, cached, fresh) = ((false, false), (true, true), (false, true));
+        assert_eq!(seen, [failed, cached, fresh, fresh, failed]);
+        assert!(matches!(
+            c.outcomes[0].result,
+            Err(CampaignError::Sim {
+                error: SimError::Stalled { .. },
+                ..
+            })
+        ));
         let s = &c.summary;
-        assert_eq!((s.total, s.unique, s.failed), (5, 4, 1));
-        assert_eq!((s.cache_hits, s.fresh, s.retried), (1, 2, 1));
+        assert_eq!((s.total, s.unique, s.failed), (5, 4, 2));
+        // The partitioned point fails in the probe, so it is not fresh.
+        assert_eq!((s.cache_hits, s.fresh), (1, 2));
         let line = s.line();
         assert!(line.starts_with("campaign: 5/5 points in "), "{line}");
-        let tail = " — 1 cached, 2 simulated, 1 retried, 1 FAILED, 2 workers, ";
+        let tail = " — 1 cached, 2 simulated, 2 FAILED, 2 workers, ";
         assert!(line.contains(tail), "{line}");
 
-        // The twice-stalled point converged and was cached like any other.
-        let d = campaign().run(vec![stalls_twice(tiny(TopologyKind::Chain, 91))]);
-        assert_eq!((d.summary.cache_hits, d.summary.fresh), (1, 0));
+        // The stalled point stored nothing, so a rerun simulates it again.
+        let entry = dir.join(format!("{}.mnres", p1.cache_key()));
+        assert!(!entry.exists(), "a stalled point was stored");
+        let d = campaign().run(vec![p1]);
+        let s = &d.summary;
+        assert_eq!((s.cache_hits, s.fresh, s.failed), (0, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -983,24 +897,21 @@ mod tests {
     }
 
     #[test]
-    fn lost_jobs_are_retried_then_reported_lost() {
+    fn lost_jobs_are_reported_lost() {
         // Every job is dropped unrun, as if its worker died outside the
-        // panic isolation: each attempt fails with `LostWorker`, the
-        // retry budget re-dispatches it, and the point is then reported
-        // lost instead of hanging the run.
+        // panic isolation: the point fails with `LostWorker` instead of
+        // hanging the run.
         let point = tiny(TopologyKind::Tree, 111);
         let ports = port_count(&point.config) as usize;
         let engine = Arc::new(Engine::losing_jobs(2));
         let outcome = Campaign::new(2)
             .quiet()
-            .retries(2)
             .on_engine(Arc::clone(&engine))
             .run(vec![point.clone(), point]);
         assert_eq!(engine.jobs_executed(), 0);
         let s = &outcome.summary;
-        assert_eq!((s.unique, s.fresh, s.failed, s.retried), (1, 1, 1, 1));
+        assert_eq!((s.unique, s.fresh, s.failed), (1, 1, 1));
         for o in &outcome.outcomes {
-            assert_eq!(o.attempts, 3, "budget 2 = three lost attempts");
             assert_eq!(
                 o.result.as_ref().unwrap_err(),
                 &CampaignError::LostWorker {

@@ -12,12 +12,9 @@
 //!    observations in ascending port order — and every job is a
 //!    millisecond-scale port simulation, so one lock per job costs
 //!    nothing measurable.
-//! 2. **Per-job policy.** A [`Job`] carries its attempt number (a retry
-//!    widens the watchdog), whether to panic in place of simulating, and
-//!    its submission's reply channel, so campaigns with different
-//!    configurations coexist on one pool. The queue is refillable: a
-//!    gatherer appends fresh attempts for retried points to the same
-//!    FIFO.
+//! 2. **Per-job replies.** A [`Job`] carries its point and its
+//!    submission's reply channel, so campaigns with different
+//!    configurations coexist on one pool.
 //!
 //! Workers are spawned lazily on first submission and exit when the last
 //! [`Engine`] handle is dropped (the queue is closed and drained) — a
@@ -36,7 +33,7 @@ use crate::error::CampaignError;
 use crate::point::CampaignPoint;
 
 /// What the engine delivers to a submission's reply channel: one port
-/// of one attempt finished (successfully or not).
+/// of one point finished (successfully or not).
 pub(crate) struct Delivery {
     /// The submission-local slot (index into its unique points).
     pub(crate) slot: usize,
@@ -48,22 +45,18 @@ pub(crate) struct Delivery {
     pub(crate) outcome: Result<PortObservation, CampaignError>,
 }
 
-/// One schedulable unit: a single port of a single point attempt,
-/// carrying its submission's reply.
+/// One schedulable unit: a single port of a single point, carrying its
+/// submission's reply.
 pub(crate) struct Job {
-    pub(crate) attempt: u32,
     pub(crate) point: Arc<CampaignPoint>,
-    /// The worker panics instead of simulating, inside its panic
-    /// isolation (the chaos harness's injected fault).
-    pub(crate) chaos_panic: bool,
     pub(crate) reply: Reply,
 }
 
 /// Where a job's [`Delivery`] goes: its submission's channel, slot and
 /// port. Every job replies exactly once. A reply dropped unsent — the job
 /// was discarded, or its worker died outside the panic isolation —
-/// delivers a retryable [`CampaignError::LostWorker`] for its port, so
-/// the submission never waits on a reply that cannot come.
+/// delivers [`CampaignError::LostWorker`] for its port, so the
+/// submission never waits on a reply that cannot come.
 pub(crate) struct Reply {
     slot: usize,
     port: u32,
@@ -201,8 +194,7 @@ impl Engine {
     }
 
     /// Appends jobs to the queue, spawning the worker pool on first
-    /// use. Called both for a campaign's initial fan-out and for retry
-    /// refills.
+    /// use.
     pub(crate) fn submit(&self, jobs: impl IntoIterator<Item = Job>) {
         let mut queue = lock(&self.core.queue);
         queue.jobs.extend(jobs);
@@ -283,17 +275,7 @@ fn next_job(core: &Core) -> Option<Job> {
 fn execute(core: &Core, mut job: Job) {
     let (start, port) = (Instant::now(), job.reply.port());
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        assert!(!job.chaos_panic, "chaos: injected worker panic");
-        if job.attempt == 0 {
-            try_simulate_port(&job.point.config, job.point.workload, port)
-        } else {
-            // A stall diagnosis depends on the watchdog budget; retries
-            // widen it. The limit is outside the result fingerprint, so
-            // a completing rerun is bit-identical.
-            let mut config = job.point.config.clone();
-            config.escalate_watchdog(job.attempt);
-            try_simulate_port(&config, job.point.workload, port)
-        }
+        try_simulate_port(&job.point.config, job.point.workload, port)
     }));
     let outcome = match caught {
         Ok(Ok(observation)) => Ok(observation),
@@ -338,13 +320,10 @@ mod tests {
         point: &Arc<CampaignPoint>,
         slot: usize,
         port: u32,
-        attempt: u32,
         reply: &mpsc::Sender<Delivery>,
     ) -> Job {
         Job {
-            attempt,
             point: Arc::clone(point),
-            chaos_panic: false,
             reply: Reply::new(slot, port, reply),
         }
     }
@@ -355,7 +334,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let point = tiny_point(1);
         let ports = mn_core::port_count(&point.config);
-        engine.submit((0..ports).map(|port| job_for(&point, 0, port, 0, &tx)));
+        engine.submit((0..ports).map(|port| job_for(&point, 0, port, &tx)));
         for _ in 0..ports {
             assert!(rx.recv().unwrap().outcome.is_ok());
         }
@@ -365,15 +344,15 @@ mod tests {
     #[test]
     fn one_worker_runs_jobs_in_submission_order_and_serves_refills() {
         // A single worker takes jobs from the front of the FIFO, so its
-        // replies arrive in submission order; a retry refill submitted
-        // after the first reply joins the back of the queue and is
-        // served like any other job.
+        // replies arrive in submission order; a job submitted after the
+        // first reply joins the back of the queue and is served like any
+        // other job.
         let engine = Engine::new(1);
         let (tx, rx) = mpsc::channel();
         let point = tiny_point(5);
-        engine.submit((0..6).map(|slot| job_for(&point, slot, 0, 0, &tx)));
+        engine.submit((0..6).map(|slot| job_for(&point, slot, 0, &tx)));
         let mut order = vec![rx.recv().unwrap().slot];
-        engine.submit([job_for(&point, 6, 0, 1, &tx)]);
+        engine.submit([job_for(&point, 6, 0, &tx)]);
         for _ in 0..6 {
             let delivery = rx.recv().unwrap();
             assert!(delivery.outcome.is_ok());
@@ -389,7 +368,7 @@ mod tests {
         // isolation, a queue torn down) still answers for its port, so
         // the submission's gatherer cannot wait forever.
         let (tx, rx) = mpsc::channel();
-        drop(job_for(&tiny_point(3), 4, 2, 0, &tx));
+        drop(job_for(&tiny_point(3), 4, 2, &tx));
         let delivery = rx.try_recv().expect("dropping the job replied");
         assert_eq!((delivery.slot, delivery.port), (4, 2));
         assert_eq!(delivery.host, Duration::ZERO);
@@ -397,7 +376,6 @@ mod tests {
             panic!("a dropped job has no observation")
         };
         assert!(matches!(error, CampaignError::LostWorker { .. }));
-        assert!(error.is_retryable());
         assert!(rx.try_recv().is_err(), "exactly one reply per job");
     }
 
@@ -406,7 +384,7 @@ mod tests {
         let engine = Engine::new(2);
         let (tx, rx) = mpsc::channel();
         let point = tiny_point(9);
-        engine.submit([job_for(&point, 0, 0, 0, &tx)]);
+        engine.submit([job_for(&point, 0, 0, &tx)]);
         assert!(rx.recv().unwrap().outcome.is_ok());
         drop(engine);
         // Workers observe the closed flag and exit; nothing to assert

@@ -1,5 +1,8 @@
 //! Campaign-level failures: one grid point failing must be a diagnosable
-//! record, not a dead worker pool.
+//! record, not a dead worker pool. Every failure is final. A point is a
+//! pure function of its config, workload and seed, so a second run of
+//! it would fail the same way; the campaign records the error once and
+//! moves on.
 
 use std::error::Error;
 use std::fmt;
@@ -17,10 +20,11 @@ pub enum CampaignError {
         /// The structured simulation failure.
         error: SimError,
     },
-    /// A worker disappeared before every port observation landed — the
-    /// channel closed with the point incomplete. This is a scheduler or
-    /// environment defect (a killed thread, not a simulation outcome),
-    /// reported per point so the rest of the grid still completes.
+    /// A job was dropped unrun — its worker died outside the panic
+    /// isolation — so not every port observation landed. This is a
+    /// scheduler or environment defect (a killed thread, not a simulation
+    /// outcome), reported per point so the rest of the grid still
+    /// completes.
     LostWorker {
         /// Port observations that did arrive.
         landed: usize,
@@ -30,7 +34,7 @@ pub enum CampaignError {
     /// The point's simulation panicked. The panic was caught at the
     /// worker loop (`catch_unwind`), so the worker thread survives and
     /// the rest of the grid completes; the payload is preserved for
-    /// diagnosis. Distinct from [`CampaignError::LostWorker`], which now
+    /// diagnosis. Distinct from [`CampaignError::LostWorker`], which
     /// covers only genuinely-dead threads.
     PointPanicked {
         /// The panicking point's configuration label.
@@ -39,22 +43,6 @@ pub enum CampaignError {
         /// panic payload>"` when the payload was not a string).
         payload: String,
     },
-}
-
-impl CampaignError {
-    /// Whether re-dispatching the same point could plausibly succeed.
-    ///
-    /// Retryable: a stalled simulation (the retry escalates the watchdog
-    /// budget), a lost worker, and a caught panic (environmental causes —
-    /// e.g. allocation failure — deserve one more try; a deterministic
-    /// panic simply fails again and exhausts the budget). Fatal: a
-    /// partitioned network, which is baked into the fault schedule.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            CampaignError::Sim { error, .. } => error.is_retryable(),
-            CampaignError::LostWorker { .. } | CampaignError::PointPanicked { .. } => true,
-        }
-    }
 }
 
 impl fmt::Display for CampaignError {
@@ -118,42 +106,5 @@ mod tests {
             payload: "index out of bounds".into(),
         };
         assert_eq!(e.to_string(), "point 100%-C panicked: index out of bounds");
-    }
-
-    #[test]
-    fn retry_classification() {
-        use mn_sim::SimTime;
-        // Partitioned is deterministic in the fault schedule: fatal.
-        assert!(!CampaignError::Sim {
-            port: 0,
-            error: SimError::Partitioned {
-                unreachable: vec![NodeId(2)],
-            },
-        }
-        .is_retryable());
-        // Stalls, lost workers, and caught panics earn a re-dispatch.
-        assert!(CampaignError::Sim {
-            port: 1,
-            error: SimError::Stalled {
-                at: SimTime::from_ns(5),
-                completed: 1,
-                total: 2,
-                outstanding: 1,
-                queued: 0,
-                in_network: 1,
-                flight: Vec::new(),
-            },
-        }
-        .is_retryable());
-        assert!(CampaignError::LostWorker {
-            landed: 0,
-            expected: 1,
-        }
-        .is_retryable());
-        assert!(CampaignError::PointPanicked {
-            label: "100%-C".into(),
-            payload: "boom".into(),
-        }
-        .is_retryable());
     }
 }

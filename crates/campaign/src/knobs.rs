@@ -10,7 +10,9 @@
 //! A malformed or out-of-range value warns on stderr, naming the variable
 //! and the rejected value, and the default applies: a typo'd
 //! `MN_REQUESTS=60000q` used to quietly run a 6 000-request experiment.
-//! An empty value counts as unset.
+//! An empty value counts as unset. So does an `MN_*` variable the table
+//! does not name, a retired knob or a misspelt one, but [`Knobs::get`]
+//! warns about each of those too.
 
 use std::ffi::{OsStr, OsString};
 use std::fmt::Display;
@@ -19,8 +21,6 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use mn_core::{SystemConfig, TraceConfig, WindowPolicyKind};
-
-use crate::chaos::ChaosPlan;
 
 /// ECN mark threshold (in buffered packets at a link output) that
 /// `MN_HOST_POLICY=ecn` gives a config which leaves marking off; the
@@ -43,12 +43,6 @@ pub struct Knobs {
     pub cache: bool,
     /// Result-cache directory (`MN_CACHE_DIR`).
     pub cache_dir: PathBuf,
-    /// Per-point retry budget (`MN_RETRIES`).
-    pub retries: u32,
-    /// Chaos-injection probability (`MN_CHAOS_RATE`).
-    pub chaos_rate: Option<f64>,
-    /// Chaos schedule seed (`MN_CHAOS_SEED`).
-    pub chaos_seed: u64,
     /// Transient-CRC probability per link traversal (`MN_FAULT_RATE`).
     pub fault_rate: Option<f64>,
     /// Fault-schedule seed (`MN_FAULT_SEED`).
@@ -73,9 +67,6 @@ impl Default for Knobs {
             jobs: None,
             cache: true,
             cache_dir: PathBuf::from("results/cache"),
-            retries: 2,
-            chaos_rate: None,
-            chaos_seed: 0,
             fault_rate: None,
             fault_seed: None,
             trace: None,
@@ -186,29 +177,6 @@ pub const KNOBS: &[Knob] = &[
         },
     },
     Knob {
-        name: "MN_RETRIES",
-        default: "2",
-        results: false,
-        doc: "per-point retry budget for retryable failures (stalls, lost workers, \
-              caught panics); stalls rerun with a doubled watchdog per attempt",
-        set: |k, v| parsed(v).map(|n| k.retries = n),
-    },
-    Knob {
-        name: "MN_CHAOS_RATE",
-        default: "0 (off)",
-        results: false,
-        doc: "*test harness*: per-site fault-injection probability in `[0, 1]` \
-              (worker panics, cache damage, temp-file litter)",
-        set: |k, v| probability(v).map(|p| k.chaos_rate = Some(p)),
-    },
-    Knob {
-        name: "MN_CHAOS_SEED",
-        default: "0",
-        results: false,
-        doc: "chaos-schedule seed (same seed ⇒ same injections at any `MN_JOBS`)",
-        set: |k, v| parsed(v).map(|n| k.chaos_seed = n),
-    },
-    Knob {
         name: "MN_BENCH_OUT",
         default: "`BENCH_<suite>.json`",
         results: false,
@@ -304,10 +272,17 @@ impl Knobs {
         (knobs, warnings)
     }
 
-    /// The process's knobs, parsed from the environment on first use.
+    /// The process's knobs, parsed from the environment on first use,
+    /// with one stderr warning per `MN_*` variable that is not a knob.
     pub fn get() -> &'static Knobs {
         static KNOBS_FROM_ENV: OnceLock<Knobs> = OnceLock::new();
-        KNOBS_FROM_ENV.get_or_init(|| Knobs::parse(|name| std::env::var_os(name)))
+        KNOBS_FROM_ENV.get_or_init(|| {
+            let names = std::env::vars_os().map(|(name, _)| name);
+            for name in unknown_knobs(names) {
+                eprintln!("warning: ignoring {name}: no such knob");
+            }
+            Knobs::parse(|name| std::env::var_os(name))
+        })
     }
 
     /// Applies the config-shaping knobs: fault rate and seed, telemetry
@@ -343,12 +318,20 @@ impl Knobs {
         self.jobs
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
     }
+}
 
-    /// The chaos plan, engaged only by a positive `MN_CHAOS_RATE`.
-    pub(crate) fn chaos(&self) -> Option<ChaosPlan> {
-        let rate = self.chaos_rate.filter(|&rate| rate > 0.0)?;
-        Some(ChaosPlan::new(self.chaos_seed, rate))
-    }
+/// The `MN_*` names among `names` that [`KNOBS`] does not list, sorted
+/// and without repeats: a retired or misspelt knob, which would
+/// otherwise run silently with the defaults.
+fn unknown_knobs(names: impl IntoIterator<Item = OsString>) -> Vec<String> {
+    let mut unknown: Vec<String> = names
+        .into_iter()
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("MN_") && !KNOBS.iter().any(|k| k.name == name))
+        .collect();
+    unknown.sort();
+    unknown.dedup();
+    unknown
 }
 
 #[cfg(test)]
@@ -381,7 +364,7 @@ mod tests {
 
     /// Accepted values, at least one per row: (variable, value, the field
     /// it sets on top of the defaults).
-    const VALID: [(&str, &str, Set); 20] = [
+    const VALID: [(&str, &str, Set); 16] = [
         ("MN_REQUESTS", "1234", |k| k.requests = 1234),
         ("MN_SEED", "42", |k| k.seed = Some(42)),
         ("MN_JOBS", "3", |k| k.jobs = Some(3)),
@@ -389,10 +372,6 @@ mod tests {
         ("MN_CACHE", "0", |k| k.cache = false),
         ("MN_CACHE", "yes", |_| {}),
         ("MN_CACHE_DIR", "/tmp/c", |k| k.cache_dir = "/tmp/c".into()),
-        ("MN_RETRIES", "0", |k| k.retries = 0), // 0 disables retries
-        ("MN_RETRIES", "5", |k| k.retries = 5),
-        ("MN_CHAOS_RATE", "0.25", |k| k.chaos_rate = Some(0.25)),
-        ("MN_CHAOS_SEED", "99", |k| k.chaos_seed = 99),
         ("MN_FAULT_RATE", "0.05", |k| k.fault_rate = Some(0.05)),
         ("MN_FAULT_SEED", "42", |k| k.fault_seed = Some(42)),
         ("MN_TRACE", "Counters", |k| {
@@ -424,9 +403,6 @@ mod tests {
         assert!(unset.jobs() >= 1);
         assert!(unset.cache);
         assert_eq!(unset.cache_dir, PathBuf::from("results/cache"));
-        assert_eq!(unset.retries, 2);
-        assert_eq!(unset.chaos_rate, None);
-        assert_eq!(unset.chaos_seed, 0);
         assert_eq!(unset.fault_rate, None); // fault injection stays off
         assert_eq!(unset.fault_seed, None);
         assert_eq!(unset.trace, None);
@@ -460,11 +436,6 @@ mod tests {
             ("MN_JOBS", "0"), // need a worker
             ("MN_JOBS", "many"),
             ("MN_CACHE", "disable"),
-            ("MN_RETRIES", "many"),
-            ("MN_RETRIES", "4294967296"),
-            ("MN_CHAOS_RATE", "2.0"),
-            ("MN_CHAOS_RATE", "NaN"),
-            ("MN_CHAOS_SEED", "x"),
             ("MN_FAULT_RATE", "1.5"),
             ("MN_FAULT_RATE", "NaN"),
             ("MN_FAULT_RATE", "often"),
@@ -542,14 +513,30 @@ mod tests {
     fn one_warning_per_rejected_variable() {
         let (knobs, warnings) = read(&[
             ("MN_JOBS", "0"),
-            ("MN_RETRIES", "many"),
+            ("MN_HOST_WINDOW", "wide"),
             ("MN_REQUESTS", "300"),
         ]);
         assert_eq!(knobs.requests, 300);
-        assert_eq!(knobs.retries, 2);
+        assert_eq!(knobs.host_window, None);
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("MN_JOBS"));
-        assert!(warnings[1].contains("MN_RETRIES"));
+        assert!(warnings[1].contains("MN_HOST_WINDOW"));
+    }
+
+    #[test]
+    fn unknown_mn_variables_are_named_once_in_order() {
+        // A retired knob and a typo are reported, sorted and once each;
+        // a real knob and a variable outside the `MN_` namespace are not.
+        let names = [
+            "PATH",
+            "MN_METRICS",
+            "MN_REQUESTS",
+            "MN_REQEUSTS",
+            "MN_METRICS",
+        ];
+        let unknown = unknown_knobs(names.map(OsString::from));
+        assert_eq!(unknown, ["MN_METRICS", "MN_REQEUSTS"]);
+        assert!(unknown_knobs(KNOBS.iter().map(|k| OsString::from(k.name))).is_empty());
     }
 
     #[test]
@@ -566,14 +553,6 @@ mod tests {
             "{}",
             warnings[0]
         );
-    }
-
-    #[test]
-    fn chaos_engages_only_on_a_positive_rate() {
-        assert_eq!(defaults().chaos(), None);
-        assert_eq!(accepted("MN_CHAOS_RATE", "0").chaos(), None);
-        let (knobs, _) = read(&[("MN_CHAOS_RATE", "0.5"), ("MN_CHAOS_SEED", "7")]);
-        assert_eq!(knobs.chaos(), Some(ChaosPlan::new(7, 0.5)));
     }
 
     #[test]

@@ -28,9 +28,6 @@ pub struct CampaignSummary {
     pub host_wall: Duration,
     /// Memory requests completed by fresh simulations.
     pub fresh_requests: u64,
-    /// Unique points that needed at least one re-dispatch (successful
-    /// or not) before settling.
-    pub retried: usize,
     /// Always zero: campaigns no longer hand results to each other. Kept
     /// only because the frozen benchmark package reads it; retire it
     /// with the next benchmark change.
@@ -49,23 +46,18 @@ impl CampaignSummary {
         }
     }
 
-    /// The one-line human rendering. The retry and failure segments
-    /// appear only when nonzero, so the common clean run reads exactly
-    /// as it always has (CI greps this line).
+    /// The one-line human rendering. The failure segment appears only
+    /// when nonzero, so the common clean run reads exactly as it always
+    /// has (CI greps this line).
     pub fn line(&self) -> String {
-        let retried = if self.retried == 0 {
-            String::new()
-        } else {
-            format!(", {} retried", self.retried)
-        };
         let failed = if self.failed == 0 {
             String::new()
         } else {
             format!(", {} FAILED", self.failed)
         };
         format!(
-            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{retried}\
-             {failed}, {} worker{}, {:.0} req/s",
+            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{failed}, \
+             {} worker{}, {:.0} req/s",
             self.total,
             self.total,
             self.host_wall.as_secs_f64(),

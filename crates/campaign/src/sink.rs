@@ -183,7 +183,6 @@ pub fn point_record(outcome: &PointOutcome) -> Record {
         ("requests_per_port", Value::Int(config.requests_per_port)),
         ("seed", Value::Int(config.seed)),
         ("cached", Value::Bool(outcome.cached)),
-        ("attempts", Value::Int(u64::from(outcome.attempts))),
         ("host_ms", Value::Float(outcome.host.as_secs_f64() * 1e3)),
         ("error", Value::Str(error)),
     ]);
@@ -368,7 +367,6 @@ mod tests {
             result,
             cached: false,
             coalesced: false,
-            attempts: 1,
             host: std::time::Duration::ZERO,
         }
     }

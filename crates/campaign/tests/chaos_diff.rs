@@ -1,27 +1,26 @@
 //! Differential proof of the crash-safety contract (`DESIGN.md`
-//! §"Robustness & recovery"): every recovery path — caught panics with
-//! retry, cache corruption with quarantine, stale temp litter with the
-//! open-time sweep, kill-and-rerun against the same cache — converges
-//! to results **byte-identical** to an undisturbed run. Proven
-//! differentially: run both sides and compare the rendered sink records
-//! byte for byte.
+//! §"Robustness & recovery"): every recovery path — cache corruption
+//! with quarantine, stale temp litter with the open-time sweep,
+//! kill-and-rerun against the same cache — converges to results
+//! **byte-identical** to an undisturbed run. Proven differentially: run
+//! both sides and compare the rendered sink records byte for byte.
 //!
 //! Only provenance columns may differ between a disturbed run and a clean
-//! one (`cached`, `attempts`, `host_ms` — *how* a result was obtained);
-//! every measurement column must not. `stable_render` strips exactly
-//! those three and nothing else.
+//! one (`cached`, `host_ms` — *how* a result was obtained); every
+//! measurement column must not. `stable_render` strips exactly those two
+//! and nothing else.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mn_campaign::sink::{point_record, write_records, OutputFormat, Record};
-use mn_campaign::{Campaign, CampaignPoint, ChaosPlan, PointOutcome};
+use mn_campaign::{Campaign, CampaignPoint, PointOutcome};
 use mn_core::SystemConfig;
 use mn_topo::TopologyKind;
 use mn_workloads::Workload;
 
 /// The provenance columns that legitimately differ between a disturbed
 /// run and a clean one. Everything else is a measurement and must match.
-const VOLATILE: &[&str] = &["cached", "attempts", "host_ms"];
+const VOLATILE: &[&str] = &["cached", "host_ms"];
 
 /// The full sink rendering of a run minus the volatile columns: the byte
 /// string two equivalent runs must agree on.
@@ -48,7 +47,7 @@ fn point(topology: TopologyKind, workload: Workload, seed: u64) -> CampaignPoint
 }
 
 /// A small mixed grid: four distinct points plus a duplicate of the
-/// first (the folded-baseline path must survive chaos too).
+/// first (the folded-baseline path must survive damage too).
 fn grid() -> Vec<CampaignPoint> {
     vec![
         point(TopologyKind::Chain, Workload::Nw, 1),
@@ -66,66 +65,89 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The core differential: seeded chaos schedules (worker panics, cache
-/// damage, litter) × worker counts × cache on/off, every combination
-/// byte-identical to the one undisturbed run. The cache-on arm runs
-/// twice on one directory so the second pass reads — and chaos damages —
-/// entries the first pass stored, driving the quarantine path. Both
-/// passes share this process, so the second names the directory another
-/// way: its hot tier starts empty and every load reads the disk, as a
-/// second process would.
+/// The files in `dir` whose names end with `suffix`, sorted.
+fn files_ending(dir: &Path, suffix: &str) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_string_lossy().ends_with(suffix))
+        .collect();
+    found.sort();
+    found
+}
+
+/// Damages every stored entry in `dir`, taking three kinds of damage in
+/// turn: truncated to half (a torn write), a rotten header (a writer of
+/// another version) and a trailing byte that is not UTF-8 (bit rot).
+/// Returns how many entries it damaged.
+fn damage_entries(dir: &Path) -> usize {
+    let entries = files_ending(dir, ".mnres");
+    for (i, path) in entries.iter().enumerate() {
+        let mut body = std::fs::read(path).unwrap();
+        match i % 3 {
+            0 => body.truncate(body.len() / 2),
+            1 => drop(body.splice(0..0, *b"mncampaign-cache v0-rotten\n")),
+            _ => body.push(0xFF),
+        };
+        std::fs::write(path, body).unwrap();
+    }
+    entries.len()
+}
+
+/// Leaves the half-written temp files a killed store would have left in
+/// `dir`.
+fn litter(dir: &Path) {
+    for i in 0..3 {
+        let name = format!(".stale{i:016x}.{i}.tmp");
+        std::fs::write(dir.join(name), b"torn half-written cache entry").unwrap();
+    }
+}
+
+/// Cache damage, differentially: a run over a cache whose every entry
+/// was damaged, with stale temp files beside them, lands on the
+/// undisturbed run's bytes at any worker count. Each damaged entry is
+/// quarantined to `<key>.corrupt` as a miss and simulated again, and the
+/// open-time sweep removes the litter. The damaged pass names the
+/// directory another way, so its hot tier starts empty and every load
+/// reads the disk, as a second process would.
 #[test]
-fn chaos_schedules_converge_to_clean_bytes() {
+fn damaged_entries_are_quarantined_to_clean_bytes() {
     let clean = stable_render(&Campaign::new(1).quiet().run(grid()).outcomes);
-    for seed in [1u64, 0xBEEF, 0x5EED42] {
-        for rate in [0.3, 1.0] {
-            for jobs in [1usize, 8] {
-                let plan = ChaosPlan::new(seed, rate);
-                let tag = format!("seed {seed:#x} rate {rate} jobs {jobs}");
+    for jobs in [1usize, 8] {
+        let dir = scratch(&format!("damage-j{jobs}"));
+        let run = |cache_dir: &Path| Campaign::new(jobs).quiet().cache_dir(cache_dir).run(grid());
+        let stored = run(&dir);
+        assert_eq!(
+            stable_render(&stored.outcomes),
+            clean,
+            "jobs {jobs}: first pass"
+        );
 
-                let chaotic = Campaign::new(jobs)
-                    .quiet()
-                    .retries(3)
-                    .chaos(plan)
-                    .run(grid());
-                assert_eq!(chaotic.summary.failed, 0, "{tag} (no cache)");
-                assert_eq!(
-                    stable_render(&chaotic.outcomes),
-                    clean,
-                    "{tag} (no cache) diverged from the undisturbed run"
-                );
-
-                let dir = scratch(&format!("s{seed:x}-r{}-j{jobs}", (rate * 10.0) as u32));
-                let second_name = dir.join("..").join(dir.file_name().unwrap());
-                for (pass, cache_dir) in [&dir, &second_name].into_iter().enumerate() {
-                    let out = Campaign::new(jobs)
-                        .quiet()
-                        .retries(3)
-                        .cache_dir(cache_dir)
-                        .chaos(plan)
-                        .run(grid());
-                    assert_eq!(out.summary.failed, 0, "{tag} (cache pass {pass})");
-                    assert_eq!(
-                        stable_render(&out.outcomes),
-                        clean,
-                        "{tag} (cache pass {pass}) diverged from the undisturbed run"
-                    );
-                }
-                // At rate 1.0 chaos damages every entry the second pass
-                // reads, so each one must have been quarantined.
-                if rate == 1.0 {
-                    let quarantined = std::fs::read_dir(&dir)
-                        .unwrap()
-                        .filter(|e| {
-                            let path = e.as_ref().unwrap().path();
-                            path.extension().is_some_and(|x| x == "corrupt")
-                        })
-                        .count();
-                    assert_eq!(quarantined, 4, "{tag}: quarantined entries");
-                }
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
+        assert_eq!(
+            damage_entries(&dir),
+            4,
+            "jobs {jobs}: one entry per distinct point"
+        );
+        litter(&dir);
+        let damaged = run(&dir.join("..").join(dir.file_name().unwrap()));
+        let s = &damaged.summary;
+        assert_eq!((s.cache_hits, s.fresh, s.failed), (0, 4, 0), "jobs {jobs}");
+        assert_eq!(
+            stable_render(&damaged.outcomes),
+            clean,
+            "jobs {jobs}: the damaged pass diverged from the undisturbed run"
+        );
+        assert_eq!(
+            files_ending(&dir, ".corrupt").len(),
+            4,
+            "jobs {jobs}: quarantined"
+        );
+        assert_eq!(
+            files_ending(&dir, ".tmp").len(),
+            0,
+            "jobs {jobs}: litter swept"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -148,12 +170,8 @@ fn kill_and_resume_matches_the_undisturbed_run() {
     assert_eq!(first.summary.fresh, 2);
 
     // The crash left half-written temp files beside the stored entries.
-    ChaosPlan::new(7, 1.0).litter_cache_dir(&cache);
-    let litter = || {
-        let entries = std::fs::read_dir(&cache).unwrap().flatten();
-        let names = entries.map(|e| e.file_name().to_string_lossy().into_owned());
-        names.filter(|name| name.ends_with(".tmp")).count()
-    };
+    litter(&cache);
+    let litter = || files_ending(&cache, ".tmp").len();
     assert!(litter() > 0);
 
     // Rerun the full grid: stored points are served, the rest simulate.
@@ -175,83 +193,12 @@ fn kill_and_resume_matches_the_undisturbed_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The zero-chaos path is inert and fingerprint-invisible: a rate-0 plan
-/// never touches disk, and none of the robustness machinery (retry
-/// budgets, watchdog escalation) shifts the pinned golden cache key.
+/// Undisturbed runs keep the committed cache keys: the literal
+/// `mn-bench`'s golden suite pins, which no robustness work may move.
 #[test]
 fn zero_chaos_leaves_the_pinned_fingerprint_untouched() {
-    let dir = scratch("zero");
-    let plan = ChaosPlan::new(123, 0.0);
-    plan.litter_cache_dir(&dir);
-    assert!(
-        std::fs::read_dir(&dir).unwrap().next().is_none(),
-        "a rate-0 plan must not touch the filesystem"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The same literal `mn-bench`'s golden suite pins: robustness rode
-    // in without moving a single committed cache key.
     let mut config = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
     config.requests_per_port = 6_000;
-    let point = CampaignPoint::new(config.clone(), Workload::Dct);
+    let point = CampaignPoint::new(config, Workload::Dct);
     assert_eq!(point.cache_key(), "348808c871d2e161");
-
-    // Watchdog escalation is outside the fingerprint: a retried attempt
-    // addresses the same cache entry its first attempt would have.
-    let mut escalated = config;
-    escalated.escalate_watchdog(3);
-    assert_eq!(
-        CampaignPoint::new(escalated, Workload::Dct).cache_key(),
-        "348808c871d2e161"
-    );
-}
-
-/// The soak behind EXPERIMENTS.md's chaos table: a 500-point grid swept
-/// across injection rates, each run byte-compared to the clean one, with
-/// the attempt distribution printed for the record.
-#[test]
-#[ignore = "chaos soak for EXPERIMENTS.md; run with --ignored --nocapture"]
-fn chaos_soak_500_points() {
-    let topologies = [
-        TopologyKind::Chain,
-        TopologyKind::Tree,
-        TopologyKind::Ring,
-        TopologyKind::SkipList,
-    ];
-    let workloads = [Workload::Nw, Workload::Dct];
-    let soak: Vec<CampaignPoint> = (0..125u64)
-        .flat_map(|i| {
-            topologies
-                .into_iter()
-                .map(move |t| point(t, workloads[(i % 2) as usize], 1_000 + i))
-        })
-        .collect();
-    assert_eq!(soak.len(), 500);
-
-    let clean = stable_render(&Campaign::new(8).quiet().run(soak.clone()).outcomes);
-    println!("rate   diverged  retried  attempts histogram (attempts: points)");
-    for rate in [0.0, 0.2, 0.5, 0.8] {
-        let out = Campaign::new(8)
-            .quiet()
-            .retries(3)
-            .chaos(ChaosPlan::new(0x50AC, rate))
-            .run(soak.clone());
-        let render = stable_render(&out.outcomes);
-        let mut histogram = std::collections::BTreeMap::new();
-        for o in &out.outcomes {
-            *histogram.entry(o.attempts).or_insert(0u32) += 1;
-        }
-        let histogram: Vec<String> = histogram
-            .iter()
-            .map(|(attempts, n)| format!("{attempts}: {n}"))
-            .collect();
-        println!(
-            "{rate:<6} {:>8} {:>8}  {}",
-            u32::from(render != clean),
-            out.summary.retried,
-            histogram.join(", "),
-        );
-        assert_eq!(out.summary.failed, 0, "rate {rate}");
-        assert_eq!(render, clean, "rate {rate} diverged from the clean run");
-    }
 }

@@ -144,18 +144,6 @@ impl SystemConfig {
         Ok(config)
     }
 
-    /// Escalates the livelock watchdog for a retry attempt: doubles the
-    /// limit per attempt (attempt 1 ⇒ 2×, attempt 2 ⇒ 4×, …), saturating
-    /// at `u64::MAX`. A stall diagnosis depends on the watchdog budget —
-    /// a slow-but-progressing run near the limit can trip it spuriously —
-    /// so a retrying scheduler widens the budget before re-running. The
-    /// limit is not part of the result fingerprint, so escalation never
-    /// changes what a completed run computes.
-    pub fn escalate_watchdog(&mut self, attempt: u32) {
-        let factor = 1u64.checked_shl(attempt.min(63)).unwrap_or(u64::MAX);
-        self.watchdog_limit = self.watchdog_limit.saturating_mul(factor.max(1));
-    }
-
     /// Sets the NVM placement (builder style).
     pub fn with_nvm_placement(mut self, placement: NvmPlacement) -> SystemConfig {
         self.nvm_placement = placement;
@@ -293,19 +281,5 @@ mod tests {
             .unwrap()
             .with_arbiter(ArbiterKind::Distance);
         assert_eq!(c.noc.arbiter, ArbiterKind::Distance);
-    }
-
-    #[test]
-    fn watchdog_escalation_doubles_per_attempt_and_saturates() {
-        let mut c = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
-        let base = c.watchdog_limit;
-        c.escalate_watchdog(0);
-        assert_eq!(c.watchdog_limit, base, "attempt 0 is the clean run");
-        c.escalate_watchdog(1);
-        assert_eq!(c.watchdog_limit, base * 2);
-        c.escalate_watchdog(2);
-        assert_eq!(c.watchdog_limit, base * 8);
-        c.escalate_watchdog(u32::MAX);
-        assert_eq!(c.watchdog_limit, u64::MAX, "escalation saturates");
     }
 }

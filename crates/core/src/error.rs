@@ -29,7 +29,9 @@ pub enum SimError {
     /// The simulation stopped making progress with requests outstanding —
     /// either no component had a next event (deadlock) or the completion
     /// count stayed flat past the watchdog limit (livelock). The snapshot
-    /// captures the wedged state for diagnosis.
+    /// captures the wedged state for diagnosis. Like every other variant
+    /// it is deterministic: the same config stalls at the same instant on
+    /// every run, so a campaign records it and never re-runs the point.
     Stalled {
         /// Simulated time at which progress stopped.
         at: SimTime,
@@ -61,23 +63,6 @@ pub enum SimError {
         /// Its link ports plus local injection ports.
         ports: usize,
     },
-}
-
-impl SimError {
-    /// Whether a retry of the same point could plausibly succeed.
-    ///
-    /// A [`SimError::Stalled`] run is retryable: livelock trips depend on
-    /// the watchdog budget, which a retrying scheduler escalates (see
-    /// [`crate::SystemConfig::escalate_watchdog`]). A
-    /// [`SimError::Partitioned`] network is deterministic in the fault
-    /// schedule — the same configuration partitions on every attempt — so
-    /// retrying it only burns cycles.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            SimError::Partitioned { .. } | SimError::TooManyPorts { .. } => false,
-            SimError::Stalled { .. } => true,
-        }
-    }
 }
 
 impl fmt::Display for SimError {
@@ -189,17 +174,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("last kernel events:"), "{msg}");
         assert!(msg.contains("\n  2ns try-arb n1"), "{msg}");
-    }
-
-    #[test]
-    fn retry_classification() {
-        // A stall depends on the watchdog budget; a partition is baked
-        // into the fault schedule. Only the former earns a retry.
-        assert!(stalled().is_retryable());
-        let partitioned = SimError::Partitioned {
-            unreachable: vec![NodeId(1)],
-        };
-        assert!(!partitioned.is_retryable());
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl NetTelem {
     }
 
     /// A packet won link-output arbitration and occupies `link` for
-    /// `ser`; `retried` marks fault-stretched occupancy (CRC retry or
+    /// `ser`; `stretched` marks fault-stretched occupancy (CRC retry or
     /// lane degradation).
     #[inline]
     pub(crate) fn on_link_send(
@@ -188,7 +188,7 @@ impl NetTelem {
         link: LinkId,
         packet: PacketId,
         ser: SimDuration,
-        retried: bool,
+        stretched: bool,
     ) {
         if !self.mode.enabled() {
             return;
@@ -210,7 +210,7 @@ impl NetTelem {
                 kind: TraceEventKind::Traverse,
                 packet: packet.0,
             });
-            if retried {
+            if stretched {
                 self.tracer.record(TraceEvent {
                     ts_ps: now.as_ps(),
                     dur_ps: 0,
