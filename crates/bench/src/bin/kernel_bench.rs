@@ -21,10 +21,11 @@
 //!   pooled buffers drive the steady-state figure to zero.
 //! - **arena high-water** — from [`mn_sim::KernelCounters`]; it bounds
 //!   the packet working set.
-//! - **fixpoints** and **idle fixpoints** per iteration — the port loop's
-//!   instants, and those whose first pass moved nothing (see
-//!   [`mn_sim::KernelCounters::idle_fixpoints`]). Like the event count
-//!   they are exact, so CI gates them too.
+//! - **fixpoints** and **idle fixpoints** per iteration — every instant
+//!   the port loop visited (a host, controller or network instant), and
+//!   those whose first pass moved nothing, mostly network instants that
+//!   delivered nothing (see [`mn_sim::KernelCounters::idle_fixpoints`]).
+//!   Like the event count they are exact, so CI gates them too.
 //!
 //! Results go to stdout (human-readable) and to `BENCH_kernel.json`
 //! (`MN_BENCH_OUT` to relocate), so CI can archive the perf trajectory

@@ -102,7 +102,7 @@ pub const KNOBS: &[Knob] = &[
         default: "6000",
         results: true,
         doc: "requests per simulated port (longer = smoother)",
-        set: |k, v| parsed(v).map(|n| k.requests = n),
+        set: |k, v| positive(parsed(v)?, "need at least one request").map(|n| k.requests = n),
     },
     Knob {
         name: "MN_SEED",
@@ -432,6 +432,7 @@ mod tests {
         let rejected = [
             ("MN_REQUESTS", "60000q"),
             ("MN_REQUESTS", "-1"),
+            ("MN_REQUESTS", "0"), // need a request
             ("MN_SEED", "seven"),
             ("MN_JOBS", "0"), // need a worker
             ("MN_JOBS", "many"),

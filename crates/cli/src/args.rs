@@ -255,6 +255,14 @@ fn parse_u64(flag: &str, s: &str) -> Result<u64, ArgError> {
         .map_err(|_| err(format!("{flag} expects a number, got '{s}'")))
 }
 
+/// `--requests`: a run needs at least one request to have a wall time.
+fn parse_requests(s: &str) -> Result<u64, ArgError> {
+    match parse_u64("--requests", s)? {
+        0 => Err(err("--requests must be at least one")),
+        n => Ok(n),
+    }
+}
+
 fn parse_u32(flag: &str, s: &str) -> Result<u32, ArgError> {
     parse_at_most(flag, s, u32::MAX)
 }
@@ -344,7 +352,7 @@ impl Command {
                         "--dram" => parsed.dram_pct = parse_u32(flag, cursor.value(flag)?)?,
                         "--placement" => parsed.placement = parse_placement(cursor.value(flag)?)?,
                         "--arbiter" => parsed.arbiter = parse_arbiter(cursor.value(flag)?)?,
-                        "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
+                        "--requests" => parsed.requests = parse_requests(cursor.value(flag)?)?,
                         "--write-burst" => parsed.write_burst = true,
                         "--seed" => parsed.seed = Some(parse_u64(flag, cursor.value(flag)?)?),
                         other => return Err(err(format!("unknown flag '{other}' for run"))),
@@ -362,7 +370,7 @@ impl Command {
                     match flag {
                         "--workload" => parsed.workload = parse_workload(cursor.value(flag)?)?,
                         "--arbiter" => parsed.arbiter = parse_arbiter(cursor.value(flag)?)?,
-                        "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
+                        "--requests" => parsed.requests = parse_requests(cursor.value(flag)?)?,
                         other => return Err(err(format!("unknown flag '{other}' for compare"))),
                     }
                 }
@@ -404,7 +412,7 @@ impl Command {
                     match flag {
                         "--topology" => parsed.topology = parse_topology(cursor.value(flag)?)?,
                         "--workload" => parsed.workload = parse_workload(cursor.value(flag)?)?,
-                        "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
+                        "--requests" => parsed.requests = parse_requests(cursor.value(flag)?)?,
                         other => return Err(err(format!("unknown flag '{other}' for sweep"))),
                     }
                 }
@@ -426,7 +434,7 @@ impl Command {
                         "--workload" => parsed.workload = parse_workload(cursor.value(flag)?)?,
                         "--dram" => parsed.dram_pct = parse_u32(flag, cursor.value(flag)?)?,
                         "--placement" => parsed.placement = parse_placement(cursor.value(flag)?)?,
-                        "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
+                        "--requests" => parsed.requests = parse_requests(cursor.value(flag)?)?,
                         "--seed" => parsed.seed = Some(parse_u64(flag, cursor.value(flag)?)?),
                         "--out" => parsed.out = cursor.value(flag)?.into(),
                         other => return Err(err(format!("unknown flag '{other}' for trace"))),
@@ -455,7 +463,7 @@ impl Command {
                             }
                             parsed.window = Some(window);
                         }
-                        "--requests" => parsed.requests = parse_u64(flag, cursor.value(flag)?)?,
+                        "--requests" => parsed.requests = parse_requests(cursor.value(flag)?)?,
                         "--seed" => parsed.seed = Some(parse_u64(flag, cursor.value(flag)?)?),
                         other => return Err(err(format!("unknown flag '{other}' for closedloop"))),
                     }
@@ -832,6 +840,18 @@ mod tests {
         assert!(e.to_string().contains("tcp"));
         let e = parse(&["closedloop", "--window", "0"]).unwrap_err();
         assert!(e.to_string().contains("at least one"));
+    }
+
+    #[test]
+    fn zero_requests_is_an_error_for_every_subcommand() {
+        for sub in ["run", "compare", "sweep", "trace", "closedloop"] {
+            let e = parse(&[sub, "--requests", "0"]).unwrap_err();
+            assert!(
+                e.to_string().contains("--requests must be at least one"),
+                "{sub}: {e}"
+            );
+            assert!(parse(&[sub, "--requests", "1"]).is_ok(), "{sub}");
+        }
     }
 
     #[test]

@@ -35,29 +35,18 @@
 //!
 //! ## The port loop
 //!
-//! Each instant where something outside the network is due runs a
-//! *fixpoint*: stage due bursts, inject host requests, advance the
-//! network, drain deliveries, advance controllers, inject responses, and
-//! repeat until a pass moves nothing. That step order is part of the
-//! bit-identical contract: it fixes which packets contend at each
-//! arbitration.
-//!
-//! Between fixpoints, only the network may have work. The loop then hands
-//! the network a whole stretch of instants in one
-//! [`Network::advance_until`] call, which stops at the first delivery
-//! (the next fixpoint starts from its `ready` nodes) or before the next
-//! external instant. A host front that the last fixpoint left refused is
-//! *parked*: it does not count as external work, because only the
-//! network can admit it. A full injection buffer frees at a network
-//! instant, so the stretch also stops after the instant that frees the
-//! front's buffer, and the loop steps to the next instant, where the old
-//! polled loop injected it. A closed window or a full write buffer frees
-//! only when a response reaches the host, and that delivery ends the
-//! stretch by itself. The watchdog observes every network-only instant,
-//! as it observes every fixpoint, so a stall reports the same instant
-//! either way. [`KernelCounters::fixpoints`] and
-//! [`KernelCounters::idle_fixpoints`] count the fixpoints and those that
-//! moved nothing.
+//! The loop visits every instant at which some component has work: a
+//! thinking slot, a controller, a pending response or the network. Each
+//! gets the same *fixpoint*: stage due bursts, inject host requests,
+//! advance the network, drain deliveries, advance controllers, inject
+//! responses, and repeat until a pass moves nothing. That step order is
+//! part of the bit-identical contract: it fixes which packets contend at
+//! each arbitration. The watchdog then observes the instant once, and
+//! the loop steps to the earliest due instant of any component. A host
+//! request or a response that a full buffer refused is not scheduled on
+//! its own: it is retried at the next instant of any component.
+//! [`KernelCounters::fixpoints`] and [`KernelCounters::idle_fixpoints`]
+//! count the instants visited and those whose first pass moved nothing.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -550,52 +539,19 @@ impl PortSim {
         // request ever completes (deadlock is caught by `next_time`
         // returning `None`). One observation per simulated instant.
         let mut watchdog = Watchdog::new(self.watchdog_limit.max(1));
-        // True when `ready` already holds the network's advance to `now`.
-        let mut advanced = false;
-        let host = self.topo.host();
         self.spawn_threads();
         while self.completed < self.total_requests {
-            self.fixpoint(now, &mut ready, advanced);
+            self.fixpoint(now, &mut ready);
             if self.completed >= self.total_requests {
                 break;
             }
             if watchdog.observe(self.completed) {
                 return Err(self.stall_snapshot(now));
             }
-            // Network-only instants: before `external`, only the network
-            // has work, and a parked host front waits on it. A fixpoint
-            // there stages nothing and injects nothing, and unless its
-            // advance leaves a delivery, it drains, advances controllers
-            // and injects responses nothing too. So the network advances
-            // alone until a node has a delivery (the fixpoint then takes
-            // over at that instant with `ready` in hand), external work is
-            // due, or the instant just advanced freed the parked front's
-            // injection buffer: the next fixpoint injects it, at
-            // `next_time`. The watchdog observes each such instant, as it
-            // would after a fixpoint.
-            let (external, watch) = self.external_due(now);
-            let completed = self.completed;
-            let mut stalled = false;
-            let last = self.net.advance_until(external, &mut ready, |net, _| {
-                if watchdog.observe(completed) {
-                    stalled = true;
-                    return true;
-                }
-                watch.is_some_and(|kind| net.can_inject(host, 0, kind))
-            });
-            if let Some(t) = last {
-                now = t;
-            }
-            if stalled {
-                return Err(self.stall_snapshot(now));
-            }
-            advanced = !ready.is_empty();
-            if !advanced {
-                now = match self.next_time(now) {
-                    Some(t) => t,
-                    None => return Err(self.stall_snapshot(now)),
-                };
-            }
+            now = match self.next_time(now) {
+                Some(t) => t,
+                None => return Err(self.stall_snapshot(now)),
+            };
         }
 
         let (hits, accesses) = self.row_hit_counts();
@@ -648,29 +604,18 @@ impl PortSim {
 
     /// One instant's fixpoint: keep moving work between the host model,
     /// the network, and the controllers until nothing changes at `now`.
-    ///
-    /// With `advanced`, `ready` already holds the network's advance to
-    /// `now`, and the first pass skips its stage, inject and advance
-    /// steps. In step order the first two ran before the advance, when
-    /// they were no-ops: nothing external was due before `now`, and a
-    /// parked host front was still refused (the stretch would have ended
-    /// at an earlier instant that freed its buffer). Run after the
-    /// advance, they could inject ahead of the drain.
-    fn fixpoint(&mut self, now: SimTime, ready: &mut Vec<NodeId>, advanced: bool) {
+    fn fixpoint(&mut self, now: SimTime, ready: &mut Vec<NodeId>) {
         self.fixpoints += 1;
         let mut first = true;
         loop {
-            let mut progress = false;
-            if !(first && advanced) {
-                progress |= self.stage_and_offer(now);
-                progress |= self.inject_host(now);
-                // With no network work due at `now`, an advance would
-                // only clear `ready`.
-                if self.net.next_event_time().is_some_and(|t| t <= now) {
-                    self.net.advance(now, ready);
-                } else {
-                    ready.clear();
-                }
+            let mut progress = self.stage_and_offer(now);
+            progress |= self.inject_host(now);
+            // With no network work due at `now`, an advance would only
+            // clear `ready`.
+            if self.net.next_event_time().is_some_and(|t| t <= now) {
+                self.net.advance(now, ready);
+            } else {
+                ready.clear();
             }
             if !ready.is_empty() {
                 progress = true;
@@ -681,7 +626,7 @@ impl PortSim {
             progress |= self.advance_controllers(now);
             progress |= self.inject_responses(now);
             if !progress {
-                if first && !advanced {
+                if first {
                     self.idle_fixpoints += 1;
                 }
                 break;
@@ -1146,70 +1091,33 @@ impl PortSim {
         }
     }
 
-    /// The earliest instant at which anything outside the network can
-    /// act: a controller, a pending response, the host queue's front, or
-    /// a thinking slot. Called right after the fixpoint at `now`.
-    ///
-    /// A front due at `now` that is refused now is *parked* and left out:
-    /// only the network can admit it. When the window and the write
-    /// buffer are open, only its full injection buffer refuses it, and
-    /// the packet kind returned says which buffer to watch. Otherwise
-    /// (`None`) only a response reaching the host can admit it, and that
-    /// delivery ends any network-only stretch by itself.
-    fn external_due(&self, now: SimTime) -> (SimTime, Option<PacketKind>) {
-        let mut watch = None;
-        let host = match self.host_queue.front() {
-            None => SimTime::MAX,
-            Some(&(_, _, offered_at, _)) if offered_at > now => offered_at,
-            Some(&(_, r, offered_at, _)) => {
-                let kind = request_kind(r.is_write);
-                if !self.issue_open(r.is_write) {
-                    SimTime::MAX
-                } else if self.net.can_inject(self.topo.host(), 0, kind) {
-                    // The fixpoint's last advance freed the buffer after
-                    // its inject step: the front goes in next instant.
-                    offered_at
-                } else {
-                    watch = Some(kind);
-                    SimTime::MAX
-                }
-            }
-        };
-        let external = self
-            .thinking_min
-            .min(self.ctrl_min)
-            .min(self.responses_min)
-            .min(host);
-        (external, watch)
-    }
-
-    /// The earliest instant any component can make further progress.
+    /// The earliest instant after the fixpoint at `now` at which any
+    /// component has work: a thinking slot, a controller, a pending
+    /// response or the network.
     fn next_time(&self, now: SimTime) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            // `SimTime::MAX` marks an idle component.
-            if t > now && t != SimTime::MAX {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        // The earliest clamped due is the clamped earliest due.
-        consider(self.thinking_min.max(now + SimDuration::from_ps(1)));
-        if let Some(t) = self.net.next_event_time() {
-            consider(t.max(now + SimDuration::from_ps(1)));
-        }
-        consider(self.ctrl_min.max(now + SimDuration::from_ps(1)));
-        if self.responses_min > now {
-            consider(self.responses_min);
+        let responses = if self.responses_min > now {
+            self.responses_min
         } else {
             // A due response is still pending only because its cube's
             // injection buffer refused it, and only a network event can
             // free that buffer: the responses that wake the port are the
             // ones not ready yet.
-            for p in &self.pending_responses {
-                consider(p.ready_at);
-            }
-        }
-        next
+            self.pending_responses
+                .iter()
+                .map(|p| p.ready_at)
+                .filter(|&t| t > now)
+                .min()
+                .unwrap_or(SimTime::MAX)
+        };
+        let next = self
+            .thinking_min
+            .min(self.ctrl_min)
+            .min(responses)
+            .min(self.net.next_event_time().unwrap_or(SimTime::MAX));
+        // A fixpoint ends only when nothing is left due at `now`.
+        debug_assert!(next > now, "work due at {next} after the fixpoint at {now}");
+        // `SimTime::MAX` marks every component idle.
+        (next != SimTime::MAX).then_some(next)
     }
 
     fn row_hit_counts(&self) -> (u64, u64) {
@@ -1544,16 +1452,15 @@ mod tests {
         c
     }
 
-    /// A refused host front is parked: the network-only instants it
-    /// waits through run inside `Network::advance_until`, not as
-    /// fixpoints that move nothing. Before parking, these runs made
-    /// 3,988 fixpoints with 1,812 idle (NW) and 9,917 with 7,743 idle
-    /// (BIT); the wall clock and the event stream are the same.
+    /// A refused host front is not scheduled on its own: it is retried at
+    /// the next instant of any component, the first at which a buffer
+    /// that freed at a network instant can admit it. Every network
+    /// instant is a fixpoint, and most of those move nothing.
     #[test]
-    fn a_refused_host_front_parks_instead_of_polling() {
+    fn a_refused_host_front_is_retried_at_the_next_instant() {
         for (workload, wall_ps, events, fixpoints, idle) in [
-            (Workload::Nw, 14_989_448, 29_354, 2_347, 171),
-            (Workload::Bit, 3_536_856, 35_545, 2_724, 550),
+            (Workload::Nw, 14_989_448, 29_354, 12_706, 10_530),
+            (Workload::Bit, 3_536_856, 35_545, 11_214, 9_040),
         ] {
             let r = run(&refusing_config(), workload);
             let k = r.kernel_counters();
@@ -1567,14 +1474,13 @@ mod tests {
         }
     }
 
-    /// The watchdog observes once per network-only instant inside a
-    /// parked stretch, as it did after each fixpoint the stretch
-    /// replaces: a stall reports the same instant and state as before
-    /// parking (the pinned values). At a limit of 40 the run stalls
-    /// inside a stretch whose front waits on a full injection buffer;
-    /// at 20 and 100, inside stretches that wait on the network alone.
+    /// The watchdog observes every instant the loop visits once,
+    /// network-only ones included, so a stall is reported at the instant
+    /// the completion count has stayed flat for the limit. At a limit of
+    /// 40 the run stalls while its front waits on a full injection
+    /// buffer; at 20 and 100, while it waits on the network alone.
     #[test]
-    fn a_stall_in_a_parked_stretch_reports_the_same_state() {
+    fn a_stall_on_a_refused_front_reports_the_same_state() {
         for (limit, at_ps, want) in [
             (20, 468_688, (2, 1, 0, 1)),
             (40, 507_136, (2, 3, 1, 3)),
@@ -1607,8 +1513,8 @@ mod tests {
     /// slot's think time is 0 and a slot recycled in the middle of a pass
     /// (by `inject_host` or `finish_request`) is due at that very instant:
     /// the next pass must stage it, which it does only if the recycle
-    /// kept `thinking_min` exact. The pinned values come from a kernel
-    /// that scanned every slot in every pass.
+    /// kept `thinking_min` exact. The pinned wall clock and event count
+    /// come from a kernel that scanned every slot in every pass.
     #[test]
     fn a_slot_recycled_with_no_think_time_is_staged_at_once() {
         let mut c = quick_config(TopologyKind::SkipList, 1.0);
@@ -1619,15 +1525,18 @@ mod tests {
         let k = r.kernel_counters();
         assert_eq!(r.wall, SimTime::from_ps(1_865_360), "wall");
         assert_eq!(k.events_processed, 18_994, "events");
-        assert_eq!((k.fixpoints, k.idle_fixpoints), (2_032, 171), "fixpoints");
+        assert_eq!((k.fixpoints, k.idle_fixpoints), (9_221, 7_360), "fixpoints");
     }
 
-    /// A fixpoint entered with a delivery in hand drains it before it
-    /// stages or injects: the drain's completions move the AIMD window
-    /// that gates the host front. At zero think time on full-duplex
-    /// links, a kernel that ran stage and inject ahead of that drain
-    /// made 18,425 events, 2,128 fixpoints (228 idle) and a smaller
-    /// to-memory latency sum; the pinned values drain first.
+    /// A fixpoint pass injects the host front before it advances the
+    /// network, and drains that advance's deliveries before the next pass
+    /// injects again: the drain's completions move the AIMD window that
+    /// gates the front. At zero think time on full-duplex links, a kernel
+    /// that let the front in ahead of a delivery already in hand made
+    /// 18,425 events and a smaller to-memory latency sum. One that
+    /// injected after the drain in every pass makes 9,247 idle fixpoints
+    /// here, and moves the NW wall clock that
+    /// `a_refused_host_front_is_retried_at_the_next_instant` pins.
     #[test]
     fn a_fixpoint_with_a_delivery_in_hand_drains_before_it_injects() {
         use mn_host::WindowPolicyKind;
@@ -1642,12 +1551,79 @@ mod tests {
         let k = r.kernel_counters();
         assert_eq!(r.wall, SimTime::from_ps(19_662_488), "wall");
         assert_eq!(k.events_processed, 18_428, "events");
-        assert_eq!((k.fixpoints, k.idle_fixpoints), (2_130, 229), "fixpoints");
+        assert_eq!(
+            (k.fixpoints, k.idle_fixpoints),
+            (11_156, 9_255),
+            "fixpoints"
+        );
         assert_eq!(
             r.breakdown.to_memory.sum(),
             SimDuration::from_ps(3_631_986_392),
             "to-memory latency"
         );
+    }
+
+    /// What a metamorphic relation compares between two runs: the wall
+    /// clock, the latency breakdown, the read-latency histogram, the read
+    /// and write counts and the event count.
+    fn outcome(r: &PortObservation) -> (SimTime, String, Vec<u64>, u64, u64, u64) {
+        (
+            r.wall,
+            format!("{:?}", r.breakdown),
+            r.read_latency.bucket_counts().to_vec(),
+            r.reads,
+            r.writes,
+            r.kernel_events(),
+        )
+    }
+
+    /// The points both relations below run, each at 50% DRAM.
+    fn relation_points() -> impl Iterator<Item = (TopologyKind, Workload)> {
+        [
+            TopologyKind::Chain,
+            TopologyKind::Tree,
+            TopologyKind::SkipList,
+        ]
+        .into_iter()
+        .flat_map(|t| [Workload::Nw, Workload::Backprop, Workload::Kmeans].map(|w| (t, w)))
+    }
+
+    /// A gate that never closes is no gate: a fixed window far above what
+    /// a port can have outstanding, with the cap raised to match (`Fixed`
+    /// clamps to it), gives the open loop's run.
+    #[test]
+    fn a_fixed_window_that_never_closes_is_the_open_loop() {
+        use mn_host::WindowPolicyKind;
+        for (topology, workload) in relation_points() {
+            let open = quick_config(topology, 0.5);
+            let mut fixed = open.clone();
+            fixed.host.policy = WindowPolicyKind::Fixed(1_000_000);
+            fixed.host.window_cap = 1_000_000;
+            assert_eq!(
+                outcome(&run(&fixed, workload)),
+                outcome(&run(&open, workload)),
+                "{topology:?} {workload:?}"
+            );
+        }
+    }
+
+    /// No writes, no write buffer: an all-read trace gives the same run at
+    /// every host write-buffer depth.
+    #[test]
+    fn an_all_read_trace_ignores_the_write_buffer_depth() {
+        for (topology, workload) in relation_points() {
+            let mut profile = workload.profile();
+            profile.read_fraction = 1.0;
+            let mut c = quick_config(topology, 0.5);
+            let runs = [1, 2, 8, 64].map(|depth| {
+                c.host_write_buffer = depth;
+                outcome(&try_run_profile(&c, profile).expect("simulation completes"))
+            });
+            assert_eq!(runs[0].4, 0, "{topology:?} {workload:?} wrote");
+            for (depth, r) in [2, 8, 64].iter().zip(&runs[1..]) {
+                assert_eq!(r, &runs[0], "{topology:?} {workload:?} at depth {depth}");
+            }
+        }
     }
 
     #[test]

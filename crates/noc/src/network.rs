@@ -32,10 +32,8 @@
 //! processed go to the same-instant *lane*, one FIFO of nodes that is
 //! drained in place after the queue's run at that instant and emptied
 //! when the instant is done. A caller drives the network with
-//! [`Network::advance`] (every instant up to and including `now`) or, for
-//! a stretch of instants at which it has nothing else to do,
-//! [`Network::advance_until`] (every instant before a bound, stopping at
-//! the first delivery or when the caller's `stop` says so).
+//! [`Network::advance`], which processes every instant up to and
+//! including `now`.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -272,8 +270,7 @@ enum NetEvent {
 ///
 /// Drive it like the other components in this workspace: inject packets,
 /// call [`Network::advance`] whenever simulated time reaches
-/// [`Network::next_event_time`] (or [`Network::advance_until`] over a
-/// stretch of such instants), and pull [`Delivery`]s from nodes it
+/// [`Network::next_event_time`], and pull [`Delivery`]s from nodes it
 /// reports ready.
 ///
 /// See the crate-level docs for an end-to-end example.
@@ -727,77 +724,34 @@ impl Network {
     pub fn advance(&mut self, now: SimTime, ready: &mut Vec<NodeId>) {
         ready.clear();
         while let Some(t) = self.next_event_time().filter(|&t| t <= now) {
-            self.run_instant(t, ready);
-        }
-        self.publish_ready(ready);
-    }
-
-    /// Advances through the instants before `before` in one call, as
-    /// one [`Network::advance`] per instant would, for a caller that has
-    /// nothing to do at those instants unless the network delivers.
-    ///
-    /// After each instant it stops when a node has a delivery (`ready`
-    /// then holds the nodes, as [`Network::advance`] leaves them) or,
-    /// failing that, when `stop(self, t)` returns true. So `stop` is
-    /// called once per instant that delivered nothing, and can observe
-    /// the network between instants: a port simulation checks there
-    /// whether an injection buffer it waits on has freed. Returns the
-    /// last instant processed, or `None` when no work was due before
-    /// `before` (`ready` is then empty).
-    pub fn advance_until(
-        &mut self,
-        before: SimTime,
-        ready: &mut Vec<NodeId>,
-        mut stop: impl FnMut(&Network, SimTime) -> bool,
-    ) -> Option<SimTime> {
-        ready.clear();
-        let mut last = None;
-        while let Some(t) = self.next_event_time().filter(|&t| t < before) {
-            self.run_instant(t, ready);
-            last = Some(t);
-            if !ready.is_empty() {
-                self.publish_ready(ready);
-                break;
+            debug_assert!(t >= self.clock, "clock moved backwards");
+            self.clock = t;
+            // The queue's run at `t` was pushed before the clock reached
+            // `t`, so it goes before every lane entry.
+            if self.events.peek_time() == Some(t) {
+                self.run_queue_batch(t, ready);
             }
-            if stop(self, t) {
-                break;
+            // Wakes pushed while a batch drains are due at `t` too; they
+            // form the next batch. `lane_head` marks the batch as popped,
+            // so the depth a push records counts only the wakes behind it.
+            let mut next = 0;
+            while next < self.lane.len() {
+                self.lane_head = self.lane.len();
+                self.lane_popped += (self.lane_head - next) as u64;
+                while next < self.lane_head {
+                    let node = self.lane[next];
+                    next += 1;
+                    self.fire(node, t, ready);
+                }
             }
+            self.lane.clear();
+            self.lane_head = 0;
         }
-        last
-    }
-
-    /// Processes the instant `t`: the queue's run at `t`, then the lane.
-    fn run_instant(&mut self, t: SimTime, ready: &mut Vec<NodeId>) {
-        debug_assert!(t >= self.clock, "clock moved backwards");
-        self.clock = t;
-        // The queue's run at `t` was pushed before the clock reached
-        // `t`, so it goes before every lane entry.
-        if self.events.peek_time() == Some(t) {
-            self.run_queue_batch(t, ready);
-        }
-        // Wakes pushed while a batch drains are due at `t` too; they
-        // form the next batch. `lane_head` marks the batch as popped, so
-        // the depth a push records counts only the wakes behind it.
-        let mut next = 0;
-        while next < self.lane.len() {
-            self.lane_head = self.lane.len();
-            self.lane_popped += (self.lane_head - next) as u64;
-            while next < self.lane_head {
-                let node = self.lane[next];
-                next += 1;
-                self.fire(node, t, ready);
-            }
-        }
-        self.lane.clear();
-        self.lane_head = 0;
-    }
-
-    /// Sorts `ready` and clears its members' pending flags. Membership is
-    /// already unique (structural dedup via `ready_pending`); the sort
-    /// stays because callers drain nodes in ascending order and the drain
-    /// order is part of the deterministic, bit-reproducible behavior the
-    /// result cache depends on.
-    fn publish_ready(&mut self, ready: &mut [NodeId]) {
+        // Membership is already unique (structural dedup via
+        // `ready_pending`); the sort stays because callers drain nodes in
+        // ascending order and the drain order is part of the
+        // deterministic, bit-reproducible behavior the result cache
+        // depends on.
         ready.sort_unstable();
         for &node in ready.iter() {
             self.ready_pending[node.index()] = false;
@@ -1477,64 +1431,6 @@ mod tests {
     #[test]
     fn a_queue_entry_is_24_bytes() {
         assert_eq!(std::mem::size_of::<(SimTime, NetEvent)>(), 24);
-    }
-
-    /// `advance_until` walks the same instants as one `advance` per
-    /// instant: it stops at each delivery with the ready nodes in hand,
-    /// asks `stop` once per instant that delivered nothing, stops when
-    /// `stop` says so, and never processes an instant at or after
-    /// `before`.
-    #[test]
-    fn advance_until_matches_advance_per_instant() {
-        let topo = chain(4);
-        let dst = topo.cube_at_position(4).unwrap();
-        let load = |net: &mut Network| {
-            for t in 0..3 {
-                let pkt = Packet::request(t, PacketKind::ReadRequest, topo.host(), dst);
-                net.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
-            }
-        };
-        let mut reference = Network::new(&topo, NocConfig::default());
-        load(&mut reference);
-        let want = run_to_quiescence(&mut reference);
-
-        let mut net = Network::new(&topo, NocConfig::default());
-        load(&mut net);
-        let mut ready = Vec::new();
-        let mut got = Vec::new();
-        let mut asked = Vec::new();
-        // Nothing is due before the first instant.
-        assert_eq!(
-            net.advance_until(SimTime::ZERO, &mut ready, |_, _| true),
-            None
-        );
-        // A `stop` that says yes ends the call after one quiet instant.
-        let first = net.advance_until(SimTime::MAX, &mut ready, |_, t| {
-            asked.push(t);
-            true
-        });
-        assert_eq!(first, Some(SimTime::ZERO));
-        assert!(ready.is_empty());
-        while let Some(t) = net.advance_until(SimTime::MAX, &mut ready, |_, t| {
-            asked.push(t);
-            false
-        }) {
-            if ready.is_empty() {
-                // The last call ran the network dry.
-                assert_eq!(net.next_event_time(), None);
-                break;
-            }
-            assert_eq!(ready, [dst]);
-            while let Some(d) = net.take_delivery(dst, t) {
-                got.push(d);
-            }
-        }
-        assert_eq!(got, want);
-        assert_eq!(net.events_processed(), reference.events_processed());
-        assert!(
-            asked.windows(2).all(|w| w[0] < w[1]),
-            "one call per instant"
-        );
     }
 
     #[test]

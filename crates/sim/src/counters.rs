@@ -54,11 +54,10 @@ pub struct KernelCounters {
     /// Heap allocations during the steady-state loop (requires a counting
     /// allocator in the binary; zero otherwise).
     pub steady_heap_allocs: u64,
-    /// Fixpoints the port loop ran: instants it moved work between the
-    /// host model, the network and the controllers until nothing changed.
+    /// Fixpoints the port loop ran, one per instant it visited: every
+    /// instant at which a port component or the network had work.
     pub fixpoints: u64,
-    /// Fixpoints whose first pass moved nothing, among those not entered
-    /// with a network delivery already in hand: the polls a wake-driven
-    /// port loop would not make.
+    /// Fixpoints whose first pass moved nothing: mostly network instants
+    /// that delivered nothing to a host or a cube.
     pub idle_fixpoints: u64,
 }
